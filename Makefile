@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-compare bench-compare-fresh \
-	experiments taskgraph mesh-smoke api api-check serve loadgen service-smoke \
+.PHONY: all build vet test test-benchmark tier1-soak race bench bench-json bench-compare \
+	bench-compare-fresh experiments taskgraph mesh-smoke api api-check serve loadgen service-smoke \
 	chaos chaos-smoke crash-smoke clean
 
 all: build vet test
@@ -16,6 +16,17 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The full-stack benchmark harness is its own module (benchmark/,
+# replaced onto the root): build, vet and test it against the root API.
+test-benchmark:
+	$(GO) build -C benchmark ./... && $(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
+
+# Tier-1 determinism: the two scheduler-sensitive packages, 20 times
+# each, on one and two procs. CI runs this on every push.
+tier1-soak:
+	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation
+	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation
 
 race:
 	$(GO) test -race ./...

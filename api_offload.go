@@ -4,22 +4,25 @@ import (
 	"time"
 
 	"openmpmca/internal/offload"
+	"openmpmca/internal/taskfabric"
 )
 
 // Multi-domain offload: distribute parallel-for regions across runtime
 // domains — separate Runtime instances on their own hypervisor
-// partitions — that communicate exclusively over MCAPI. See
-// internal/offload for the architecture.
+// partitions — that communicate exclusively over MCAPI. A region runs as
+// a group of chunk tasks on a private task fabric (see
+// internal/taskfabric, region.go), so deadlines, retries, stealing and
+// domain-loss recovery are the fabric's.
 //
 // Naming convention: every option that configures NewOffload is named
 // WithOffload*; every option that configures NewTaskFabric is named
-// WithFabric*. Process-wide tuning toggles live in api_tuning.go.
+// WithFabric*. They are one option type underneath.
 
 // Offload farms ParallelFor regions out to worker domains; see NewOffload.
-type Offload = offload.Offloader
+type Offload = taskfabric.Offloader
 
 // OffloadOption configures NewOffload.
-type OffloadOption = offload.Option
+type OffloadOption = taskfabric.Option
 
 // OffloadKernel is a distributable parallel-for body: Chunk runs a
 // subrange on one domain's runtime, Fold merges partial results in
@@ -36,16 +39,7 @@ type OffloadRegistry = offload.Registry
 // OffloadStats is a snapshot of the offload counters (RemoteChunks,
 // Resends, DomainsLost, ...). It forms the "offload" section of the
 // unified Snapshot.
-type OffloadStats = offload.StatsSnapshot
-
-// OffloadDomainInfo describes one offload worker domain for
-// introspection: identity, liveness and the adaptive per-iteration
-// service estimate.
-type OffloadDomainInfo = offload.DomainInfo
-
-// OffloadEventSink receives offload send/recv trace events; a
-// trace.Recorder satisfies it.
-type OffloadEventSink = offload.EventSink
+type OffloadStats = taskfabric.RegionStats
 
 // ErrDomainLost marks a region during which a worker domain died; the
 // region's result is still complete (its chunks re-ran elsewhere).
@@ -58,36 +52,21 @@ func NewOffloadRegistry() *OffloadRegistry { return offload.NewRegistry() }
 // domains (default 3), boots an MCA-backed Runtime on each, and wires
 // them together over MCAPI packet channels.
 func NewOffload(reg *OffloadRegistry, opts ...OffloadOption) (*Offload, error) {
-	return offload.New(reg, opts...)
+	return taskfabric.NewOffloader(reg, opts...)
 }
 
 // WithOffloadDomains sets the number of worker domains.
-func WithOffloadDomains(n int) OffloadOption { return offload.WithDomains(n) }
-
-// WithDomains sets the number of worker domains.
-//
-// Deprecated: use WithOffloadDomains. WithDomains predates the unified
-// WithOffload*/WithFabric* naming and is kept only so existing callers
-// keep compiling; it will not grow siblings.
-func WithDomains(n int) OffloadOption { return offload.WithDomains(n) }
+func WithOffloadDomains(n int) OffloadOption { return taskfabric.WithDomains(n) }
 
 // WithOffloadChunkIters fixes the iterations per offloaded chunk.
-func WithOffloadChunkIters(n int) OffloadOption { return offload.WithChunkIters(n) }
-
-// WithOffloadChunkDeadline bounds how long a dispatched chunk may stay
-// unanswered before it is resent to another domain.
-func WithOffloadChunkDeadline(d time.Duration) OffloadOption { return offload.WithChunkDeadline(d) }
-
-// WithOffloadRetries caps per-chunk resends before the region fails.
-func WithOffloadRetries(n int) OffloadOption { return offload.WithRetries(n) }
+func WithOffloadChunkIters(n int) OffloadOption { return taskfabric.WithChunkIters(n) }
 
 // WithOffloadHeartbeat sets the offloader's domain-health ping period; a
 // domain missing pongs for eight periods is declared lost.
-func WithOffloadHeartbeat(period time.Duration) OffloadOption { return offload.WithHeartbeat(period) }
+func WithOffloadHeartbeat(period time.Duration) OffloadOption {
+	return taskfabric.WithHeartbeat(period)
+}
 
-// WithOffloadInflight caps the chunks outstanding on one domain (the
-// credit window).
-func WithOffloadInflight(n int) OffloadOption { return offload.WithInflight(n) }
-
-// WithOffloadEventSink installs a sink for offload trace events.
-func WithOffloadEventSink(s OffloadEventSink) OffloadOption { return offload.WithEventSink(s) }
+// WithOffloadEventSink installs a sink for the region fabric's events:
+// every chunk surfaces as a task send/recv.
+func WithOffloadEventSink(s FabricEventSink) OffloadOption { return taskfabric.WithEventSink(s) }

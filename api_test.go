@@ -128,20 +128,8 @@ func TestOptionValidationParity(t *testing.T) {
 			_, err := NewOffload(NewOffloadRegistry(), WithOffloadChunkIters(-5))
 			return err
 		}},
-		{"offload deadline", func() error {
-			_, err := NewOffload(NewOffloadRegistry(), WithOffloadChunkDeadline(0))
-			return err
-		}},
-		{"offload retries", func() error {
-			_, err := NewOffload(NewOffloadRegistry(), WithOffloadRetries(-1))
-			return err
-		}},
 		{"offload heartbeat", func() error {
 			_, err := NewOffload(NewOffloadRegistry(), WithOffloadHeartbeat(-time.Second))
-			return err
-		}},
-		{"offload inflight", func() error {
-			_, err := NewOffload(NewOffloadRegistry(), WithOffloadInflight(0))
 			return err
 		}},
 		{"fabric nil registry", func() error { _, err := NewTaskFabric(nil); return err }},
@@ -196,30 +184,6 @@ func TestOptionValidationParity(t *testing.T) {
 		if err := tc.run(); !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("%s: err = %v, want ErrInvalidOption", tc.name, err)
 		}
-	}
-}
-
-// TestDeprecatedOptionAliases pins that the pre-unification names still
-// build working values and configure exactly what their canonical
-// replacements do.
-func TestDeprecatedOptionAliases(t *testing.T) {
-	reg := NewOffloadRegistry()
-	off, err := NewOffload(reg, WithDomains(2)) // deprecated alias of WithOffloadDomains
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if off.Domains() != 2 {
-		t.Errorf("WithDomains(2) built %d domains", off.Domains())
-	}
-
-	off2, err := NewOffload(NewOffloadRegistry(), WithOffloadDomains(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off2.Close()
-	if off2.Domains() != off.Domains() {
-		t.Errorf("alias and canonical option disagree: %d vs %d", off.Domains(), off2.Domains())
 	}
 }
 

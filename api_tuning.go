@@ -1,37 +1,10 @@
 package openmpmca
 
-import (
-	"openmpmca/internal/offload"
-	"openmpmca/internal/syncq"
-	"openmpmca/internal/taskfabric"
-)
+import "openmpmca/internal/taskfabric"
 
-// Cross-cutting tuning knobs. All default to on; they exist as ablation
-// switches (the WithTaskQueue pattern, but for cross-cutting allocator
-// and wire behavior) so cmd/ompmca-bench can measure each
-// optimization's contribution against the unoptimized baseline.
-// Production callers leave them alone.
-
-// SetCodecPooling toggles wire-codec encode-buffer pooling for the
-// offload and task-fabric frame codecs (default on). Off restores
-// allocate-per-frame.
-func SetCodecPooling(on bool) { offload.SetCodecPooling(on) }
-
-// CodecPooling reports whether codec encode buffers are pooled.
-func CodecPooling() bool { return offload.CodecPooling() }
-
-// SetWaitPooling toggles waiter-channel and timer pooling in the
-// runtime's internal wait queues (default on). Off restores
-// allocate-per-wait.
-func SetWaitPooling(on bool) { syncq.SetPooling(on) }
-
-// WaitPooling reports whether wait-queue waiters and timers are pooled.
-func WaitPooling() bool { return syncq.PoolingEnabled() }
-
-// WithOffloadBatching toggles chunk-frame coalescing per scheduler flush
-// (on by default); off restores one packet per chunk as an ablation
-// baseline for benchmarks.
-func WithOffloadBatching(on bool) OffloadOption { return offload.WithBatching(on) }
+// Task-fabric ablation knobs. Each mechanism defaults to on; the knobs
+// exist so cmd/ompmca-bench can measure its contribution against the
+// path without it. Production callers leave them alone.
 
 // WithFabricBatching toggles task/result/credit frame coalescing per
 // flush (on by default); off restores one packet per frame as an

@@ -5,16 +5,13 @@
 // trajectory files and flags regressions.
 //
 //	ompmca-bench -label pr7 -out BENCH_7.json       # measure
-//	ompmca-bench -ablate -label pr7-base -out b.json # knobs off
-//	ompmca-bench -compare BENCH_6.json BENCH_7.json  # diff
+//	ompmca-bench -compare BENCH_6.json BENCH_7.json # diff
 //
 // The suite covers the latencies the paper's evaluation turns on:
 // fork/join (Table I's parallel directive), task-steal throughput
 // (taskbench), MCAPI message and packet round-trips (the transport under
-// every offload), one offloaded chunk round-trip, and the task-fabric
-// codec's frame throughput. -ablate turns every hot-path optimization
-// off (codec pooling, wait pooling, frame batching), measuring the
-// unoptimized baseline the optimizations are judged against.
+// every offload), one offloaded region round-trip, and the task-fabric
+// codec's frame throughput.
 package main
 
 import (
@@ -50,7 +47,6 @@ func run() error {
 		label     = flag.String("label", "dev", "trajectory label recorded in the output")
 		out       = flag.String("out", "", "output file (default stdout)")
 		benchtime = flag.String("benchtime", "0.2s", "per-benchmark time or iteration budget (testing -benchtime syntax, e.g. 0.5s or 100x)")
-		ablate    = flag.Bool("ablate", false, "disable every hot-path optimization (pooling, batching): measure the baseline")
 		compare   = flag.Bool("compare", false, "compare two trajectory files given as arguments instead of measuring")
 		tolerance = flag.Float64("tolerance", 10, "percent ns/op drift tolerated by -compare before flagging")
 		failRegr  = flag.Bool("fail-on-regression", false, "with -compare, exit nonzero when regressions are found")
@@ -61,7 +57,7 @@ func run() error {
 	flag.Parse()
 
 	if *list {
-		for _, s := range suite(false) {
+		for _, s := range suite() {
 			fmt.Println(s.name)
 		}
 		return nil
@@ -79,21 +75,13 @@ func run() error {
 		return fmt.Errorf("bad -benchtime: %w", err)
 	}
 
-	syncq.SetPooling(!*ablate)
-	offload.SetCodecPooling(!*ablate)
-
 	traj := &benchjson.Trajectory{
 		SchemaVersion: benchjson.SchemaVersion,
 		Label:         *label,
 		GoVersion:     runtime.Version(),
 		CreatedUnix:   time.Now().Unix(),
-		Knobs: map[string]bool{
-			"codec_pooling":  !*ablate,
-			"wait_pooling":   !*ablate,
-			"frame_batching": !*ablate,
-		},
 	}
-	for _, s := range suite(!*ablate) {
+	for _, s := range suite() {
 		fmt.Fprintf(os.Stderr, "running %s...\n", s.name)
 		res, err := s.measure()
 		if err != nil {
@@ -131,7 +119,7 @@ func runStats() error {
 	if err := jobservice.RegisterBuiltinKernels(kernels); err != nil {
 		return err
 	}
-	off, err := offload.New(kernels, offload.WithDomains(2))
+	off, err := taskfabric.NewOffloader(kernels, taskfabric.WithDomains(2))
 	if err != nil {
 		return err
 	}
@@ -205,9 +193,8 @@ func resultOf(name string, r testing.BenchmarkResult, metrics map[string]float64
 	}
 }
 
-// suite returns the curated benchmarks. batch propagates the ablation
-// state into the per-instance batching options.
-func suite(batch bool) []entry {
+// suite returns the curated benchmarks.
+func suite() []entry {
 	return []entry{
 		{"fork_join", benchForkJoin},
 		{"steal_throughput", benchStealThroughput},
@@ -215,7 +202,7 @@ func suite(batch bool) []entry {
 		{"mcapi_pkt_roundtrip", benchPktRoundTrip},
 		{"syncq_wait_timeout", benchWaitTimeout},
 		{"taskcodec_frames", benchTaskCodec},
-		{"offload_chunk_roundtrip", func() (benchjson.Result, error) { return benchOffloadChunk(batch) }},
+		{"offload_chunk_roundtrip", benchOffloadChunk},
 		{"fabric_steal_roundtrip", func() (benchjson.Result, error) { return benchStealRoundTrip(true) }},
 		{"fabric_steal_brokered", func() (benchjson.Result, error) { return benchStealRoundTrip(false) }},
 	}
@@ -485,8 +472,8 @@ func benchStealRoundTrip(peer bool) (benchjson.Result, error) {
 }
 
 // benchOffloadChunk measures one offloaded parallel-for region: chunks
-// travel to worker domains over MCAPI and fold back on the host.
-func benchOffloadChunk(batch bool) (benchjson.Result, error) {
+// travel to worker domains as fabric tasks and fold back on the host.
+func benchOffloadChunk() (benchjson.Result, error) {
 	reg := offload.NewRegistry()
 	kern := offload.FuncKernel{
 		KernelName: "sum",
@@ -509,10 +496,9 @@ func benchOffloadChunk(batch bool) (benchjson.Result, error) {
 	if err := reg.Register(kern); err != nil {
 		return benchjson.Result{}, err
 	}
-	o, err := offload.New(reg,
-		offload.WithDomains(2),
-		offload.WithChunkIters(512),
-		offload.WithBatching(batch),
+	o, err := taskfabric.NewOffloader(reg,
+		taskfabric.WithDomains(2),
+		taskfabric.WithChunkIters(512),
 	)
 	if err != nil {
 		return benchjson.Result{}, err

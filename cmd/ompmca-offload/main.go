@@ -153,7 +153,7 @@ func run(n, domains int, chunkDelay time.Duration, out *log.Logger) error {
 	}
 	sum := rec.Summary()
 	out.Printf("trace:           %d offload sends, %d offload recvs, %d heartbeats",
-		sum.OffloadSends, sum.OffloadRecvs, st.Heartbeats)
+		sum.TaskSends, sum.TaskRecvs, st.Heartbeats)
 	return nil
 }
 

@@ -1,8 +1,11 @@
 // Command ompmca-serve boots the multi-tenant job service: a simulated
 // T4240RDB board partitioned into a host plus worker domains, an MTAPI
-// task fabric and an MCAPI offload cluster over it, and the HTTP/JSON
-// front end of internal/jobservice on top — turning the one-shot demo
-// binaries into a persistent daemon tenants share.
+// task fabric for jobs and a second, private one for parallel_for
+// regions, and the HTTP/JSON front end of internal/jobservice on top —
+// turning the one-shot demo binaries into a persistent daemon tenants
+// share. Both fabrics feed one span exporter: /v1/spans shows a region's
+// chunks as task spans beside the jobs', and /v1/domains lists the
+// region fabric's domains under "offload" in the fabric's domain shape.
 //
 //	ompmca-serve -addr :8080 -domains 3 -offload-domains 2
 //	ompmca-serve -state-dir /var/lib/ompmca        # survive restarts

@@ -47,7 +47,7 @@ const (
 	// to set up stealing, sacrificial groups for cancellation.
 	WorkloadFabric Workload = "fabric"
 	// WorkloadOffload runs parallel-for regions on an
-	// offload.Offloader: vecsum kernels with closed-form results.
+	// taskfabric.Offloader: vecsum kernels with closed-form results.
 	WorkloadOffload Workload = "offload"
 	// WorkloadService drives the full HTTP job service: submissions,
 	// polling, group cancel and domain drain/readmit all travel through

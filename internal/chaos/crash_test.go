@@ -56,9 +56,9 @@ func crashHelperMain() {
 	if err := jobservice.RegisterBuiltinKernels(kernels); err != nil {
 		log.Fatal(err)
 	}
-	off, err := offload.New(kernels,
-		offload.WithDomains(2),
-		offload.WithHeartbeat(10*time.Millisecond),
+	off, err := taskfabric.NewOffloader(kernels,
+		taskfabric.WithDomains(2),
+		taskfabric.WithHeartbeat(10*time.Millisecond),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -260,13 +260,12 @@ func runOffload(c Campaign, ff *frameFaults, res *Result) {
 		return
 	}
 	sp := spans.NewExporter(0)
-	o, err := offload.New(reg,
-		offload.WithDomains(c.Domains),
-		offload.WithHeartbeat(5*time.Millisecond),
-		offload.WithChunkDeadline(200*time.Millisecond),
-		offload.WithRetries(2),
-		offload.WithChunkIters(2048),
-		offload.WithEventSink(sp),
+	o, err := taskfabric.NewOffloader(reg,
+		taskfabric.WithDomains(c.Domains),
+		taskfabric.WithHeartbeat(5*time.Millisecond),
+		taskfabric.WithTaskDeadline(200*time.Millisecond),
+		taskfabric.WithChunkIters(2048),
+		taskfabric.WithEventSink(sp),
 	)
 	if err != nil {
 		res.fail("offload: %v", err)
@@ -381,11 +380,11 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		return
 	}
 	defer fab.Close()
-	off, err := offload.New(kernels,
-		offload.WithDomains(2),
-		offload.WithHeartbeat(5*time.Millisecond),
-		offload.WithChunkDeadline(200*time.Millisecond),
-		offload.WithEventSink(sp),
+	off, err := taskfabric.NewOffloader(kernels,
+		taskfabric.WithDomains(2),
+		taskfabric.WithHeartbeat(5*time.Millisecond),
+		taskfabric.WithTaskDeadline(200*time.Millisecond),
+		taskfabric.WithEventSink(sp),
 	)
 	if err != nil {
 		res.fail("offload: %v", err)

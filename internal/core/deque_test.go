@@ -8,7 +8,7 @@ import (
 
 func mkTask(id int) (*task, *int) {
 	slot := new(int)
-	return &task{fn: func() { *slot = id }, group: &taskGroup{}}, slot
+	return &task{fn: func() { *slot = id }}, slot
 }
 
 func TestDequeLIFOPopFIFOSteal(t *testing.T) {

@@ -248,10 +248,11 @@ func TestLeasedTeamShmemBoundedAndDrainedAtClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One sequential caller warms at most one team per size used (outer
-	// 4-thread team + nested serialized team of one).
-	if got := dom.NumShmems(); got > 2 {
-		t.Errorf("%d live shmem segments after 50 leased regions, want <= 2", got)
+	// One sequential caller warms one outer 4-thread team; each of its
+	// four threads leases a serialized team of one for the nested region,
+	// and as many of those as ran at once stay cached.
+	if got := dom.NumShmems(); got < 1 || got > 1+4 {
+		t.Errorf("%d live shmem segments after 50 leased regions, want 1..5", got)
 	}
 	st := rt.Stats().Snapshot()
 	if st.LeaseHits == 0 {

@@ -41,7 +41,7 @@ func newPool(layer ThreadLayer) *pool {
 
 // acquire reserves k workers for one region, starting new ones when the
 // free list runs short. Acquired workers are owned exclusively by the
-// caller until their dispatched job completes.
+// caller until it releases them.
 //
 // The lowest free wids are taken first, in ascending order. For a
 // sequential caller this keeps the worker↔thread-number binding stable
@@ -106,8 +106,8 @@ func (p *pool) idle() int {
 // worker starts, and a partial team that would hang its region-end
 // barrier cannot form — or waits until every job is handed over. The
 // sends cannot block: an acquired worker is parked in its receive loop
-// and its capacity-1 channel is empty. Each worker returns itself to the
-// free list when its job completes.
+// and its capacity-1 channel is empty. The caller joins its jobs and then
+// hands the workers back with release.
 func (p *pool) dispatchAll(workers []*poolWorker, jobs []func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -115,23 +115,24 @@ func (p *pool) dispatchAll(workers []*poolWorker, jobs []func()) error {
 		return ErrClosed
 	}
 	for i, w := range workers {
-		w, job := w, jobs[i]
-		w.jobs <- func() {
-			job()
-			p.release(w)
-		}
+		w.jobs <- jobs[i]
 	}
 	return nil
 }
 
-// release parks a worker back on the free list.
-func (p *pool) release(w *poolWorker) {
+// release parks workers back on the free list once their dispatched jobs
+// have completed. The region's owner calls it after its join, not each
+// worker on its own way out: a sequential caller's next acquire then
+// always finds them (a worker releasing itself raced that acquire and
+// grew the pool), and a team's workers do not pile onto the pool lock at
+// the moment the join is waiting for them.
+func (p *pool) release(ws []*poolWorker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
-	p.free = append(p.free, w)
+	p.free = append(p.free, ws...)
 }
 
 // close shuts down every worker and joins them. The jobs channels are

@@ -47,7 +47,7 @@ func TestDispatchAllAfterCloseReturnsErrClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Park the acquired workers again so close can join them idle.
+	// Run the acquired workers once so close joins them idle.
 	if err := p.dispatchAll(ws, []func(){func() {}, func() {}}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,21 +74,18 @@ func TestAcquirePrefersLowestWids(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(ws))
-	// Jobs finish in reverse wid order, scrambling the free list.
-	gates := make([]chan struct{}, len(ws))
 	jobs := make([]func(), len(ws))
 	for i := range ws {
-		gates[i] = make(chan struct{})
-		gate := gates[i]
-		jobs[i] = func() { <-gate; wg.Done() }
+		jobs[i] = wg.Done
 	}
 	if err := p.dispatchAll(ws, jobs); err != nil {
 		t.Fatal(err)
 	}
-	for i := len(gates) - 1; i >= 0; i-- {
-		close(gates[i])
-	}
 	wg.Wait()
+	// Hand them back in reverse wid order, scrambling the free list.
+	for i := len(ws) - 1; i >= 0; i-- {
+		p.release(ws[i : i+1])
+	}
 	again, err := p.acquire(4)
 	if err != nil {
 		t.Fatal(err)

@@ -486,7 +486,7 @@ func (r *Runtime) parallel(ctx context.Context, n int, body func(c *Context)) er
 				team.recordPanic(tid, v, debug.Stack())
 			}
 		}()
-		c := &Context{team: team, tid: tid, wid: wid, groups: []*taskGroup{{}}}
+		c := &Context{team: team, tid: tid, wid: wid, groups: &[]*taskGroup{{}}}
 		body(c)
 		// Implicit region-end barrier: drain the task queues, then sync.
 		team.quiesce(c)
@@ -518,6 +518,7 @@ func (r *Runtime) parallel(ctx context.Context, n int, body func(c *Context)) er
 	r.stats.Threads.Add(uint64(n))
 	run(0, masterWID)
 	wg.Wait()
+	r.pool.release(workers)
 	stopWatcher()
 	r.monitor.Join()
 	err = team.regionErr()

@@ -118,14 +118,12 @@ type Context struct {
 	// construct — the libGOMP work-share matching scheme.
 	wsGen int
 
-	// groups is the task-group stack; index 0 is the implicit group of
-	// this thread's region task. groupMu guards it because task bodies
-	// may call their creating thread's Context from whichever thread
-	// claimed them (the recursive-decomposition idiom in task_test.go),
-	// racing the owner's Taskgroup push/pop; the lock is per-Context and
-	// all but uncontended.
+	// groups is the set of open task groups, outermost first; index 0 is
+	// the implicit group of this thread's region task. It is replaced,
+	// never edited in place, under groupMu — see Context.scopes for why
+	// it is a set and not a stack.
 	groupMu sync.Mutex
-	groups  []*taskGroup
+	groups  *[]*taskGroup
 
 	// loopWS points at the enclosing Ordered loop's workshare while one
 	// is active, so Context.Ordered can find its sequencing state.
@@ -207,7 +205,7 @@ func (c *Context) Parallel(body func(*Context)) error {
 	rt.stats.Threads.Add(1)
 	// The inner context inherits the executing thread's layer identity:
 	// the serialized team runs on the same worker.
-	inner := &Context{team: team, tid: 0, wid: c.wid, groups: []*taskGroup{{}}}
+	inner := &Context{team: team, tid: 0, wid: c.wid, groups: &[]*taskGroup{{}}}
 	body(inner)
 	team.drain(0, nil)
 	rt.monitor.NestedJoin(c.tid)

@@ -35,9 +35,9 @@ func newDurableEnv(t *testing.T, opts ...Option) (*testEnv, func()) {
 		fab.Close()
 		t.Fatal(err)
 	}
-	off, err := offload.New(kernels,
-		offload.WithDomains(2),
-		offload.WithHeartbeat(10*time.Millisecond),
+	off, err := taskfabric.NewOffloader(kernels,
+		taskfabric.WithDomains(2),
+		taskfabric.WithHeartbeat(10*time.Millisecond),
 	)
 	if err != nil {
 		fab.Close()

@@ -12,7 +12,7 @@ import (
 // Per-job progress streaming: every job carries a bounded event log
 // recording its lifecycle transitions plus fine-grained execution
 // progress — chunk completions for parallel_for jobs (fed by the
-// offloader's RegionObserver) and task send/receive for fabric jobs
+// region call's per-chunk callback) and task send/receive for fabric jobs
 // (fed by a ProgressHub wired as the fabric's event sink). Clients
 // follow a single job at GET /v1/jobs/{id}/events (NDJSON), and group
 // streams interleave members' progress lines with the existing
@@ -213,21 +213,6 @@ var (
 	_ taskfabric.EventSink     = (*ProgressHub)(nil)
 	_ taskfabric.PeerStealSink = (*ProgressHub)(nil)
 )
-
-// jobObserver feeds one parallel_for region's chunk completions into
-// its job's event log.
-type jobObserver struct {
-	j     *jobRec
-	total int
-}
-
-// RegionStart implements offload.RegionObserver.
-func (o *jobObserver) RegionStart(chunks int) { o.total = chunks }
-
-// ChunkDone implements offload.RegionObserver.
-func (o *jobObserver) ChunkDone(chunk, domain int) {
-	o.j.progress(JobEvent{Type: EventChunk, Chunk: chunk, Total: o.total, Domain: domainOf(domain)})
-}
 
 // ---------------------------------------------------------------------------
 // GET /v1/jobs/{id}/events

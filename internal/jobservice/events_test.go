@@ -37,9 +37,9 @@ func newProgressEnv(t *testing.T) (*testEnv, *spans.Exporter) {
 		fab.Close()
 		t.Fatal(err)
 	}
-	off, err := offload.New(kernels,
-		offload.WithDomains(2),
-		offload.WithHeartbeat(10*time.Millisecond),
+	off, err := taskfabric.NewOffloader(kernels,
+		taskfabric.WithDomains(2),
+		taskfabric.WithHeartbeat(10*time.Millisecond),
 	)
 	if err != nil {
 		fab.Close()

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"openmpmca/internal/oerrors"
-	"openmpmca/internal/offload"
 	"openmpmca/internal/taskfabric"
 )
 
@@ -36,7 +35,7 @@ type HealthView struct {
 	// error rate per failure plane without message parsing.
 	Errors  oerrors.CountsSnapshot  `json:"errors"`
 	Fabric  []taskfabric.DomainInfo `json:"fabric"`
-	Offload []offload.DomainInfo    `json:"offload,omitempty"`
+	Offload []taskfabric.DomainInfo `json:"offload,omitempty"`
 }
 
 // Health assembles the service's liveness verdict.

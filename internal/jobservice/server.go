@@ -1,7 +1,7 @@
 // Package jobservice turns the one-shot fabric and offload demos into a
 // long-running, multi-tenant job service: an HTTP/JSON front end that
 // wraps a taskfabric.Fabric (irregular named jobs) and optionally an
-// offload.Offloader (chunked parallel-for regions) behind a small REST
+// taskfabric.Offloader (chunked parallel-for regions) behind a small REST
 // surface, with per-tenant admission control on top.
 //
 // The API shape follows the incus-osd REST handlers: every response is a
@@ -54,7 +54,7 @@ var ErrClosed = oerrors.Sentinel(oerrors.Cancel, oerrors.CodeServiceClosed,
 
 // config collects the tunables behind the Options.
 type config struct {
-	off        *offload.Offloader
+	off        *taskfabric.Offloader
 	kernels    *offload.Registry
 	tenants    []Tenant
 	dispatch   int
@@ -77,7 +77,7 @@ func defaultConfig() config {
 
 // WithOffloader wires an offloader (and its kernel registry) into the
 // service so tenants can submit kind=parallel_for jobs.
-func WithOffloader(o *offload.Offloader, kernels *offload.Registry) Option {
+func WithOffloader(o *taskfabric.Offloader, kernels *offload.Registry) Option {
 	return func(c *config) error {
 		if o == nil || kernels == nil {
 			return fmt.Errorf("%w: jobservice: WithOffloader(nil)", core.ErrInvalidOption)
@@ -768,7 +768,7 @@ func (s *Server) apiGroupCancel(w http.ResponseWriter, r *http.Request, t *tenan
 // (always) and the offloader's (when wired).
 type DomainsView struct {
 	Fabric  []taskfabric.DomainInfo `json:"fabric"`
-	Offload []offload.DomainInfo    `json:"offload,omitempty"`
+	Offload []taskfabric.DomainInfo `json:"offload,omitempty"`
 }
 
 func (s *Server) apiDomains(w http.ResponseWriter, _ *http.Request, _ *tenantState) {
@@ -960,7 +960,9 @@ func (s *Server) launch(j *jobRec) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			res, err := s.cfg.off.ParallelForObserved(j.name, j.n, j.arg, &jobObserver{j: j})
+			res, err := s.cfg.off.ParallelForObserved(j.name, j.n, j.arg, func(chunk, total, domain int) {
+				j.progress(JobEvent{Type: EventChunk, Chunk: chunk, Total: total, Domain: domainOf(domain)})
+			})
 			finish(res, err)
 		}()
 		return

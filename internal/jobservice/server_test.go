@@ -24,7 +24,7 @@ import (
 // listener.
 type testEnv struct {
 	fab *taskfabric.Fabric
-	off *offload.Offloader
+	off *taskfabric.Offloader
 	srv *Server
 	ts  *httptest.Server
 }
@@ -55,9 +55,9 @@ func newTestEnv(t *testing.T, opts ...Option) *testEnv {
 		fab.Close()
 		t.Fatal(err)
 	}
-	off, err := offload.New(kernels,
-		offload.WithDomains(2),
-		offload.WithHeartbeat(10*time.Millisecond),
+	off, err := taskfabric.NewOffloader(kernels,
+		taskfabric.WithDomains(2),
+		taskfabric.WithHeartbeat(10*time.Millisecond),
 	)
 	if err != nil {
 		fab.Close()

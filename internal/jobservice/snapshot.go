@@ -4,7 +4,6 @@ import (
 	"openmpmca/internal/core"
 	"openmpmca/internal/durable"
 	"openmpmca/internal/oerrors"
-	"openmpmca/internal/offload"
 	"openmpmca/internal/taskfabric"
 )
 
@@ -16,7 +15,7 @@ import (
 // tell "no offloader wired" from "offloader idle".
 type Snapshot struct {
 	Core    *core.StatsSnapshot     `json:"core,omitempty"`    // host runtime scheduler counters
-	Offload *offload.StatsSnapshot  `json:"offload,omitempty"` // parallel-for offload counters
+	Offload *taskfabric.RegionStats `json:"offload,omitempty"` // parallel-for region counters
 	Fabric  *taskfabric.Stats       `json:"fabric,omitempty"`  // task-fabric counters
 	Service *ServiceStats           `json:"service,omitempty"` // job-service admission/dispatch counters
 	Errors  *oerrors.CountsSnapshot `json:"errors,omitempty"`  // error-taxonomy counters (by category and code)

@@ -49,12 +49,17 @@ func (g *Group) Start(job JobID, args any, attrs *TaskAttributes) (*Task, error)
 	return t, nil
 }
 
-// onTaskDone is called by the scheduler when a group member finishes or is
-// canceled.
-func (g *Group) onTaskDone(t *Task) {
+// memberSettled counts one member out; Task.settle calls it just before
+// the member's done channel closes.
+func (g *Group) memberSettled() {
 	g.mu.Lock()
 	g.pending--
 	g.mu.Unlock()
+}
+
+// onTaskDone is called by the scheduler when a group member finishes or is
+// canceled, after the member settled: it feeds WaitAny.
+func (g *Group) onTaskDone(t *Task) {
 	select {
 	case g.anyCh <- t:
 	default:

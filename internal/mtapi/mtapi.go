@@ -312,6 +312,16 @@ func (t *Task) finish(result any, err error, state TaskState) {
 	t.state = state
 	t.result = result
 	t.err = err
+	t.settle()
+}
+
+// settle publishes the terminal state: the group's pending count drops
+// before done closes, so a WaitAll that has seen every member's done
+// also sees Pending() == 0. Called with t.mu held.
+func (t *Task) settle() {
+	if t.group != nil {
+		t.group.memberSettled()
+	}
 	close(t.done)
 }
 
@@ -332,7 +342,7 @@ func (t *Task) Cancel() error {
 	}
 	t.state = TaskCanceled
 	t.err = ErrCanceled
-	close(t.done)
+	t.settle()
 	g := t.group
 	t.mu.Unlock()
 	if g != nil {

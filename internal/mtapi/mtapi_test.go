@@ -326,18 +326,21 @@ func TestQueueDelete(t *testing.T) {
 
 func TestShutdownCancelsQueued(t *testing.T) {
 	n := NewNode(1, 2, &NodeAttributes{Workers: 1})
-	block := make(chan struct{})
-	_, _ = n.CreateAction(1, "x", func(any) (any, error) { <-block; return nil, nil })
+	started, block := make(chan struct{}, 2), make(chan struct{})
+	_, _ = n.CreateAction(1, "x", func(any) (any, error) { started <- struct{}{}; <-block; return nil, nil })
 	running, _ := n.Start(1, nil, nil)
 	queued, _ := n.Start(1, nil, nil)
-	time.Sleep(5 * time.Millisecond)
-	close(block)
-	n.Shutdown()
-	if _, err := running.Wait(TimeoutInfinite); err != nil {
-		t.Errorf("running task = %v", err)
-	}
+	<-started // the only worker is now inside the first task
+	down := make(chan struct{})
+	go func() { n.Shutdown(); close(down) }()
+	// Shutdown cancels the queued task at once, then waits for the worker.
 	if _, err := queued.Wait(TimeoutInfinite); !errors.Is(err, ErrCanceled) {
 		t.Errorf("queued task after shutdown = %v", err)
+	}
+	close(block)
+	<-down
+	if _, err := running.Wait(TimeoutInfinite); err != nil {
+		t.Errorf("running task = %v", err)
 	}
 	if _, err := n.Start(1, nil, nil); !errors.Is(err, ErrNodeDown) {
 		t.Errorf("start after shutdown = %v", err)

@@ -5,16 +5,15 @@ import (
 	"fmt"
 )
 
-// Frame batching. The offload scheduler and the task fabric used to pay
-// one MCAPI packet send per frame; a flush that has several frames bound
-// for the same domain now coalesces them into one batch packet — one
-// queue operation, one wakeup, one receive on the far side — and the
-// receiver unwraps the envelope. Batches never nest.
+// Frame batching. A flush that has several frames bound for the same
+// domain coalesces them into one batch packet — one queue operation, one
+// wakeup, one receive on the far side — instead of one MCAPI packet send
+// per frame, and the receiver unwraps the envelope. Batches never nest.
 //
 //	batch: kind | count u16 | (frameLen u32 | frame)*
 //
-// KindBatch extends the shared kind space (chunk offloader kinds 1..5,
-// task fabric kinds 6..12), so any receiver draining a mixed channel can
+// KindBatch extends the shared kind space (heartbeat kinds 3..4, task
+// fabric kinds 6..12), so any receiver draining a mixed channel can
 // classify a batch by its first byte like every other frame.
 
 // KindBatch is the batch envelope's kind byte.

@@ -8,8 +8,8 @@ import (
 
 func TestBatchRoundTrip(t *testing.T) {
 	frames := [][]byte{
-		encodeChunk(chunkMsg{Region: 1, Chunk: 2, Lo: 0, Hi: 8, Kernel: "k", Arg: []byte("arg")}),
-		encodeResult(resultMsg{Region: 1, Chunk: 2, Payload: []byte("payload")}),
+		EncodeTaskFrame(KindTask, TaskFrame{Task: 1, Attempt: 2, Job: "k", Arg: []byte("arg")}),
+		EncodeTaskResult(TaskResultFrame{Task: 1, Attempt: 2, Payload: []byte("payload")}),
 		encodeHB(kindPing, hbMsg{Domain: 3, Seq: 9}),
 	}
 	pkt := EncodeBatch(frames...)
@@ -43,7 +43,7 @@ func TestBatchRejectsMalformed(t *testing.T) {
 	if _, err := DecodeBatch(append(append([]byte(nil), ok...), 0xFF)); err == nil {
 		t.Fatalf("batch with trailing bytes accepted")
 	}
-	if _, err := DecodeBatch([]byte{byte(kindChunk), 0, 0}); err == nil {
+	if _, err := DecodeBatch([]byte{byte(KindTask), 0, 0}); err == nil {
 		t.Fatalf("non-batch kind accepted")
 	}
 }
@@ -125,43 +125,17 @@ func TestBatcherFlushErrorDropsFrames(t *testing.T) {
 	}
 }
 
-// TestCodecPoolingModes round-trips the chunk codec with pooling on and
-// off, recycling between encodes, to show the ablation knob changes
-// allocation behavior but never bytes.
-func TestCodecPoolingModes(t *testing.T) {
-	for _, pooled := range []bool{true, false} {
-		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
-			prev := CodecPooling()
-			SetCodecPooling(pooled)
-			defer SetCodecPooling(prev)
-			for i := 0; i < 100; i++ {
-				m := chunkMsg{Region: uint64(i), Chunk: uint32(i), Lo: 0, Hi: int64(i),
-					Kernel: "kern", Arg: []byte{byte(i), byte(i + 1)}}
-				pkt := encodeChunk(m)
-				got, err := decodeChunk(pkt)
-				if err != nil {
-					t.Fatalf("decodeChunk: %v", err)
-				}
-				if got.Region != m.Region || got.Chunk != m.Chunk || !bytes.Equal(got.Arg, m.Arg) {
-					t.Fatalf("round-trip mismatch at %d: %+v != %+v", i, got, m)
-				}
-				RecycleFrame(pkt)
-			}
-		})
-	}
-}
-
 // TestSharedDecodeAliases pins the zero-copy contract: the shared decode
 // 's payload aliases the packet, the copying decode's does not.
 func TestSharedDecodeAliases(t *testing.T) {
-	pkt := encodeResult(resultMsg{Region: 1, Chunk: 2, Payload: []byte("abcdef")})
-	shared, err := decodeResultShared(pkt)
+	pkt := EncodeTaskResult(TaskResultFrame{Task: 1, Attempt: 2, Payload: []byte("abcdef")})
+	shared, err := DecodeTaskResultShared(pkt)
 	if err != nil {
-		t.Fatalf("decodeResultShared: %v", err)
+		t.Fatalf("DecodeTaskResultShared: %v", err)
 	}
-	copied, err := decodeResult(pkt)
+	copied, err := DecodeTaskResult(pkt)
 	if err != nil {
-		t.Fatalf("decodeResult: %v", err)
+		t.Fatalf("DecodeTaskResult: %v", err)
 	}
 	pkt[len(pkt)-1] ^= 0xFF // mutate the packet's last payload byte
 	if shared.Payload[len(shared.Payload)-1] == copied.Payload[len(copied.Payload)-1] {

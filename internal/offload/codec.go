@@ -5,17 +5,13 @@ import (
 	"fmt"
 )
 
-// Wire codec for the offload protocol. One encoded message per MCAPI
-// packet (chunk descriptors and results over the per-domain packet
-// channels) or connectionless message (heartbeats). All integers are
-// little-endian; the first byte is the message kind:
+// Wire codec shared by every frame that crosses a domain boundary. One
+// encoded message per MCAPI packet (task traffic over the per-domain
+// packet channels, see taskcodec.go) or connectionless message
+// (heartbeats). All integers are little-endian; the first byte is the
+// message kind:
 //
-//	chunk:    kind | region u64 | chunk u32 | attempt u32 | lo i64 |
-//	          hi i64 | kernelLen u16 | kernel | argLen u32 | arg
-//	result:   kind | region u64 | chunk u32 | attempt u32 | status u8 |
-//	          payloadLen u32 | payload
 //	ping/pong: kind | domain u32 | seq u64
-//	shutdown: kind
 //
 // The codec is deliberately hand-rolled: the messages cross what the
 // model treats as a hardware boundary (two hypervisor partitions sharing
@@ -24,145 +20,17 @@ import (
 
 type msgKind uint8
 
+// Heartbeat kinds. Kinds 1, 2 and 5 belonged to the retired chunk
+// dispatcher and stay unassigned so old and new frames never alias.
 const (
-	kindChunk msgKind = 1 + iota
-	kindResult
-	kindPing
-	kindPong
-	kindShutdown
+	kindPing msgKind = 3
+	kindPong msgKind = 4
 )
-
-// Result statuses.
-const (
-	statusOK uint8 = iota
-	statusUnknownKernel
-	statusKernelError
-)
-
-// chunkMsg describes one iteration range for a worker domain to execute.
-type chunkMsg struct {
-	Region  uint64
-	Chunk   uint32
-	Attempt uint32
-	Lo, Hi  int64
-	Kernel  string
-	Arg     []byte
-}
-
-// resultMsg carries one chunk's outcome back to the host.
-type resultMsg struct {
-	Region  uint64
-	Chunk   uint32
-	Attempt uint32
-	Status  uint8
-	Payload []byte
-}
 
 // hbMsg is a heartbeat ping or pong.
 type hbMsg struct {
 	Domain uint32
 	Seq    uint64
-}
-
-func encodeChunk(m chunkMsg) []byte {
-	buf := frameBuf(1 + 8 + 4 + 4 + 8 + 8 + 2 + len(m.Kernel) + 4 + len(m.Arg))
-	buf = append(buf, byte(kindChunk))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Region)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Chunk)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Attempt)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Lo))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Hi))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Kernel)))
-	buf = append(buf, m.Kernel...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Arg)))
-	buf = append(buf, m.Arg...)
-	return buf
-}
-
-// decodeChunk copies the variable-length fields out of pkt; use
-// decodeChunkShared when the caller owns pkt exclusively.
-func decodeChunk(pkt []byte) (chunkMsg, error) { return decodeChunkBuf(pkt, false) }
-
-// decodeChunkShared decodes with m.Arg aliasing pkt — no payload copy.
-// Only for receivers that own the delivered packet exclusively.
-func decodeChunkShared(pkt []byte) (chunkMsg, error) { return decodeChunkBuf(pkt, true) }
-
-func decodeChunkBuf(pkt []byte, share bool) (chunkMsg, error) {
-	var m chunkMsg
-	if len(pkt) < 1+8+4+4+8+8+2 || msgKind(pkt[0]) != kindChunk {
-		return m, fmt.Errorf("offload: malformed chunk message (%d bytes)", len(pkt))
-	}
-	p := pkt[1:]
-	m.Region = binary.LittleEndian.Uint64(p)
-	m.Chunk = binary.LittleEndian.Uint32(p[8:])
-	m.Attempt = binary.LittleEndian.Uint32(p[12:])
-	m.Lo = int64(binary.LittleEndian.Uint64(p[16:]))
-	m.Hi = int64(binary.LittleEndian.Uint64(p[24:]))
-	klen := int(binary.LittleEndian.Uint16(p[32:]))
-	p = p[34:]
-	if len(p) < klen+4 {
-		return m, fmt.Errorf("offload: chunk message truncated in kernel name")
-	}
-	m.Kernel = string(p[:klen])
-	p = p[klen:]
-	alen := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if len(p) != alen {
-		return m, fmt.Errorf("offload: chunk message arg length %d, have %d bytes", alen, len(p))
-	}
-	if alen > 0 {
-		if share {
-			m.Arg = p
-		} else {
-			m.Arg = append([]byte(nil), p...)
-		}
-	}
-	return m, nil
-}
-
-func encodeResult(m resultMsg) []byte {
-	buf := frameBuf(1 + 8 + 4 + 4 + 1 + 4 + len(m.Payload))
-	buf = append(buf, byte(kindResult))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Region)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Chunk)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Attempt)
-	buf = append(buf, m.Status)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Payload)))
-	buf = append(buf, m.Payload...)
-	return buf
-}
-
-// decodeResult copies the payload out of pkt; use decodeResultShared
-// when the caller owns pkt exclusively.
-func decodeResult(pkt []byte) (resultMsg, error) { return decodeResultBuf(pkt, false) }
-
-// decodeResultShared decodes with m.Payload aliasing pkt — no copy.
-// Only for receivers that own the delivered packet exclusively.
-func decodeResultShared(pkt []byte) (resultMsg, error) { return decodeResultBuf(pkt, true) }
-
-func decodeResultBuf(pkt []byte, share bool) (resultMsg, error) {
-	var m resultMsg
-	if len(pkt) < 1+8+4+4+1+4 || msgKind(pkt[0]) != kindResult {
-		return m, fmt.Errorf("offload: malformed result message (%d bytes)", len(pkt))
-	}
-	p := pkt[1:]
-	m.Region = binary.LittleEndian.Uint64(p)
-	m.Chunk = binary.LittleEndian.Uint32(p[8:])
-	m.Attempt = binary.LittleEndian.Uint32(p[12:])
-	m.Status = p[16]
-	plen := int(binary.LittleEndian.Uint32(p[17:]))
-	p = p[21:]
-	if len(p) != plen {
-		return m, fmt.Errorf("offload: result payload length %d, have %d bytes", plen, len(p))
-	}
-	if plen > 0 {
-		if share {
-			m.Payload = p
-		} else {
-			m.Payload = append([]byte(nil), p...)
-		}
-	}
-	return m, nil
 }
 
 func encodeHB(kind msgKind, m hbMsg) []byte {
@@ -181,4 +49,56 @@ func decodeHB(kind msgKind, msg []byte) (hbMsg, error) {
 	m.Domain = binary.LittleEndian.Uint32(msg[1:])
 	m.Seq = binary.LittleEndian.Uint64(msg[5:])
 	return m, nil
+}
+
+// ChunkDesc is the argument of one parallel-for chunk task: the kernel
+// to run, its iteration range [Lo,Hi) and the region's opaque argument.
+// It is not a frame of its own — it rides as the Arg of an ordinary
+// KindTask frame, so a chunk is dispatched, retried, stolen and
+// recovered exactly like any other fabric task:
+//
+//	lo i64 | hi i64 | kernelLen u16 | kernel | arg (to the end)
+type ChunkDesc struct {
+	Kernel string
+	Lo, Hi int64
+	Arg    []byte
+}
+
+// chunkDescHeader is the fixed prefix: both bounds and the name length.
+const chunkDescHeader = 8 + 8 + 2
+
+// EncodeChunkDesc encodes d into a pooled buffer; RecycleFrame it once
+// the task is submitted.
+func EncodeChunkDesc(d ChunkDesc) []byte {
+	buf := frameBuf(chunkDescHeader + len(d.Kernel) + len(d.Arg))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Lo))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Hi))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(d.Kernel)))
+	buf = append(buf, d.Kernel...)
+	buf = append(buf, d.Arg...)
+	return buf
+}
+
+// DecodeChunkDesc decodes a chunk task argument. d.Arg aliases b: the
+// executing worker owns the task frame for the life of the chunk.
+func DecodeChunkDesc(b []byte) (ChunkDesc, error) {
+	var d ChunkDesc
+	if len(b) < chunkDescHeader {
+		return d, fmt.Errorf("offload: malformed chunk descriptor (%d bytes)", len(b))
+	}
+	d.Lo = int64(binary.LittleEndian.Uint64(b))
+	d.Hi = int64(binary.LittleEndian.Uint64(b[8:]))
+	klen := int(binary.LittleEndian.Uint16(b[16:]))
+	b = b[chunkDescHeader:]
+	if len(b) < klen {
+		return d, fmt.Errorf("offload: chunk descriptor truncated in kernel name (%d of %d bytes)", len(b), klen)
+	}
+	if d.Lo > d.Hi {
+		return d, fmt.Errorf("offload: chunk descriptor range [%d,%d) is inverted", d.Lo, d.Hi)
+	}
+	d.Kernel = string(b[:klen])
+	if len(b) > klen {
+		d.Arg = b[klen:]
+	}
+	return d, nil
 }

@@ -6,43 +6,21 @@ import (
 )
 
 func TestChunkRoundTrip(t *testing.T) {
-	in := chunkMsg{
-		Region:  42,
-		Chunk:   7,
-		Attempt: 3,
-		Lo:      -5,
-		Hi:      1 << 40,
-		Kernel:  "ep-like",
-		Arg:     []byte{1, 2, 3},
-	}
-	out, err := decodeChunk(encodeChunk(in))
+	in := ChunkDesc{Kernel: "ep-like", Lo: -5, Hi: 1 << 40, Arg: []byte{1, 2, 3}}
+	out, err := DecodeChunkDesc(EncodeChunkDesc(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Region != in.Region || out.Chunk != in.Chunk || out.Attempt != in.Attempt ||
-		out.Lo != in.Lo || out.Hi != in.Hi || out.Kernel != in.Kernel || !bytes.Equal(out.Arg, in.Arg) {
+	if out.Lo != in.Lo || out.Hi != in.Hi || out.Kernel != in.Kernel || !bytes.Equal(out.Arg, in.Arg) {
 		t.Errorf("round trip mismatch: %+v != %+v", out, in)
 	}
 
-	empty := chunkMsg{Region: 1, Kernel: "k"}
-	out, err = decodeChunk(encodeChunk(empty))
+	out, err = DecodeChunkDesc(EncodeChunkDesc(ChunkDesc{Kernel: "k", Hi: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Arg != nil {
 		t.Errorf("empty arg decoded as %v", out.Arg)
-	}
-}
-
-func TestResultRoundTrip(t *testing.T) {
-	in := resultMsg{Region: 9, Chunk: 2, Attempt: 1, Status: statusKernelError, Payload: []byte("boom")}
-	out, err := decodeResult(encodeResult(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Region != in.Region || out.Chunk != in.Chunk || out.Attempt != in.Attempt ||
-		out.Status != in.Status || !bytes.Equal(out.Payload, in.Payload) {
-		t.Errorf("round trip mismatch: %+v != %+v", out, in)
 	}
 }
 
@@ -63,24 +41,18 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 }
 
 func TestDecodeMalformed(t *testing.T) {
-	good := encodeChunk(chunkMsg{Region: 1, Kernel: "k", Arg: []byte{1}})
-	cases := [][]byte{
-		nil,
-		{byte(kindResult)},
-		good[:len(good)-1],            // truncated arg
-		append(good, 0xff),            // trailing garbage
-		{byte(kindChunk), 0, 0, 0},    // way short
-		encodeResult(resultMsg{})[:5], // truncated result
-		encodeHB(kindPing, hbMsg{})[:4],
+	good := EncodeChunkDesc(ChunkDesc{Kernel: "kern", Hi: 9, Arg: []byte{1}})
+	oversize := append([]byte(nil), good...)
+	oversize[16], oversize[17] = 0xff, 0xff // name length far past the buffer
+	inverted := EncodeChunkDesc(ChunkDesc{Kernel: "k", Lo: 2, Hi: 1})
+	for i, b := range [][]byte{nil, good[:chunkDescHeader-1], good[:chunkDescHeader+2], oversize, inverted} {
+		if _, err := DecodeChunkDesc(b); err == nil {
+			t.Errorf("case %d: DecodeChunkDesc accepted malformed input", i)
+		}
 	}
-	for i, pkt := range cases {
-		if _, err := decodeChunk(pkt); err == nil && len(pkt) > 0 && msgKind(pkt[0]) == kindChunk {
-			t.Errorf("case %d: decodeChunk accepted malformed input", i)
-		}
-		if _, err := decodeResult(pkt); err == nil && len(pkt) > 0 && msgKind(pkt[0]) == kindResult {
-			t.Errorf("case %d: decodeResult accepted malformed input", i)
-		}
-		if _, err := decodeHB(kindPing, pkt); err == nil {
+	ping := encodeHB(kindPing, hbMsg{})
+	for i, msg := range [][]byte{nil, ping[:4], append(ping, 0xff), {byte(KindTask)}} {
+		if _, err := decodeHB(kindPing, msg); err == nil {
 			t.Errorf("case %d: decodeHB accepted malformed input", i)
 		}
 	}

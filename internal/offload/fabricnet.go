@@ -10,10 +10,9 @@ import (
 
 // The multi-domain fabric net: the board partitioned under the embedded
 // hypervisor, one MCA-backed OpenMP runtime per partition, and a
-// host<->worker MCAPI wiring per worker domain. The chunk offloader and
-// the MTAPI task fabric (internal/taskfabric) build the same net and
-// differ only in what they send over it, so the builder lives here and
-// both import it.
+// host<->worker MCAPI wiring per worker domain. The task fabric
+// (internal/taskfabric) builds one per Fabric — the job service's, and
+// the private one behind each region Offloader.
 
 // Well-known ports on each worker domain's MCAPI node. Host-side
 // endpoints use PortAny; workers sit on fixed ports the way firmware

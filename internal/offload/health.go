@@ -5,15 +5,22 @@ import (
 	"time"
 
 	"openmpmca/internal/mcapi"
+	"openmpmca/internal/oerrors"
 )
 
-// Host-side domain health tracking, shared by the chunk offloader and
-// the MTAPI task fabric (internal/taskfabric). Both subsystems monitor
-// worker domains the same way — periodic MCAPI pings answered by pongs,
-// a domain silent past a deadline declared lost — and readmit a
-// restarted domain along the same path: reset the pong clock first, then
-// clear the lost flag, so the monitor cannot immediately re-declare the
-// domain dead.
+// Host-side domain health tracking for the task fabric
+// (internal/taskfabric): periodic MCAPI pings answered by pongs, a
+// domain silent past a deadline declared lost, and a restarted domain
+// readmitted by resetting the pong clock first and clearing the lost
+// flag second, so the monitor cannot immediately re-declare it dead.
+
+// ErrDomainLost marks work during which a worker domain died. The
+// result is still complete and correct — the lost domain's tasks or
+// chunks were re-executed elsewhere — so callers that can tolerate
+// degraded capacity may treat it as a warning. Classified
+// Domain/domain_lost.
+var ErrDomainLost = oerrors.Sentinel(oerrors.Domain, oerrors.CodeDomainLost,
+	"offload: worker domain lost")
 
 // HealthState is the host's liveness record for one worker domain. The
 // zero value is a live domain that has never ponged; call RecordPong (or
@@ -80,7 +87,7 @@ type HealthPeer struct {
 // each period it drains pongs into every live peer's state, declares
 // peers silent past lostAfter lost (calling onLost once per transition),
 // and pings the survivors. onPong, if non-nil, is called per accepted
-// pong — both subsystems use it to count heartbeats. A peer readmitted
+// pong — the fabric uses it to count heartbeats. A peer readmitted
 // via HealthState.Readmit re-enters the ping rotation automatically.
 //
 // Two failure modes are handled explicitly rather than silently:

@@ -1,32 +1,14 @@
 package offload
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Encode-buffer pooling for the wire codec. Every encode used to be a
-// fresh make([]byte, ...); on the hot paths (one frame per chunk, task,
-// result, credit and heartbeat) that allocation shows up directly in the
-// fork/join and round-trip latencies the paper's Table I measures. The
+// Encode-buffer pooling for the wire codec. On the hot paths (one frame
+// per task, result, credit and heartbeat) a fresh make([]byte, ...) per
+// encode shows up directly in the fork/join and round-trip latencies the
+// paper's Table I measures (BENCH_0 → BENCH_1: task codec −18 %). The
 // MCAPI transport copies payloads on send, so a sender may recycle a
 // frame the moment Send returns — encode buffers therefore cycle through
 // a sync.Pool instead of the garbage collector.
-//
-// SetCodecPooling(false) restores allocate-per-encode as an ablation
-// baseline, keeping the optimization's contribution measurable.
-
-// codecPooling gates encode-buffer reuse; on by default.
-var codecPooling atomic.Bool
-
-func init() { codecPooling.Store(true) }
-
-// SetCodecPooling toggles encode-buffer pooling. It exists as an
-// ablation knob for benchmarks; production callers leave it on.
-func SetCodecPooling(on bool) { codecPooling.Store(on) }
-
-// CodecPooling reports whether encode buffers are pooled.
-func CodecPooling() bool { return codecPooling.Load() }
 
 // maxPooledFrame bounds the backing arrays kept in the pool so one huge
 // payload cannot pin memory forever.
@@ -40,9 +22,9 @@ var framePool = sync.Pool{
 }
 
 // frameBuf returns a zero-length buffer with at least the given
-// capacity, pooled when pooling is enabled.
+// capacity, pooled unless it exceeds maxPooledFrame.
 func frameBuf(capacity int) []byte {
-	if !codecPooling.Load() || capacity > maxPooledFrame {
+	if capacity > maxPooledFrame {
 		return make([]byte, 0, capacity)
 	}
 	bp := framePool.Get().(*[]byte)
@@ -56,9 +38,9 @@ func frameBuf(capacity int) []byte {
 // RecycleFrame returns an encoded frame's backing array to the pool.
 // Callers may recycle a frame as soon as it has been handed to an MCAPI
 // send (the transport copies) and must not touch it afterwards. Safe to
-// call with nil; a no-op when pooling is disabled.
+// call with nil.
 func RecycleFrame(pkt []byte) {
-	if pkt == nil || !codecPooling.Load() || cap(pkt) > maxPooledFrame {
+	if pkt == nil || cap(pkt) > maxPooledFrame {
 		return
 	}
 	pkt = pkt[:0]

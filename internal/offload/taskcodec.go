@@ -5,13 +5,12 @@ import (
 	"fmt"
 )
 
-// Wire codec extension for the MTAPI task fabric
-// (internal/taskfabric). Task frames share the chunk offloader's wire
-// conventions — little-endian integers, first byte is the kind — and
-// extend its kind space, so a receiver draining a mixed channel can
-// always classify a packet by its first byte. Like the chunk codec,
-// nothing Go-specific crosses the wire: each job serializes its argument
-// and result as opaque []byte.
+// Wire codec for the MTAPI task fabric (internal/taskfabric). Task
+// frames share the heartbeat codec's conventions — little-endian
+// integers, first byte is the kind — and one kind space, so a receiver
+// draining a mixed channel can always classify a packet by its first
+// byte. Nothing Go-specific crosses the wire: each job serializes its
+// argument and result as opaque []byte.
 //
 //	task/yield: kind | task u64 | attempt u32 | group u64 |
 //	            jobLen u16 | job | argLen u32 | arg
@@ -22,12 +21,11 @@ import (
 //	groupdone:  kind | group u64
 //	shutdown:   kind
 
-// WireKind names the shared frame-kind byte for the task fabric; the
-// chunk offloader's kinds stay private to this package.
+// WireKind names the shared frame-kind byte.
 type WireKind = msgKind
 
-// Task fabric frame kinds, continuing the chunk offloader's private kind
-// space (which ends at kindShutdown = 5).
+// Task fabric frame kinds, above the heartbeat kinds and the retired
+// kinds 1, 2 and 5 (see codec.go).
 const (
 	KindTask           = msgKind(6 + iota) // host -> worker: execute a task
 	KindTaskResult                         // worker -> host: task outcome
@@ -270,9 +268,8 @@ func DecodeGroupDone(pkt []byte) (GroupDoneFrame, error) {
 // EncodeFabricShutdown encodes the one-byte KindFabricShutdown packet.
 func EncodeFabricShutdown() []byte { return []byte{byte(KindFabricShutdown)} }
 
-// Heartbeat frames, re-exported for the task fabric: same ping/pong
-// layout as the chunk offloader, so HealthState/MonitorHealth serve both
-// subsystems unchanged.
+// Heartbeat frames, exported for the fabric's workers (MonitorHealth
+// drives the host side).
 
 // HBFrame is a heartbeat ping or pong.
 type HBFrame = hbMsg

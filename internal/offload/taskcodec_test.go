@@ -53,8 +53,8 @@ func TestFrameKindClassifies(t *testing.T) {
 	if _, ok := FrameKind(nil); ok {
 		t.Fatal("empty packet classified as task-fabric frame")
 	}
-	if _, ok := FrameKind([]byte{byte(kindChunk)}); ok {
-		t.Fatal("chunk kind classified as task-fabric frame")
+	if _, ok := FrameKind([]byte{byte(kindPing)}); ok {
+		t.Fatal("heartbeat kind classified as task-fabric frame")
 	}
 	k, ok := FrameKind(EncodeFabricShutdown())
 	if !ok || k != KindFabricShutdown {
@@ -86,6 +86,12 @@ func FuzzTaskCodec(f *testing.F) {
 	f.Add(EncodeLoadMap(LoadMapFrame{Occ: []uint32{1, 0, 3}}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindTask)})
+	// A region chunk's task argument (see ChunkDesc): whole, cut inside
+	// the kernel name, and claiming a name longer than the buffer.
+	desc := EncodeChunkDesc(ChunkDesc{Kernel: "vecsum", Lo: 0, Hi: 4096, Arg: []byte{7}})
+	f.Add(desc)
+	f.Add(desc[:chunkDescHeader+3])
+	f.Add(append(append([]byte(nil), desc[:16]...), 0xff, 0xff, 'v'))
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		if m, err := DecodeTaskFrame(KindTask, pkt); err == nil {
 			if !bytes.Equal(EncodeTaskFrame(KindTask, m), pkt) {
@@ -150,6 +156,11 @@ func FuzzTaskCodec(f *testing.F) {
 		if m, err := DecodeRmemAck(pkt); err == nil {
 			if !bytes.Equal(EncodeRmemAck(m), pkt) {
 				t.Fatalf("rmem-ack not canonical: % x", pkt)
+			}
+		}
+		if m, err := DecodeChunkDesc(pkt); err == nil {
+			if !bytes.Equal(EncodeChunkDesc(m), pkt) {
+				t.Fatalf("chunk descriptor not canonical: % x", pkt)
 			}
 		}
 		if m, err := DecodeLoadMap(pkt); err == nil {

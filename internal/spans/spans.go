@@ -1,16 +1,16 @@
 // Package spans folds the runtime's flat trace events into lifetime
-// spans — one record per offloaded chunk, fabric task or parallel
-// region, from first dispatch to settled result — the way a tracing
+// spans — one record per fabric task (a parallel-for chunk is one) or
+// parallel region, from first dispatch to settled result — the way a tracing
 // backend folds raw log lines into spans. Where internal/trace answers
 // "what happened, in order", spans answers "how long did each unit of
 // work live, where did it run, and was it retried or recovered".
 //
 // The Exporter implements core.Monitor (fork/join become region spans;
-// the other callbacks are ignored), offload.EventSink
-// (OffloadSend/OffloadRecv become chunk spans) and taskfabric.EventSink
-// (TaskSend/TaskRecv become task spans; steals are counted) — all
+// the other callbacks are ignored) and taskfabric.EventSink
+// (TaskSend/TaskRecv become task spans; steals are counted) —
 // structurally, so the package imports only internal/core and can be
-// wired everywhere without cycles. Completed spans land in a bounded
+// wired everywhere without cycles. Task IDs are unique across fabrics,
+// so one exporter may serve several. Completed spans land in a bounded
 // ring, mirroring trace.Recorder's retention contract: aggregate
 // counters cover the whole run, the ring keeps the most recent spans.
 //
@@ -32,7 +32,6 @@ type Kind string
 
 // Span kinds.
 const (
-	KindChunk  Kind = "chunk"  // one offload chunk (offload.EventSink)
 	KindTask   Kind = "task"   // one fabric task (taskfabric.EventSink)
 	KindRegion Kind = "region" // one fork/join parallel region (core.Monitor)
 )
@@ -42,7 +41,7 @@ const (
 // observe) and completes on the matching result event; region spans
 // open on fork and complete on join.
 type Span struct {
-	ID   uint64 `json:"id"` // chunk/task id; region ordinal for regions
+	ID   uint64 `json:"id"` // task id; region ordinal for regions
 	Kind Kind   `json:"kind"`
 	// Domain is the executor that delivered the result: a worker domain
 	// id, or -1 for the host (local execution, or a region). Zero until
@@ -55,7 +54,7 @@ type Span struct {
 	DurNs   int64 `json:"dur_ns,omitempty"`  // EndNs - StartNs
 	Sends   int   `json:"sends,omitempty"`   // dispatch attempts observed
 	Retried bool  `json:"retried,omitempty"` // >1 send: deadline expiry or loss re-dispatch
-	// Recovered marks a chunk/task that was dispatched to a worker
+	// Recovered marks a task that was dispatched to a worker
 	// domain and later re-dispatched to the host — the signature of
 	// domain-loss recovery or retry-exhaustion fallback.
 	Recovered bool `json:"recovered,omitempty"`
@@ -90,15 +89,14 @@ type View struct {
 const DefaultCapacity = 2048
 
 // Exporter folds events into spans. Create one with NewExporter; wire
-// it via core.WithMonitor / offload.WithEventSink /
-// taskfabric.WithEventSink (directly or through a trace.Tee) and read
+// it via core.WithMonitor / taskfabric.WithEventSink (directly or
+// through a trace.Tee) and read
 // it back with Snapshot. Safe for concurrent use.
 type Exporter struct {
 	mu        sync.Mutex
 	ring      []Span // completed spans, bounded
 	next      int
 	full      bool
-	chunks    map[uint64]*Span // open, by chunk id
 	tasks     map[uint64]*Span // open, by task id
 	regions   []*Span          // open region spans, LIFO (nesting)
 	regionSeq uint64
@@ -113,26 +111,26 @@ func NewExporter(capacity int) *Exporter {
 		capacity = DefaultCapacity
 	}
 	return &Exporter{
-		ring:   make([]Span, 0, capacity),
-		chunks: make(map[uint64]*Span),
-		tasks:  make(map[uint64]*Span),
-		nowFn:  func() int64 { return time.Now().UnixNano() },
+		ring:  make([]Span, 0, capacity),
+		tasks: make(map[uint64]*Span),
+		nowFn: func() int64 { return time.Now().UnixNano() },
 	}
 }
 
-// open starts (or re-dispatches) the span for one unit of work.
-func (x *Exporter) open(open map[uint64]*Span, kind Kind, id uint64, domain int) {
+// TaskSend implements taskfabric.EventSink: a task dispatched to a
+// domain (-1 = host-local). The first send opens the task's span; any
+// later one is a re-dispatch — a deadline retry, a steal migration or a
+// loss recovery.
+func (x *Exporter) TaskSend(domain, task int) {
+	id := uint64(task)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	sp := open[id]
+	sp := x.tasks[id]
 	if sp == nil {
-		sp = &Span{ID: id, Kind: kind, StartNs: x.nowFn(), Sends: 1, Domains: []int{domain}}
-		open[id] = sp
+		x.tasks[id] = &Span{ID: id, Kind: KindTask, StartNs: x.nowFn(), Sends: 1, Domains: []int{domain}}
 		x.st.Opened++
 		return
 	}
-	// Re-dispatch of an already-open span: a deadline retry, a steal
-	// migration or a loss recovery.
 	sp.Sends++
 	sp.Retried = true
 	sp.Domains = append(sp.Domains, domain)
@@ -143,20 +141,20 @@ func (x *Exporter) open(open map[uint64]*Span, kind Kind, id uint64, domain int)
 	}
 }
 
-// complete settles the span for one unit of work and retires it into
-// the ring.
-func (x *Exporter) complete(open map[uint64]*Span, kind Kind, id uint64, domain int) {
+// TaskRecv implements taskfabric.EventSink: a task result accepted. It
+// settles the task's span and retires it into the ring.
+func (x *Exporter) TaskRecv(domain, task int) {
+	id := uint64(task)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	sp := open[id]
+	sp := x.tasks[id]
 	if sp == nil {
 		// Result without an observed dispatch (sink wired mid-run):
 		// synthesize a zero-length span so counts still balance.
-		now := x.nowFn()
-		sp = &Span{ID: id, Kind: kind, StartNs: now}
+		sp = &Span{ID: id, Kind: KindTask, StartNs: x.nowFn()}
 		x.st.Opened++
 	} else {
-		delete(open, id)
+		delete(x.tasks, id)
 	}
 	sp.Domain = domain
 	sp.EndNs = x.nowFn()
@@ -178,28 +176,6 @@ func (x *Exporter) retire(sp Span) {
 	x.next = (x.next + 1) % cap(x.ring)
 	x.full = true
 	x.st.Dropped++
-}
-
-// OffloadSend implements offload.EventSink: a chunk dispatched to a
-// domain (-1 = host-local).
-func (x *Exporter) OffloadSend(domain, chunk int) {
-	x.open(x.chunks, KindChunk, uint64(chunk), domain)
-}
-
-// OffloadRecv implements offload.EventSink: a chunk result accepted.
-func (x *Exporter) OffloadRecv(domain, chunk int) {
-	x.complete(x.chunks, KindChunk, uint64(chunk), domain)
-}
-
-// TaskSend implements taskfabric.EventSink: a task dispatched to a
-// domain (-1 = host-local).
-func (x *Exporter) TaskSend(domain, task int) {
-	x.open(x.tasks, KindTask, uint64(task), domain)
-}
-
-// TaskRecv implements taskfabric.EventSink: a task result accepted.
-func (x *Exporter) TaskRecv(domain, task int) {
-	x.complete(x.tasks, KindTask, uint64(task), domain)
 }
 
 // TaskSteal implements taskfabric.EventSink. Steal grants carry domain
@@ -301,10 +277,7 @@ func (x *Exporter) Completed() []Span {
 func (x *Exporter) Open() []Span {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	out := make([]Span, 0, len(x.chunks)+len(x.tasks)+len(x.regions))
-	for _, sp := range x.chunks {
-		out = append(out, *sp)
-	}
+	out := make([]Span, 0, len(x.tasks)+len(x.regions))
 	for _, sp := range x.tasks {
 		out = append(out, *sp)
 	}
@@ -339,7 +312,6 @@ func (x *Exporter) Reset() {
 	x.ring = x.ring[:0]
 	x.next = 0
 	x.full = false
-	x.chunks = make(map[uint64]*Span)
 	x.tasks = make(map[uint64]*Span)
 	x.regions = nil
 	x.regionSeq = 0

@@ -13,22 +13,24 @@ func stubClock(x *Exporter) func(int64) {
 	return func(ns int64) { now = ns }
 }
 
+// TestChunkSpanLifecycle: a region chunk is a fabric task, so its clean
+// send→recv folds into one task span.
 func TestChunkSpanLifecycle(t *testing.T) {
 	x := NewExporter(8)
 	tick := stubClock(x)
 
 	tick(100)
-	x.OffloadSend(1, 7)
+	x.TaskSend(1, 7)
 	tick(350)
-	x.OffloadRecv(1, 7)
+	x.TaskRecv(1, 7)
 
 	spans := x.Completed()
 	if len(spans) != 1 {
 		t.Fatalf("completed %d spans, want 1", len(spans))
 	}
 	sp := spans[0]
-	if sp.Kind != KindChunk || sp.ID != 7 || sp.Domain != 1 {
-		t.Errorf("span = %+v, want chunk 7 on domain 1", sp)
+	if sp.Kind != KindTask || sp.ID != 7 || sp.Domain != 1 {
+		t.Errorf("span = %+v, want task 7 on domain 1", sp)
 	}
 	if sp.StartNs != 100 || sp.EndNs != 350 || sp.DurNs != 250 {
 		t.Errorf("span times = %d..%d (%d), want 100..350 (250)", sp.StartNs, sp.EndNs, sp.DurNs)
@@ -116,7 +118,7 @@ func TestUnmatchedResultSynthesizesSpan(t *testing.T) {
 	// still balance the books with a zero-length span.
 	x := NewExporter(8)
 	stubClock(x)(500)
-	x.OffloadRecv(0, 99)
+	x.TaskRecv(0, 99)
 	spans := x.Completed()
 	if len(spans) != 1 || spans[0].DurNs != 0 {
 		t.Fatalf("spans = %+v, want one zero-length span", spans)
@@ -153,7 +155,7 @@ func uint64ID(i int) int { return i }
 func TestOpenSpansVisibleAndSnapshotSerializes(t *testing.T) {
 	x := NewExporter(8)
 	x.TaskSend(1, 5)
-	x.OffloadSend(0, 2)
+	x.TaskSend(0, 2)
 	x.Fork(3)
 	open := x.Open()
 	if len(open) != 3 {

@@ -97,69 +97,50 @@ func TestConcurrentSignalAndTimeoutLosesNoWakeups(t *testing.T) {
 	}
 }
 
-// runPoolingModes runs f once with pooling enabled and once disabled,
-// restoring the default afterwards.
-func runPoolingModes(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, on := range []bool{true, false} {
-		name := "pooled"
-		if !on {
-			name = "unpooled"
-		}
-		t.Run(name, func(t *testing.T) {
-			SetPooling(on)
-			defer SetPooling(true)
-			f(t)
-		})
+// TestTimedWaitSignalAndTimeout: a timed wait that expires returns its
+// pooled waiter cleanly, and the next timed wait (reusing both pooled
+// channel and timer) still observes a signal.
+func TestTimedWaitSignalAndTimeout(t *testing.T) {
+	var mu sync.Mutex
+	var q WaitQueue
+
+	mu.Lock()
+	if q.Wait(&mu, 5*time.Millisecond, false) {
+		t.Error("expected timeout")
 	}
-}
+	if q.Len() != 0 {
+		t.Errorf("timed-out waiter left queued (len %d)", q.Len())
+	}
+	mu.Unlock()
 
-func TestPoolingModesSignalAndTimeout(t *testing.T) {
-	runPoolingModes(t, func(t *testing.T) {
-		var mu sync.Mutex
-		var q WaitQueue
-
-		// Timeout path returns the waiter cleanly in both modes.
+	done := make(chan bool, 1)
+	go func() {
 		mu.Lock()
-		if q.Wait(&mu, 5*time.Millisecond, false) {
-			t.Error("expected timeout")
-		}
-		if q.Len() != 0 {
-			t.Errorf("timed-out waiter left queued (len %d)", q.Len())
-		}
+		ok := q.Wait(&mu, time.Second, false)
 		mu.Unlock()
-
-		// Signal path: park, signal, observe the wakeup.
-		done := make(chan bool, 1)
-		go func() {
-			mu.Lock()
-			ok := q.Wait(&mu, time.Second, false)
-			mu.Unlock()
-			done <- ok
-		}()
-		for {
-			mu.Lock()
-			n := q.Len()
-			mu.Unlock()
-			if n == 1 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+		done <- ok
+	}()
+	for {
 		mu.Lock()
-		q.Signal()
+		n := q.Len()
 		mu.Unlock()
-		if !<-done {
-			t.Error("signaled waiter reported timeout")
+		if n == 1 {
+			break
 		}
-	})
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	q.Signal()
+	mu.Unlock()
+	if !<-done {
+		t.Error("signaled waiter reported timeout")
+	}
 }
 
 // TestPooledWaiterIsNotResignaled reuses waiters through the pool many
 // times concurrently; a stale wakeup left in a recycled channel would
 // surface as a Wait returning signaled with no Signal outstanding.
 func TestPooledWaiterIsNotResignaled(t *testing.T) {
-	SetPooling(true)
 	var mu sync.Mutex
 	var q WaitQueue
 	for i := 0; i < 500; i++ {
@@ -173,23 +154,13 @@ func TestPooledWaiterIsNotResignaled(t *testing.T) {
 }
 
 func BenchmarkWaitTimeout(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		name := "pooled"
-		if !on {
-			name = "unpooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			SetPooling(on)
-			defer SetPooling(true)
-			var mu sync.Mutex
-			var q WaitQueue
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mu.Lock()
-				q.Wait(&mu, time.Microsecond, false)
-				mu.Unlock()
-			}
-		})
+	var mu sync.Mutex
+	var q WaitQueue
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mu.Lock()
+		q.Wait(&mu, time.Microsecond, false)
+		mu.Unlock()
 	}
 }

@@ -39,7 +39,7 @@ type queuedTask struct {
 // worker is the domain side of the fabric: an OpenMP runtime in its own
 // hypervisor partition, a local MTAPI node scheduling accepted tasks
 // onto it, and service loops speaking the task-frame protocol with the
-// host. Like offload's domains it is reachable only through MCAPI.
+// host. It is reachable only through MCAPI.
 type worker struct {
 	id   int    // 1-based; MCAPI domain ID and partition ordinal
 	name string // hypervisor partition name
@@ -158,9 +158,9 @@ func (w *worker) Kill() {
 	w.qmu.Unlock()
 }
 
-// restart brings a killed worker back for re-admission, mirroring
-// offload's domain restart: the crash flag clears and fresh service
-// loops start against the still-wired MCAPI endpoints.
+// restart brings a killed worker back for re-admission (a restarted
+// firmware image): the crash flag clears and fresh service loops start
+// against the still-wired MCAPI endpoints.
 func (w *worker) restart() bool {
 	if !w.killed.CompareAndSwap(true, false) {
 		return false
@@ -476,8 +476,8 @@ func (w *worker) dropGroup(pkt []byte) {
 	w.qmu.Unlock()
 }
 
-// heartbeat answers host pings with pongs, exactly like offload domains:
-// non-blocking pong sends, a full host queue just drops the pong.
+// heartbeat answers host pings with pongs: non-blocking pong sends, a
+// full host queue just drops the pong.
 func (w *worker) heartbeat() {
 	defer w.wg.Done()
 	for {

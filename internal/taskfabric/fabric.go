@@ -14,7 +14,11 @@
 // heartbeat loss detection reclaims a dead domain's in-flight tasks and
 // re-executes them locally on the host, so a submitted graph always
 // completes — the loss surfaces as an ErrDomainLost-wrapped error
-// alongside the full result, mirroring internal/offload.
+// alongside the full result.
+//
+// Parallel-for regions ride the same engine: an Offloader (region.go)
+// submits a region's chunks as one task group on a private Fabric and
+// folds the results in chunk order on the host.
 //
 // This completes the paper's MCA trio in load-bearing form: MRAPI under
 // each runtime (core.MCALayer), MCAPI as the inter-domain transport, and
@@ -38,8 +42,7 @@ import (
 
 // ErrDomainLost marks work that survived a worker domain dying — the
 // result is complete and correct, the lost domain's tasks were
-// re-executed — shared with internal/offload so callers handle both
-// subsystems with one errors.Is check.
+// re-executed. Tasks and regions share the one sentinel.
 var ErrDomainLost = offload.ErrDomainLost
 
 var (
@@ -89,8 +92,10 @@ const stealMin = 2
 
 // config collects the tunables behind the Options.
 type config struct {
+	namePrefix  string // hypervisor partition names: <prefix>-host, <prefix>-dom<i>
 	domains     int
 	board       *platform.Board
+	chunkIters  int // regions only: iterations per chunk, 0 = sized per region
 	deadline    time.Duration
 	retries     int
 	heartbeat   time.Duration
@@ -108,6 +113,7 @@ type Option func(*config) error
 
 func defaultConfig() config {
 	return config{
+		namePrefix:  "fabric",
 		domains:     3,
 		board:       platform.T4240RDB(),
 		deadline:    time.Second,
@@ -138,6 +144,19 @@ func WithBoard(b *platform.Board) Option {
 			return fmt.Errorf("%w: taskfabric: WithBoard(nil)", core.ErrInvalidOption)
 		}
 		c.board = b
+		return nil
+	}
+}
+
+// WithChunkIters fixes the iterations per parallel-for chunk on an
+// Offloader; 0 (the default) sizes chunks so each executor sees about
+// four. A plain Fabric ignores it.
+func WithChunkIters(n int) Option {
+	return func(c *config) error {
+		if n < 0 {
+			return fmt.Errorf("%w: taskfabric: WithChunkIters(%d): want >= 0", core.ErrInvalidOption, n)
+		}
+		c.chunkIters = n
 		return nil
 	}
 }
@@ -293,6 +312,7 @@ type TaskHandle struct {
 	done chan struct{}
 	mu   sync.Mutex
 	fin  bool
+	dom  int // executor that delivered the result; -1 = host
 	res  []byte
 	err  error
 }
@@ -303,13 +323,23 @@ func (h *TaskHandle) ID() uint64 { return h.id }
 // Job returns the job name the task executes.
 func (h *TaskHandle) Job() string { return h.job }
 
-func (h *TaskHandle) finish(res []byte, err error) {
+// Domain reports which executor delivered the settled task's result: a
+// worker domain's 0-based index, or -1 for the host (local execution,
+// cancellation, closure). Meaningful only once the task has settled.
+func (h *TaskHandle) Domain() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dom
+}
+
+func (h *TaskHandle) finish(dom int, res []byte, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.fin {
 		return
 	}
 	h.fin = true
+	h.dom = dom
 	h.res = res
 	h.err = err
 	close(h.done)
@@ -435,7 +465,7 @@ type Fabric struct {
 	workers []*worker
 	links   []*hostLink
 
-	submitCh    chan *task
+	submitCh    chan []*task
 	arrCh       chan arrival
 	localQ      chan *task
 	localDoneCh chan localDone
@@ -445,11 +475,16 @@ type Fabric struct {
 	stopCh      chan struct{}
 	wg          sync.WaitGroup
 
-	idSeq    atomic.Uint64
 	groupSeq atomic.Uint64
 	closed   atomic.Bool
 	st       counters
 }
+
+// taskSeq mints task IDs. It is process-wide, not per Fabric, so one
+// event sink shared by several fabrics (the job service's and a region
+// Offloader's feed the same span exporter) never sees two live tasks
+// under one ID.
+var taskSeq atomic.Uint64
 
 // NewFabric partitions the configured board, boots the host and worker
 // runtimes, wires the MCAPI fabric, starts each domain's MTAPI node and
@@ -464,12 +499,18 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 			return nil, err
 		}
 	}
+	return newFabric(reg, cfg)
+}
+
+// newFabric builds a fabric from a finished config; NewOffloader calls it
+// with its own defaults.
+func newFabric(reg *Registry, cfg config) (*Fabric, error) {
 	cfg.lostAfter = 8 * cfg.heartbeat
 
 	net, err := offload.BuildNet(offload.NetConfig{
 		Domains:    cfg.domains,
 		Board:      cfg.board,
-		NamePrefix: "fabric",
+		NamePrefix: cfg.namePrefix,
 		CmdDepth:   cfg.inflight + 4,
 		ResDepth:   cfg.inflight + 4,
 		Mesh:       cfg.peerSteal && cfg.domains >= 2,
@@ -483,7 +524,7 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 		cfg:         cfg,
 		reg:         reg,
 		net:         net,
-		submitCh:    make(chan *task),
+		submitCh:    make(chan []*task),
 		arrCh:       make(chan arrival, 64),
 		localQ:      make(chan *task, 4),
 		localDoneCh: make(chan localDone),
@@ -634,10 +675,9 @@ func (f *Fabric) KillDomain(i int) error {
 	return nil
 }
 
-// ReadmitDomain returns a lost (and since restarted) domain to service,
-// along the same path as offload.Offloader.ReadmitDomain: restart the
-// worker's service loops, then clear the health record so the monitor
-// resumes pinging it. Only a lost domain can be readmitted.
+// ReadmitDomain returns a lost (and since restarted) domain to service:
+// restart the worker's service loops, then clear the health record so
+// the monitor resumes pinging it. Only a lost domain can be readmitted.
 func (f *Fabric) ReadmitDomain(i int) error {
 	if f.closed.Load() {
 		return ErrClosed
@@ -664,41 +704,60 @@ func (f *Fabric) SubmitJob(job string, arg []byte) (*TaskHandle, error) {
 }
 
 func (f *Fabric) submit(job string, arg []byte, g *Group) (*TaskHandle, error) {
+	hs, err := f.submitAll(job, [][]byte{arg}, g)
+	if err != nil {
+		return nil, err
+	}
+	return hs[0], nil
+}
+
+// submitAll submits one task of the named job per argument in a single
+// hand-off to the scheduler, which places the whole batch in one pump —
+// one (batched) packet per domain instead of one per task. A region's
+// chunks arrive this way.
+func (f *Fabric) submitAll(job string, args [][]byte, g *Group) ([]*TaskHandle, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
 	if _, ok := f.reg.Lookup(job); !ok {
 		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: unknown job %q", job)
 	}
-	id := f.idSeq.Add(1)
-	h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
-	t := &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g}
-	if f.plane != nil && len(t.arg) >= f.cfg.zeroCopyMin {
-		// Stage the bulk argument into the host's MRAPI window on the
-		// submitter's goroutine, keeping the DMA wait off the scheduler.
-		// A full arena just means this task ships inline.
-		if off, ok := f.plane.arenas[0].Lease(len(t.arg)); ok {
-			if mrapi.RmemWritePadded(f.plane.windows[0], f.plane.host, off, t.arg) == nil {
-				t.staged, t.rmemOff = true, off
-				f.st.rmemBytesMoved.Add(uint64(len(t.arg)))
-			} else {
-				f.plane.arenas[0].Release(off)
+	ts := make([]*task, len(args))
+	hs := make([]*TaskHandle, len(args))
+	for i, arg := range args {
+		id := taskSeq.Add(1)
+		h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
+		t := &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g}
+		if f.plane != nil && len(t.arg) >= f.cfg.zeroCopyMin {
+			// Stage the bulk argument into the host's MRAPI window on the
+			// submitter's goroutine, keeping the DMA wait off the scheduler.
+			// A full arena just means this task ships inline.
+			if off, ok := f.plane.arenas[0].Lease(len(t.arg)); ok {
+				if mrapi.RmemWritePadded(f.plane.windows[0], f.plane.host, off, t.arg) == nil {
+					t.staged, t.rmemOff = true, off
+					f.st.rmemBytesMoved.Add(uint64(len(t.arg)))
+				} else {
+					f.plane.arenas[0].Release(off)
+				}
 			}
 		}
-	}
-	if g != nil {
-		g.addMember(h)
+		if g != nil {
+			g.addMember(h)
+		}
+		ts[i], hs[i] = t, h
 	}
 	select {
-	case f.submitCh <- t:
+	case f.submitCh <- ts:
 	case <-f.stopCh:
 		if g != nil {
-			g.dropMember(h)
+			for _, h := range hs {
+				g.dropMember(h)
+			}
 		}
 		return nil, ErrClosed
 	}
-	f.st.submitted.Add(1)
-	return h, nil
+	f.st.submitted.Add(uint64(len(ts)))
+	return hs, nil
 }
 
 // receiver drains one link's result channel into the scheduler.
@@ -795,7 +854,7 @@ func (f *Fabric) scheduler() {
 	// finish completes a task: release its flight slot and any staged
 	// window lease, settle the handle (a recovered task's success
 	// carries ErrDomainLost), notify its group.
-	finish := func(t *task, payload []byte, err error) {
+	finish := func(t *task, dom int, payload []byte, err error) {
 		delete(tasks, t.id)
 		if fl, ok := infl[t.id]; ok {
 			delete(infl, t.id)
@@ -815,7 +874,7 @@ func (f *Fabric) scheduler() {
 				t.lostDom, t.lostName, t.lostSilence,
 				fmt.Sprintf("task %d re-executed elsewhere", t.id))
 		}
-		t.h.finish(payload, err)
+		t.h.finish(dom, payload, err)
 		if t.g != nil {
 			t.g.taskDone(t.h)
 		}
@@ -1031,7 +1090,7 @@ func (f *Fabric) scheduler() {
 		if f.cfg.sink != nil {
 			f.cfg.sink.TaskRecv(dom, int(t.id))
 		}
-		finish(t, m.Payload, terr)
+		finish(t, dom, m.Payload, terr)
 		return true
 	}
 
@@ -1046,16 +1105,18 @@ func (f *Fabric) scheduler() {
 					f.plane.arenas[0].Release(t.rmemOff)
 					t.staged = false
 				}
-				t.h.finish(nil, ErrClosed)
+				t.h.finish(-1, nil, ErrClosed)
 				if t.g != nil {
 					t.g.taskDone(t.h)
 				}
 			}
 			return
 
-		case t := <-f.submitCh:
-			tasks[t.id] = t
-			pending = append(pending, t)
+		case ts := <-f.submitCh:
+			for _, t := range ts {
+				tasks[t.id] = t
+			}
+			pending = append(pending, ts...)
 			pump()
 
 		case a := <-f.arrCh:
@@ -1209,7 +1270,7 @@ func (f *Fabric) scheduler() {
 			if f.cfg.sink != nil {
 				f.cfg.sink.TaskRecv(-1, int(d.t.id))
 			}
-			finish(d.t, d.payload, d.err)
+			finish(d.t, -1, d.payload, d.err)
 			pump()
 
 		case r := <-f.rmemResCh:
@@ -1259,7 +1320,7 @@ func (f *Fabric) scheduler() {
 					t.staged = false
 				}
 				f.st.canceled.Add(1)
-				t.h.finish(nil, ErrCanceled)
+				t.h.finish(-1, nil, ErrCanceled)
 				g.taskDone(t.h)
 			}
 			done := offload.EncodeGroupDone(offload.GroupDoneFrame{Group: g.id})

@@ -126,7 +126,7 @@ func (g *Group) WaitAny(timeout time.Duration) (*TaskHandle, error) {
 // contract. A member's real failure (job error, cancellation, closure)
 // is returned as-is; if all members succeeded but some were re-executed
 // after a domain died, WaitAll returns an ErrDomainLost-wrapped error —
-// results are still complete and correct, mirroring offload regions.
+// results are still complete and correct.
 func (g *Group) WaitAll(timeout time.Duration) error {
 	var timeC <-chan time.Time
 	if timeout > 0 {

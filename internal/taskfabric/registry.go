@@ -10,8 +10,8 @@ import (
 // Job is work the fabric can execute on any domain. A job crosses the
 // MCAPI wire by name only — every domain (and the host) must register
 // the same jobs — and serializes its argument and result as opaque
-// []byte, exactly like an offload.Kernel: nothing Go-specific may cross
-// what the model treats as a hardware boundary.
+// []byte: nothing Go-specific may cross what the model treats as a
+// hardware boundary.
 type Job interface {
 	// Name identifies the job on the wire.
 	Name() string

@@ -31,17 +31,9 @@ const (
 	EvNestedFork
 	EvNestedJoin
 	EvCancel
-	// EvOffloadSend / EvOffloadRecv record multi-domain offload traffic:
-	// a chunk descriptor leaving for a worker domain and a chunk result
-	// (local or remote) being accepted by the host scheduler. They are
-	// emitted through the Recorder's OffloadSend/OffloadRecv methods — the
-	// offload subsystem's EventSink — rather than the core.Monitor
-	// interface, since they describe inter-domain messaging, not
-	// intra-team execution.
-	EvOffloadSend
-	EvOffloadRecv
 	// EvTaskSend / EvTaskRecv / EvTaskSteal record MTAPI task-fabric
-	// traffic (internal/taskfabric): a task descriptor dispatched to a
+	// traffic (internal/taskfabric): a task descriptor — an irregular
+	// task, or one chunk of a parallel-for region — dispatched to a
 	// worker domain, a task result accepted by the host, and a queued
 	// task migrating from an overloaded domain to an idle one through a
 	// host-brokered steal. Emitted through the Recorder's
@@ -71,8 +63,6 @@ var kindNames = [...]string{
 	EvNestedFork:    "nested-fork",
 	EvNestedJoin:    "nested-join",
 	EvCancel:        "cancel",
-	EvOffloadSend:   "offload-send",
-	EvOffloadRecv:   "offload-recv",
 	EvTaskSend:      "task-send",
 	EvTaskRecv:      "task-recv",
 	EvTaskSteal:     "task-steal",
@@ -113,7 +103,6 @@ type Summary struct {
 	Tasks, Steals                               uint64
 	NestedForks, NestedJoins                    uint64
 	Cancels                                     uint64
-	OffloadSends, OffloadRecvs                  uint64
 	TaskSends, TaskRecvs, TaskSteals            uint64
 	PeerSteals                                  uint64
 	ChargeEvents                                uint64
@@ -186,10 +175,6 @@ func (r *Recorder) record(kind EventKind, tid int, units float64) {
 		r.sum.NestedJoins++
 	case EvCancel:
 		r.sum.Cancels++
-	case EvOffloadSend:
-		r.sum.OffloadSends++
-	case EvOffloadRecv:
-		r.sum.OffloadRecvs++
 	case EvTaskSend:
 		r.sum.TaskSends++
 	case EvTaskRecv:
@@ -244,15 +229,6 @@ func (r *Recorder) NestedJoin(tid int) { r.record(EvNestedJoin, tid, 0) }
 
 // Cancel implements core.Monitor.
 func (r *Recorder) Cancel() { r.record(EvCancel, -1, 0) }
-
-// OffloadSend records a chunk descriptor sent to a worker domain
-// (offload.EventSink): the domain id travels as the event's thread, the
-// chunk id in Units.
-func (r *Recorder) OffloadSend(domain, chunk int) { r.record(EvOffloadSend, domain, float64(chunk)) }
-
-// OffloadRecv records a chunk result accepted by the host scheduler
-// (offload.EventSink); domain is -1 when the chunk ran locally.
-func (r *Recorder) OffloadRecv(domain, chunk int) { r.record(EvOffloadRecv, domain, float64(chunk)) }
 
 // TaskSend records a task descriptor dispatched to a worker domain
 // (taskfabric.EventSink): the domain id travels as the event's thread,

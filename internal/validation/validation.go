@@ -52,9 +52,9 @@ type Outcome struct {
 // Passed reports overall success: no failures and a working crosscheck.
 func (o Outcome) Passed() bool { return o.Failures == 0 && o.CrossOK }
 
-// amplify widens race windows: a read-modify-write with a scheduler yield
-// in between loses updates reliably even on a single-CPU host, which is
-// what makes the critical/lock crosschecks deterministic enough to trust.
+// amplify widens race windows with a scheduler yield, so a construct that
+// fails to exclude or order shows it on few cores too. The crosschecks do
+// not rely on it: each forces its broken interleaving with a gate.
 func amplify() { runtime.Gosched() }
 
 const teamSize = 8
@@ -71,8 +71,8 @@ func Suite() []Test {
 		{Name: "barrier", Run: checkBarrier, Cross: crossBarrier},
 		{Name: "single", Run: checkSingle, Cross: crossSingle},
 		{Name: "master", Run: checkMaster},
-		{Name: "critical", Run: checkCritical, Cross: crossCritical},
-		{Name: "lock", Run: checkLock, Cross: crossLock},
+		{Name: "critical", Run: checkCritical, Cross: crossExclusion("critical")},
+		{Name: "lock", Run: checkLock, Cross: crossExclusion("lock")},
 		{Name: "sections", Run: checkSections},
 		{Name: "reduction.sum", Run: checkReductionSum},
 		{Name: "reduction.order", Run: checkReductionOrder},
@@ -255,19 +255,28 @@ func checkBarrier(rt *core.Runtime) error {
 	return nil
 }
 
-// crossBarrier omits the barrier; with the yield amplifier some thread
-// must observe a partial count.
+// crossBarrier omits the barrier and forces the interleaving a barrier
+// would forbid: the last thread is held back until thread 0 has looked at
+// the count, so thread 0 always observes a partial arrival.
 func crossBarrier(rt *core.Runtime) error {
-	const rounds = 200
 	var bad atomic.Bool
-	counters := make([]atomic.Int32, rounds)
+	var arrived atomic.Int32
+	looked := make(chan struct{})
 	err := rt.ParallelN(teamSize, func(c *core.Context) {
-		for r := 0; r < rounds; r++ {
-			counters[r].Add(1)
-			amplify() // no barrier here — the bug under test
-			if counters[r].Load() != teamSize {
-				bad.Store(true)
-			}
+		n := c.NumThreads()
+		if n < 2 {
+			return // nobody to arrive late; the crosscheck reports itself broken
+		}
+		if c.ThreadNum() == n-1 {
+			<-looked
+		}
+		arrived.Add(1)
+		// no barrier here — the bug under test
+		if int(arrived.Load()) != n {
+			bad.Store(true)
+		}
+		if c.ThreadNum() == 0 {
+			close(looked)
 		}
 	})
 	if err != nil {
@@ -365,21 +374,41 @@ func checkCritical(rt *core.Runtime) error {
 	return nil
 }
 
-func crossCritical(rt *core.Runtime) error {
-	var counter atomic.Int64
-	const perThread = 50
-	err := rt.ParallelN(teamSize, func(c *core.Context) {
-		for i := 0; i < perThread; i++ {
-			criticalBody(&counter) // the bug: no critical
+// crossExclusion runs the critical/lock workload with the mutual
+// exclusion elided, and forces the overlap that permits: thread 0 reads
+// the counter, thread 1 then completes a whole increment, and only then
+// does thread 0 write its stale value back. One update is lost on every
+// run, whatever the scheduler does.
+func crossExclusion(construct string) func(rt *core.Runtime) error {
+	return func(rt *core.Runtime) error {
+		var counter atomic.Int64
+		const perThread = 50
+		read, bumped := make(chan struct{}), make(chan struct{})
+		err := rt.ParallelN(teamSize, func(c *core.Context) {
+			for i := 0; i < perThread; i++ {
+				switch {
+				case i == 0 && c.ThreadNum() == 0 && c.NumThreads() > 1:
+					v := counter.Load()
+					close(read)
+					<-bumped
+					counter.Store(v + 1)
+				case i == 0 && c.ThreadNum() == 1:
+					<-read
+					criticalBody(&counter)
+					close(bumped)
+				default:
+					criticalBody(&counter) // the bug: no critical, no lock
+				}
+			}
+		})
+		if err != nil {
+			return err
 		}
-	})
-	if err != nil {
-		return err
+		if counter.Load() != teamSize*perThread {
+			return errors.New(construct + " missing (expected)")
+		}
+		return nil
 	}
-	if counter.Load() != teamSize*perThread {
-		return errors.New("critical missing (expected)")
-	}
-	return nil
 }
 
 func checkLock(rt *core.Runtime) error {
@@ -401,23 +430,6 @@ func checkLock(rt *core.Runtime) error {
 	}
 	if counter.Load() != teamSize*perThread {
 		return fmt.Errorf("lock: counter %d, want %d", counter.Load(), teamSize*perThread)
-	}
-	return nil
-}
-
-func crossLock(rt *core.Runtime) error {
-	var counter atomic.Int64
-	const perThread = 50
-	err := rt.ParallelN(teamSize, func(c *core.Context) {
-		for i := 0; i < perThread; i++ {
-			criticalBody(&counter) // the bug: lock elided
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if counter.Load() != teamSize*perThread {
-		return errors.New("lock missing (expected)")
 	}
 	return nil
 }
