@@ -264,8 +264,8 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 	sum := rec.Summary()
 	out.Printf("trace:           %d task sends, %d task recvs, %d steals (%d peer), %d heartbeats",
 		sum.TaskSends, sum.TaskRecvs, sum.TaskSteals, sum.PeerSteals, st.Heartbeats)
-	out.Printf("mesh:            peer-steals=%d brokered-fallbacks=%d rmem-bytes=%d",
-		st.PeerSteals, st.BrokeredFallbacks, st.RmemBytesMoved)
+	out.Printf("mesh:            peer-steals=%d brokered-fallbacks=%d",
+		st.PeerSteals, st.BrokeredFallbacks)
 	if requirePeer && st.PeerSteals == 0 {
 		return fmt.Errorf("PeerSteals = 0 under -require-peer-steals: the mesh never carried a direct steal (Steals = %d)", st.Steals)
 	}

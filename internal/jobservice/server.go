@@ -41,6 +41,7 @@ import (
 
 	"openmpmca/internal/core"
 	"openmpmca/internal/durable"
+	"openmpmca/internal/mcapi"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
 	"openmpmca/internal/spans"
@@ -440,9 +441,24 @@ type submitRequest struct {
 	Group string `json:"group,omitempty"` // optional group membership
 }
 
+// maxSubmitBody caps a POST /v1/jobs body. Every argument rides one
+// inline task frame, so the largest useful argument is one MCAPI message
+// (mcapi.MaxMsgSize); in JSON it is base64, 4/3 the size, plus slack for
+// the envelope's other fields.
+const maxSubmitBody = (mcapi.MaxMsgSize+2)/3*4 + (4 << 10)
+
 func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantState) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			// Refused before admission: nothing queued, journaled or
+			// counted against the tenant's quota.
+			_ = oerrors.New(oerrors.Admission, oerrors.CodeBodyTooLarge,
+				"jobservice: submit body over limit")
+			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxSubmitBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"openmpmca/internal/core"
+	"openmpmca/internal/mcapi"
+	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
 	"openmpmca/internal/taskfabric"
 )
@@ -277,6 +279,49 @@ func TestEnvelopes(t *testing.T) {
 		submitRequest{Job: KernelVecSum, Kind: KindParallelFor})
 	if code != http.StatusBadRequest {
 		t.Errorf("parallel_for without n = %d (%s), want 400", code, env.Error)
+	}
+
+	// The submit body cap. The largest argument one task frame carries (an
+	// MCAPI message's worth) is admitted and settles byte-exact; an
+	// argument past the envelope slack is refused with 413 before
+	// admission, leaving nothing accepted or in flight.
+	for _, c := range []struct{ argLen, want int }{
+		{mcapi.MaxMsgSize, http.StatusAccepted},
+		{mcapi.MaxMsgSize + 8<<10, http.StatusRequestEntityTooLarge},
+	} {
+		arg := make([]byte, c.argLen)
+		for i := range arg {
+			arg[i] = byte(i * 31)
+		}
+		code, env = e.do(t, http.MethodPost, "/v1/jobs", "key-bob", submitRequest{Job: JobEcho, Arg: arg})
+		if code != c.want {
+			t.Fatalf("%d-byte argument = %d (%s), want %d", c.argLen, code, env.Error, c.want)
+		}
+		if code == http.StatusAccepted {
+			var v JobView
+			meta(t, env, &v)
+			if got := e.wait(t, "key-bob", v.ID); got.Status != StatusSucceeded || !bytes.Equal(got.Result, arg) {
+				t.Errorf("%d-byte echo: status %s, %d result bytes, want the argument back", c.argLen, got.Status, len(got.Result))
+			}
+			continue
+		}
+		if env.Type != "error" || env.ErrorCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("over-cap envelope = %+v", env)
+		}
+		_, env = e.do(t, http.MethodGet, "/v1/stats", "key-bob", nil)
+		var snap Snapshot
+		meta(t, env, &snap)
+		if snap.Service.Accepted != 1 || snap.Service.Queued != 0 || snap.Service.Running != 0 {
+			t.Errorf("after 413: service = %+v, want only the under-cap job accepted", snap.Service)
+		}
+		for _, ts := range snap.Service.Tenants {
+			if ts.InFlight != 0 {
+				t.Errorf("after 413: tenant %s has %d in flight, want 0", ts.Name, ts.InFlight)
+			}
+		}
+		if snap.Errors == nil || snap.Errors.ByCode[oerrors.CodeBodyTooLarge] == 0 {
+			t.Errorf("413 not counted as admission/%s: %+v", oerrors.CodeBodyTooLarge, snap.Errors)
+		}
 	}
 }
 

@@ -273,3 +273,35 @@ func (r *Rmem) Delete(n *Node) error {
 	d.mu.Unlock()
 	return nil
 }
+
+// PadToBurst rounds n up to the DMA engine's burst granularity; DMA
+// segments reject transfers that are not a burst multiple, so transfer
+// buffers are always padded.
+func PadToBurst(n int) int {
+	return (n + DMABurstSize - 1) / DMABurstSize * DMABurstSize
+}
+
+// RmemWritePadded stages src into the segment at offset through the
+// asynchronous DMA engine, padding the transfer up to the burst size
+// the segment requires. The segment must have room for the padded
+// length at offset.
+func RmemWritePadded(r *Rmem, n *Node, offset int, src []byte) error {
+	size := PadToBurst(len(src))
+	if size != len(src) {
+		buf := make([]byte, size)
+		copy(buf, src)
+		src = buf
+	}
+	return r.WriteI(n, offset, src).Wait(TimeoutInfinite)
+}
+
+// RmemReadPadded pulls length payload bytes from the segment at offset
+// through the asynchronous DMA engine, reading the padded slot and
+// returning the unpadded payload.
+func RmemReadPadded(r *Rmem, n *Node, offset, length int) ([]byte, error) {
+	buf := make([]byte, PadToBurst(length))
+	if err := r.ReadI(n, offset, buf).Wait(TimeoutInfinite); err != nil {
+		return nil, err
+	}
+	return buf[:length], nil
+}

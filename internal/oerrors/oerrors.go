@@ -81,6 +81,7 @@ const (
 	CodeStoreIO        = "store_io"        // state-dir I/O failure: open, append, fsync, rename (Internal)
 	CodeRateLimited    = "rate_limited"    // tenant over its token-bucket rate (Admission)
 	CodeTenantGone     = "tenant_gone"     // replayed job's tenant no longer configured (Admission)
+	CodeBodyTooLarge   = "body_too_large"  // submit body over the size one task frame may carry (Admission)
 )
 
 // E is one classified error: a category, a stable code, a message and

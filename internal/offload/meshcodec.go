@@ -5,29 +5,25 @@ import (
 	"fmt"
 )
 
-// Wire codec for the peer-to-peer steal mesh and the MRAPI zero-copy
-// data plane (internal/taskfabric). These kinds continue the shared
-// kind space after KindBatch (13), so every channel in the fabric —
-// host cmd/res and the worker-to-worker mesh — stays classifiable by
-// its first byte.
+// Wire codec for the peer-to-peer steal mesh (internal/taskfabric).
+// These kinds continue the shared kind space after KindBatch (13), so
+// every channel in the fabric — host cmd/res and the worker-to-worker
+// mesh — stays classifiable by its first byte.
 //
 //	peersteal:  kind | thief u32 | want u32
 //	peeryield:  kind | victim u32 | task-frame body (see taskcodec.go)
 //	stealmoved: kind | task u64 | thief u32 | victim u32
-//	rmemdesc:   kind | inner u8 | owner u32 | offset u64 | len u32 |
-//	            hdrLen u32 | inner frame with empty payload
-//	rmemack:    kind | owner u32 | offset u64
 //	loadmap:    kind | n u32 | n x occ u32
 
-// Mesh and zero-copy frame kinds, continuing the shared kind space
-// after KindBatch (13).
+// Mesh frame kinds, continuing the shared kind space after KindBatch
+// (13). Kinds 17 and 18 belonged to the retired remote-memory
+// descriptor and ack frames and stay unassigned, like 1, 2 and 5, so
+// old and new frames never alias.
 const (
-	KindPeerSteal  = msgKind(14 + iota) // thief -> victim (direct) or thief -> host (brokered fallback)
-	KindPeerYield                       // victim -> thief (direct): one queued task changes hands
-	KindStealMoved                      // thief -> host: re-point accounting after a direct steal
-	KindRmemDesc                        // any: payload staged in an MRAPI window, frame carries a descriptor
-	KindRmemAck                         // payload consumed: owner may recycle the window slot
-	KindLoadMap                         // host -> workers: per-domain occupancy snapshot
+	KindPeerSteal  = msgKind(14) // thief -> victim (direct) or thief -> host (brokered fallback)
+	KindPeerYield  = msgKind(15) // victim -> thief (direct): one queued task changes hands
+	KindStealMoved = msgKind(16) // thief -> host: re-point accounting after a direct steal
+	KindLoadMap    = msgKind(19) // host -> workers: per-domain occupancy snapshot
 )
 
 // PeerStealFrame asks a victim domain to yield up to Want queued tasks
@@ -53,26 +49,6 @@ type StealMovedFrame struct {
 	Task   uint64
 	Thief  uint32
 	Victim uint32
-}
-
-// RmemDescFrame is the zero-copy envelope: the inner frame travels with
-// an empty payload, and the payload itself sits in the MRAPI window of
-// arena owner Owner at [Offset, Offset+Length). Inner names the wrapped
-// frame kind (KindTask, KindTaskResult or KindPeerYield); Header is the
-// inner frame encoded with a nil payload.
-type RmemDescFrame struct {
-	Inner  WireKind
-	Owner  uint32 // arena owner: 0 = host, i = worker domain i
-	Offset uint64 // byte offset into the owner's window
-	Length uint32 // unpadded payload length
-	Header []byte // inner frame, payload field empty
-}
-
-// RmemAckFrame tells an arena owner the payload at Offset was consumed
-// and the window slot may be recycled.
-type RmemAckFrame struct {
-	Owner  uint32
-	Offset uint64
 }
 
 // LoadMapFrame is the host's occupancy broadcast: Occ[i] is the
@@ -186,74 +162,6 @@ func DecodeStealMoved(pkt []byte) (StealMovedFrame, error) {
 	m.Task = binary.LittleEndian.Uint64(pkt[1:])
 	m.Thief = binary.LittleEndian.Uint32(pkt[9:])
 	m.Victim = binary.LittleEndian.Uint32(pkt[13:])
-	return m, nil
-}
-
-// EncodeRmemDesc encodes a KindRmemDesc packet.
-func EncodeRmemDesc(m RmemDescFrame) []byte {
-	buf := frameBuf(1 + 1 + 4 + 8 + 4 + 4 + len(m.Header))
-	buf = append(buf, byte(KindRmemDesc), byte(m.Inner))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Owner)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Offset)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Length)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Header)))
-	buf = append(buf, m.Header...)
-	return buf
-}
-
-// DecodeRmemDesc decodes a KindRmemDesc packet, copying the header out
-// of pkt; use DecodeRmemDescShared when the caller owns pkt exclusively.
-func DecodeRmemDesc(pkt []byte) (RmemDescFrame, error) {
-	return decodeRmemDescBuf(pkt, false)
-}
-
-// DecodeRmemDescShared decodes with Header aliasing pkt — no copy. Only
-// for receivers that own the delivered packet exclusively.
-func DecodeRmemDescShared(pkt []byte) (RmemDescFrame, error) {
-	return decodeRmemDescBuf(pkt, true)
-}
-
-func decodeRmemDescBuf(pkt []byte, share bool) (RmemDescFrame, error) {
-	var m RmemDescFrame
-	if len(pkt) < 1+1+4+8+4+4 || msgKind(pkt[0]) != KindRmemDesc {
-		return m, fmt.Errorf("offload: malformed rmem-desc frame (%d bytes)", len(pkt))
-	}
-	m.Inner = msgKind(pkt[1])
-	m.Owner = binary.LittleEndian.Uint32(pkt[2:])
-	m.Offset = binary.LittleEndian.Uint64(pkt[6:])
-	m.Length = binary.LittleEndian.Uint32(pkt[14:])
-	hlen := int(binary.LittleEndian.Uint32(pkt[18:]))
-	p := pkt[22:]
-	if len(p) != hlen {
-		return m, fmt.Errorf("offload: rmem-desc header length %d, have %d bytes", hlen, len(p))
-	}
-	if hlen > 0 {
-		if share {
-			m.Header = p
-		} else {
-			m.Header = append([]byte(nil), p...)
-		}
-	}
-	return m, nil
-}
-
-// EncodeRmemAck encodes a KindRmemAck packet.
-func EncodeRmemAck(m RmemAckFrame) []byte {
-	buf := frameBuf(1 + 4 + 8)
-	buf = append(buf, byte(KindRmemAck))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Owner)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Offset)
-	return buf
-}
-
-// DecodeRmemAck decodes a KindRmemAck packet.
-func DecodeRmemAck(pkt []byte) (RmemAckFrame, error) {
-	var m RmemAckFrame
-	if len(pkt) != 1+4+8 || msgKind(pkt[0]) != KindRmemAck {
-		return m, fmt.Errorf("offload: malformed rmem-ack frame (%d bytes)", len(pkt))
-	}
-	m.Owner = binary.LittleEndian.Uint32(pkt[1:])
-	m.Offset = binary.LittleEndian.Uint64(pkt[5:])
 	return m, nil
 }
 

@@ -30,29 +30,6 @@ func TestMeshCodecRoundTrips(t *testing.T) {
 		t.Fatalf("steal-moved round trip: %+v, %v", got, err)
 	}
 
-	rd := RmemDescFrame{
-		Inner: KindTask, Owner: 2, Offset: 4096, Length: 8192,
-		Header: EncodeTaskFrame(KindTask, TaskFrame{Task: 42, Job: "sum"}),
-	}
-	gotRd, err := DecodeRmemDesc(EncodeRmemDesc(rd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRd.Inner != rd.Inner || gotRd.Owner != rd.Owner || gotRd.Offset != rd.Offset ||
-		gotRd.Length != rd.Length || !bytes.Equal(gotRd.Header, rd.Header) {
-		t.Fatalf("rmem-desc round trip %+v != %+v", gotRd, rd)
-	}
-	// The embedded header must decode back to the inner frame.
-	inner, err := DecodeTaskFrame(KindTask, gotRd.Header)
-	if err != nil || inner.Task != 42 || inner.Job != "sum" {
-		t.Fatalf("rmem-desc header decode: %+v, %v", inner, err)
-	}
-
-	ra := RmemAckFrame{Owner: 2, Offset: 4096}
-	if got, err := DecodeRmemAck(EncodeRmemAck(ra)); err != nil || got != ra {
-		t.Fatalf("rmem-ack round trip: %+v, %v", got, err)
-	}
-
 	lm := LoadMapFrame{Occ: []uint32{0, 5, 2, 9}}
 	gotLm, err := DecodeLoadMap(EncodeLoadMap(lm))
 	if err != nil {
@@ -76,8 +53,6 @@ func TestMeshFrameKindClassifies(t *testing.T) {
 		{EncodePeerSteal(PeerStealFrame{}), KindPeerSteal},
 		{EncodePeerYield(PeerYieldFrame{}), KindPeerYield},
 		{EncodeStealMoved(StealMovedFrame{}), KindStealMoved},
-		{EncodeRmemDesc(RmemDescFrame{}), KindRmemDesc},
-		{EncodeRmemAck(RmemAckFrame{}), KindRmemAck},
 		{EncodeLoadMap(LoadMapFrame{}), KindLoadMap},
 	}
 	for _, c := range cases {
@@ -85,8 +60,16 @@ func TestMeshFrameKindClassifies(t *testing.T) {
 			t.Fatalf("FrameKind(% x): kind %d ok=%v, want %d", c.pkt, k, ok, c.want)
 		}
 	}
-	// One past the mesh range must not classify.
+	// One past the mesh range must not classify, and neither may the
+	// retired kinds: 1, 2, 5 (chunk dispatcher) and 17, 18 (remote-memory
+	// descriptor and ack), however well-formed the rest of the frame.
 	if _, ok := FrameKind([]byte{byte(KindLoadMap) + 1}); ok {
 		t.Fatal("kind past the mesh range classified as a fabric frame")
+	}
+	for _, kind := range []byte{1, 2, 5, 17, 18} {
+		pkt := append([]byte{kind}, EncodeTaskFrame(KindTask, TaskFrame{Task: 42, Job: "sum"})...)
+		if k, ok := FrameKind(pkt); ok {
+			t.Fatalf("retired kind %d classified as fabric frame kind %d", kind, k)
+		}
 	}
 }

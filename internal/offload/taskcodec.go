@@ -46,15 +46,16 @@ const (
 // FrameKind classifies a task-fabric packet by its first byte; ok is
 // false for empty packets or kinds outside the task-fabric range. Batch
 // envelopes (KindBatch) are part of the range: a receiver unwraps them
-// with DecodeBatch and classifies each inner frame. The mesh and
-// zero-copy kinds (KindPeerSteal..KindLoadMap, see meshcodec.go) extend
-// the range past KindBatch.
+// with DecodeBatch and classifies each inner frame. The mesh kinds
+// (KindPeerSteal..KindStealMoved and KindLoadMap, see meshcodec.go)
+// extend the range past KindBatch; the retired kinds in between do not
+// classify.
 func FrameKind(pkt []byte) (WireKind, bool) {
 	if len(pkt) == 0 {
 		return 0, false
 	}
 	k := msgKind(pkt[0])
-	return k, (k >= KindTask && k <= KindFabricShutdown) || (k >= KindBatch && k <= KindLoadMap)
+	return k, (k >= KindTask && k <= KindStealMoved) || k == KindLoadMap
 }
 
 // TaskFrame describes one task for a worker domain to execute (KindTask)

@@ -7,7 +7,6 @@ import (
 
 	"openmpmca/internal/core"
 	"openmpmca/internal/mcapi"
-	"openmpmca/internal/mrapi"
 	"openmpmca/internal/mtapi"
 	"openmpmca/internal/offload"
 )
@@ -17,22 +16,11 @@ import (
 // the wire stays name-based while the local scheduler stays MTAPI.
 const fabricJob mtapi.JobID = 1
 
-// rmemRef locates a task argument staged in an MRAPI window instead of
-// carried inline: the read is deferred until the task actually runs, so
-// a task that is yielded onward (to the host or straight to a peer)
-// forwards the reference untouched and the bytes move exactly once.
-type rmemRef struct {
-	owner  uint32
-	offset uint64
-	length uint32
-}
-
 // queuedTask is one task frame accepted by a worker but not yet running:
 // the unit of currency for steal grants and group-done drops, both of
 // which work by canceling the still-queued MTAPI task.
 type queuedTask struct {
 	frame offload.TaskFrame
-	ref   *rmemRef    // non-nil when the argument lives in a window
 	mt    *mtapi.Task // nil for the instant between map insert and Start
 }
 
@@ -52,7 +40,6 @@ type worker struct {
 	resSend *mcapi.PktSendHandle // worker -> host results/yields/credits
 	hbEp    *mcapi.Endpoint      // receives host pings
 	hbHost  *mcapi.Endpoint      // host endpoint pongs are sent to
-	batch   bool                 // coalesce outbound frames per flush
 
 	killed atomic.Bool
 	cmdReq atomic.Pointer[mcapi.Request]
@@ -75,16 +62,9 @@ type worker struct {
 	stealMu     sync.Mutex
 	stealVictim int // domain a steal request is outstanding to; -1 none
 	stealAt     time.Time
-
-	// Zero-copy plane (nil when disabled).
-	rnode       *mrapi.Node
-	rarena      *mrapi.WindowArena
-	rwin        []*mrapi.Rmem
-	zeroCopyMin int
 }
 
-func newWorker(nl *offload.NetLink, reg *Registry, mtWorkers int,
-	cfg *config, plane *rmemPlane) (*worker, error) {
+func newWorker(nl *offload.NetLink, reg *Registry, mtWorkers int) (*worker, error) {
 	w := &worker{
 		id:          nl.ID,
 		name:        nl.Name,
@@ -96,18 +76,11 @@ func newWorker(nl *offload.NetLink, reg *Registry, mtWorkers int,
 		resSend:     nl.ResSend,
 		hbEp:        nl.HBEp,
 		hbHost:      nl.HBHost,
-		batch:       cfg.batch,
 		queued:      make(map[uint64]*queuedTask),
 		peerSend:    nl.PeerSend,
 		peerRecv:    nl.PeerRecv,
 		peerReqs:    make(map[int]*mcapi.Request),
 		stealVictim: -1,
-	}
-	if plane != nil {
-		w.rnode = plane.nodes[w.id]
-		w.rarena = plane.arenas[w.id]
-		w.rwin = plane.windows
-		w.zeroCopyMin = cfg.zeroCopyMin
 	}
 	if _, err := w.mt.CreateAction(fabricJob, "taskfabric", w.execute); err != nil {
 		w.mt.Shutdown()
@@ -232,12 +205,6 @@ func (w *worker) handle(kind offload.WireKind, pkt []byte) bool {
 		w.yield(pkt)
 	case offload.KindGroupDone:
 		w.dropGroup(pkt)
-	case offload.KindRmemDesc:
-		w.acceptDesc(pkt)
-	case offload.KindRmemAck:
-		if m, err := offload.DecodeRmemAck(pkt); err == nil && w.rarena != nil {
-			w.rarena.Release(int(m.Offset))
-		}
 	case offload.KindLoadMap:
 		w.onLoadMap(pkt)
 	}
@@ -252,25 +219,7 @@ func (w *worker) accept(pkt []byte) {
 	if err != nil {
 		return
 	}
-	w.acceptFrame(f, nil)
-}
-
-// acceptDesc enqueues a task whose argument is staged in the host's
-// MRAPI window: the descriptor rides the frame, the DMA read waits until
-// the task actually runs.
-func (w *worker) acceptDesc(pkt []byte) {
-	d, err := offload.DecodeRmemDescShared(pkt)
-	if err != nil || d.Inner != offload.KindTask || w.rnode == nil {
-		return
-	}
-	if int(d.Owner) >= len(w.rwin) {
-		return
-	}
-	f, err := offload.DecodeTaskFrameShared(offload.KindTask, d.Header)
-	if err != nil {
-		return
-	}
-	w.acceptFrame(f, &rmemRef{owner: d.Owner, offset: d.Offset, length: d.Length})
+	w.acceptFrame(f)
 }
 
 // acceptFrame enqueues one task frame on the local MTAPI node. The
@@ -279,8 +228,8 @@ func (w *worker) acceptDesc(pkt []byte) {
 // if the MTAPI worker already started (and removed) the task in between.
 // Duplicate deliveries — a fault-injected dup, or a peer yield racing a
 // host re-dispatch — are rejected by task id.
-func (w *worker) acceptFrame(f offload.TaskFrame, ref *rmemRef) bool {
-	qt := &queuedTask{frame: f, ref: ref}
+func (w *worker) acceptFrame(f offload.TaskFrame) bool {
+	qt := &queuedTask{frame: f}
 	w.qmu.Lock()
 	if _, dup := w.queued[f.Task]; dup {
 		w.qmu.Unlock()
@@ -303,12 +252,10 @@ func (w *worker) acceptFrame(f offload.TaskFrame, ref *rmemRef) bool {
 	return true
 }
 
-// execute is the MTAPI action behind every fabric task: materialize the
-// argument (inline, or DMA'd out of the owner's window when the frame
-// carried a descriptor), resolve the job by name, run it on this
-// domain's OpenMP runtime, send the result and a fresh credit report. A
-// killed worker's results die with it. Going idle afterwards triggers a
-// direct peer steal.
+// execute is the MTAPI action behind every fabric task: resolve the job
+// by name, run it on this domain's OpenMP runtime, send the result and a
+// fresh credit report. A killed worker's results die with it. Going idle
+// afterwards triggers a direct peer steal.
 func (w *worker) execute(args any) (any, error) {
 	qt := args.(*queuedTask)
 	f := qt.frame
@@ -317,26 +264,11 @@ func (w *worker) execute(args any) (any, error) {
 	w.running++
 	w.qmu.Unlock()
 
-	arg := f.Arg
-	if qt.ref != nil {
-		data, err := mrapi.RmemReadPadded(w.rwin[qt.ref.owner], w.rnode,
-			int(qt.ref.offset), int(qt.ref.length))
-		if err != nil {
-			// Window unreadable (plane torn down): drop the task; the
-			// host's deadline re-dispatches it, inline if need be.
-			w.qmu.Lock()
-			w.running--
-			w.qmu.Unlock()
-			return nil, nil
-		}
-		arg = data
-	}
-
 	res := offload.TaskResultFrame{Task: f.Task, Attempt: f.Attempt}
 	if job, ok := w.reg.Lookup(f.Job); !ok {
 		res.Status = offload.StatusUnknownJob
 		res.Payload = []byte(f.Job)
-	} else if payload, jerr := job.Execute(w.rt, arg); jerr != nil {
+	} else if payload, jerr := job.Execute(w.rt, f.Arg); jerr != nil {
 		res.Status = offload.StatusJobError
 		res.Payload = []byte(jerr.Error())
 	} else {
@@ -355,68 +287,24 @@ func (w *worker) execute(args any) (any, error) {
 		// Crashed mid-task: the computed result dies with the domain.
 		return nil, nil
 	}
-	w.flush(w.encodeResult(res), offload.EncodeCredit(credit))
+	w.flush(offload.EncodeTaskResult(res), offload.EncodeCredit(credit))
 	w.maybeSteal()
 	return nil, nil
 }
 
-// encodeResult encodes a result frame, staging large OK payloads in the
-// worker's own arena so only a descriptor rides the wire. Any plane
-// hiccup — arena full, write failure — falls back to inline; the plane
-// is a pure optimization.
-func (w *worker) encodeResult(res offload.TaskResultFrame) []byte {
-	if w.rarena == nil || res.Status != offload.StatusOK || len(res.Payload) < w.zeroCopyMin {
-		return offload.EncodeTaskResult(res)
-	}
-	off, ok := w.rarena.Lease(len(res.Payload))
-	if !ok {
-		return offload.EncodeTaskResult(res)
-	}
-	if err := mrapi.RmemWritePadded(w.rarena.Rmem(), w.rnode, off, res.Payload); err != nil {
-		w.rarena.Release(off)
-		return offload.EncodeTaskResult(res)
-	}
-	length := uint32(len(res.Payload))
-	res.Payload = nil
-	hdr := offload.EncodeTaskResult(res)
-	desc := offload.EncodeRmemDesc(offload.RmemDescFrame{
-		Inner:  offload.KindTaskResult,
-		Owner:  uint32(w.id),
-		Offset: uint64(off),
-		Length: length,
-		Header: hdr,
-	})
-	offload.RecycleFrame(hdr)
-	return desc
-}
-
-// flush ships encoded frames to the host under sendMu — one batch packet
-// when batching is on, one packet per frame otherwise — and recycles
-// them. A failed send drops the remaining frames: the host's deadline
-// and credit machinery recover, exactly as with unbatched sends.
+// flush ships encoded frames to the host under sendMu as one packet (a
+// batch envelope when there are several) and recycles them. A failed send
+// drops the frames: the host's deadline and credit machinery recover.
 func (w *worker) flush(frames ...[]byte) {
 	w.sendMu.Lock()
 	defer w.sendMu.Unlock()
-	if w.batch {
-		var b offload.Batcher
-		for _, fr := range frames {
-			b.Add(fr)
-		}
-		_ = b.Flush(func(pkt []byte) error {
-			return w.resSend.Send(pkt, mcapi.TimeoutInfinite)
-		})
-		return
+	var b offload.Batcher
+	for _, fr := range frames {
+		b.Add(fr)
 	}
-	for i, fr := range frames {
-		err := w.resSend.Send(fr, mcapi.TimeoutInfinite)
-		offload.RecycleFrame(fr)
-		if err != nil {
-			for _, rest := range frames[i+1:] {
-				offload.RecycleFrame(rest)
-			}
-			return
-		}
-	}
+	_ = b.Flush(func(pkt []byte) error {
+		return w.resSend.Send(pkt, mcapi.TimeoutInfinite)
+	})
 }
 
 // yield answers a steal grant: cancel up to Want still-queued tasks —

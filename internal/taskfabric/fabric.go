@@ -33,7 +33,6 @@ import (
 
 	"openmpmca/internal/core"
 	"openmpmca/internal/mcapi"
-	"openmpmca/internal/mrapi"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
 	"openmpmca/internal/perfmodel"
@@ -92,20 +91,18 @@ const stealMin = 2
 
 // config collects the tunables behind the Options.
 type config struct {
-	namePrefix  string // hypervisor partition names: <prefix>-host, <prefix>-dom<i>
-	domains     int
-	board       *platform.Board
-	chunkIters  int // regions only: iterations per chunk, 0 = sized per region
-	deadline    time.Duration
-	retries     int
-	heartbeat   time.Duration
-	lostAfter   time.Duration
-	inflight    int
-	mtWorkers   int
-	sink        EventSink
-	batch       bool
-	peerSteal   bool
-	zeroCopyMin int
+	namePrefix string // hypervisor partition names: <prefix>-host, <prefix>-dom<i>
+	domains    int
+	board      *platform.Board
+	chunkIters int // regions only: iterations per chunk, 0 = sized per region
+	deadline   time.Duration
+	retries    int
+	heartbeat  time.Duration
+	lostAfter  time.Duration
+	inflight   int
+	mtWorkers  int
+	sink       EventSink
+	peerSteal  bool
 }
 
 // Option configures NewFabric.
@@ -113,16 +110,14 @@ type Option func(*config) error
 
 func defaultConfig() config {
 	return config{
-		namePrefix:  "fabric",
-		domains:     3,
-		board:       platform.T4240RDB(),
-		deadline:    time.Second,
-		retries:     2,
-		heartbeat:   20 * time.Millisecond,
-		inflight:    8,
-		batch:       true,
-		peerSteal:   true,
-		zeroCopyMin: 4096,
+		namePrefix: "fabric",
+		domains:    3,
+		board:      platform.T4240RDB(),
+		deadline:   time.Second,
+		retries:    2,
+		heartbeat:  20 * time.Millisecond,
+		inflight:   8,
+		peerSteal:  true,
 	}
 }
 
@@ -221,18 +216,6 @@ func WithDomainWorkers(n int) Option {
 	}
 }
 
-// WithBatching toggles frame coalescing: when on (the default), a pump
-// that dispatches several tasks to one domain sends them as a single
-// batch packet, and workers likewise coalesce their result, credit and
-// yield frames per flush. Off restores one-packet-per-frame as an
-// ablation baseline for benchmarks.
-func WithBatching(on bool) Option {
-	return func(c *config) error {
-		c.batch = on
-		return nil
-	}
-}
-
 // WithPeerStealing toggles the direct worker-to-worker steal mesh
 // (default on). When on, BuildNet wires N×(N−1) peer packet channels
 // and an idle domain sends its steal request straight to the most
@@ -242,18 +225,6 @@ func WithBatching(on bool) Option {
 func WithPeerStealing(on bool) Option {
 	return func(c *config) error {
 		c.peerSteal = on
-		return nil
-	}
-}
-
-// WithZeroCopyThreshold sets the payload size (bytes) above which task
-// arguments and results travel through MRAPI remote-memory windows
-// instead of inline in frames, with the frame carrying only an
-// (owner, offset, len) descriptor. n <= 0 disables the zero-copy plane
-// entirely. Default 4096.
-func WithZeroCopyThreshold(n int) Option {
-	return func(c *config) error {
-		c.zeroCopyMin = n
 		return nil
 	}
 }
@@ -276,7 +247,6 @@ type counters struct {
 	steals            atomic.Uint64
 	peerSteals        atomic.Uint64
 	brokeredFallbacks atomic.Uint64
-	rmemBytesMoved    atomic.Uint64
 	canceled          atomic.Uint64
 	domainsLost       atomic.Uint64
 	readmissions      atomic.Uint64
@@ -295,7 +265,7 @@ type Stats struct {
 	Steals            uint64 `json:"steals"`             // queued tasks migrated between domains (any path)
 	PeerSteals        uint64 `json:"peer_steals"`        // steals completed over direct peer channels
 	BrokeredFallbacks uint64 `json:"brokered_fallbacks"` // peer-steal attempts that fell back to host brokerage
-	RmemBytesMoved    uint64 `json:"rmem_bytes_moved"`   // payload bytes staged through MRAPI windows
+	RmemBytesMoved    uint64 `json:"rmem_bytes_moved"`   // always 0 since PR 23; removed with the taskfabric.rmem_bytes_per_job row in the next benchmark-only PR
 	Canceled          uint64 `json:"canceled"`           // tasks canceled via Group.Cancel
 	DomainsLost       uint64 `json:"domains_lost"`       // worker domains declared dead
 	Readmissions      uint64 `json:"readmissions"`       // lost domains readmitted after restart
@@ -394,13 +364,6 @@ type task struct {
 	lostDom     int
 	lostName    string
 	lostSilence time.Duration
-
-	// Zero-copy staging: when the argument was written into the host's
-	// MRAPI window at submit, frames carry only a descriptor and the
-	// lease is held (the window is the wire's copy; t.arg stays the
-	// host's local copy for retries and loss recovery) until settle.
-	staged  bool
-	rmemOff int
 }
 
 // flight tracks one dispatched task: which executor has it, when it was
@@ -425,16 +388,6 @@ type localDone struct {
 	err     error
 }
 
-// rmemResult is one remote task result whose payload was staged in a
-// worker's MRAPI window: a reader goroutine pulled the payload off the
-// window (keeping the multi-millisecond DMA wait out of the scheduler
-// loop) and hands the completed frame back in.
-type rmemResult struct {
-	dom int
-	m   offload.TaskResultFrame
-	ok  bool // read succeeded; false just clears the in-flight mark
-}
-
 // hostLink is the host's view of one worker domain. occ mirrors the
 // scheduler's outstanding-task count for this domain (the scheduler
 // goroutine is the only writer; introspection surfaces such as
@@ -457,10 +410,9 @@ type hostLink struct {
 // domains, joined only by MCAPI, executing MTAPI-style jobs. It is safe
 // for concurrent use.
 type Fabric struct {
-	cfg   config
-	reg   *Registry
-	net   *offload.Net
-	plane *rmemPlane // zero-copy interconnect; nil when disabled
+	cfg config
+	reg *Registry
+	net *offload.Net
 
 	workers []*worker
 	links   []*hostLink
@@ -469,7 +421,6 @@ type Fabric struct {
 	arrCh       chan arrival
 	localQ      chan *task
 	localDoneCh chan localDone
-	rmemResCh   chan rmemResult
 	lostCh      chan int
 	cancelCh    chan *Group
 	stopCh      chan struct{}
@@ -528,18 +479,9 @@ func newFabric(reg *Registry, cfg config) (*Fabric, error) {
 		arrCh:       make(chan arrival, 64),
 		localQ:      make(chan *task, 4),
 		localDoneCh: make(chan localDone),
-		rmemResCh:   make(chan rmemResult, 16),
 		lostCh:      make(chan int, cfg.domains),
 		cancelCh:    make(chan *Group),
 		stopCh:      make(chan struct{}),
-	}
-	if cfg.zeroCopyMin > 0 {
-		plane, perr := newRmemPlane(cfg.domains)
-		if perr != nil {
-			_ = f.teardownNet()
-			return nil, perr
-		}
-		f.plane = plane
 	}
 	now := time.Now().UnixNano()
 	for _, nl := range net.Links {
@@ -550,7 +492,7 @@ func newFabric(reg *Registry, cfg config) (*Fabric, error) {
 				mtWorkers = 4
 			}
 		}
-		w, werr := newWorker(nl, reg, mtWorkers, &cfg, f.plane)
+		w, werr := newWorker(nl, reg, mtWorkers)
 		if werr != nil {
 			_ = f.teardownNet()
 			return nil, werr
@@ -618,7 +560,6 @@ func (f *Fabric) Stats() Stats {
 		Steals:            f.st.steals.Load(),
 		PeerSteals:        f.st.peerSteals.Load(),
 		BrokeredFallbacks: f.st.brokeredFallbacks.Load(),
-		RmemBytesMoved:    f.st.rmemBytesMoved.Load(),
 		Canceled:          f.st.canceled.Load(),
 		DomainsLost:       f.st.domainsLost.Load(),
 		Readmissions:      f.st.readmissions.Load(),
@@ -728,19 +669,6 @@ func (f *Fabric) submitAll(job string, args [][]byte, g *Group) ([]*TaskHandle, 
 		id := taskSeq.Add(1)
 		h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
 		t := &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g}
-		if f.plane != nil && len(t.arg) >= f.cfg.zeroCopyMin {
-			// Stage the bulk argument into the host's MRAPI window on the
-			// submitter's goroutine, keeping the DMA wait off the scheduler.
-			// A full arena just means this task ships inline.
-			if off, ok := f.plane.arenas[0].Lease(len(t.arg)); ok {
-				if mrapi.RmemWritePadded(f.plane.windows[0], f.plane.host, off, t.arg) == nil {
-					t.staged, t.rmemOff = true, off
-					f.st.rmemBytesMoved.Add(uint64(len(t.arg)))
-				} else {
-					f.plane.arenas[0].Release(off)
-				}
-			}
-		}
 		if g != nil {
 			g.addMember(h)
 		}
@@ -835,7 +763,6 @@ func (f *Fabric) scheduler() {
 		infl        = make(map[uint64]flight)
 		grantVictim = -1
 		grantThief  = -1
-		rmemReads   = make(map[uint64]struct{}) // window reads in flight, by task
 	)
 	// Per-domain outstanding counts live on the links as atomics so
 	// DomainInfos can snapshot them; the scheduler is the only writer.
@@ -851,9 +778,8 @@ func (f *Fabric) scheduler() {
 		return false
 	}
 
-	// finish completes a task: release its flight slot and any staged
-	// window lease, settle the handle (a recovered task's success
-	// carries ErrDomainLost), notify its group.
+	// finish completes a task: release its flight slot, settle the handle
+	// (a recovered task's success carries ErrDomainLost), notify its group.
 	finish := func(t *task, dom int, payload []byte, err error) {
 		delete(tasks, t.id)
 		if fl, ok := infl[t.id]; ok {
@@ -864,10 +790,6 @@ func (f *Fabric) scheduler() {
 					f.links[fl.dom].ewma.Observe(float64(time.Since(fl.sent)))
 				}
 			}
-		}
-		if t.staged {
-			f.plane.arenas[0].Release(t.rmemOff)
-			t.staged = false
 		}
 		if err == nil && t.recovered {
 			err = oerrors.DomainLost(ErrDomainLost, "taskfabric",
@@ -880,34 +802,6 @@ func (f *Fabric) scheduler() {
 		}
 	}
 
-	// encodeTask builds one task descriptor frame. A staged task ships
-	// as an rmem descriptor wrapping an argument-less header: the bytes
-	// stay in the host's window and the worker DMAs them out at
-	// execution time.
-	encodeTask := func(t *task) []byte {
-		var gid uint64
-		if t.g != nil {
-			gid = t.g.id
-		}
-		fr := offload.TaskFrame{
-			Task: t.id, Attempt: t.attempt, Group: gid, Job: t.job, Arg: t.arg,
-		}
-		if t.staged {
-			fr.Arg = nil
-			hdr := offload.EncodeTaskFrame(offload.KindTask, fr)
-			pkt := offload.EncodeRmemDesc(offload.RmemDescFrame{
-				Inner:  offload.KindTask,
-				Owner:  0,
-				Offset: uint64(t.rmemOff),
-				Length: uint32(len(t.arg)),
-				Header: hdr,
-			})
-			offload.RecycleFrame(hdr)
-			return pkt
-		}
-		return offload.EncodeTaskFrame(offload.KindTask, fr)
-	}
-
 	// commitRemote records a successful dispatch of t to domain li.
 	commitRemote := func(t *task, li int) {
 		now := time.Now()
@@ -918,59 +812,12 @@ func (f *Fabric) scheduler() {
 		}
 	}
 
-	// dispatch places one task: pinned-local tasks (and tasks with no
-	// live domain) go to the host executor, the rest to the live domain
-	// with the fewest tasks in flight. False means try again later.
-	dispatch := func(t *task) bool {
-		if t.forcedLocal || !anyLive() {
-			select {
-			case f.localQ <- t:
-				infl[t.id] = flight{dom: -1}
-				if f.cfg.sink != nil {
-					f.cfg.sink.TaskSend(-1, int(t.id))
-				}
-				return true
-			default:
-				return false // local executor saturated
-			}
-		}
-		best := -1
-		for li := range f.links {
-			if !live(li) || occ(li) >= f.cfg.inflight {
-				continue
-			}
-			if best < 0 || occ(li) < occ(best) {
-				best = li
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		frame := encodeTask(t)
-		err := f.links[best].cmd.Send(frame, mcapi.TimeoutImmediate)
-		offload.RecycleFrame(frame)
-		if err != nil {
-			return false // command queue full; the tick retries
-		}
-		commitRemote(t, best)
-		return true
-	}
-
+	// pump places the pending queue: pinned-local tasks (and every task
+	// when no domain is live) go to the host executor, the rest to the
+	// live domain with the fewest tasks in flight. What cannot be placed
+	// stays queued for the next pump.
 	pump := func() {
 		var rest []*task
-		if !f.cfg.batch {
-			// Ablation baseline: one packet per task.
-			for _, t := range pending {
-				if _, alive := tasks[t.id]; !alive {
-					continue // finished or canceled while queued
-				}
-				if !dispatch(t) {
-					rest = append(rest, t)
-				}
-			}
-			pending = rest
-			return
-		}
 		// Plan the whole queue first — min-occupancy placement using
 		// this round's tentative assignments (extra) on top of what is
 		// already in flight — then flush each domain's plan as one
@@ -1016,7 +863,13 @@ func (f *Fabric) scheduler() {
 			}
 			var b offload.Batcher
 			for _, t := range plan {
-				b.Add(encodeTask(t))
+				var gid uint64
+				if t.g != nil {
+					gid = t.g.id
+				}
+				b.Add(offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{
+					Task: t.id, Attempt: t.attempt, Group: gid, Job: t.job, Arg: t.arg,
+				}))
 			}
 			if b.Flush(func(pkt []byte) error {
 				return f.links[li].cmd.Send(pkt, mcapi.TimeoutImmediate)
@@ -1072,28 +925,6 @@ func (f *Fabric) scheduler() {
 		}
 	}
 
-	// finishResult settles one decoded remote result, shared by the
-	// inline path and the window-staged path.
-	finishResult := func(dom int, m offload.TaskResultFrame) bool {
-		t, known := tasks[m.Task]
-		if !known {
-			return false // duplicate or stale: already settled
-		}
-		var terr error
-		switch m.Status {
-		case offload.StatusUnknownJob:
-			terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: domain %d: unknown job %q", dom, string(m.Payload))
-		case offload.StatusJobError:
-			terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeJobFailed, "taskfabric: job %q: %s", t.job, string(m.Payload))
-		}
-		f.st.remoteTasks.Add(1)
-		if f.cfg.sink != nil {
-			f.cfg.sink.TaskRecv(dom, int(t.id))
-		}
-		finish(t, dom, m.Payload, terr)
-		return true
-	}
-
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 
@@ -1101,10 +932,6 @@ func (f *Fabric) scheduler() {
 		select {
 		case <-f.stopCh:
 			for _, t := range tasks {
-				if t.staged {
-					f.plane.arenas[0].Release(t.rmemOff)
-					t.staged = false
-				}
 				t.h.finish(-1, nil, ErrClosed)
 				if t.g != nil {
 					t.g.taskDone(t.h)
@@ -1136,7 +963,23 @@ func (f *Fabric) scheduler() {
 					if err != nil {
 						return false
 					}
-					return finishResult(a.dom, m)
+					t, known := tasks[m.Task]
+					if !known {
+						return false // duplicate or stale: already settled
+					}
+					var terr error
+					switch m.Status {
+					case offload.StatusUnknownJob:
+						terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: domain %d: unknown job %q", a.dom, string(m.Payload))
+					case offload.StatusJobError:
+						terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeJobFailed, "taskfabric: job %q: %s", t.job, string(m.Payload))
+					}
+					f.st.remoteTasks.Add(1)
+					if f.cfg.sink != nil {
+						f.cfg.sink.TaskRecv(a.dom, int(t.id))
+					}
+					finish(t, a.dom, m.Payload, terr)
+					return true
 				case offload.KindTaskYield:
 					m, err := offload.DecodeTaskFrameShared(offload.KindTaskYield, pkt)
 					if err != nil {
@@ -1223,26 +1066,6 @@ func (f *Fabric) scheduler() {
 						}
 					}
 					return true
-				case offload.KindRmemDesc:
-					d, err := offload.DecodeRmemDescShared(pkt)
-					if err != nil || d.Inner != offload.KindTaskResult || f.plane == nil {
-						return false
-					}
-					m, err := offload.DecodeTaskResult(d.Header)
-					if err != nil || int(d.Owner) >= len(f.plane.windows) {
-						return false
-					}
-					if _, known := tasks[m.Task]; !known {
-						// Already settled: no read, but still ack so the
-						// worker's arena slot recycles promptly.
-						f.ackRmem(d)
-						return false
-					}
-					if _, busy := rmemReads[m.Task]; busy {
-						return false // duplicate descriptor; first read wins
-					}
-					rmemReads[m.Task] = struct{}{}
-					go f.readRmemResult(a.dom, m, d.Owner, d.Offset, d.Length)
 				}
 				return false
 			}
@@ -1272,12 +1095,6 @@ func (f *Fabric) scheduler() {
 			}
 			finish(d.t, -1, d.payload, d.err)
 			pump()
-
-		case r := <-f.rmemResCh:
-			delete(rmemReads, r.m.Task)
-			if r.ok && finishResult(r.dom, r.m) {
-				pump()
-			}
 
 		case li := <-f.lostCh:
 			ll := f.links[li]
@@ -1314,10 +1131,6 @@ func (f *Fabric) scheduler() {
 					if fl.dom >= 0 {
 						f.links[fl.dom].occ.Add(-1)
 					}
-				}
-				if t.staged {
-					f.plane.arenas[0].Release(t.rmemOff)
-					t.staged = false
 				}
 				f.st.canceled.Add(1)
 				t.h.finish(-1, nil, ErrCanceled)

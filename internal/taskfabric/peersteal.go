@@ -54,22 +54,8 @@ func (w *worker) peerLoop(peer int, recv *mcapi.PktRecvHandle) {
 			}
 		case offload.KindPeerYield:
 			if m, err := offload.DecodePeerYieldShared(pkt); err == nil {
-				w.acceptPeerYield(m.Victim, m.Task, nil)
+				w.acceptPeerYield(m.Victim, m.Task)
 			}
-		case offload.KindRmemDesc:
-			d, err := offload.DecodeRmemDescShared(pkt)
-			if err != nil || d.Inner != offload.KindPeerYield || w.rnode == nil {
-				continue
-			}
-			if int(d.Owner) >= len(w.rwin) {
-				continue
-			}
-			m, err := offload.DecodePeerYieldShared(d.Header)
-			if err != nil {
-				continue
-			}
-			w.acceptPeerYield(m.Victim, m.Task,
-				&rmemRef{owner: d.Owner, offset: d.Offset, length: d.Length})
 		}
 	}
 }
@@ -161,18 +147,17 @@ func (w *worker) brokeredFallback() {
 }
 
 // peerYield answers a direct steal request: cancel up to want queued
-// tasks and ship them straight to the thief — descriptor-wrapped when
-// the argument is staged in a window, so the payload still moves only
-// once, window to executor. A failed mesh send re-accepts the remaining
-// tasks locally rather than strand them; the thief's stealPending
-// timeout then degrades it to host brokerage. A credit report follows so
-// the host sees the victim's new occupancy promptly.
+// tasks and ship them straight to the thief. A failed mesh send
+// re-accepts the remaining tasks locally rather than strand them; the
+// thief's stealPending timeout then degrades it to host brokerage. A
+// credit report follows so the host sees the victim's new occupancy
+// promptly.
 func (w *worker) peerYield(thief, want int) {
 	send := w.peerSend[thief]
 	if send == nil || w.killed.Load() || want <= 0 {
 		return
 	}
-	var yields []*queuedTask
+	var yields []offload.TaskFrame
 	w.qmu.Lock()
 	for id, qt := range w.queued {
 		if len(yields) >= want {
@@ -182,7 +167,7 @@ func (w *worker) peerYield(thief, want int) {
 			continue // about to run, or already running
 		}
 		delete(w.queued, id)
-		yields = append(yields, qt)
+		yields = append(yields, qt.frame)
 	}
 	credit := offload.CreditFrame{
 		Domain:  uint32(w.id),
@@ -196,13 +181,13 @@ func (w *worker) peerYield(thief, want int) {
 		// reclaims and re-dispatches every one of them.
 		return
 	}
-	for i, qt := range yields {
-		pkt := w.encodePeerYield(qt.frame, qt.ref)
+	for i, fr := range yields {
+		pkt := offload.EncodePeerYield(offload.PeerYieldFrame{Victim: uint32(w.id), Task: fr})
 		err := send.Send(pkt, mcapi.TimeoutImmediate)
 		offload.RecycleFrame(pkt)
 		if err != nil {
 			for _, rest := range yields[i:] {
-				w.acceptFrame(rest.frame, rest.ref)
+				w.acceptFrame(rest)
 			}
 			break
 		}
@@ -210,37 +195,17 @@ func (w *worker) peerYield(thief, want int) {
 	w.flush(offload.EncodeCredit(credit))
 }
 
-// encodePeerYield encodes one yielded task for the mesh, preserving a
-// window descriptor if the argument was staged.
-func (w *worker) encodePeerYield(f offload.TaskFrame, ref *rmemRef) []byte {
-	if ref == nil {
-		return offload.EncodePeerYield(offload.PeerYieldFrame{Victim: uint32(w.id), Task: f})
-	}
-	inner := f
-	inner.Arg = nil
-	hdr := offload.EncodePeerYield(offload.PeerYieldFrame{Victim: uint32(w.id), Task: inner})
-	desc := offload.EncodeRmemDesc(offload.RmemDescFrame{
-		Inner:  offload.KindPeerYield,
-		Owner:  ref.owner,
-		Offset: ref.offset,
-		Length: ref.length,
-		Header: hdr,
-	})
-	offload.RecycleFrame(hdr)
-	return desc
-}
-
 // acceptPeerYield lands a directly-yielded task on this worker and tells
 // the host to re-point its accounting. Duplicates (fault-injected dup
 // frames) are rejected by acceptFrame, so KindStealMoved is sent at most
 // once per landed task.
-func (w *worker) acceptPeerYield(victim uint32, f offload.TaskFrame, ref *rmemRef) {
+func (w *worker) acceptPeerYield(victim uint32, f offload.TaskFrame) {
 	w.stealMu.Lock()
 	if w.stealVictim == int(victim) {
 		w.stealVictim = -1
 	}
 	w.stealMu.Unlock()
-	if w.killed.Load() || !w.acceptFrame(f, ref) {
+	if w.killed.Load() || !w.acceptFrame(f) {
 		return
 	}
 	w.flush(offload.EncodeStealMoved(offload.StealMovedFrame{

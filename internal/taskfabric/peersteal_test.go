@@ -1,7 +1,6 @@
 package taskfabric
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -156,79 +155,5 @@ func TestKillVictimMidYield(t *testing.T) {
 	verifyExact(t, handles, want)
 	if st := f.Stats(); st.DomainsLost != 1 {
 		t.Errorf("DomainsLost = %d, want 1", st.DomainsLost)
-	}
-}
-
-func TestZeroCopyPayloads(t *testing.T) {
-	f, err := NewFabric(testRegistry(t),
-		WithDomains(2),
-		WithZeroCopyThreshold(1024),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	// Big echo payloads cross the threshold in both directions: the
-	// argument is staged by the host, the equal-sized result by the
-	// worker.
-	arg := make([]byte, 32<<10)
-	for i := range arg {
-		arg[i] = byte(i * 31)
-	}
-	g := f.NewGroup()
-	var handles []*TaskHandle
-	for i := 0; i < 8; i++ {
-		h, err := g.SubmitJob("echo", arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	if err := g.WaitAll(30 * time.Second); err != nil {
-		t.Fatalf("WaitAll: %v", err)
-	}
-	for _, h := range handles {
-		res, err := h.Wait(0)
-		if err != nil {
-			t.Fatalf("task %d: %v", h.ID(), err)
-		}
-		if !bytes.Equal(res, arg) {
-			t.Fatalf("task %d: payload corrupted across the window", h.ID())
-		}
-	}
-	st := f.Stats()
-	if st.RemoteTasks == 0 {
-		t.Fatal("no tasks ran remotely")
-	}
-	if st.RmemBytesMoved == 0 {
-		t.Error("RmemBytesMoved = 0: big payloads never used the zero-copy plane")
-	}
-}
-
-func TestZeroCopyDisabled(t *testing.T) {
-	f, err := NewFabric(testRegistry(t),
-		WithDomains(2),
-		WithZeroCopyThreshold(0), // plane off: everything inline
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	arg := make([]byte, 32<<10)
-	h, err := f.SubmitJob("echo", arg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait(TimeoutInfinite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res, arg) {
-		t.Fatal("payload corrupted inline")
-	}
-	if st := f.Stats(); st.RmemBytesMoved != 0 {
-		t.Errorf("RmemBytesMoved = %d with the plane disabled, want 0", st.RmemBytesMoved)
 	}
 }

@@ -72,10 +72,9 @@ type Offloader struct {
 }
 
 // NewOffloader builds the region fabric. It takes the fabric's Options
-// over three different defaults: partitions are named offload-*, each
+// over two different defaults: partitions are named offload-*, and each
 // domain runs one chunk at a time (a chunk kernel forks the partition's
-// whole team), and the zero-copy plane is off — chunk descriptors are
-// tens of bytes, and building the windows would dominate construction.
+// whole team).
 func NewOffloader(kernels *offload.Registry, opts ...Option) (*Offloader, error) {
 	if kernels == nil {
 		return nil, fmt.Errorf("%w: offload: nil registry", core.ErrInvalidOption)
@@ -83,7 +82,6 @@ func NewOffloader(kernels *offload.Registry, opts ...Option) (*Offloader, error)
 	cfg := defaultConfig()
 	cfg.namePrefix = "offload"
 	cfg.mtWorkers = 1
-	cfg.zeroCopyMin = 0
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
