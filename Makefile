@@ -22,11 +22,12 @@ test:
 test-benchmark:
 	$(GO) build -C benchmark ./... && $(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
-# Tier-1 determinism: the two scheduler-sensitive packages, 20 times
+# Tier-1 determinism: the scheduler-sensitive packages (the runtime, its
+# validation suite, and the MRAPI mutex fast path under it), 20 times
 # each, on one and two procs. CI runs this on every push.
 tier1-soak:
-	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation
-	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation
+	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
+	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 
 race:
 	$(GO) test -race ./...

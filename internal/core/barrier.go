@@ -13,13 +13,14 @@ type teamBarrier interface {
 	// notifies the virtual-time monitor so that post-barrier work cannot
 	// race the clock alignment. Wait reports true to exactly one caller
 	// per episode (the one that ran onRelease).
-	//
-	// abort, when non-nil, is the team's cancellation channel: a closed
-	// abort releases every parked or arriving thread immediately without
-	// completing the episode. An aborted barrier's internal state is
-	// unspecified; the runtime rebuilds the barrier before reusing the
-	// team (Team.reset). A nil abort never fires.
-	Wait(tid int, abort <-chan struct{}, onRelease func()) bool
+	Wait(tid int, onRelease func()) bool
+
+	// abort is the team's cancellation hook (Team.cancel): it releases
+	// every parked thread and latches, so every later arrival returns at
+	// once without completing an episode. An aborted barrier's internal
+	// state is unspecified; the runtime rebuilds the barrier before
+	// reusing the team (Team.reset). Safe to call more than once.
+	abort()
 }
 
 // BarrierKind selects the barrier algorithm a runtime uses.
@@ -49,20 +50,23 @@ func newBarrier(kind BarrierKind, size int) teamBarrier {
 // centralBarrier: each arrival increments a counter under a mutex; the
 // last arrival opens the episode's broadcast channel. Channels are
 // replaced per episode so the barrier is reusable and insensitive to
-// stragglers from the previous episode.
+// stragglers from the previous episode. A parked thread waits on the gate
+// alone: abort closes the same gate, so no wait selects on a second,
+// team-shared channel.
 type centralBarrier struct {
 	size int
 
-	mu    sync.Mutex
-	count int
-	gate  chan struct{}
+	mu      sync.Mutex
+	count   int
+	gate    chan struct{}
+	aborted bool
 }
 
 func newCentralBarrier(size int) *centralBarrier {
 	return &centralBarrier{size: size, gate: make(chan struct{})}
 }
 
-func (b *centralBarrier) Wait(_ int, abort <-chan struct{}, onRelease func()) bool {
+func (b *centralBarrier) Wait(_ int, onRelease func()) bool {
 	if b.size <= 1 {
 		if onRelease != nil {
 			onRelease()
@@ -70,6 +74,10 @@ func (b *centralBarrier) Wait(_ int, abort <-chan struct{}, onRelease func()) bo
 		return true
 	}
 	b.mu.Lock()
+	if b.aborted {
+		b.mu.Unlock()
+		return false
+	}
 	b.count++
 	if b.count == b.size {
 		b.count = 0
@@ -83,13 +91,21 @@ func (b *centralBarrier) Wait(_ int, abort <-chan struct{}, onRelease func()) bo
 	}
 	gate := b.gate
 	b.mu.Unlock()
-	// A receive from a nil abort blocks forever, so the select degrades to
-	// the plain gate wait when cancellation is not in play.
-	select {
-	case <-gate:
-	case <-abort:
-	}
+	<-gate
 	return false
+}
+
+// abort opens the current episode's gate and latches. Under b.mu it
+// cannot interleave with a last arrival: either that arrival already
+// replaced the gate (and abort closes the next episode's), or it comes
+// after and sees aborted.
+func (b *centralBarrier) abort() {
+	b.mu.Lock()
+	if !b.aborted {
+		b.aborted = true
+		close(b.gate)
+	}
+	b.mu.Unlock()
 }
 
 // treeBarrier: threads combine pairwise up a binary tree rooted at thread
@@ -101,6 +117,9 @@ type treeBarrier struct {
 	size    int
 	arrive  []chan struct{} // child -> parent notification, one per thread
 	release []chan struct{} // parent -> child release, one per thread
+
+	abortCh   chan struct{} // closed once by abort
+	abortOnce sync.Once
 }
 
 func newTreeBarrier(size int) *treeBarrier {
@@ -108,6 +127,7 @@ func newTreeBarrier(size int) *treeBarrier {
 		size:    size,
 		arrive:  make([]chan struct{}, size),
 		release: make([]chan struct{}, size),
+		abortCh: make(chan struct{}),
 	}
 	for i := range b.arrive {
 		b.arrive[i] = make(chan struct{}, 1)
@@ -116,7 +136,13 @@ func newTreeBarrier(size int) *treeBarrier {
 	return b
 }
 
-func (b *treeBarrier) Wait(tid int, abort <-chan struct{}, onRelease func()) bool {
+// abort closes the barrier's own abort channel, which every step of Wait
+// selects against.
+func (b *treeBarrier) abort() {
+	b.abortOnce.Do(func() { close(b.abortCh) })
+}
+
+func (b *treeBarrier) Wait(tid int, onRelease func()) bool {
 	if b.size <= 1 {
 		if onRelease != nil {
 			onRelease()
@@ -126,7 +152,8 @@ func (b *treeBarrier) Wait(tid int, abort <-chan struct{}, onRelease func()) boo
 	// Collect arrivals from both children, then notify the parent and wait
 	// for the downstream release. Every step — receives and sends alike —
 	// selects against abort, so a canceled team cannot strand a thread at
-	// any rung of the tree (a nil abort never fires and costs nothing).
+	// any rung of the tree.
+	abort := b.abortCh
 	left, right := 2*tid+1, 2*tid+2
 	if left < b.size {
 		select {

@@ -76,10 +76,9 @@ func canceledErr(cause error) error {
 type teamUnwind struct{}
 
 // cancel tears the region down: it records the first cause, flips the
-// cancellation flag, closes the abort channel every barrier wait selects
-// on, and wakes threads parked in task idle-waits or ordered-section
-// waits so they reach a cancellation point. Idempotent; only the first
-// cause is kept.
+// cancellation flag, aborts the team barrier, and wakes threads parked in
+// task idle-waits or ordered-section waits so they reach a cancellation
+// point. Idempotent; only the first cause is kept.
 func (t *Team) cancel(cause error) {
 	t.cancelMu.Lock()
 	if t.cancelFlag.Load() {
@@ -88,10 +87,10 @@ func (t *Team) cancel(cause error) {
 	}
 	t.cancelErr = cause
 	t.poisoned = true
-	// Order matters: the flag must be observable before the channel close
+	// Order matters: the flag must be observable before the abort
 	// releases barrier waiters, so an unblocked thread's checkCancel fires.
 	t.cancelFlag.Store(true)
-	close(t.cancelCh)
+	t.barrier.abort()
 	t.cancelMu.Unlock()
 
 	t.rt.stats.Cancels.Add(1)
@@ -143,9 +142,9 @@ func (t *Team) wakeOrdered() {
 
 // arm readies the team's cancellation state for a new region. It runs on
 // the forking goroutine before any worker is dispatched; the dispatch
-// handoff publishes the fresh channel.
+// handoff publishes it. A team that was canceled arrives here already
+// rebuilt by reset, barrier included.
 func (t *Team) arm() {
-	t.cancelCh = make(chan struct{})
 	t.cancelErr = nil
 	t.poisoned = false
 	t.cancelFlag.Store(false)

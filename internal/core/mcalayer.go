@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"openmpmca/internal/mrapi"
@@ -55,9 +57,13 @@ type MCALayer struct {
 	sys    *mrapi.System
 	master *mrapi.Node
 
+	// nodes maps worker id -> node (0 = master, <0 = leased caller). It
+	// is an immutable snapshot, replaced whole under mu, so the lock path
+	// resolves a node without touching mu.
+	nodes atomic.Pointer[map[int]*mrapi.Node]
+
 	mu        sync.Mutex
-	nodes     map[int]*mrapi.Node // worker id -> node (0 = master, <0 = leased caller)
-	callers   []*mrapi.Node       // lazily registered caller nodes, finalized at Close
+	callers   []*mrapi.Node // lazily registered caller nodes, finalized at Close
 	nextShmem mrapi.Key
 	nextMutex mrapi.Key
 	shmems    map[*byte]*mcaAlloc // live allocations, keyed by base pointer
@@ -93,15 +99,27 @@ func NewMCALayer(sys *mrapi.System, opts ...MCAOption) (*MCALayer, error) {
 	l := &MCALayer{
 		sys:       sys,
 		master:    master,
-		nodes:     map[int]*mrapi.Node{0: master},
 		nextShmem: mcaShmemBase,
 		nextMutex: mcaMutexBase,
 		shmems:    make(map[*byte]*mcaAlloc),
 	}
+	l.nodes.Store(&map[int]*mrapi.Node{0: master})
 	for _, o := range opts {
 		o(l)
 	}
 	return l, nil
+}
+
+// setNodeLocked publishes a copy of the node snapshot with wid bound to n,
+// or removed when n is nil. Callers hold l.mu.
+func (l *MCALayer) setNodeLocked(wid int, n *mrapi.Node) {
+	next := maps.Clone(*l.nodes.Load())
+	if n != nil {
+		next[wid] = n
+	} else {
+		delete(next, wid)
+	}
+	l.nodes.Store(&next)
 }
 
 // Name implements ThreadLayer.
@@ -127,7 +145,7 @@ func (l *MCALayer) StartWorker(wid int, loop func()) (Worker, error) {
 		return nil, fmt.Errorf("core: initializing MRAPI node for worker %d: %w", wid, err)
 	}
 	l.mu.Lock()
-	l.nodes[wid] = node
+	l.setNodeLocked(wid, node)
 	l.mu.Unlock()
 
 	th, err := node.SpawnThread(mrapi.ThreadParams{
@@ -154,7 +172,7 @@ type mcaWorker struct {
 func (w *mcaWorker) Join() {
 	w.thread.Join()
 	w.layer.mu.Lock()
-	delete(w.layer.nodes, w.wid)
+	w.layer.setNodeLocked(w.wid, nil)
 	w.layer.mu.Unlock()
 	_ = w.node.Finalize()
 }
@@ -170,16 +188,15 @@ func (w *mcaWorker) Join() {
 // nodes are registered in the domain database lazily on first lock use
 // and finalized at Close.
 func (l *MCALayer) node(wid int) *mrapi.Node {
-	l.mu.Lock()
-	if n, ok := l.nodes[wid]; ok {
-		l.mu.Unlock()
+	if n, ok := (*l.nodes.Load())[wid]; ok {
 		return n
 	}
-	if wid >= 0 || l.closed {
-		l.mu.Unlock()
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if wid >= 0 || closed {
 		return l.master
 	}
-	l.mu.Unlock()
 	n, err := l.sys.Initialize(MCADomain, mcaCallerBase+mrapi.NodeID(-wid), &mrapi.NodeAttributes{
 		Name:     fmt.Sprintf("omp-caller-%d", -wid),
 		Affinity: -1,
@@ -193,7 +210,7 @@ func (l *MCALayer) node(wid int) *mrapi.Node {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if raced, ok := l.nodes[wid]; ok {
+	if raced, ok := (*l.nodes.Load())[wid]; ok {
 		// Another goroutine registered this id first; ours is redundant.
 		_ = n.Finalize()
 		return raced
@@ -202,7 +219,7 @@ func (l *MCALayer) node(wid int) *mrapi.Node {
 		_ = n.Finalize()
 		return l.master
 	}
-	l.nodes[wid] = n
+	l.setNodeLocked(wid, n)
 	l.callers = append(l.callers, n)
 	return n
 }
@@ -358,6 +375,8 @@ func (l *MCALayer) Close() error {
 		return nil
 	}
 	l.closed = true
+	// An empty snapshot sends every later lookup to the master fallback.
+	l.nodes.Store(&map[int]*mrapi.Node{})
 	shmems := l.shmems
 	mutexes := l.mutexes
 	callers := l.callers

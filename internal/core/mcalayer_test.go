@@ -165,6 +165,30 @@ func TestMCALayerDistinctWorkersCanContend(t *testing.T) {
 	}
 }
 
+// TestMCACriticalAllocs is a count guard: entering a known critical
+// section through the MCA layer uncontended — name lookup, node lookup,
+// MRAPI lock and unlock — allocates nothing.
+func TestMCACriticalAllocs(t *testing.T) {
+	rt, err := New(WithLayer(newMCA(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	count := 0
+	if err := rt.ParallelN(1, func(c *Context) {
+		fn := func() { count++ }
+		c.Critical(fn) // first entry creates the section's mutex
+		if n := testing.AllocsPerRun(200, func() { c.Critical(fn) }); n != 0 {
+			t.Errorf("uncontended MCA Critical allocates %.1f objects, want 0", n)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count == 0 {
+		t.Error("critical body never ran")
+	}
+}
+
 func TestMCALayerInsideHypervisorPartition(t *testing.T) {
 	// §4A put to work: an OpenMP runtime deployed in one hypervisor
 	// partition must size itself to the partition's CPUs, not the board's.

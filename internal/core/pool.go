@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // pool keeps the persistent worker threads the runtime forks teams from —
 // the paper's thread-pool reuse argument (§5B1): nodes and their threads
@@ -24,7 +21,7 @@ type pool struct {
 	layer ThreadLayer
 
 	mu     sync.Mutex
-	free   []*poolWorker // parked workers available for acquisition
+	free   []*poolWorker // parked workers, ordered by descending wid
 	all    []*poolWorker // every worker ever started (for close/join)
 	closed bool
 }
@@ -59,7 +56,6 @@ func (p *pool) acquire(k int) ([]*poolWorker, error) {
 	}
 	ws := make([]*poolWorker, 0, k)
 	if take := min(k, len(p.free)); take > 0 {
-		sort.Slice(p.free, func(i, j int) bool { return p.free[i].wid > p.free[j].wid })
 		for i := 0; i < take; i++ {
 			ws = append(ws, p.free[len(p.free)-1-i])
 		}
@@ -76,7 +72,7 @@ func (p *pool) acquire(k int) ([]*poolWorker, error) {
 		if err != nil {
 			// Hand the already-reserved workers back; the fresh one never
 			// started and owns no resources.
-			p.free = append(p.free, ws...)
+			p.parkLocked(ws)
 			return nil, err
 		}
 		w.handle = handle
@@ -132,7 +128,24 @@ func (p *pool) release(ws []*poolWorker) {
 	if p.closed {
 		return
 	}
-	p.free = append(p.free, ws...)
+	p.parkLocked(ws)
+}
+
+// parkLocked inserts ws into the free list, keeping it ordered by
+// descending wid so acquire pops the lowest wids off its tail. ws comes in
+// ascending order, so inserting from its end usually just appends.
+// Callers hold p.mu.
+func (p *pool) parkLocked(ws []*poolWorker) {
+	for k := len(ws) - 1; k >= 0; k-- {
+		w := ws[k]
+		i := len(p.free)
+		p.free = append(p.free, w)
+		for i > 0 && p.free[i-1].wid < w.wid {
+			p.free[i] = p.free[i-1]
+			i--
+		}
+		p.free[i] = w
+	}
 }
 
 // close shuts down every worker and joins them. The jobs channels are

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -109,8 +110,11 @@ type Runtime struct {
 	icvMu sync.Mutex
 	icv   ICV
 
+	// criticals maps critical-section names to their mutexes: an
+	// immutable snapshot, replaced whole under critMu when a new name
+	// first appears, so entering a known section takes no runtime lock.
 	critMu    sync.Mutex
-	criticals map[string]RuntimeMutex
+	criticals atomic.Pointer[map[string]RuntimeMutex]
 
 	// Warm-team cache (lease.go).
 	teamLease bool
@@ -265,7 +269,6 @@ func WithEnv(getenv func(string) string) Option {
 func New(opts ...Option) (*Runtime, error) {
 	r := &Runtime{
 		monitor:   nopMonitor{},
-		criticals: make(map[string]RuntimeMutex),
 		teamLease: true,
 		leases:    make(map[int][]*Team),
 		epoch:     time.Now(),
@@ -278,6 +281,7 @@ func New(opts ...Option) (*Runtime, error) {
 	if r.layer == nil {
 		r.layer = NewNativeLayer(0)
 	}
+	r.criticals.Store(&map[string]RuntimeMutex{})
 	if r.maxRegions > 0 {
 		r.admitSem = make(chan struct{}, r.maxRegions)
 	}
@@ -553,19 +557,24 @@ func (r *Runtime) ParallelForRange(n int, body func(lo, hi int)) error {
 // criticalMutex returns the mutex backing the named critical section,
 // creating it through the thread layer on first use.
 func (r *Runtime) criticalMutex(name string) RuntimeMutex {
+	if m, ok := (*r.criticals.Load())[name]; ok {
+		return m
+	}
 	r.critMu.Lock()
 	defer r.critMu.Unlock()
-	m, ok := r.criticals[name]
-	if !ok {
-		var err error
-		m, err = r.layer.NewMutex()
-		if err != nil {
-			// Mirrors gomp_fatal: the runtime cannot continue without its
-			// synchronization primitive.
-			panic(fmt.Sprintf("core: creating critical-section mutex: %v", err))
-		}
-		r.criticals[name] = m
+	old := *r.criticals.Load()
+	if m, ok := old[name]; ok {
+		return m
 	}
+	m, err := r.layer.NewMutex()
+	if err != nil {
+		// Mirrors gomp_fatal: the runtime cannot continue without its
+		// synchronization primitive.
+		panic(fmt.Sprintf("core: creating critical-section mutex: %v", err))
+	}
+	next := maps.Clone(old)
+	next[name] = m
+	r.criticals.Store(&next)
 	return m
 }
 

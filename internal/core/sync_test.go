@@ -55,10 +55,7 @@ func TestCriticalSameNameAcrossRegions(t *testing.T) {
 		t.Errorf("counter = %d, want 1200", counter)
 	}
 	// Only one mutex may have been created for the unnamed section.
-	rt.critMu.Lock()
-	n := len(rt.criticals)
-	rt.critMu.Unlock()
-	if n != 1 {
+	if n := len(*rt.criticals.Load()); n != 1 {
 		t.Errorf("criticals map has %d entries, want 1", n)
 	}
 }

@@ -19,6 +19,9 @@ type Team struct {
 	size int
 
 	barrier teamBarrier
+	// onBarrier is the barrier's onRelease hook, built once so that a
+	// barrier episode allocates nothing beyond its gate.
+	onBarrier func()
 	// shmem is the team's runtime-allocated bookkeeping block; it comes
 	// from the thread layer (MRAPI shared memory under MCALayer).
 	shmem []byte
@@ -38,10 +41,9 @@ type Team struct {
 	idleCond    *sync.Cond
 
 	// Region cancellation state (see cancel.go), re-armed per lease.
-	// cancelCh is closed exactly once per canceled region; barrier waits
-	// select on it. poisoned marks a team whose region ended abnormally
-	// and whose structures must be rebuilt before reuse.
-	cancelCh   chan struct{}
+	// Cancellation aborts the barrier in place (teamBarrier.abort).
+	// poisoned marks a team whose region ended abnormally and whose
+	// structures must be rebuilt before reuse.
 	cancelFlag atomic.Bool
 	cancelMu   sync.Mutex
 	cancelErr  error
@@ -66,6 +68,10 @@ func newTeam(rt *Runtime, size int) (*Team, error) {
 	}
 	t.deques = newTaskDequeSlab(ndeques, dequeCapacity)
 	t.idleCond = sync.NewCond(&t.idleMu)
+	t.onBarrier = func() {
+		rt.monitor.Barrier()
+		rt.stats.Barriers.Add(1)
+	}
 	t.arm()
 	return t, nil
 }
@@ -159,10 +165,7 @@ func (c *Context) Charge(units float64) {
 func (c *Context) Barrier() {
 	t := c.team
 	t.checkCancel()
-	t.barrier.Wait(c.tid, t.cancelCh, func() {
-		t.rt.monitor.Barrier()
-		t.rt.stats.Barriers.Add(1)
-	})
+	t.barrier.Wait(c.tid, t.onBarrier)
 	t.checkCancel()
 }
 

@@ -1,6 +1,9 @@
 package mrapi
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // MutexAttributes configure a mutex at creation (mrapi_mutex_init_attributes).
 type MutexAttributes struct {
@@ -17,18 +20,31 @@ type LockKey uint32
 // Mutex is an MRAPI mutex: a domain-wide, key-addressed mutual-exclusion
 // primitive with optional recursion and timed acquisition. It is the
 // primitive the paper maps gomp_mutex_lock onto (Listing 4).
+//
+// Ownership lives in one atomic word. An uncontended non-recursive
+// Lock is a CAS of owner from nil to the node, and its Unlock a CAS back
+// plus a load of waiting; everything else — recursion and lock keys,
+// self-deadlock detection, timeouts, parking, delete — runs on the slow
+// path under mu. A slow-path locker counts itself in waiting before it
+// looks at owner, and a fast unlocker clears owner before it looks at
+// waiting, so one of the two always sees the other and no wakeup is
+// lost.
 type Mutex struct {
 	domain *Domain
 	key    Key
 	attrs  MutexAttributes
 
+	owner   atomic.Pointer[Node] // nil = free, mutexDeleted once deleted
+	waiting atomic.Int32         // lockers inside the slow path
+
 	mu      sync.Mutex
-	held    bool
-	owner   *Node
-	depth   uint32 // recursion depth while held
-	deleted bool
+	depth   uint32 // recursion depth while held (recursive mutexes only)
 	waiters waitQueue
 }
+
+// mutexDeleted is the owner word of a deleted mutex: no node can CAS it
+// from nil, so a deleted mutex always takes the slow path.
+var mutexDeleted = new(Node)
 
 // MutexCreate registers a new mutex under key in the domain's global
 // database (mrapi_mutex_create). The creating node must be initialized.
@@ -84,38 +100,43 @@ func (m *Mutex) Lock(node *Node, timeout Timeout) (LockKey, error) {
 	if err := node.checkLive(); err != nil {
 		return 0, err
 	}
+	if !m.attrs.Recursive && m.owner.CompareAndSwap(nil, node) {
+		node.locksTaken.Add(1)
+		return 0, nil
+	}
+	return m.lockSlow(node, timeout)
+}
 
+func (m *Mutex) lockSlow(node *Node, timeout Timeout) (LockKey, error) {
 	m.mu.Lock()
+	m.waiting.Add(1)
+	defer func() {
+		m.waiting.Add(-1)
+		m.mu.Unlock()
+	}()
 	for {
-		if m.deleted {
-			m.mu.Unlock()
+		switch o := m.owner.Load(); o {
+		case mutexDeleted:
 			return 0, ErrMutexDeleted
-		}
-		if !m.held {
-			m.held = true
-			m.owner = node
+		case nil:
+			if !m.owner.CompareAndSwap(nil, node) {
+				continue // a fast-path locker won the race
+			}
 			m.depth = 1
-			m.mu.Unlock()
 			node.locksTaken.Add(1)
-			return LockKey(0), nil
-		}
-		if m.owner == node {
+			return 0, nil
+		case node:
 			if !m.attrs.Recursive {
-				m.mu.Unlock()
 				return 0, ErrMutexLocked
 			}
 			m.depth++
-			k := LockKey(m.depth - 1)
-			m.mu.Unlock()
 			node.locksTaken.Add(1)
-			return k, nil
+			return LockKey(m.depth - 1), nil
 		}
 		if timeout == TimeoutImmediate {
-			m.mu.Unlock()
 			return 0, ErrTimeout
 		}
 		if st := m.waiters.wait(&m.mu, timeout); st != Success {
-			m.mu.Unlock()
 			return 0, st
 		}
 	}
@@ -132,35 +153,50 @@ func (m *Mutex) Unlock(node *Node, key LockKey) error {
 	if err := node.checkLive(); err != nil {
 		return err
 	}
+	if !m.attrs.Recursive && key == 0 && m.owner.CompareAndSwap(node, nil) {
+		if m.waiting.Load() > 0 {
+			m.mu.Lock()
+			m.waiters.signalLocked()
+			m.mu.Unlock()
+		}
+		return nil
+	}
+	return m.unlockSlow(node, key)
+}
 
+func (m *Mutex) unlockSlow(node *Node, key LockKey) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.deleted {
+	switch m.owner.Load() {
+	case mutexDeleted:
 		return ErrMutexDeleted
-	}
-	if !m.held {
+	case nil:
 		return ErrMutexNotLocked
-	}
-	if m.owner != node {
+	case node:
+	default:
 		return ErrMutexKey
 	}
-	if uint32(key) != m.depth-1 {
+	depth := uint32(1)
+	if m.attrs.Recursive {
+		depth = m.depth
+	}
+	if uint32(key) != depth-1 {
 		return ErrMutexLockOrder
 	}
-	m.depth--
-	if m.depth == 0 {
-		m.held = false
-		m.owner = nil
-		m.waiters.signalLocked()
+	if depth > 1 {
+		m.depth--
+		return nil
 	}
+	m.owner.Store(nil)
+	m.waiters.signalLocked()
 	return nil
 }
 
-// Held reports whether the mutex is currently locked (diagnostic).
+// Held reports whether the mutex is currently locked (diagnostic). A
+// deleted mutex is not held.
 func (m *Mutex) Held() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.held
+	o := m.owner.Load()
+	return o != nil && o != mutexDeleted
 }
 
 // Delete removes the mutex from the domain database (mrapi_mutex_delete).
@@ -171,15 +207,22 @@ func (m *Mutex) Delete(node *Node) error {
 		return err
 	}
 	m.mu.Lock()
-	if m.deleted {
-		m.mu.Unlock()
-		return ErrMutexInvalid
+	for {
+		o := m.owner.Load()
+		if o == mutexDeleted {
+			m.mu.Unlock()
+			return ErrMutexInvalid
+		}
+		if o != nil && o != node {
+			m.mu.Unlock()
+			return ErrMutexLocked
+		}
+		// A fast-path locker may take a free mutex under us; then the
+		// CAS fails and the loop re-reads the new owner.
+		if m.owner.CompareAndSwap(o, mutexDeleted) {
+			break
+		}
 	}
-	if m.held && m.owner != node {
-		m.mu.Unlock()
-		return ErrMutexLocked
-	}
-	m.deleted = true
 	m.waiters.broadcastLocked()
 	m.mu.Unlock()
 

@@ -2,6 +2,7 @@ package mrapi
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -250,5 +251,142 @@ func TestMutexLockCountsStat(t *testing.T) {
 	_ = m.Unlock(a, k)
 	if a.LocksTaken() != before+1 {
 		t.Errorf("LocksTaken = %d, want %d", a.LocksTaken(), before+1)
+	}
+}
+
+// TestMutexFastSlowMix runs nodes that mix every acquisition mode against
+// one plain and one recursive mutex, so CAS fast-path owners hand off to
+// slow-path waiters and back: infinite, timed and immediate locks, a
+// same-node relock (ErrMutexLocked while held), and recursive keys. It
+// ends by deleting the plain mutex under parked waiters.
+func TestMutexFastSlowMix(t *testing.T) {
+	sys := NewSystem(nil)
+	const nodes, iters = 4, 400
+	ns := make([]*Node, nodes)
+	for i := range ns {
+		n, err := sys.Initialize(1, NodeID(i+1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns[i] = n
+	}
+	plain, _ := ns[0].MutexCreate(1, nil)
+	rec, _ := ns[0].MutexCreate(2, &MutexAttributes{Recursive: true})
+
+	var counter, recCounter int // guarded by plain and rec
+	wins := make([]int, nodes)
+	recWins := make([]int, nodes)
+	var wg sync.WaitGroup
+	for i, n := range ns {
+		wg.Add(1)
+		go func(i int, n *Node) {
+			defer wg.Done()
+			for j := 0; j < iters; j++ {
+				timeout := []Timeout{TimeoutInfinite, Timeout(time.Second), TimeoutImmediate}[(i+j)%3]
+				k, err := plain.Lock(n, timeout)
+				switch {
+				case errors.Is(err, ErrTimeout) && timeout != TimeoutInfinite:
+					// lost the race for a bounded lock: nothing to undo
+				case err != nil:
+					t.Errorf("node %d: Lock(%v): %v", i, timeout, err)
+					return
+				default:
+					if j%7 == 0 {
+						if _, err := plain.Lock(n, TimeoutImmediate); !errors.Is(err, ErrMutexLocked) {
+							t.Errorf("node %d: same-node relock = %v, want ErrMutexLocked", i, err)
+						}
+					}
+					v := counter
+					if j%16 == 0 {
+						runtime.Gosched() // widen the window a broken lock would lose an update in
+					}
+					counter = v + 1
+					wins[i]++
+					if err := plain.Unlock(n, k); err != nil {
+						t.Errorf("node %d: Unlock: %v", i, err)
+						return
+					}
+				}
+
+				k0, err := rec.Lock(n, TimeoutInfinite)
+				if err != nil {
+					t.Errorf("node %d: recursive Lock: %v", i, err)
+					return
+				}
+				k1, err := rec.Lock(n, TimeoutImmediate)
+				if err != nil {
+					t.Errorf("node %d: recursive relock: %v", i, err)
+					return
+				}
+				if err := rec.Unlock(n, k0); !errors.Is(err, ErrMutexLockOrder) {
+					t.Errorf("node %d: out-of-order unlock = %v, want ErrMutexLockOrder", i, err)
+				}
+				recCounter++
+				recWins[i]++
+				if err := rec.Unlock(n, k1); err != nil {
+					t.Errorf("node %d: recursive Unlock(k1): %v", i, err)
+				}
+				if err := rec.Unlock(n, k0); err != nil {
+					t.Errorf("node %d: recursive Unlock(k0): %v", i, err)
+				}
+			}
+		}(i, n)
+	}
+	wg.Wait()
+	total, recTotal := 0, 0
+	for i := range wins {
+		total += wins[i]
+		recTotal += recWins[i]
+	}
+	if total == 0 || counter != total {
+		t.Errorf("plain counter = %d, want %d acquisitions (lost updates)", counter, total)
+	}
+	if recCounter != recTotal || recTotal != nodes*iters {
+		t.Errorf("recursive counter = %d over %d acquisitions, want %d", recCounter, recTotal, nodes*iters)
+	}
+	if plain.Held() || rec.Held() {
+		t.Error("mutexes still held after every node unwound")
+	}
+
+	// Delete while waiters are parked: node 0 holds the plain mutex and
+	// deletes it under the other nodes; every waiter wakes with
+	// ErrMutexDeleted and the deleted mutex refuses the owner's unlock, a
+	// fresh lock and a second delete.
+	k, err := plain.Lock(ns[0], TimeoutInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	woke := make(chan error, nodes-1)
+	for _, n := range ns[1:] {
+		go func(n *Node) {
+			_, err := plain.Lock(n, TimeoutInfinite)
+			woke <- err
+		}(n)
+	}
+	for {
+		plain.mu.Lock()
+		parked := plain.waiters.len()
+		plain.mu.Unlock()
+		if parked == nodes-1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	if err := plain.Delete(ns[0]); err != nil {
+		t.Fatalf("Delete by owner: %v", err)
+	}
+	for range ns[1:] {
+		if err := <-woke; !errors.Is(err, ErrMutexDeleted) {
+			t.Errorf("parked waiter = %v, want ErrMutexDeleted", err)
+		}
+	}
+	if err := plain.Unlock(ns[0], k); !errors.Is(err, ErrMutexDeleted) {
+		t.Errorf("unlock after delete = %v, want ErrMutexDeleted", err)
+	}
+	if _, err := plain.Lock(ns[1], TimeoutImmediate); !errors.Is(err, ErrMutexDeleted) {
+		t.Errorf("lock after delete = %v, want ErrMutexDeleted", err)
+	}
+	if err := plain.Delete(ns[0]); !errors.Is(err, ErrMutexInvalid) {
+		t.Errorf("second delete = %v, want ErrMutexInvalid", err)
 	}
 }

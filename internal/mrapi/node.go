@@ -41,10 +41,14 @@ type Node struct {
 	id     NodeID
 	attrs  NodeAttributes
 
-	mu          sync.Mutex
-	initialized bool
-	threads     map[uint64]*NodeThread
-	nextThread  uint64
+	// live is the node's initialized state. Finalize clears it under mu,
+	// so SpawnThread (which checks it under mu) cannot register a thread
+	// Finalize would miss; checkLive, which guards every resource
+	// operation, reads it without a lock.
+	live       atomic.Bool
+	mu         sync.Mutex
+	threads    map[uint64]*NodeThread
+	nextThread uint64
 
 	// statistics, updated atomically
 	locksTaken   atomic.Uint64
@@ -63,12 +67,12 @@ func (s *System) Initialize(domainID DomainID, nodeID NodeID, attrs *NodeAttribu
 	}
 
 	n := &Node{
-		domain:      d,
-		id:          nodeID,
-		attrs:       a,
-		initialized: true,
-		threads:     make(map[uint64]*NodeThread),
+		domain:  d,
+		id:      nodeID,
+		attrs:   a,
+		threads: make(map[uint64]*NodeThread),
 	}
+	n.live.Store(true)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -84,11 +88,11 @@ func (s *System) Initialize(domainID DomainID, nodeID NodeID, attrs *NodeAttribu
 // use of the node yields ErrNodeNotInit.
 func (n *Node) Finalize() error {
 	n.mu.Lock()
-	if !n.initialized {
+	if !n.live.Load() {
 		n.mu.Unlock()
 		return ErrNodeNotInit
 	}
-	n.initialized = false
+	n.live.Store(false)
 	threads := make([]*NodeThread, 0, len(n.threads))
 	for _, t := range n.threads {
 		threads = append(threads, t)
@@ -107,11 +111,7 @@ func (n *Node) Finalize() error {
 }
 
 // Initialized reports whether the node is live (mrapi_initialized).
-func (n *Node) Initialized() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.initialized
-}
+func (n *Node) Initialized() bool { return n.live.Load() }
 
 // ID returns the node's identifier (mrapi_node_id_get).
 func (n *Node) ID() NodeID { return n.id }
@@ -134,9 +134,7 @@ func (n *Node) String() string {
 // resource operation calls this first, matching the guard in the paper's
 // Listing 2 (mrapi_impl_initialized()).
 func (n *Node) checkLive() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.initialized {
+	if !n.live.Load() {
 		return ErrNodeNotInit
 	}
 	return nil
@@ -185,7 +183,7 @@ func (n *Node) SpawnThread(params ThreadParams) (*NodeThread, error) {
 		return nil, ErrParameter
 	}
 	n.mu.Lock()
-	if !n.initialized {
+	if !n.live.Load() {
 		n.mu.Unlock()
 		return nil, ErrNodeNotInit
 	}
