@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // teamBarrier is a reusable synchronization barrier for a fixed-size team.
 // Two implementations exist so the ablation bench can compare them:
@@ -47,23 +50,25 @@ func newBarrier(kind BarrierKind, size int) teamBarrier {
 	return newCentralBarrier(size)
 }
 
-// centralBarrier: each arrival increments a counter under a mutex; the
-// last arrival opens the episode's broadcast channel. Channels are
-// replaced per episode so the barrier is reusable and insensitive to
-// stragglers from the previous episode. A parked thread waits on the gate
-// alone: abort closes the same gate, so no wait selects on a second,
-// team-shared channel.
+// centralBarrier: each arrival increments an atomic counter; the last
+// arrival resets it, runs onRelease and bumps the generation word, which
+// is what every other thread of the episode waits on (waitCell's
+// yield-then-park). Nothing is allocated per episode. abort latches a flag
+// the waiters' predicate also reads, so a parked thread waits on one cell,
+// never on a second, team-shared channel.
 type centralBarrier struct {
 	size int
 
-	mu      sync.Mutex
-	count   int
-	gate    chan struct{}
-	aborted bool
+	arrived atomic.Int32
+	gen     atomic.Uint32
+	aborted atomic.Bool
+	wait    waitCell
 }
 
 func newCentralBarrier(size int) *centralBarrier {
-	return &centralBarrier{size: size, gate: make(chan struct{})}
+	b := &centralBarrier{size: size}
+	b.wait.init()
+	return b
 }
 
 func (b *centralBarrier) Wait(_ int, onRelease func()) bool {
@@ -73,39 +78,35 @@ func (b *centralBarrier) Wait(_ int, onRelease func()) bool {
 		}
 		return true
 	}
-	b.mu.Lock()
-	if b.aborted {
-		b.mu.Unlock()
+	if b.aborted.Load() {
 		return false
 	}
-	b.count++
-	if b.count == b.size {
-		b.count = 0
+	// The generation cannot move before this thread arrives, so the value
+	// read here is this episode's.
+	gen := b.gen.Load()
+	if b.arrived.Add(1) == int32(b.size) {
+		// The counter is reset before the release: no thread can arrive
+		// at the next episode until the generation moves.
+		b.arrived.Store(0)
+		if b.aborted.Load() {
+			return false
+		}
 		if onRelease != nil {
 			onRelease()
 		}
-		close(b.gate)
-		b.gate = make(chan struct{})
-		b.mu.Unlock()
+		b.gen.Add(1)
+		b.wait.wake()
 		return true
 	}
-	gate := b.gate
-	b.mu.Unlock()
-	<-gate
+	b.wait.await(func() bool { return b.gen.Load() != gen || b.aborted.Load() })
 	return false
 }
 
-// abort opens the current episode's gate and latches. Under b.mu it
-// cannot interleave with a last arrival: either that arrival already
-// replaced the gate (and abort closes the next episode's), or it comes
-// after and sees aborted.
+// abort latches and wakes every parked waiter; a waiter's predicate reads
+// the latch, so an abort racing a park is never lost (waitCell.wake).
 func (b *centralBarrier) abort() {
-	b.mu.Lock()
-	if !b.aborted {
-		b.aborted = true
-		close(b.gate)
-	}
-	b.mu.Unlock()
+	b.aborted.Store(true)
+	b.wait.wake()
 }
 
 // treeBarrier: threads combine pairwise up a binary tree rooted at thread

@@ -140,29 +140,20 @@ func (t *Team) wakeOrdered() {
 	}
 }
 
-// arm readies the team's cancellation state for a new region. It runs on
-// the forking goroutine before any worker is dispatched; the dispatch
-// handoff publishes it. A team that was canceled arrives here already
-// rebuilt by reset, barrier included.
-func (t *Team) arm() {
-	t.cancelErr = nil
-	t.poisoned = false
-	t.cancelFlag.Store(false)
-}
-
 // reset rebuilds the coordination structures of a team whose region ended
-// abnormally — a barrier abandoned mid-episode or deques still holding
-// canceled tasks are not safe to reuse — making the team leasable again.
+// abnormally — a barrier abandoned mid-episode, deques still holding
+// canceled tasks, workshare records and implicit task groups still
+// counting work that will never finish are not safe to reuse — making the
+// team leasable again.
 func (t *Team) reset() {
 	t.barrier = newBarrier(t.rt.barrierKind, t.size)
-	ndeques := t.size
-	if t.rt.taskQueue == TaskQueueShared {
-		ndeques = 1
+	t.deques = newTaskDequeSlab(t.ndeques(), dequeCapacity)
+	clear(t.ws)
+	t.ws = t.ws[:0]
+	for i := range t.implicit {
+		t.implicit[i].pending.Store(0)
 	}
-	t.deques = newTaskDequeSlab(ndeques, dequeCapacity)
-	t.ws = make(map[int]*workshare)
 	t.queued.Store(0)
 	t.outstanding.Store(0)
-	t.idlers.Store(0)
 	t.poisoned = false
 }

@@ -24,11 +24,11 @@ const dequeCapacity = 256
 // lives; see DESIGN.md §"Task scheduler".
 type taskDeque struct {
 	mu   sync.Mutex
-	buf  []*task
-	cap  int // hard bound; buf grows lazily toward it
-	head int // oldest element; next steal target
-	tail int // next push slot
-	n    int // live elements
+	buf  []task // held by value: a queued task allocates nothing
+	cap  int    // hard bound; buf grows lazily toward it
+	head int    // oldest element; next steal target
+	tail int    // next push slot
+	n    int    // live elements
 
 	// pad spaces adjacent deques of a team's slab onto distinct cache
 	// lines so one worker's push/pop does not false-share with its
@@ -38,7 +38,7 @@ type taskDeque struct {
 
 // dequeInitialSize keeps team construction cheap: a region's deques start
 // with no ring at all; the first push allocates this much, and only deques
-// that see deep task nests grow toward dequeCapacity. 32 slots (256 bytes)
+// that see deep task nests grow toward dequeCapacity. 32 slots (512 bytes)
 // absorbs typical per-thread task batches in one allocation.
 const dequeInitialSize = 32
 
@@ -63,7 +63,7 @@ func newTaskDeque(capacity int) *taskDeque {
 
 // pushTail appends tk at the tail; it reports false when the deque is full
 // and the caller must run the task undeferred.
-func (d *taskDeque) pushTail(tk *task) bool {
+func (d *taskDeque) pushTail(tk task) bool {
 	d.mu.Lock()
 	if d.n == len(d.buf) {
 		if d.n == d.cap {
@@ -79,34 +79,34 @@ func (d *taskDeque) pushTail(tk *task) bool {
 	return true
 }
 
-// popTail removes and returns the newest task, or nil when empty.
-func (d *taskDeque) popTail() *task {
+// popTail removes and returns the newest task; ok is false when empty.
+func (d *taskDeque) popTail() (tk task, ok bool) {
 	d.mu.Lock()
 	if d.n == 0 {
 		d.mu.Unlock()
-		return nil
+		return task{}, false
 	}
 	d.tail = (d.tail - 1 + len(d.buf)) % len(d.buf)
-	tk := d.buf[d.tail]
-	d.buf[d.tail] = nil
+	tk = d.buf[d.tail]
+	d.buf[d.tail] = task{} // drop the closure so the ring does not retain it
 	d.n--
 	d.mu.Unlock()
-	return tk
+	return tk, true
 }
 
-// stealHead removes and returns the oldest task, or nil when empty.
-func (d *taskDeque) stealHead() *task {
+// stealHead removes and returns the oldest task; ok is false when empty.
+func (d *taskDeque) stealHead() (tk task, ok bool) {
 	d.mu.Lock()
 	if d.n == 0 {
 		d.mu.Unlock()
-		return nil
+		return task{}, false
 	}
-	tk := d.buf[d.head]
-	d.buf[d.head] = nil
+	tk = d.buf[d.head]
+	d.buf[d.head] = task{}
 	d.head = (d.head + 1) % len(d.buf)
 	d.n--
 	d.mu.Unlock()
-	return tk
+	return tk, true
 }
 
 // grow allocates the initial ring or doubles it (bounded by cap),
@@ -120,7 +120,7 @@ func (d *taskDeque) grow() {
 	if next > d.cap {
 		next = d.cap
 	}
-	nb := make([]*task, next)
+	nb := make([]task, next)
 	for i := 0; i < d.n; i++ {
 		nb[i] = d.buf[(d.head+i)%len(d.buf)]
 	}

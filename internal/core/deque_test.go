@@ -6,58 +6,65 @@ import (
 	"testing"
 )
 
-func mkTask(id int) (*task, *int) {
-	slot := new(int)
-	return &task{fn: func() { *slot = id }}, slot
+// taskIDs builds tasks that identify themselves when run: deques hold
+// tasks by value, so identity is what a task's body records.
+type taskIDs struct{ last int }
+
+func (ids *taskIDs) mk(id int) task { return task{fn: func() { ids.last = id }} }
+
+// of runs a popped or stolen task and returns its id, -1 when none came.
+func (ids *taskIDs) of(tk task, ok bool) int {
+	if !ok {
+		return -1
+	}
+	tk.fn()
+	return ids.last
 }
 
 func TestDequeLIFOPopFIFOSteal(t *testing.T) {
+	var ids taskIDs
 	d := newTaskDeque(8)
-	tasks := make([]*task, 4)
-	for i := range tasks {
-		tasks[i], _ = mkTask(i)
-		if !d.pushTail(tasks[i]) {
+	for i := 0; i < 4; i++ {
+		if !d.pushTail(ids.mk(i)) {
 			t.Fatalf("push %d refused", i)
 		}
 	}
 	// Owner pops newest first.
-	if got := d.popTail(); got != tasks[3] {
-		t.Error("popTail did not return the newest task")
+	if got := ids.of(d.popTail()); got != 3 {
+		t.Errorf("popTail returned task %d, want the newest (3)", got)
 	}
 	// Thief steals oldest first.
-	if got := d.stealHead(); got != tasks[0] {
-		t.Error("stealHead did not return the oldest task")
+	if got := ids.of(d.stealHead()); got != 0 {
+		t.Errorf("stealHead returned task %d, want the oldest (0)", got)
 	}
-	if got := d.stealHead(); got != tasks[1] {
-		t.Error("second steal out of order")
+	if got := ids.of(d.stealHead()); got != 1 {
+		t.Errorf("second steal returned task %d, want 1", got)
 	}
-	if got := d.popTail(); got != tasks[2] {
-		t.Error("final popTail wrong")
+	if got := ids.of(d.popTail()); got != 2 {
+		t.Errorf("final popTail returned task %d, want 2", got)
 	}
-	if d.popTail() != nil || d.stealHead() != nil || d.size() != 0 {
+	if ids.of(d.popTail()) != -1 || ids.of(d.stealHead()) != -1 || d.size() != 0 {
 		t.Error("deque not empty after draining")
 	}
 }
 
 func TestDequeBoundedRefusesWhenFull(t *testing.T) {
+	var ids taskIDs
 	d := newTaskDeque(2)
-	a, _ := mkTask(0)
-	b, _ := mkTask(1)
-	c, _ := mkTask(2)
-	if !d.pushTail(a) || !d.pushTail(b) {
+	if !d.pushTail(ids.mk(0)) || !d.pushTail(ids.mk(1)) {
 		t.Fatal("pushes within capacity refused")
 	}
-	if d.pushTail(c) {
+	if d.pushTail(ids.mk(2)) {
 		t.Error("push beyond capacity accepted")
 	}
 	// Freeing a slot re-enables pushes, and wraparound keeps order.
-	if d.stealHead() != a {
+	if ids.of(d.stealHead()) != 0 {
 		t.Fatal("steal order")
 	}
-	if !d.pushTail(c) {
+	if !d.pushTail(ids.mk(2)) {
 		t.Error("push after pop refused")
 	}
-	if d.popTail() != c || d.popTail() != b {
+	if ids.of(d.popTail()) != 2 || ids.of(d.popTail()) != 1 {
 		t.Error("wraparound order wrong")
 	}
 }
@@ -65,23 +72,22 @@ func TestDequeBoundedRefusesWhenFull(t *testing.T) {
 func TestDequeGrowsLazilyPreservingOrder(t *testing.T) {
 	// Push past the initial ring size with a wrapped window: growth must
 	// unwrap head..tail without reordering or dropping anything.
+	var ids taskIDs
 	d := newTaskDeque(dequeCapacity)
-	tasks := make([]*task, dequeInitialSize*3)
 	for i := 0; i < dequeInitialSize/2; i++ {
-		tk, _ := mkTask(-1)
-		if !d.pushTail(tk) || d.stealHead() != tk {
+		if !d.pushTail(ids.mk(-2)) || ids.of(d.stealHead()) != -2 {
 			t.Fatal("warmup push/steal failed")
 		}
 	}
-	for i := range tasks { // head is now mid-ring; this forces repeated grows
-		tasks[i], _ = mkTask(i)
-		if !d.pushTail(tasks[i]) {
+	const n = dequeInitialSize * 3
+	for i := 0; i < n; i++ { // head is now mid-ring; this forces repeated grows
+		if !d.pushTail(ids.mk(i)) {
 			t.Fatalf("push %d refused below capacity", i)
 		}
 	}
-	for i := range tasks {
-		if got := d.stealHead(); got != tasks[i] {
-			t.Fatalf("steal %d out of order after growth", i)
+	for i := 0; i < n; i++ {
+		if got := ids.of(d.stealHead()); got != i {
+			t.Fatalf("steal %d returned task %d after growth", i, got)
 		}
 	}
 	if d.size() != 0 {
@@ -103,7 +109,7 @@ func TestDequeConcurrentPushPopSteal(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if tk := d.stealHead(); tk != nil {
+				if tk, ok := d.stealHead(); ok {
 					tk.fn()
 					continue
 				}
@@ -116,17 +122,17 @@ func TestDequeConcurrentPushPopSteal(t *testing.T) {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		tk := &task{fn: func() { ran.Add(1) }}
+		tk := task{fn: func() { ran.Add(1) }}
 		for !d.pushTail(tk) {
 			// Full: run one of our own to make room.
-			if mine := d.popTail(); mine != nil {
+			if mine, ok := d.popTail(); ok {
 				mine.fn()
 			}
 		}
 	}
 	// Drain whatever the thieves have not taken.
 	for ran.Load() < n {
-		if tk := d.popTail(); tk != nil {
+		if tk, ok := d.popTail(); ok {
 			tk.fn()
 		}
 	}

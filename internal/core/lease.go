@@ -20,9 +20,9 @@ package core
 // allocations) forever.
 const teamCachePerSize = 16
 
-// leaseTeam returns an armed team of the given size: a cached one when
-// leasing is on and the cache has a fit (a lease hit), a fresh build
-// otherwise.
+// leaseTeam returns a team of the given size, for the caller to arm
+// (Team.armRegion): a cached one when leasing is on and the cache has a
+// fit (a lease hit), a fresh build otherwise.
 func (r *Runtime) leaseTeam(n int) (*Team, error) {
 	if r.teamLease {
 		r.leaseMu.Lock()
@@ -31,7 +31,6 @@ func (r *Runtime) leaseTeam(n int) (*Team, error) {
 			r.leases[n] = cached[:len(cached)-1]
 			r.leaseMu.Unlock()
 			r.stats.LeaseHits.Add(1)
-			t.arm()
 			return t, nil
 		}
 		r.leaseMu.Unlock()
@@ -46,6 +45,7 @@ func (r *Runtime) leaseTeam(n int) (*Team, error) {
 // closed or leasing is off — give their bookkeeping block back to the
 // layer, the original per-region gomp_free.
 func (r *Runtime) releaseTeam(t *Team) {
+	t.body = nil // a cached team must not keep the region's closure alive
 	if t.poisoned {
 		t.reset()
 	}

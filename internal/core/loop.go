@@ -9,6 +9,9 @@ import (
 // one dynamic worksharing instance (dynamic/guided loop, sections, single).
 // Static loops need no shared state and allocate none.
 type workshare struct {
+	// gen is the worksharing generation the record serves (see
+	// Context.wsGen); set under Team.wsMu when the record goes live.
+	gen int
 	// next is the dynamic-schedule / sections iteration dispenser.
 	next atomic.Int64
 	// guided state, guarded by mu.
@@ -31,6 +34,19 @@ type workshare struct {
 	done atomic.Int32
 }
 
+// reset readies a retired record for its next construct. slots keeps its
+// backing array (a team's reductions all have the team's size) and
+// ordCond stays bound to ordMu.
+func (ws *workshare) reset() {
+	ws.next.Store(0)
+	ws.remaining, ws.issued = 0, false
+	ws.claimed.Store(false)
+	ws.ordNext = 0
+	clear(ws.slots)
+	ws.result = nil
+	ws.done.Store(0)
+}
+
 // LoopOpts configure a worksharing loop.
 type LoopOpts struct {
 	// Schedule selects the policy; pass ScheduleRuntime semantics by
@@ -39,7 +55,9 @@ type LoopOpts struct {
 	// Chunk is the schedule's chunk size (0 = policy default).
 	Chunk int
 	// UseRuntime takes schedule and chunk from the runtime ICVs
-	// (schedule(runtime)).
+	// (schedule(runtime)) as they stood when the region forked, so a
+	// concurrent SetRuntimeSchedule cannot split one loop instance
+	// across two schedules.
 	UseRuntime bool
 	// NoWait skips the implied end-of-loop barrier.
 	NoWait bool
@@ -72,7 +90,7 @@ func (c *Context) ForOpts(n int, opts LoopOpts, body func(lo, hi int)) {
 	t := c.team
 	sched, chunk := opts.Schedule, opts.Chunk
 	if opts.UseRuntime {
-		sched, chunk = t.rt.RuntimeSchedule()
+		sched, chunk = t.icv.Schedule, t.icv.Chunk
 	}
 	if sched == ScheduleAuto {
 		sched = ScheduleStatic
@@ -100,7 +118,7 @@ func (c *Context) ForOpts(n int, opts LoopOpts, body func(lo, hi int)) {
 			c.guidedLoop(ws, n, chunk, body)
 		}
 		if ws != nil {
-			t.finishWorkshare(gen, ws)
+			t.finishWorkshare(ws)
 		}
 	}
 

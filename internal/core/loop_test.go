@@ -290,3 +290,51 @@ func TestPropLoopCoverage(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRuntimeScheduleFixedAtFork: a schedule(runtime) loop takes its
+// schedule from the ICVs as they stood at the region's fork. One goroutine
+// flips run-sched-var between static and dynamic while another forks 1 000
+// regions of c.For(1000); had two threads of one loop read different
+// schedules, one would take its static block while another drew from the
+// dynamic dispenser, and some iterations would run twice or not at all.
+func TestRuntimeScheduleFixedAtFork(t *testing.T) {
+	const n, regions = 1000, 1000
+	rt, err := New(WithLayer(NewNativeLayer(4)), WithNumThreads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	stop := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.SetRuntimeSchedule(ScheduleStatic, 0)
+			runtime.Gosched()
+			rt.SetRuntimeSchedule(ScheduleDynamic, 0)
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-flipped
+	}()
+	hits := make([]atomic.Int32, n)
+	for r := 0; r < regions; r++ {
+		if err := rt.Parallel(func(c *Context) {
+			c.For(n, func(i int) { hits[i].Add(1) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range hits {
+			if got := hits[i].Swap(0); got != 1 {
+				t.Fatalf("region %d: iteration %d ran %d times, want 1", r, i, got)
+			}
+		}
+	}
+}

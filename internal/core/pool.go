@@ -36,32 +36,31 @@ func newPool(layer ThreadLayer) *pool {
 	return &pool{layer: layer}
 }
 
-// acquire reserves k workers for one region, starting new ones when the
-// free list runs short. Acquired workers are owned exclusively by the
-// caller until it releases them.
+// acquire reserves len(dst) workers for one region into dst (a slice the
+// region's team owns, so a warm fork allocates nothing here), starting new
+// ones when the free list runs short. Acquired workers are owned
+// exclusively by the caller until it releases them.
 //
 // The lowest free wids are taken first, in ascending order. For a
 // sequential caller this keeps the worker↔thread-number binding stable
 // across same-size regions — the OpenMP threadprivate persistence
 // guarantee depends on it — without constraining what overlapping regions
 // of concurrent callers get.
-func (p *pool) acquire(k int) ([]*poolWorker, error) {
-	if k == 0 {
-		return nil, nil
+func (p *pool) acquire(dst []*poolWorker) error {
+	if len(dst) == 0 {
+		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	ws := make([]*poolWorker, 0, k)
-	if take := min(k, len(p.free)); take > 0 {
-		for i := 0; i < take; i++ {
-			ws = append(ws, p.free[len(p.free)-1-i])
-		}
-		p.free = p.free[:len(p.free)-take]
+	take := min(len(dst), len(p.free))
+	for i := 0; i < take; i++ {
+		dst[i] = p.free[len(p.free)-1-i]
 	}
-	for len(ws) < k {
+	p.free = p.free[:len(p.free)-take]
+	for i := take; i < len(dst); i++ {
 		wid := len(p.all) + 1
 		w := &poolWorker{wid: wid, jobs: make(chan func(), 1)}
 		handle, err := p.layer.StartWorker(wid, func() {
@@ -72,14 +71,15 @@ func (p *pool) acquire(k int) ([]*poolWorker, error) {
 		if err != nil {
 			// Hand the already-reserved workers back; the fresh one never
 			// started and owns no resources.
-			p.parkLocked(ws)
-			return nil, err
+			p.parkLocked(dst[:i])
+			clear(dst)
+			return err
 		}
 		w.handle = handle
 		p.all = append(p.all, w)
-		ws = append(ws, w)
+		dst[i] = w
 	}
-	return ws, nil
+	return nil
 }
 
 // size reports the number of workers ever started (excluding the master).

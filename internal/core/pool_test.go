@@ -43,8 +43,8 @@ func TestParallelRacingCloseNeverPanics(t *testing.T) {
 
 func TestDispatchAllAfterCloseReturnsErrClosed(t *testing.T) {
 	p := newPool(NewNativeLayer(4))
-	ws, err := p.acquire(2)
-	if err != nil {
+	ws := make([]*poolWorker, 2)
+	if err := p.acquire(ws); err != nil {
 		t.Fatal(err)
 	}
 	// Run the acquired workers once so close joins them idle.
@@ -52,7 +52,7 @@ func TestDispatchAllAfterCloseReturnsErrClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.close()
-	if _, err := p.acquire(1); !errors.Is(err, ErrClosed) {
+	if err := p.acquire(make([]*poolWorker, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("acquire after close = %v, want ErrClosed", err)
 	}
 	if err := p.dispatchAll(nil, nil); !errors.Is(err, ErrClosed) {
@@ -68,8 +68,8 @@ func TestAcquirePrefersLowestWids(t *testing.T) {
 	// the stability ThreadPrivate's per-worker copies rely on.
 	p := newPool(NewNativeLayer(8))
 	defer p.close()
-	ws, err := p.acquire(4)
-	if err != nil {
+	ws := make([]*poolWorker, 4)
+	if err := p.acquire(ws); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -86,8 +86,8 @@ func TestAcquirePrefersLowestWids(t *testing.T) {
 	for i := len(ws) - 1; i >= 0; i-- {
 		p.release(ws[i : i+1])
 	}
-	again, err := p.acquire(4)
-	if err != nil {
+	again := make([]*poolWorker, 4)
+	if err := p.acquire(again); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range again {

@@ -51,6 +51,6 @@ func ReduceValues[T any](c *Context, value T, op func(T, T) T) T {
 	}
 	c.Barrier()
 	result := ws.result.(T)
-	t.finishWorkshare(gen, ws)
+	t.finishWorkshare(ws)
 	return result
 }

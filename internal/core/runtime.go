@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,6 +114,9 @@ type Runtime struct {
 	// first appears, so entering a known section takes no runtime lock.
 	critMu    sync.Mutex
 	criticals atomic.Pointer[map[string]RuntimeMutex]
+	// unnamed caches the unnamed section's entry of criticals, so the
+	// commonest critical skips the string-keyed lookup.
+	unnamed atomic.Pointer[RuntimeMutex]
 
 	// Warm-team cache (lease.go).
 	teamLease bool
@@ -448,13 +450,13 @@ func (r *Runtime) parallel(ctx context.Context, n int, body func(c *Context)) er
 	if err != nil {
 		return err
 	}
-	workers, err := r.pool.acquire(n - 1)
-	if err != nil {
+	if err := r.pool.acquire(team.workers); err != nil {
 		r.releaseTeam(team)
 		return err
 	}
 	masterWID := r.acquireMasterWID()
 	defer r.releaseMasterWID(masterWID)
+	team.armRegion(body, icv, masterWID)
 
 	// The watcher converts a ctx fire into team cancellation. It must be
 	// stopped AND joined before the team is released: releaseTeam may
@@ -478,41 +480,13 @@ func (r *Runtime) parallel(ctx context.Context, n int, body func(c *Context)) er
 		}
 	}
 
-	run := func(tid, wid int) {
-		defer func() {
-			if v := recover(); v != nil {
-				if _, ok := v.(teamUnwind); ok && team.canceled() {
-					return // cooperative unwind out of a canceled region
-				}
-				// A real panic from the region body (or a task it
-				// spawned): contain it, fail the region, unwind the rest
-				// of the team. The process stays alive.
-				team.recordPanic(tid, v, debug.Stack())
-			}
-		}()
-		c := &Context{team: team, tid: tid, wid: wid, groups: &[]*taskGroup{{}}}
-		body(c)
-		// Implicit region-end barrier: drain the task queues, then sync.
-		team.quiesce(c)
-	}
-
-	// Jobs for workers 1..n-1 are handed over in one all-or-nothing batch:
-	// a Close racing this fork either refuses the whole batch (ErrClosed,
-	// no worker started, nothing waits on the team barrier) or happens
-	// after every send. Partial teams — which would hang the region-end
-	// barrier — cannot form.
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	jobs := make([]func(), n-1)
-	for t := 1; t < n; t++ {
-		tid, wid := t, workers[t-1].wid
-		jobs[t-1] = func() {
-			defer wg.Done()
-			run(tid, wid)
-		}
-	}
+	// The team's cached jobs for workers 1..n-1 are handed over in one
+	// all-or-nothing batch: a Close racing this fork either refuses the
+	// whole batch (ErrClosed, no worker started, nothing waits on the
+	// join) or happens after every send. Partial teams — which would hang
+	// the join — cannot form.
 	r.monitor.Fork(n)
-	if err := r.pool.dispatchAll(workers, jobs); err != nil {
+	if err := r.pool.dispatchAll(team.workers, team.jobs); err != nil {
 		stopWatcher()
 		r.monitor.Join()
 		r.releaseTeam(team)
@@ -520,10 +494,20 @@ func (r *Runtime) parallel(ctx context.Context, n int, body func(c *Context)) er
 	}
 	r.stats.Regions.Add(1)
 	r.stats.Threads.Add(uint64(n))
-	run(0, masterWID)
-	wg.Wait()
-	r.pool.release(workers)
+	// The region end is arrive-only: each thread drains the task queues
+	// (runThread), workers count down the join, and only the master waits.
+	// A worker is therefore woken once per region, by its job.
+	team.runThread(0)
+	team.awaitJoin()
+	r.pool.release(team.workers)
 	stopWatcher()
+	// The implicit region-end barrier's accounting runs here, once, so
+	// Stats.Barriers and the monitor's event stream read as they did when
+	// every thread synchronized on it. A canceled region never completed
+	// that barrier.
+	if !team.canceled() {
+		team.onBarrier()
+	}
 	r.monitor.Join()
 	err = team.regionErr()
 	r.releaseTeam(team)
@@ -552,6 +536,16 @@ func (r *Runtime) ParallelForRange(n int, body func(lo, hi int)) error {
 	return r.Parallel(func(c *Context) {
 		c.ForRange(n, LoopOpts{Schedule: ScheduleStatic}, body)
 	})
+}
+
+// unnamedCritical returns the mutex of the unnamed critical section.
+func (r *Runtime) unnamedCritical() RuntimeMutex {
+	if m := r.unnamed.Load(); m != nil {
+		return *m
+	}
+	m := r.criticalMutex(DefaultCriticalName)
+	r.unnamed.Store(&m)
+	return m
 }
 
 // criticalMutex returns the mutex backing the named critical section,

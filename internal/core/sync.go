@@ -6,15 +6,18 @@ const DefaultCriticalName = "<unnamed>"
 
 // Critical runs fn inside the unnamed critical section.
 func (c *Context) Critical(fn func()) {
-	c.CriticalNamed(DefaultCriticalName, fn)
+	c.critical(c.team.rt.unnamedCritical(), fn)
 }
 
 // CriticalNamed runs fn inside the critical section with the given name
 // (#pragma omp critical(name)). Sections with different names may overlap;
 // the same name is mutually exclusive runtime-wide, across regions.
 func (c *Context) CriticalNamed(name string, fn func()) {
+	c.critical(c.team.rt.criticalMutex(name), fn)
+}
+
+func (c *Context) critical(m RuntimeMutex, fn func()) {
 	rt := c.team.rt
-	m := rt.criticalMutex(name)
 	// Lock attribution uses the layer-level worker id, not the team
 	// thread id: wids stay unique across concurrently running teams,
 	// where tids repeat (MRAPI mutexes trap a same-node relock as
@@ -53,7 +56,7 @@ func (c *Context) singleOpts(fn func(), nowait bool) bool {
 		t.rt.stats.Singles.Add(1)
 		fn()
 	}
-	t.finishWorkshare(gen, ws)
+	t.finishWorkshare(ws)
 	if !nowait {
 		c.Barrier()
 	}
@@ -75,7 +78,7 @@ func SingleCopy[T any](c *Context, fn func() T) T {
 	}
 	c.Barrier()
 	v := ws.result.(T)
-	t.finishWorkshare(gen, ws)
+	t.finishWorkshare(ws)
 	return v
 }
 
@@ -100,7 +103,7 @@ func (c *Context) SectionsOpts(nowait bool, sections ...func()) {
 			}
 			sections[idx]()
 		}
-		t.finishWorkshare(gen, ws)
+		t.finishWorkshare(ws)
 	}
 	if !nowait {
 		c.Barrier()
