@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -166,19 +165,23 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 
 // FuzzJournalReplay hammers the frame scanner with arbitrary bytes: it
 // must never panic, must account for every byte as either good prefix
-// or dropped tail, and every accepted entry must be a valid JSON
-// re-encodable Entry.
+// or dropped tail, and every accepted entry must survive an encode and
+// decode unchanged. The corpus mixes binary and version-1 JSON frames.
 func FuzzJournalReplay(f *testing.F) {
-	var valid []byte
+	var valid, v1 []byte
 	for _, e := range nEntries(3) {
-		frame, _ := encodeEntry(e)
-		valid = append(valid, frame...)
+		valid = append(valid, binEntry(f, e)...)
+		v1 = append(v1, v1Entry(f, e)...)
 	}
+	settle := Entry{Op: OpSettle, ID: "j-0", At: 7, Status: StatusSucceeded, Result: []byte("ok"), Recovered: true}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	flipped := append([]byte(nil), valid...)
 	flipped[10] ^= 0xFF
 	f.Add(flipped)
+	f.Add(v1)
+	f.Add(append(append([]byte(nil), v1...), binEntry(f, settle)...))
+	f.Add(v1Entry(f, Entry{Op: "bogus", ID: "j-9"}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -195,8 +198,14 @@ func FuzzJournalReplay(f *testing.F) {
 			if e.Op == "" || e.ID == "" {
 				t.Fatalf("accepted entry without op/id: %+v", e)
 			}
-			if _, err := json.Marshal(e); err != nil {
+			frame, err := encodeEntry(e)
+			if err != nil {
 				t.Fatalf("accepted entry does not re-encode: %v", err)
+			}
+			payload, next, ok := readFrame(frame, 0)
+			got, dok := decodeEntry(payload)
+			if !ok || next != len(frame) || !dok || !sameEntry(got, e) {
+				t.Fatalf("entry changed across encode/decode:\n in %+v\nout %+v", e, got)
 			}
 			st.apply(e)
 		}

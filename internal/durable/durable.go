@@ -7,7 +7,8 @@
 //
 // On disk a state directory holds generation-numbered pairs:
 //
-//	snap-000003.db    full state as of generation 3's birth (one CRC frame)
+//	snap-000003.db    full state as of generation 3's birth (a header
+//	                  frame, then one CRC frame per job and per group)
 //	wal-000003.log    every transition since (a sequence of CRC frames)
 //
 // Appends go to the newest wal and are fsynced before the caller's
@@ -31,7 +32,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,7 +57,8 @@ const (
 	StatusCanceled  = "canceled"
 )
 
-// JobState is the folded state of one job after replay.
+// JobState is the folded state of one job after replay. The JSON tags
+// name the fields of version-1 snapshots, which are still read.
 type JobState struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant"`
@@ -144,68 +145,6 @@ func (st *State) apply(e Entry) {
 		j.Recovered = e.Recovered
 		j.FinishedNs = e.At
 	}
-}
-
-// snapshotImage is the serialized form of a snapshot file's single CRC
-// frame.
-type snapshotImage struct {
-	Version int          `json:"version"`
-	Gen     uint64       `json:"gen"`
-	At      int64        `json:"at"` // unix nanos of the snapshot write
-	Jobs    []JobState   `json:"jobs"`
-	Groups  []GroupState `json:"groups,omitempty"`
-}
-
-const snapshotVersion = 1
-
-// encodeSnapshot renders the state as one framed record, jobs and
-// groups in ID order so identical states serialize identically.
-func encodeSnapshot(st *State, gen uint64, at int64) ([]byte, error) {
-	img := snapshotImage{Version: snapshotVersion, Gen: gen, At: at}
-	for _, j := range st.Jobs {
-		img.Jobs = append(img.Jobs, *j)
-	}
-	sort.Slice(img.Jobs, func(a, b int) bool { return img.Jobs[a].ID < img.Jobs[b].ID })
-	for _, g := range st.Groups {
-		img.Groups = append(img.Groups, *g)
-	}
-	sort.Slice(img.Groups, func(a, b int) bool { return img.Groups[a].ID < img.Groups[b].ID })
-	payload, err := json.Marshal(img)
-	if err != nil {
-		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
-			"durable: encode snapshot gen %d: %w", gen, err)
-	}
-	return appendFrame(nil, payload), nil
-}
-
-// decodeSnapshot parses a snapshot file image. A torn or bit-flipped
-// snapshot fails here — with a classified error — and recovery falls
-// back a generation.
-func decodeSnapshot(data []byte) (*State, int64, error) {
-	payload, next, ok := readFrame(data, 0)
-	if !ok || next != len(data) {
-		return nil, 0, oerrors.Errorf(oerrors.Internal, oerrors.CodeSnapshotTorn,
-			"durable: snapshot torn: bad frame or trailing bytes (%d bytes)", len(data))
-	}
-	var img snapshotImage
-	if err := json.Unmarshal(payload, &img); err != nil {
-		return nil, 0, oerrors.Errorf(oerrors.Internal, oerrors.CodeSnapshotTorn,
-			"durable: snapshot torn: %w", err)
-	}
-	if img.Version != snapshotVersion {
-		return nil, 0, oerrors.Errorf(oerrors.Internal, oerrors.CodeSnapshotTorn,
-			"durable: snapshot version %d, want %d", img.Version, snapshotVersion)
-	}
-	st := newState()
-	for i := range img.Jobs {
-		j := img.Jobs[i]
-		st.Jobs[j.ID] = &j
-	}
-	for i := range img.Groups {
-		g := img.Groups[i]
-		st.Groups[g.ID] = &g
-	}
-	return st, img.At, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -376,7 +315,7 @@ func (s *Store) recover() error {
 			return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 				"durable: read snapshot gen %d: %w", gens[i], rerr)
 		}
-		dec, at, derr := decodeSnapshot(data)
+		dec, _, at, derr := decodeSnapshot(data)
 		if derr != nil {
 			s.replayStats.TornSnapshots++
 			continue

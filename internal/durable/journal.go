@@ -2,10 +2,8 @@ package durable
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"openmpmca/internal/oerrors"
 )
@@ -16,29 +14,40 @@ import (
 //	| len u32  | crc u32  | payload (len B)  |
 //	+----------+----------+------------------+
 //
-// both integers big-endian, crc = CRC-32 (IEEE) of the payload bytes.
-// A reader accepts the longest prefix of intact frames and stops at the
-// first frame whose header is short, whose declared length is absurd,
-// whose payload is truncated, or whose CRC does not match — the torn
-// tail a crash mid-append leaves behind. Everything before that point
-// is trusted; everything after is dropped and reported, never guessed
-// at.
+// both integers big-endian, crc = CRC-32 (IEEE) of the payload bytes;
+// the payload is one record of the codec in codec.go. A reader accepts
+// the longest prefix of intact frames and stops at the first frame
+// whose header is short, whose declared length is absurd, whose payload
+// is truncated, or whose CRC does not match — the torn tail a crash
+// mid-append leaves behind. Everything before that point is trusted;
+// everything after is dropped and reported, never guessed at.
 
 // frameHeaderLen is the fixed framing overhead per record.
 const frameHeaderLen = 8
 
 // maxRecordLen bounds a single record so a corrupt length field cannot
 // ask the reader to allocate gigabytes: results are capped far below
-// this by the service.
+// this by the service, and a snapshot spends one frame per job.
 const maxRecordLen = 16 << 20
 
-// appendFrame frames payload into buf and returns the extended slice.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// openFrame appends a blank frame header to b and returns the extended
+// slice and the header's offset. The caller appends the payload, then
+// seals the frame with closeFrame.
+func openFrame(b []byte) ([]byte, int) {
+	return append(b, make([]byte, frameHeaderLen)...), len(b)
+}
+
+// closeFrame fills in the header at b[start:] for the payload after it.
+// It reports false when the payload exceeds maxRecordLen, a frame no
+// reader would accept.
+func closeFrame(b []byte, start int) bool {
+	payload := b[start+frameHeaderLen:]
+	if len(payload) > maxRecordLen {
+		return false
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return true
 }
 
 // readFrame decodes one record starting at data[off]. It returns the
@@ -78,7 +87,8 @@ const (
 
 // Entry is one journal record. Fields beyond Op/ID are populated per
 // operation; every entry is self-contained, so replay is a pure
-// left-fold and re-applying any suffix is idempotent.
+// left-fold and re-applying any suffix is idempotent. The JSON tags
+// name the fields of version-1 journals, which are still read.
 type Entry struct {
 	Op string `json:"op"`
 	ID string `json:"id"`           // job id (group id for OpGroup)
@@ -99,14 +109,20 @@ type Entry struct {
 	Recovered bool   `json:"recovered,omitempty"`
 }
 
-// encodeEntry frames one entry for appending.
+// encodeEntry frames one entry for appending, in one allocation.
 func encodeEntry(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
+	if entryTag(e.Op) == 0 {
 		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
-			"durable: encode %s %s: %w", e.Op, e.ID, err)
+			"durable: encode %s %s: unknown op", e.Op, e.ID)
 	}
-	return appendFrame(nil, payload), nil
+	b, start := openFrame(make([]byte, 0, frameHeaderLen+e.recordBound()))
+	b = appendEntry(b, &e)
+	if !closeFrame(b, start) {
+		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
+			"durable: encode %s %s: %d-byte record exceeds %d",
+			e.Op, e.ID, len(b)-frameHeaderLen, maxRecordLen)
+	}
+	return b, nil
 }
 
 // replayResult is what scanning one journal image yields: the intact
@@ -121,7 +137,7 @@ type replayResult struct {
 // replayJournal scans a journal image and accepts its longest intact
 // prefix. A frame that decodes but whose payload is not a valid entry
 // also ends the prefix: a CRC collision over garbage must not
-// fabricate state.
+// fabricate state. Binary and version-1 records may share one image.
 func replayJournal(data []byte) replayResult {
 	var res replayResult
 	off := 0
@@ -130,8 +146,8 @@ func replayJournal(data []byte) replayResult {
 		if !ok {
 			break
 		}
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil || e.Op == "" || e.ID == "" {
+		e, ok := decodeEntry(payload)
+		if !ok {
 			break
 		}
 		res.entries = append(res.entries, e)
@@ -140,16 +156,6 @@ func replayJournal(data []byte) replayResult {
 	res.goodBytes = int64(off)
 	res.lostBytes = int64(len(data) - off)
 	return res
-}
-
-// readAll reads r fully, classifying failures.
-func readAll(r io.Reader, what string) ([]byte, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
-			"durable: read %s: %w", what, err)
-	}
-	return b, nil
 }
 
 var errShortWrite = fmt.Errorf("short write")

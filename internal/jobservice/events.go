@@ -47,8 +47,10 @@ type JobEvent struct {
 // can detect the gap.
 const eventLogCap = 256
 
-// eventLog is one job's append-only progress log with follower support:
-// pulse is closed and replaced on every append, waking all waiters.
+// eventLog is one job's append-only progress log with follower support.
+// pulse exists only while a follower waits: since makes it, and the
+// next append closes and clears it, waking every waiter. A job nobody
+// follows never allocates one.
 type eventLog struct {
 	mu     sync.Mutex
 	events []JobEvent
@@ -56,8 +58,6 @@ type eventLog struct {
 	done   bool
 	pulse  chan struct{}
 }
-
-func newEventLog() *eventLog { return &eventLog{pulse: make(chan struct{})} }
 
 // add stamps and appends one event, returning the stamped copy.
 func (l *eventLog) add(e JobEvent) JobEvent {
@@ -74,14 +74,17 @@ func (l *eventLog) add(e JobEvent) JobEvent {
 	if e.Type == EventSettled {
 		l.done = true
 	}
-	close(l.pulse)
-	l.pulse = make(chan struct{})
+	if l.pulse != nil {
+		close(l.pulse)
+		l.pulse = nil
+	}
 	l.mu.Unlock()
 	return e
 }
 
 // since returns the retained events with Seq >= seq, whether the log is
-// terminal, and a channel that pulses on the next append.
+// terminal, and — unless it is — a channel that pulses on the next
+// append.
 func (l *eventLog) since(seq int) (evs []JobEvent, done bool, pulse <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -89,6 +92,9 @@ func (l *eventLog) since(seq int) (evs []JobEvent, done bool, pulse <-chan struc
 		if e.Seq >= seq {
 			evs = append(evs, e)
 		}
+	}
+	if !l.done && l.pulse == nil {
+		l.pulse = make(chan struct{})
 	}
 	return evs, l.done, l.pulse
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -164,6 +165,71 @@ func TestJobEventsTask(t *testing.T) {
 	// The tee must not starve the spans exporter.
 	if st := x.Stats(); st.Completed == 0 {
 		t.Fatalf("spans exporter saw nothing through the hub: %+v", st)
+	}
+}
+
+// TestJobEventsFollowerMidJob attaches a follower to a log that already
+// holds events, the way apiJobEvents follows one, while the job keeps
+// appending: the follower must see every event exactly once, in order.
+func TestJobEventsFollowerMidJob(t *testing.T) {
+	const total = 200
+	l := new(eventLog)
+	for i := 0; i < total/4; i++ {
+		l.add(JobEvent{Type: EventChunk, Chunk: i})
+	}
+	got := make(chan []int)
+	go func() {
+		var seqs []int
+		next := 0
+		for {
+			evs, done, pulse := l.since(next)
+			for _, e := range evs {
+				seqs = append(seqs, e.Seq)
+				next = e.Seq + 1
+			}
+			if done {
+				got <- seqs
+				return
+			}
+			<-pulse
+		}
+	}()
+	// Between bursts, wait until the follower is about to park: since
+	// made a pulse for it.
+	parked := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.pulse != nil
+	}
+	for i := total / 4; i < total-1; i++ {
+		if i%16 == 0 {
+			for !parked() {
+				runtime.Gosched()
+			}
+		}
+		l.add(JobEvent{Type: EventChunk, Chunk: i})
+	}
+	l.add(JobEvent{Type: EventSettled, Chunk: -1, Status: StatusSucceeded})
+	seqs := <-got
+	if len(seqs) != total {
+		t.Fatalf("follower saw %d events, want %d", len(seqs), total)
+	}
+	for i, s := range seqs {
+		if s != i {
+			t.Fatalf("follower saw seq %d at position %d", s, i)
+		}
+	}
+}
+
+// TestJobEventsAddAllocs pins the cost of an event on a job nobody
+// follows: a warm add allocates nothing.
+func TestJobEventsAddAllocs(t *testing.T) {
+	l := &eventLog{events: make([]JobEvent, 0, eventLogCap)}
+	allocs := testing.AllocsPerRun(100, func() {
+		l.add(JobEvent{Type: EventChunk, Chunk: 1})
+	})
+	if allocs != 0 {
+		t.Fatalf("eventLog.add allocates %.0f objects with no follower, want 0", allocs)
 	}
 }
 

@@ -541,7 +541,7 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 		arg:       req.Arg,
 		n:         req.N,
 		group:     g,
-		events:    newEventLog(),
+		events:    new(eventLog),
 		done:      make(chan struct{}),
 		status:    StatusQueued,
 		submitted: time.Now(),

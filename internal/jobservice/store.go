@@ -1,9 +1,10 @@
 package jobservice
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -119,16 +120,27 @@ func seqOf(id, prefix string) uint64 {
 	return n
 }
 
-// sortedBySeq orders ids by their numeric suffix (submission order),
-// unknown shapes last by string order.
-func sortedBySeq(ids []string, prefix string) {
-	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := seqOf(ids[a], prefix), seqOf(ids[b], prefix)
-		if sa != sb {
-			return sa < sb
+// seqID is an id with its parsed numeric suffix.
+type seqID struct {
+	seq uint64
+	id  string
+}
+
+// sortedBySeq returns m's keys in submission order, each suffix parsed
+// once: by numeric suffix, ties (and other shapes, seq 0, first) by
+// string order.
+func sortedBySeq[V any](m map[string]V, prefix string) []seqID {
+	ids := make([]seqID, 0, len(m))
+	for id := range m {
+		ids = append(ids, seqID{seqOf(id, prefix), id})
+	}
+	slices.SortFunc(ids, func(a, b seqID) int {
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b]
+		return strings.Compare(a.id, b.id)
 	})
+	return ids
 }
 
 // recoverFromStore rebuilds the server's job and group tables from the
@@ -142,17 +154,10 @@ func (s *Server) recoverFromStore() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	gids := make([]string, 0, len(rec.Groups))
-	for gid := range rec.Groups {
-		gids = append(gids, gid)
-	}
-	sortedBySeq(gids, "g-")
 	var maxG uint64
-	for _, gid := range gids {
-		gs := rec.Groups[gid]
-		if n := seqOf(gid, "g-"); n > maxG {
-			maxG = n
-		}
+	for _, sg := range sortedBySeq(rec.Groups, "g-") {
+		gid, gs := sg.id, rec.Groups[sg.id]
+		maxG = max(maxG, sg.seq)
 		t := s.byName[gs.Tenant]
 		if t == nil {
 			continue // members settle tenant_gone below
@@ -160,17 +165,10 @@ func (s *Server) recoverFromStore() {
 		s.groups[gid] = &groupRec{id: gid, tenant: t, notify: make(chan struct{}, 1)}
 	}
 
-	jids := make([]string, 0, len(rec.Jobs))
-	for id := range rec.Jobs {
-		jids = append(jids, id)
-	}
-	sortedBySeq(jids, "j-")
 	var maxJ uint64
-	for _, id := range jids {
-		js := rec.Jobs[id]
-		if n := seqOf(id, "j-"); n > maxJ {
-			maxJ = n
-		}
+	for _, sj := range sortedBySeq(rec.Jobs, "j-") {
+		id, js := sj.id, rec.Jobs[sj.id]
+		maxJ = max(maxJ, sj.seq)
 		t := s.byName[js.Tenant]
 		if t == nil {
 			// The job's tenant is no longer configured: settle it in the
@@ -191,7 +189,7 @@ func (s *Server) recoverFromStore() {
 			name:   js.Name,
 			arg:    js.Arg,
 			n:      js.N,
-			events: newEventLog(),
+			events: new(eventLog),
 			done:   make(chan struct{}),
 		}
 		if js.SubmittedNs != 0 {
