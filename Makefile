@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-benchmark tier1-soak race bench bench-json bench-compare \
-	bench-compare-fresh experiments taskgraph mesh-smoke api api-check serve loadgen service-smoke \
+.PHONY: all build vet test test-benchmark tier1-soak race bench experiments \
+	taskgraph mesh-smoke api api-check serve loadgen service-smoke \
 	chaos chaos-smoke crash-smoke clean
 
 all: build vet test
@@ -41,26 +41,6 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# Machine-readable benchmark trajectory (internal/benchjson schema).
-# Usage: make bench-json [BENCH_LABEL=pr7] [BENCH_OUT=BENCH_7.json]
-BENCH_LABEL ?= dev
-BENCH_OUT   ?= bench-dev.json
-bench-json:
-	$(GO) run ./cmd/ompmca-bench -label $(BENCH_LABEL) -out $(BENCH_OUT)
-
-# Diff the two newest committed trajectories and fail on regressions.
-bench-compare:
-	$(GO) run ./cmd/ompmca-bench -compare -fail-on-regression \
-		$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2)
-
-# Report-only drift check for CI: a fresh short measurement against the
-# newest committed trajectory. CI runners are noisy shared machines, so
-# the tolerance is loose and regressions are reported, never fatal.
-bench-compare-fresh:
-	$(GO) run ./cmd/ompmca-bench -benchtime 0.05s -label fresh -out /tmp/bench-fresh.json
-	$(GO) run ./cmd/ompmca-bench -compare -tolerance 75 \
-		$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1) /tmp/bench-fresh.json
-
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
 	$(GO) run ./cmd/ompmca-epcc -outer 15 -absolute
@@ -76,16 +56,13 @@ experiments:
 taskgraph:
 	$(GO) run ./cmd/ompmca-taskgraph
 
-# Peer-steal mesh smoke: the task graph at 3 and 8 domains with the mesh
-# on (asserting at least one direct peer steal) and off (asserting the
-# host-brokered path alone still settles byte-exact), then the two fixed
-# seed-42 mesh fault campaigns (kill-victim-mid-yield, dead-peer-channel).
-# CI runs this on every push.
+# Peer-steal mesh smoke: the task graph at 3 and 8 domains, each
+# asserting at least one direct peer steal and a byte-exact result after
+# a domain kill, then the two fixed seed-42 mesh fault campaigns
+# (kill-victim-mid-yield, dead-peer-channel). CI runs this on every push.
 mesh-smoke:
 	$(GO) run ./cmd/ompmca-taskgraph -n 26 -cutoff 18 -leaf-delay 1ms -domains 3 -require-peer-steals
 	$(GO) run ./cmd/ompmca-taskgraph -n 26 -cutoff 18 -leaf-delay 1ms -domains 8 -require-peer-steals
-	$(GO) run ./cmd/ompmca-taskgraph -n 26 -cutoff 18 -leaf-delay 1ms -domains 3 -peer-steal=false
-	$(GO) run ./cmd/ompmca-taskgraph -n 26 -cutoff 18 -leaf-delay 1ms -domains 8 -peer-steal=false
 	$(GO) run ./cmd/ompmca-chaos -mesh
 
 # Public API surface gate. API.txt is the committed `go doc .` output;

@@ -58,9 +58,6 @@ func NewOffload(reg *OffloadRegistry, opts ...OffloadOption) (*Offload, error) {
 // WithOffloadDomains sets the number of worker domains.
 func WithOffloadDomains(n int) OffloadOption { return taskfabric.WithDomains(n) }
 
-// WithOffloadChunkIters fixes the iterations per offloaded chunk.
-func WithOffloadChunkIters(n int) OffloadOption { return taskfabric.WithChunkIters(n) }
-
 // WithOffloadHeartbeat sets the offloader's domain-health ping period; a
 // domain missing pongs for eight periods is declared lost.
 func WithOffloadHeartbeat(period time.Duration) OffloadOption {

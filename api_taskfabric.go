@@ -9,8 +9,8 @@ import (
 // MTAPI task fabric: distribute irregular tasks across runtime domains —
 // separate Runtime instances on their own hypervisor partitions, each
 // running a local MTAPI scheduler — joined only by MCAPI packet
-// channels, with host-brokered work stealing between domains. See
-// internal/taskfabric for the architecture.
+// channels, with direct domain-to-domain work stealing (the host brokers
+// only as a fallback). See internal/taskfabric for the architecture.
 
 // TaskFabric executes jobs submitted by name across worker domains; see
 // NewTaskFabric.
@@ -54,9 +54,8 @@ type FabricDomainInfo = taskfabric.DomainInfo
 type FabricEventSink = taskfabric.EventSink
 
 // FabricPeerStealSink is the optional extension a FabricEventSink may
-// implement to additionally observe direct domain-to-domain mesh steals
-// (WithFabricPeerStealing); trace.Recorder and spans.Exporter both
-// satisfy it.
+// implement to additionally observe direct domain-to-domain mesh steals;
+// trace.Recorder and spans.Exporter both satisfy it.
 type FabricPeerStealSink = taskfabric.PeerStealSink
 
 var (
@@ -99,9 +98,6 @@ func WithFabricHeartbeat(period time.Duration) TaskFabricOption {
 func WithFabricTaskDeadline(d time.Duration) TaskFabricOption {
 	return taskfabric.WithTaskDeadline(d)
 }
-
-// WithFabricRetries caps per-task resends before the task fails.
-func WithFabricRetries(n int) TaskFabricOption { return taskfabric.WithRetries(n) }
 
 // WithFabricInflight caps the tasks outstanding on one domain (the
 // credit window).

@@ -124,10 +124,6 @@ func TestOptionValidationParity(t *testing.T) {
 			_, err := NewOffload(NewOffloadRegistry(), WithOffloadDomains(0))
 			return err
 		}},
-		{"offload chunk iters", func() error {
-			_, err := NewOffload(NewOffloadRegistry(), WithOffloadChunkIters(-5))
-			return err
-		}},
 		{"offload heartbeat", func() error {
 			_, err := NewOffload(NewOffloadRegistry(), WithOffloadHeartbeat(-time.Second))
 			return err
@@ -139,10 +135,6 @@ func TestOptionValidationParity(t *testing.T) {
 		}},
 		{"fabric deadline", func() error {
 			_, err := NewTaskFabric(NewJobRegistry(), WithFabricTaskDeadline(-time.Second))
-			return err
-		}},
-		{"fabric retries", func() error {
-			_, err := NewTaskFabric(NewJobRegistry(), WithFabricRetries(-1))
 			return err
 		}},
 		{"fabric inflight", func() error {

@@ -8,11 +8,11 @@
 // still completing with the exact sequential result.
 //
 // The demo scales to the board's full width (-domains 8 on the default
-// T4240RDB) and exercises the peer-to-peer steal mesh: with -peer-steal
-// (default) idle domains steal queued tasks directly from loaded peers,
-// and -require-peer-steals pins each domain to one MTAPI worker, blocks
-// most of them, and fails unless at least one direct mesh steal
-// happened — the configuration CI's mesh-smoke job asserts.
+// T4240RDB) and exercises the peer-to-peer steal mesh: idle domains
+// steal queued tasks directly from loaded peers, and
+// -require-peer-steals pins each domain to one MTAPI worker, blocks most
+// of them, and fails unless at least one direct mesh steal happened —
+// the configuration CI's mesh-smoke job asserts.
 package main
 
 import (
@@ -162,7 +162,7 @@ var blockJob = openmpmca.FabricFuncJob{
 // domains are serialized and blocked so the mesh must carry steals, and
 // a run without any direct peer steal fails.
 func run(n, cutoff uint32, domains int, leafDelay time.Duration,
-	peerSteal, requirePeer bool, out *log.Logger) error {
+	requirePeer bool, out *log.Logger) error {
 	reg := openmpmca.NewJobRegistry()
 	if err := reg.Register(fibJob(leafDelay)); err != nil {
 		return err
@@ -175,7 +175,6 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 		openmpmca.WithFabricDomains(domains),
 		openmpmca.WithFabricHeartbeat(10 * time.Millisecond),
 		openmpmca.WithFabricEventSink(rec),
-		openmpmca.WithFabricPeerStealing(peerSteal),
 	}
 	if requirePeer {
 		// One MTAPI worker per domain and a generous deadline: queues
@@ -269,9 +268,6 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 	if requirePeer && st.PeerSteals == 0 {
 		return fmt.Errorf("PeerSteals = 0 under -require-peer-steals: the mesh never carried a direct steal (Steals = %d)", st.Steals)
 	}
-	if !peerSteal && st.PeerSteals != 0 {
-		return fmt.Errorf("PeerSteals = %d with -peer-steal=false, want 0", st.PeerSteals)
-	}
 	return nil
 }
 
@@ -280,15 +276,10 @@ func main() {
 	cutoff := flag.Uint("cutoff", 22, "sequential leaf cutoff")
 	domains := flag.Int("domains", 3, "worker domains")
 	leafDelay := flag.Duration("leaf-delay", 2*time.Millisecond, "artificial per-leaf latency")
-	peerSteal := flag.Bool("peer-steal", true, "steal directly over the peer mesh (false: host-brokered only)")
 	requirePeer := flag.Bool("require-peer-steals", false, "serialize domains, add blockers, and fail unless a direct peer steal happened")
 	flag.Parse()
 	if *cutoff >= *n {
 		fmt.Fprintln(os.Stderr, "FAIL: cutoff must be below n")
-		os.Exit(1)
-	}
-	if *requirePeer && !*peerSteal {
-		fmt.Fprintln(os.Stderr, "FAIL: -require-peer-steals needs -peer-steal")
 		os.Exit(1)
 	}
 	if *requirePeer && *domains < 2 {
@@ -297,7 +288,7 @@ func main() {
 	}
 
 	out := log.New(os.Stdout, "", 0)
-	if err := run(uint32(*n), uint32(*cutoff), *domains, *leafDelay, *peerSteal, *requirePeer, out); err != nil {
+	if err := run(uint32(*n), uint32(*cutoff), *domains, *leafDelay, *requirePeer, out); err != nil {
 		fmt.Fprintln(os.Stderr, "FAIL:", err)
 		os.Exit(1)
 	}

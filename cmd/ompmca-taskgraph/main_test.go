@@ -10,7 +10,7 @@ import (
 // TestRunSmoke drives the full demo — clean graph plus the
 // fault-injected one — at a reduced size.
 func TestRunSmoke(t *testing.T) {
-	if err := run(24, 16, 3, 500*time.Microsecond, true, false, log.New(io.Discard, "", 0)); err != nil {
+	if err := run(24, 16, 3, 500*time.Microsecond, false, log.New(io.Discard, "", 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -22,7 +22,7 @@ func TestRunRequirePeerSteals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("blocker-paced demo run")
 	}
-	if err := run(24, 16, 3, 500*time.Microsecond, true, true, log.New(io.Discard, "", 0)); err != nil {
+	if err := run(24, 16, 3, 500*time.Microsecond, true, log.New(io.Discard, "", 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,9 +44,8 @@ type Stats struct {
 }
 
 // StatsSnapshot is a point-in-time copy of Stats. It is JSON-taggable:
-// the job service's /v1/stats endpoint, ompmca-info -stats -json and
-// ompmca-bench -stats all serialize it as the "core" section of the
-// unified openmpmca.Snapshot.
+// the job service's /v1/stats endpoint and ompmca-info -stats -json both
+// serialize it as the "core" section of the unified openmpmca.Snapshot.
 type StatsSnapshot struct {
 	Regions     uint64 `json:"regions"`
 	Threads     uint64 `json:"threads"`

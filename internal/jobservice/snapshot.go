@@ -8,11 +8,11 @@ import (
 )
 
 // Snapshot is the unified stats umbrella every surface serializes: the
-// job service's GET /v1/stats, ompmca-info -stats -json and
-// ompmca-bench -stats all emit this one shape, replacing the three
-// divergent ad-hoc dumps that predated it. Sections a producer cannot
-// fill are omitted from the JSON rather than zeroed, so a consumer can
-// tell "no offloader wired" from "offloader idle".
+// job service's GET /v1/stats and ompmca-info -stats -json both emit
+// this one shape, replacing the divergent ad-hoc dumps that predated
+// it. Sections a producer cannot fill are omitted from the JSON rather
+// than zeroed, so a consumer can tell "no offloader wired" from
+// "offloader idle".
 type Snapshot struct {
 	Core    *core.StatsSnapshot     `json:"core,omitempty"`    // host runtime scheduler counters
 	Offload *taskfabric.RegionStats `json:"offload,omitempty"` // parallel-for region counters

@@ -39,8 +39,7 @@ type NetConfig struct {
 	NamePrefix string          // partition names: <prefix>-host, <prefix>-dom<i>
 	CmdDepth   int             // host->worker command queue depth
 	ResDepth   int             // worker->host result queue depth
-	Mesh       bool            // also wire N×(N−1) direct worker-to-worker channels
-	PeerDepth  int             // per-direction peer queue depth (default 8)
+	PeerDepth  int             // per-direction steal-mesh queue depth (default 8)
 }
 
 // NetLink is one worker domain of a built net, both sides of its wiring:
@@ -63,7 +62,7 @@ type NetLink struct {
 	CmdSend *mcapi.PktSendHandle // commands out
 	ResRecv *mcapi.PktRecvHandle // results back
 
-	// Steal mesh (nil maps unless NetConfig.Mesh): direct packet
+	// Steal mesh (nil maps with a single domain): direct packet
 	// channels to and from every other worker domain, keyed by peer id.
 	PeerSend map[int]*mcapi.PktSendHandle // this worker -> peer
 	PeerRecv map[int]*mcapi.PktRecvHandle // peer -> this worker
@@ -121,8 +120,9 @@ func partitionCPUs(b *platform.Board, groups int) ([][]int, error) {
 
 // BuildNet partitions the board under the embedded hypervisor, boots one
 // MCA-backed OpenMP runtime per partition, and wires host<->worker MCAPI
-// channels plus heartbeat endpoints. On any error everything already
-// built is torn down.
+// channels plus heartbeat endpoints, and with two or more domains the
+// worker-to-worker steal mesh. On any error everything already built is
+// torn down.
 func BuildNet(cfg NetConfig) (*Net, error) {
 	b := cfg.Board
 	hv, err := platform.NewHypervisor(b)
@@ -255,7 +255,7 @@ func BuildNet(cfg NetConfig) (*Net, error) {
 			ResRecv: resRecv,
 		})
 	}
-	if cfg.Mesh && cfg.Domains >= 2 {
+	if cfg.Domains >= 2 {
 		if err := buildMesh(net, cfg); err != nil {
 			return fail(err)
 		}

@@ -274,7 +274,6 @@ func TestOptionValidation(t *testing.T) {
 		taskfabric.WithBoard(nil),
 		taskfabric.WithChunkIters(-1),
 		taskfabric.WithTaskDeadline(0),
-		taskfabric.WithRetries(-1),
 		taskfabric.WithHeartbeat(0),
 		taskfabric.WithInflight(0),
 	}

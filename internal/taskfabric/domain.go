@@ -51,7 +51,7 @@ type worker struct {
 	queued  map[uint64]*queuedTask // accepted, not yet started
 	running int                    // tasks currently executing
 
-	// Steal mesh (nil maps when peer stealing is off or single-domain).
+	// Steal mesh (nil maps with a single domain).
 	peerSend map[int]*mcapi.PktSendHandle
 	peerRecv map[int]*mcapi.PktRecvHandle
 	loadMap  atomic.Pointer[[]uint32] // latest host occupancy broadcast

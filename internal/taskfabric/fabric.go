@@ -7,10 +7,11 @@
 // domains as wire frames (internal/offload's task codec), where a local
 // MTAPI node schedules them onto the partition's OpenMP runtime. Results,
 // queue-occupancy credits and steal yields flow back on the result
-// channel. The host brokers work stealing between domains: a domain
-// reporting an empty queue is granted half of the most loaded peer's
-// unstarted tasks, which migrate as yield frames and re-dispatch to the
-// idle domain. Per-task deadlines and retries handle slow domains;
+// channel. Idle domains steal from each other directly: an idle worker
+// asks the most loaded peer, over a worker-to-worker mesh channel, for
+// half its unstarted tasks (peersteal.go). When that peer link is dead
+// or the request goes unanswered, the worker asks the host to broker
+// the steal instead. Per-task deadlines and retries handle slow domains;
 // heartbeat loss detection reclaims a dead domain's in-flight tasks and
 // re-executes them locally on the host, so a submitted graph always
 // completes — the loss surfaces as an ErrDomainLost-wrapped error
@@ -89,6 +90,10 @@ type PeerStealSink interface {
 // worth stealing from.
 const stealMin = 2
 
+// maxRetries is how many re-dispatches a task gets before it is pinned
+// to local execution on the host.
+const maxRetries = 2
+
 // config collects the tunables behind the Options.
 type config struct {
 	namePrefix string // hypervisor partition names: <prefix>-host, <prefix>-dom<i>
@@ -96,13 +101,11 @@ type config struct {
 	board      *platform.Board
 	chunkIters int // regions only: iterations per chunk, 0 = sized per region
 	deadline   time.Duration
-	retries    int
 	heartbeat  time.Duration
 	lostAfter  time.Duration
 	inflight   int
 	mtWorkers  int
 	sink       EventSink
-	peerSteal  bool
 }
 
 // Option configures NewFabric.
@@ -114,10 +117,8 @@ func defaultConfig() config {
 		domains:    3,
 		board:      platform.T4240RDB(),
 		deadline:   time.Second,
-		retries:    2,
 		heartbeat:  20 * time.Millisecond,
 		inflight:   8,
-		peerSteal:  true,
 	}
 }
 
@@ -168,18 +169,6 @@ func WithTaskDeadline(d time.Duration) Option {
 	}
 }
 
-// WithRetries sets how many re-dispatches a task gets before it is
-// pinned to local execution (default 2).
-func WithRetries(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("%w: taskfabric: WithRetries(%d): want >= 0", core.ErrInvalidOption, n)
-		}
-		c.retries = n
-		return nil
-	}
-}
-
 // WithHeartbeat sets the ping period; a domain missing pongs for eight
 // periods is declared lost (default 20ms).
 func WithHeartbeat(period time.Duration) Option {
@@ -212,19 +201,6 @@ func WithDomainWorkers(n int) Option {
 			return fmt.Errorf("%w: taskfabric: WithDomainWorkers(%d): want 0..64", core.ErrInvalidOption, n)
 		}
 		c.mtWorkers = n
-		return nil
-	}
-}
-
-// WithPeerStealing toggles the direct worker-to-worker steal mesh
-// (default on). When on, BuildNet wires N×(N−1) peer packet channels
-// and an idle domain sends its steal request straight to the most
-// loaded victim, falling back to host brokerage only when the peer path
-// is dead. Off restores the host-brokered-only protocol byte-for-byte —
-// the ablation baseline.
-func WithPeerStealing(on bool) Option {
-	return func(c *config) error {
-		c.peerSteal = on
 		return nil
 	}
 }
@@ -464,7 +440,6 @@ func newFabric(reg *Registry, cfg config) (*Fabric, error) {
 		NamePrefix: cfg.namePrefix,
 		CmdDepth:   cfg.inflight + 4,
 		ResDepth:   cfg.inflight + 4,
-		Mesh:       cfg.peerSteal && cfg.domains >= 2,
 		PeerDepth:  cfg.inflight + 4,
 	})
 	if err != nil {
@@ -889,16 +864,18 @@ func (f *Fabric) scheduler() {
 	reclaim := func(t *task, toLocal bool) {
 		t.attempt++
 		f.st.resends.Add(1)
-		if toLocal || int(t.attempt) > f.cfg.retries {
+		if toLocal || t.attempt > maxRetries {
 			t.forcedLocal = true
 		}
 		pending = append(pending, t)
 	}
 
-	// tryGrant runs the host-brokered steal protocol on behalf of an
-	// idle thief domain: grant the most loaded live victim permission to
-	// yield half its queue. Shared by the classic credit trigger (peer
-	// stealing off) and the peer-mesh fallback path.
+	// tryGrant brokers a steal for an idle thief domain: grant the most
+	// loaded live victim permission to yield half its queue to the host.
+	// Idle domains steal over the peer mesh on their own; the host only
+	// brokers when a worker asks it to fall back (KindPeerSteal on the
+	// result channel) because its peer link is dead or its request went
+	// unanswered.
 	tryGrant := func(thief int) {
 		if occ(thief) != 0 || len(pending) != 0 || grantVictim >= 0 || !live(thief) {
 			return
@@ -1010,18 +987,11 @@ func (f *Fabric) scheduler() {
 					pending = append([]*task{t}, pending...)
 					return true
 				case offload.KindCredit:
-					m, err := offload.DecodeCredit(pkt)
-					if err != nil {
+					if _, err := offload.DecodeCredit(pkt); err != nil {
 						return false
 					}
 					if grantVictim == a.dom {
 						clearGrant() // grant settled: victim reported back
-					}
-					// With peer stealing on, idle domains drive their own
-					// steals over the mesh; the host only brokers when a
-					// worker explicitly falls back (KindPeerSteal below).
-					if !f.cfg.peerSteal && m.Queued == 0 && m.Running == 0 {
-						tryGrant(a.dom)
 					}
 				case offload.KindPeerSteal:
 					// A thief's peer path is dead or went unanswered: it
@@ -1159,7 +1129,7 @@ func (f *Fabric) scheduler() {
 				reclaim(t, false)
 			}
 			pump()
-			if f.cfg.peerSteal && len(f.links) >= 2 {
+			if len(f.links) >= 2 {
 				// Broadcast the occupancy snapshot the mesh steals from.
 				lm := offload.LoadMapFrame{Occ: make([]uint32, len(f.links))}
 				for li := range f.links {

@@ -83,11 +83,13 @@ func TestPeerStealDirect(t *testing.T) {
 	}
 }
 
-func TestPeerStealingOffAblation(t *testing.T) {
+// TestBrokeredFallbackSteals kills every direct peer link before the
+// burst, so each idle thief's mesh request fails to send and it asks the
+// host to broker instead: every steal must then ride the host's grant.
+func TestBrokeredFallbackSteals(t *testing.T) {
 	f, err := NewFabric(testRegistry(t),
 		WithDomains(3),
 		WithDomainWorkers(1),
-		WithPeerStealing(false),
 		WithTaskDeadline(10*time.Second),
 		WithInflight(16),
 	)
@@ -95,6 +97,13 @@ func TestPeerStealingOffAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	for _, w := range f.workers {
+		for _, send := range w.peerSend {
+			if err := send.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	g, handles, want := stealFixture(t, f)
 	if err := g.WaitAll(30 * time.Second); err != nil {
@@ -103,14 +112,15 @@ func TestPeerStealingOffAblation(t *testing.T) {
 	verifyExact(t, handles, want)
 
 	st := f.Stats()
-	if st.PeerSteals != 0 {
-		t.Errorf("PeerSteals = %d with peer stealing off, want 0", st.PeerSteals)
+	t.Logf("steals=%d brokered-fallbacks=%d", st.Steals, st.BrokeredFallbacks)
+	if st.BrokeredFallbacks == 0 {
+		t.Error("BrokeredFallbacks = 0 with every peer link dead: no thief fell back to the host")
 	}
-	if st.BrokeredFallbacks != 0 {
-		t.Errorf("BrokeredFallbacks = %d with peer stealing off, want 0", st.BrokeredFallbacks)
+	if st.PeerSteals != 0 {
+		t.Errorf("PeerSteals = %d with every peer link dead, want 0", st.PeerSteals)
 	}
 	if st.Steals == 0 {
-		t.Error("Steals = 0: host-brokered stealing must still work in the ablation config")
+		t.Error("Steals = 0: the host-brokered fallback never completed a steal")
 	}
 }
 
