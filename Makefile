@@ -23,15 +23,19 @@ test-benchmark:
 	$(GO) build -C benchmark ./... && $(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # Tier-1 determinism: the scheduler-sensitive packages (the runtime, its
-# validation suite, and the MRAPI mutex fast path under it), plus the
-# region tests that run the runtime's join inside fabric domains, 20 times
+# validation suite, and the MRAPI mutex fast path under it), the region
+# tests that run the runtime's join inside fabric domains, and the job
+# event-log tests (a job's task_sent once raced its submit), 20 times
 # each, on one and two procs. CI runs this on every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion' ./internal/offload
+SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_REGIONS)
+	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_EVENTS)
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_REGIONS)
+	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_EVENTS)
 
 race:
 	$(GO) test -race ./...

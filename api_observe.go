@@ -45,9 +45,9 @@ type ErrorStats = oerrors.CountsSnapshot
 // /v1/health report.
 func ErrorCounts() ErrorStats { return oerrors.Counts() }
 
-// Span is one folded work lifetime: a fabric task (an offloaded chunk
-// is one) or a parallel region, from first dispatch to settled result,
-// with retry and loss-recovery annotations.
+// Span is one folded task lifetime: a fabric task (an offloaded chunk
+// is one), from first dispatch to settled result, with retry and
+// loss-recovery annotations.
 type Span = spans.Span
 
 // SpanStats aggregates a span exporter's whole run.
@@ -57,11 +57,9 @@ type SpanStats = spans.Stats
 // spans and aggregates — the GET /v1/spans body.
 type SpanView = spans.View
 
-// SpanExporter folds trace events into lifetime spans. It implements
-// Monitor and FabricEventSink, so one exporter can observe the runtime,
-// the task fabric and an offloader at once (combine with a trace.Recorder via
-// trace.NewTee when both the flat event log and the folded spans are
-// wanted):
+// SpanExporter folds the fabric's task events into lifetime spans. It is
+// a FabricEventSink, so one exporter can observe the task fabric and an
+// offloader at once:
 //
 //	sp := openmpmca.NewSpanExporter(0)
 //	fab, _ := openmpmca.NewTaskFabric(jobs, openmpmca.WithFabricEventSink(sp))

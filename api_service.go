@@ -5,6 +5,7 @@ import (
 
 	"openmpmca/internal/durable"
 	"openmpmca/internal/jobservice"
+	"openmpmca/internal/trace"
 )
 
 // Multi-tenant job service: a persistent HTTP/JSON front end over a
@@ -54,25 +55,29 @@ type DurableStats = durable.Stats
 
 // JobEvent is one line of a job's progress stream
 // (GET /v1/jobs/{id}/events): lifecycle transitions, per-chunk
-// completions of parallel-for regions, and fabric task send/done
-// events, each stamped with a per-job sequence number.
+// completions of parallel-for regions, and fabric task sent/done/stolen
+// events, each stamped with a per-job sequence number. Every job has
+// one: a job's task carries its own observer into the fabric.
 type JobEvent = jobservice.JobEvent
 
-// ServiceProgressHub attributes fabric task events to the jobs that
-// launched them, feeding the per-job progress streams. Install it as
-// the fabric's event sink; it tees every event to the next sink (a span
-// exporter, typically) so observability keeps working:
+// ServiceProgressHub forwards fabric events to the sink it wraps.
 //
-//	sp := openmpmca.NewSpanExporter(0)
-//	hub := openmpmca.NewServiceProgressHub(sp)
-//	fab, _ := openmpmca.NewTaskFabric(jobs, openmpmca.WithFabricEventSink(hub))
-//	svc, _ := openmpmca.NewJobService(fab, jobs, ..., openmpmca.WithServiceProgress(hub))
-type ServiceProgressHub = jobservice.ProgressHub
+// Deprecated: per-job progress is always on, so the hub attributes
+// nothing. Install the wrapped sink with WithFabricEventSink directly.
+type ServiceProgressHub struct{ next FabricEventSink }
 
-// NewServiceProgressHub builds a progress hub teeing into next (which
-// may be nil).
+// NewServiceProgressHub wraps next, which may be nil.
+//
+// Deprecated: see ServiceProgressHub.
 func NewServiceProgressHub(next FabricEventSink) *ServiceProgressHub {
-	return jobservice.NewProgressHub(next)
+	return &ServiceProgressHub{next}
+}
+
+// Event forwards ev to the wrapped sink.
+func (h *ServiceProgressHub) Event(ev trace.FabricEvent) {
+	if h.next != nil {
+		h.next.Event(ev)
+	}
 }
 
 // ErrServiceClosed is returned by operations on a closed JobService.
@@ -118,11 +123,11 @@ func WithServiceRetryAfter(d time.Duration) JobServiceOption { return jobservice
 // and re-executed. Without this option the service is in-memory only.
 func WithServiceStateDir(dir string) JobServiceOption { return jobservice.WithStateDir(dir) }
 
-// WithServiceProgress wires a progress hub into the service so
-// GET /v1/jobs/{id}/events can attribute fabric task events to jobs.
-// The same hub must be installed as the fabric's event sink
-// (WithFabricEventSink).
-func WithServiceProgress(h *ServiceProgressHub) JobServiceOption { return jobservice.WithProgress(h) }
+// WithServiceProgress does nothing: it adds no tenants, and per-job
+// progress is always on.
+//
+// Deprecated: drop the option.
+func WithServiceProgress(*ServiceProgressHub) JobServiceOption { return jobservice.WithTenants() }
 
 // LoadTenantsFile reads tenants from a keys file: one
 // "name:key:quota:priority[:admin][:rate=R/B]" spec per line, blank

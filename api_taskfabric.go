@@ -49,14 +49,10 @@ type FabricStats = taskfabric.Stats
 // service estimate.
 type FabricDomainInfo = taskfabric.DomainInfo
 
-// FabricEventSink receives task send/recv/steal trace events; a
-// trace.Recorder satisfies it.
+// FabricEventSink receives the fabric's event records through one
+// method: every task send, receive and steal (direct mesh steals
+// included), each once. A SpanExporter satisfies it.
 type FabricEventSink = taskfabric.EventSink
-
-// FabricPeerStealSink is the optional extension a FabricEventSink may
-// implement to additionally observe direct domain-to-domain mesh steals;
-// trace.Recorder and spans.Exporter both satisfy it.
-type FabricPeerStealSink = taskfabric.PeerStealSink
 
 var (
 	// ErrFabricClosed is returned by operations on a closed TaskFabric.

@@ -111,14 +111,10 @@ func run() error {
 		return err
 	}
 	sp := openmpmca.NewSpanExporter(*spanCap)
-	// The progress hub sits between the fabric and the span exporter:
-	// it attributes task events to jobs for the per-job event streams
-	// and tees everything through to the exporter.
-	hub := openmpmca.NewServiceProgressHub(sp)
 	fab, err := openmpmca.NewTaskFabric(jobs,
 		openmpmca.WithFabricDomains(*domains),
 		openmpmca.WithFabricHeartbeat(*heartbeat),
-		openmpmca.WithFabricEventSink(hub),
+		openmpmca.WithFabricEventSink(sp),
 	)
 	if err != nil {
 		return err
@@ -130,7 +126,6 @@ func run() error {
 		openmpmca.WithServiceDispatchWindow(*dispatch),
 		openmpmca.WithServiceRetryAfter(*retryAfter),
 		openmpmca.WithServiceSpans(sp),
-		openmpmca.WithServiceProgress(hub),
 	}
 	if *stateDir != "" {
 		log.Printf("durable job store in %s", *stateDir)

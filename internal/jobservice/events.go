@@ -6,26 +6,27 @@ import (
 	"sync"
 	"time"
 
-	"openmpmca/internal/taskfabric"
+	"openmpmca/internal/trace"
 )
 
 // Per-job progress streaming: every job carries a bounded event log
 // recording its lifecycle transitions plus fine-grained execution
 // progress — chunk completions for parallel_for jobs (fed by the
-// region call's per-chunk callback) and task send/receive for fabric jobs
-// (fed by a ProgressHub wired as the fabric's event sink). Clients
-// follow a single job at GET /v1/jobs/{id}/events (NDJSON), and group
-// streams interleave members' progress lines with the existing
+// region call's per-chunk callback) and task send/receive/steal for
+// fabric jobs (fed by the observer the job's task carries from submit).
+// Clients follow a single job at GET /v1/jobs/{id}/events (NDJSON), and
+// group streams interleave members' progress lines with the existing
 // settled-member events.
 
 // Job event types, in rough lifecycle order.
 const (
-	EventAccepted   = "accepted"   // admitted (and journaled, when durable)
-	EventDispatched = "dispatched" // handed to the fabric or offloader
-	EventTaskSent   = "task_sent"  // fabric task dispatched to a domain
-	EventTaskDone   = "task_done"  // fabric task result accepted
-	EventChunk      = "chunk"      // one parallel_for chunk completed
-	EventSettled    = "settled"    // terminal: succeeded, failed or canceled
+	EventAccepted   = "accepted"    // admitted (and journaled, when durable)
+	EventDispatched = "dispatched"  // handed to the fabric or offloader
+	EventTaskSent   = "task_sent"   // fabric task dispatched to a domain
+	EventTaskDone   = "task_done"   // fabric task result accepted
+	EventTaskStolen = "task_stolen" // fabric task taken by a peer domain; Domain is the thief
+	EventChunk      = "chunk"       // one parallel_for chunk completed
+	EventSettled    = "settled"     // terminal: succeeded, failed or canceled
 )
 
 // JobEvent is one line of a job's progress stream. Chunk and Domain are
@@ -112,6 +113,24 @@ func (j *jobRec) progress(e JobEvent) {
 	}
 }
 
+// observe is a fabric job's task observer: it turns the task's event
+// records into progress lines. A brokered steal gets no line of its own:
+// the task_sent that re-dispatches the task names its new domain.
+func (j *jobRec) observe(ev trace.FabricEvent) {
+	var typ string
+	switch ev.Kind {
+	case trace.EvTaskSend:
+		typ = EventTaskSent
+	case trace.EvTaskRecv:
+		typ = EventTaskDone
+	case trace.EvPeerSteal:
+		typ = EventTaskStolen
+	default:
+		return
+	}
+	j.progress(JobEvent{Type: typ, Chunk: -1, Domain: domainOf(ev.Domain)})
+}
+
 // groupProgress is one member progress line queued for the group
 // stream.
 type groupProgress struct {
@@ -136,89 +155,6 @@ func (g *groupRec) deliverProgress(jobID string, e JobEvent) {
 	default:
 	}
 }
-
-// ---------------------------------------------------------------------------
-// ProgressHub: fabric event sink with per-job attribution.
-
-// ProgressHub adapts the fabric's global event stream into per-job
-// progress: the server binds each submitted task id to its job record,
-// and the hub routes TaskSend/TaskRecv events into that job's event
-// log. Every event is also forwarded to the wrapped sink (typically the
-// spans exporter), so one fabric sink slot serves both consumers.
-//
-// Create the hub first, build the fabric with
-// taskfabric.WithEventSink(hub), then hand it to the server via
-// WithProgress.
-type ProgressHub struct {
-	next taskfabric.EventSink // optional tee target; may be nil
-
-	mu     sync.Mutex
-	byTask map[uint64]*jobRec
-}
-
-// NewProgressHub builds a hub teeing into next (nil for none).
-func NewProgressHub(next taskfabric.EventSink) *ProgressHub {
-	return &ProgressHub{next: next, byTask: make(map[uint64]*jobRec)}
-}
-
-func (h *ProgressHub) bind(task uint64, j *jobRec) {
-	h.mu.Lock()
-	h.byTask[task] = j
-	h.mu.Unlock()
-}
-
-func (h *ProgressHub) unbind(task uint64) {
-	h.mu.Lock()
-	delete(h.byTask, task)
-	h.mu.Unlock()
-}
-
-func (h *ProgressHub) jobOf(task int) *jobRec {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.byTask[uint64(task)]
-}
-
-// TaskSend implements taskfabric.EventSink.
-func (h *ProgressHub) TaskSend(domain, task int) {
-	if j := h.jobOf(task); j != nil {
-		j.progress(JobEvent{Type: EventTaskSent, Chunk: -1, Domain: domainOf(domain)})
-	}
-	if h.next != nil {
-		h.next.TaskSend(domain, task)
-	}
-}
-
-// TaskRecv implements taskfabric.EventSink.
-func (h *ProgressHub) TaskRecv(domain, task int) {
-	if j := h.jobOf(task); j != nil {
-		j.progress(JobEvent{Type: EventTaskDone, Chunk: -1, Domain: domainOf(domain)})
-	}
-	if h.next != nil {
-		h.next.TaskRecv(domain, task)
-	}
-}
-
-// TaskSteal implements taskfabric.EventSink. Steal grants carry domain
-// ids, not task ids, so they are forwarded but not attributed.
-func (h *ProgressHub) TaskSteal(thief, victim int) {
-	if h.next != nil {
-		h.next.TaskSteal(thief, victim)
-	}
-}
-
-// PeerSteal implements taskfabric.PeerStealSink, forwarding when the
-// wrapped sink also does.
-func (h *ProgressHub) PeerSteal(thief, victim int) {
-	if ps, ok := h.next.(taskfabric.PeerStealSink); ok {
-		ps.PeerSteal(thief, victim)
-	}
-}
-
-var (
-	_ taskfabric.EventSink     = (*ProgressHub)(nil)
-	_ taskfabric.PeerStealSink = (*ProgressHub)(nil)
-)
 
 // ---------------------------------------------------------------------------
 // GET /v1/jobs/{id}/events

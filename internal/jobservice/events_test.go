@@ -14,13 +14,12 @@ import (
 	"openmpmca/internal/taskfabric"
 )
 
-// newProgressEnv boots a service with a ProgressHub wired as the
-// fabric's event sink (teeing into a spans exporter, the production
-// shape), so fabric task events are attributed to jobs.
+// newProgressEnv boots a service the way ompmca-serve does: a spans
+// exporter as the fabric's global event sink, served at /v1/spans, while
+// each job's task carries its own observer into the fabric.
 func newProgressEnv(t *testing.T) (*testEnv, *spans.Exporter) {
 	t.Helper()
 	x := spans.NewExporter(0)
-	hub := NewProgressHub(x)
 	jobs := taskfabric.NewRegistry()
 	if err := RegisterBuiltinJobs(jobs); err != nil {
 		t.Fatal(err)
@@ -28,7 +27,7 @@ func newProgressEnv(t *testing.T) (*testEnv, *spans.Exporter) {
 	fab, err := taskfabric.NewFabric(jobs,
 		taskfabric.WithDomains(2),
 		taskfabric.WithHeartbeat(10*time.Millisecond),
-		taskfabric.WithEventSink(hub),
+		taskfabric.WithEventSink(x),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +48,6 @@ func newProgressEnv(t *testing.T) (*testEnv, *spans.Exporter) {
 	srv, err := New(fab, jobs,
 		WithTenants(testTenants...),
 		WithOffloader(off, kernels),
-		WithProgress(hub),
 		WithSpans(x),
 	)
 	if err != nil {
@@ -140,31 +138,70 @@ func TestJobEventsParallelFor(t *testing.T) {
 	}
 }
 
-// TestJobEventsTask checks fabric-task attribution through the
-// ProgressHub: a task job's stream carries task_sent/task_done with the
-// executing domain, and the teed spans exporter still sees the events.
+// taskAttributed reports whether a fabric job's log holds accepted,
+// dispatched and a task_sent line, in that order, and after them a
+// task_done line, each task line naming a domain.
+func taskAttributed(evs []JobEvent) (sent, done bool) {
+	accepted, dispatched := false, false
+	for _, e := range evs {
+		switch {
+		case e.Type == EventAccepted:
+			accepted = true
+		case e.Type == EventDispatched:
+			dispatched = accepted
+		case e.Domain == nil || !dispatched:
+		case e.Type == EventTaskSent:
+			sent = true
+		case e.Type == EventTaskDone && sent:
+			done = true
+		}
+	}
+	return sent, done
+}
+
+// TestJobEventsTask checks fabric-task attribution: a task job's stream
+// carries task_sent then task_done with the executing domain, and the
+// global sink sees the same task.
 func TestJobEventsTask(t *testing.T) {
 	env, x := newProgressEnv(t)
 	v := env.submit(t, "key-alice", submitRequest{Job: JobSum, Arg: I64Pair(0, 100)})
 	evs := readEvents(t, env, "key-alice", v.ID)
-	var sent, recvd int
-	for _, e := range evs {
-		switch e.Type {
-		case EventTaskSent:
-			sent++
-		case EventTaskDone:
-			recvd++
-			if e.Domain == nil {
-				t.Fatalf("task_done without a domain: %+v", e)
+	if sent, done := taskAttributed(evs); !sent || !done {
+		t.Fatalf("task attribution missing: sent=%v done=%v (%+v)", sent, done, evs)
+	}
+	if st := x.Stats(); st.Completed == 0 {
+		t.Fatalf("spans exporter saw nothing: %+v", st)
+	}
+}
+
+// TestJobEventsEveryTaskAttributed submits 200 sum jobs in batches under
+// alice's quota of 64 and requires every settled job's log to hold
+// task_sent then task_done, each with a domain, after accepted and
+// dispatched. The job's observer rides its task into the fabric, so no
+// send can outrun it; a binding made after SubmitJob returned lost the
+// first send of a fast task.
+func TestJobEventsEveryTaskAttributed(t *testing.T) {
+	env, _ := newProgressEnv(t)
+	const jobs, batch = 200, 50
+	var noSent, noDone int
+	for lo := 0; lo < jobs; lo += batch {
+		ids := make([]string, 0, batch)
+		for i := lo; i < lo+batch; i++ {
+			ids = append(ids, env.submit(t, "key-alice", submitRequest{Job: JobSum, Arg: I64Pair(0, int64(i))}).ID)
+		}
+		for _, id := range ids {
+			sent, done := taskAttributed(readEvents(t, env, "key-alice", id))
+			if !sent {
+				noSent++
+			}
+			if !done {
+				noDone++
 			}
 		}
 	}
-	if sent == 0 || recvd == 0 {
-		t.Fatalf("task attribution missing: sent=%d done=%d (%+v)", sent, recvd, evs)
-	}
-	// The tee must not starve the spans exporter.
-	if st := x.Stats(); st.Completed == 0 {
-		t.Fatalf("spans exporter saw nothing through the hub: %+v", st)
+	if noSent+noDone > 0 {
+		t.Fatalf("of %d jobs: %d without accepted, dispatched, task_sent in order, %d without task_done after them",
+			jobs, noSent, noDone)
 	}
 }
 

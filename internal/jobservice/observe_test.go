@@ -7,6 +7,7 @@ import (
 
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/spans"
+	"openmpmca/internal/trace"
 )
 
 func TestHealthSurface(t *testing.T) {
@@ -83,8 +84,8 @@ func TestSpansEndpoint(t *testing.T) {
 	// The exporter only sees events it is wired into as a sink; feed it
 	// directly — the wiring contract (fabric/offload sinks) is covered by
 	// the span package's own tests and cmd/ompmca-serve.
-	sp.TaskSend(1, 7)
-	sp.TaskRecv(1, 7)
+	sp.Event(trace.FabricEvent{Kind: trace.EvTaskSend, Task: 7, Domain: 1, Victim: -1})
+	sp.Event(trace.FabricEvent{Kind: trace.EvTaskRecv, Task: 7, Domain: 1, Victim: -1})
 
 	if code, _ := env.do(t, http.MethodGet, "/v1/spans", "", nil); code != http.StatusUnauthorized {
 		t.Errorf("unauthenticated /v1/spans = %d, want 401", code)

@@ -63,7 +63,6 @@ type config struct {
 	spans      *spans.Exporter
 	store      *durable.Store
 	ownStore   bool // store opened by WithStateDir: Close closes it
-	hub        *ProgressHub
 }
 
 // Option configures New.
@@ -128,7 +127,7 @@ func WithRetryAfter(d time.Duration) Option {
 	}
 }
 
-// WithSpans serves a span exporter's folded task/chunk/region lifetimes
+// WithSpans serves a span exporter's folded task (and chunk) lifetimes
 // at GET /v1/spans. The exporter should be the one wired into the
 // fabric (and offloader) as their event sink; the service only reads
 // it. Without this option /v1/spans answers 404.
@@ -580,12 +579,14 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 		writeError(w, http.StatusInternalServerError, "state store: %v", err)
 		return
 	}
+	// Log the accept before queueing: a dispatcher already awake may
+	// launch the job as soon as it is in the queue.
+	j.progress(JobEvent{Type: EventAccepted, Chunk: -1})
 	s.mu.Lock()
 	t.queue = append(t.queue, j)
 	s.mu.Unlock()
 	t.accepted.Add(1)
 	s.st.accepted.Add(1)
-	j.progress(JobEvent{Type: EventAccepted, Chunk: -1})
 	s.kickDispatcher()
 	writeSync(w, http.StatusAccepted, j.view())
 }
@@ -983,21 +984,15 @@ func (s *Server) launch(j *jobRec) {
 		}()
 		return
 	}
-	h, err := s.fab.SubmitJob(j.name, j.arg)
+	h, err := s.fab.SubmitJobObserved(j.name, j.arg, j.observe)
 	if err != nil {
 		finish(nil, err)
 		return
-	}
-	if s.cfg.hub != nil {
-		s.cfg.hub.bind(h.ID(), j)
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		res, err := h.Wait(taskfabric.TimeoutInfinite)
-		if s.cfg.hub != nil {
-			s.cfg.hub.unbind(h.ID())
-		}
 		finish(res, err)
 	}()
 }

@@ -607,7 +607,26 @@ func TestKillMidJob(t *testing.T) {
 		v := e.submit(t, "key-alice", submitRequest{Job: JobSpin, Arg: U64(uint64(60 * time.Millisecond))})
 		ids = append(ids, v.ID)
 	}
-	time.Sleep(10 * time.Millisecond) // let dispatch spread across domains
+	// Block until every job's task is on a domain, so the drain finds
+	// domain 0 holding work.
+	for _, id := range ids {
+		e.srv.mu.Lock()
+		l := e.srv.jobs[id].events
+		e.srv.mu.Unlock()
+		for seq, sent := 0, false; !sent; {
+			evs, done, pulse := l.since(seq)
+			for _, ev := range evs {
+				sent = sent || ev.Type == EventTaskSent
+				seq = ev.Seq + 1
+			}
+			if done && !sent {
+				t.Fatalf("job %s settled before its task was sent", id)
+			}
+			if !sent {
+				<-pulse
+			}
+		}
+	}
 	if code, env := e.do(t, http.MethodPost, "/v1/domains/0/drain", "key-alice", nil); code != http.StatusOK {
 		t.Fatalf("drain = %d (%s)", code, env.Error)
 	}

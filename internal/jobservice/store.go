@@ -61,20 +61,6 @@ func WithStateDir(dir string, opts ...durable.Option) Option {
 	}
 }
 
-// WithProgress attaches a ProgressHub so fabric task events are
-// attributed to jobs. The hub must be the fabric's event sink (built
-// with taskfabric.WithEventSink(hub)); parallel_for chunk progress
-// works without it.
-func WithProgress(h *ProgressHub) Option {
-	return func(c *config) error {
-		if h == nil {
-			return fmt.Errorf("%w: jobservice: WithProgress(nil)", core.ErrInvalidOption)
-		}
-		c.hub = h
-		return nil
-	}
-}
-
 // journal appends one entry when a store is attached. The returned
 // error matters only on the accept path, where durability gates the
 // 202.

@@ -4,7 +4,18 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"openmpmca/internal/trace"
 )
+
+// send and recv feed x one fabric dispatch or result.
+func send(x *Exporter, domain int, task uint64) {
+	x.Event(trace.FabricEvent{Kind: trace.EvTaskSend, Task: task, Domain: domain, Victim: -1})
+}
+
+func recv(x *Exporter, domain int, task uint64) {
+	x.Event(trace.FabricEvent{Kind: trace.EvTaskRecv, Task: task, Domain: domain, Victim: -1})
+}
 
 // stub clock: deterministic, strictly advancing.
 func stubClock(x *Exporter) func(int64) {
@@ -20,9 +31,9 @@ func TestChunkSpanLifecycle(t *testing.T) {
 	tick := stubClock(x)
 
 	tick(100)
-	x.TaskSend(1, 7)
+	send(x, 1, 7)
 	tick(350)
-	x.TaskRecv(1, 7)
+	recv(x, 1, 7)
 
 	spans := x.Completed()
 	if len(spans) != 1 {
@@ -51,11 +62,11 @@ func TestRetryAndRecoveryAnnotations(t *testing.T) {
 	// retry), finally re-executed on the host (-1) — the loss-recovery
 	// signature.
 	tick(10)
-	x.TaskSend(2, 3)
-	x.TaskSend(1, 3)
-	x.TaskSend(-1, 3)
+	send(x, 2, 3)
+	send(x, 1, 3)
+	send(x, -1, 3)
 	tick(90)
-	x.TaskRecv(-1, 3)
+	recv(x, -1, 3)
 
 	spans := x.Completed()
 	if len(spans) != 1 {
@@ -78,38 +89,11 @@ func TestRetryAndRecoveryAnnotations(t *testing.T) {
 	}
 
 	// Host-only work never counts as recovered.
-	x.TaskSend(-1, 4)
-	x.TaskSend(-1, 4)
-	x.TaskRecv(-1, 4)
+	send(x, -1, 4)
+	send(x, -1, 4)
+	recv(x, -1, 4)
 	if st := x.Stats(); st.Recovered != 1 {
 		t.Errorf("host-local retry counted as recovery: %+v", st)
-	}
-}
-
-func TestRegionSpansFoldLIFO(t *testing.T) {
-	x := NewExporter(8)
-	tick := stubClock(x)
-
-	tick(1000)
-	x.Fork(4)
-	tick(1500)
-	x.Fork(2) // nested/overlapping region joins first
-	tick(1600)
-	x.Join()
-	tick(2000)
-	x.Join()
-	x.Join() // unmatched join: ignored, not a crash
-
-	spans := x.Completed()
-	if len(spans) != 2 {
-		t.Fatalf("completed %d region spans, want 2", len(spans))
-	}
-	inner, outer := spans[0], spans[1]
-	if inner.N != 2 || inner.DurNs != 100 {
-		t.Errorf("inner region = %+v, want n=2 dur=100", inner)
-	}
-	if outer.N != 4 || outer.DurNs != 1000 {
-		t.Errorf("outer region = %+v, want n=4 dur=1000", outer)
 	}
 }
 
@@ -118,7 +102,7 @@ func TestUnmatchedResultSynthesizesSpan(t *testing.T) {
 	// still balance the books with a zero-length span.
 	x := NewExporter(8)
 	stubClock(x)(500)
-	x.TaskRecv(0, 99)
+	recv(x, 0, 99)
 	spans := x.Completed()
 	if len(spans) != 1 || spans[0].DurNs != 0 {
 		t.Fatalf("spans = %+v, want one zero-length span", spans)
@@ -131,8 +115,8 @@ func TestUnmatchedResultSynthesizesSpan(t *testing.T) {
 func TestRingBoundAndDropAccounting(t *testing.T) {
 	x := NewExporter(4)
 	for i := 0; i < 10; i++ {
-		x.TaskSend(0, uint64ID(i))
-		x.TaskRecv(0, uint64ID(i))
+		send(x, 0, uint64(i))
+		recv(x, 0, uint64(i))
 	}
 	spans := x.Completed()
 	if len(spans) != 4 {
@@ -150,16 +134,13 @@ func TestRingBoundAndDropAccounting(t *testing.T) {
 	}
 }
 
-func uint64ID(i int) int { return i }
-
 func TestOpenSpansVisibleAndSnapshotSerializes(t *testing.T) {
 	x := NewExporter(8)
-	x.TaskSend(1, 5)
-	x.TaskSend(0, 2)
-	x.Fork(3)
+	send(x, 1, 5)
+	send(x, 0, 2)
 	open := x.Open()
-	if len(open) != 3 {
-		t.Fatalf("open = %d spans, want 3", len(open))
+	if len(open) != 2 {
+		t.Fatalf("open = %d spans, want 2", len(open))
 	}
 	raw, err := x.ExportJSON()
 	if err != nil {
@@ -169,8 +150,8 @@ func TestOpenSpansVisibleAndSnapshotSerializes(t *testing.T) {
 	if err := json.Unmarshal(raw, &v); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Open) != 3 || v.Stats.Opened != 3 {
-		t.Errorf("snapshot = %+v, want 3 open / 3 opened", v)
+	if len(v.Open) != 2 || v.Stats.Opened != 2 {
+		t.Errorf("snapshot = %+v, want 2 open / 2 opened", v)
 	}
 
 	x.Reset()
@@ -191,13 +172,13 @@ func TestConcurrentFolding(t *testing.T) {
 		go func(base int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				id := base*per + i
-				x.TaskSend(base%3, id)
+				id := uint64(base*per + i)
+				send(x, base%3, id)
 				if i%5 == 0 {
-					x.TaskSend(-1, id) // re-dispatch
+					send(x, -1, id) // re-dispatch
 				}
-				x.TaskRecv(base%3, id)
-				x.TaskSteal(base%3, (base+1)%3)
+				recv(x, base%3, id)
+				x.Event(trace.FabricEvent{Kind: trace.EvTaskSteal, Task: id, Domain: base % 3, Victim: (base + 1) % 3})
 			}
 		}(g)
 	}

@@ -29,7 +29,7 @@ func TestAblationBatching(t *testing.T) {
 			args[i] = sleepSumArg(1, uint64(i)*3+1)
 			want += uint64(i)*3 + 1
 		}
-		handles, err := f.submitAll("sleepsum", args, g)
+		handles, err := f.submitAll("sleepsum", args, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,7 @@ import (
 	"openmpmca/internal/offload"
 	"openmpmca/internal/perfmodel"
 	"openmpmca/internal/platform"
+	"openmpmca/internal/trace"
 )
 
 // ErrDomainLost marks work that survived a worker domain dying — the
@@ -70,20 +71,10 @@ var (
 // not ready), positive bounds the wait.
 const TimeoutInfinite time.Duration = -1
 
-// EventSink receives task-fabric trace events. Domain -1 is the host's
-// local executor. trace.Recorder implements it.
+// EventSink receives the fabric's event records: every send, receive
+// and steal, each once. trace.Recorder and spans.Exporter implement it.
 type EventSink interface {
-	TaskSend(domain, task int)
-	TaskRecv(domain, task int)
-	TaskSteal(thief, victim int)
-}
-
-// PeerStealSink is an optional EventSink extension: sinks that also
-// implement it receive an event for every direct (peer-to-peer) steal,
-// distinct from the TaskSteal event both brokered and direct migrations
-// emit. trace.Recorder and spans.Exporter implement it.
-type PeerStealSink interface {
-	PeerSteal(thief, victim int)
+	Event(ev trace.FabricEvent)
 }
 
 // stealMin is the outstanding-task floor below which a domain is not
@@ -205,8 +196,8 @@ func WithDomainWorkers(n int) Option {
 	}
 }
 
-// WithEventSink installs a sink for EvTaskSend/EvTaskRecv/EvTaskSteal
-// events.
+// WithEventSink installs the global sink for every task's event
+// records.
 func WithEventSink(s EventSink) Option {
 	return func(c *config) error {
 		c.sink = s
@@ -331,6 +322,7 @@ type task struct {
 	arg         []byte
 	h           *TaskHandle
 	g           *Group
+	obs         func(trace.FabricEvent) // this task's observer; nil for none
 	attempt     uint32
 	forcedLocal bool // exhausted retries or recovered: host executes it
 	recovered   bool // reclaimed from a lost domain
@@ -616,11 +608,19 @@ func (f *Fabric) ReadmitDomain(i int) error {
 // SubmitJob submits one ungrouped task executing the named job with the
 // given argument, dispatched to whichever domain has capacity.
 func (f *Fabric) SubmitJob(job string, arg []byte) (*TaskHandle, error) {
-	return f.submit(job, arg, nil)
+	return f.submit(job, arg, nil, nil)
 }
 
-func (f *Fabric) submit(job string, arg []byte, g *Group) (*TaskHandle, error) {
-	hs, err := f.submitAll(job, [][]byte{arg}, g)
+// SubmitJobObserved is SubmitJob with a per-task observer: obs receives
+// every event record of this task, after the global sink, on the
+// scheduler goroutine, so it must not block. It is attached before the
+// task reaches the scheduler, so no event can precede it.
+func (f *Fabric) SubmitJobObserved(job string, arg []byte, obs func(trace.FabricEvent)) (*TaskHandle, error) {
+	return f.submit(job, arg, nil, obs)
+}
+
+func (f *Fabric) submit(job string, arg []byte, g *Group, obs func(trace.FabricEvent)) (*TaskHandle, error) {
+	hs, err := f.submitAll(job, [][]byte{arg}, g, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -630,8 +630,8 @@ func (f *Fabric) submit(job string, arg []byte, g *Group) (*TaskHandle, error) {
 // submitAll submits one task of the named job per argument in a single
 // hand-off to the scheduler, which places the whole batch in one pump —
 // one (batched) packet per domain instead of one per task. A region's
-// chunks arrive this way.
-func (f *Fabric) submitAll(job string, args [][]byte, g *Group) ([]*TaskHandle, error) {
+// chunks arrive this way. obs, when set, observes every task of the batch.
+func (f *Fabric) submitAll(job string, args [][]byte, g *Group, obs func(trace.FabricEvent)) ([]*TaskHandle, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -643,7 +643,7 @@ func (f *Fabric) submitAll(job string, args [][]byte, g *Group) ([]*TaskHandle, 
 	for i, arg := range args {
 		id := taskSeq.Add(1)
 		h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
-		t := &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g}
+		t := &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g, obs: obs}
 		if g != nil {
 			g.addMember(h)
 		}
@@ -753,6 +753,18 @@ func (f *Fabric) scheduler() {
 		return false
 	}
 
+	// emit delivers one event record of t to the global sink, then to
+	// t's own observer.
+	emit := func(t *task, kind trace.EventKind, dom, victim int) {
+		ev := trace.FabricEvent{Kind: kind, Task: t.id, Domain: dom, Victim: victim}
+		if f.cfg.sink != nil {
+			f.cfg.sink.Event(ev)
+		}
+		if t.obs != nil {
+			t.obs(ev)
+		}
+	}
+
 	// finish completes a task: release its flight slot, settle the handle
 	// (a recovered task's success carries ErrDomainLost), notify its group.
 	finish := func(t *task, dom int, payload []byte, err error) {
@@ -782,9 +794,7 @@ func (f *Fabric) scheduler() {
 		now := time.Now()
 		infl[t.id] = flight{dom: li, sent: now, expiry: now.Add(f.cfg.deadline)}
 		f.links[li].occ.Add(1)
-		if f.cfg.sink != nil {
-			f.cfg.sink.TaskSend(li, int(t.id))
-		}
+		emit(t, trace.EvTaskSend, li, -1)
 	}
 
 	// pump places the pending queue: pinned-local tasks (and every task
@@ -808,9 +818,7 @@ func (f *Fabric) scheduler() {
 				select {
 				case f.localQ <- t:
 					infl[t.id] = flight{dom: -1}
-					if f.cfg.sink != nil {
-						f.cfg.sink.TaskSend(-1, int(t.id))
-					}
+					emit(t, trace.EvTaskSend, -1, -1)
 				default:
 					rest = append(rest, t) // local executor saturated
 				}
@@ -952,9 +960,7 @@ func (f *Fabric) scheduler() {
 						terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeJobFailed, "taskfabric: job %q: %s", t.job, string(m.Payload))
 					}
 					f.st.remoteTasks.Add(1)
-					if f.cfg.sink != nil {
-						f.cfg.sink.TaskRecv(a.dom, int(t.id))
-					}
+					emit(t, trace.EvTaskRecv, a.dom, -1)
 					finish(t, a.dom, m.Payload, terr)
 					return true
 				case offload.KindTaskYield:
@@ -974,13 +980,11 @@ func (f *Fabric) scheduler() {
 					f.links[a.dom].occ.Add(-1)
 					t.attempt++
 					f.st.steals.Add(1)
-					if f.cfg.sink != nil {
-						thief := -1
-						if grantVictim == a.dom {
-							thief = grantThief
-						}
-						f.cfg.sink.TaskSteal(thief, a.dom)
+					thief := -1
+					if grantVictim == a.dom {
+						thief = grantThief
 					}
+					emit(t, trace.EvTaskSteal, thief, a.dom)
 					// Head of the queue: the idle thief has the lowest
 					// occupancy, so min-outstanding dispatch routes the
 					// migrated task straight to it.
@@ -1020,7 +1024,8 @@ func (f *Fabric) scheduler() {
 					if !ok || fl.dom != victimLi {
 						return false
 					}
-					if _, known := tasks[m.Task]; !known {
+					t, known := tasks[m.Task]
+					if !known {
 						return false
 					}
 					now := time.Now()
@@ -1029,12 +1034,7 @@ func (f *Fabric) scheduler() {
 					f.links[thiefLi].occ.Add(1)
 					f.st.steals.Add(1)
 					f.st.peerSteals.Add(1)
-					if f.cfg.sink != nil {
-						f.cfg.sink.TaskSteal(thiefLi, victimLi)
-						if ps, ok := f.cfg.sink.(PeerStealSink); ok {
-							ps.PeerSteal(thiefLi, victimLi)
-						}
-					}
+					emit(t, trace.EvPeerSteal, thiefLi, victimLi)
 					return true
 				}
 				return false
@@ -1060,9 +1060,7 @@ func (f *Fabric) scheduler() {
 				continue
 			}
 			f.st.localTasks.Add(1)
-			if f.cfg.sink != nil {
-				f.cfg.sink.TaskRecv(-1, int(d.t.id))
-			}
+			emit(d.t, trace.EvTaskRecv, -1, -1)
 			finish(d.t, -1, d.payload, d.err)
 			pump()
 

@@ -34,7 +34,7 @@ func (f *Fabric) NewGroup() *Group {
 
 // SubmitJob submits one task into the group.
 func (g *Group) SubmitJob(job string, arg []byte) (*TaskHandle, error) {
-	return g.f.submit(job, arg, g)
+	return g.f.submit(job, arg, g, nil)
 }
 
 // Pending reports members submitted but not yet completed.

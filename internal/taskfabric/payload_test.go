@@ -82,7 +82,7 @@ func TestLargePayloads(t *testing.T) {
 					args[i][j] = byte(j*31 + i)
 				}
 			}
-			handles, err := f.submitAll("echo", args, g)
+			handles, err := f.submitAll("echo", args, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

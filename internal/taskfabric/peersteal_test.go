@@ -2,33 +2,43 @@ package taskfabric
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"openmpmca/internal/trace"
 )
 
-// trace.Recorder and the fabric's own sink contract must both see peer
-// steals.
-var _ PeerStealSink = (*trace.Recorder)(nil)
+// fixtureTasks is how many tasks stealFixture submits.
+const fixtureTasks = 20
 
 // stealFixture builds the canonical imbalance: serial domains, two long
 // blockers pinning the first domains scheduled, and a tail of quick
 // tasks queued behind them — so whichever domain drains its queue first
-// goes idle while loaded peers still hold stealable work.
-func stealFixture(t *testing.T, f *Fabric) (*Group, []*TaskHandle, []uint64) {
+// goes idle while loaded peers still hold stealable work. observe, when
+// set, gives the i-th submitted task its observer.
+func stealFixture(t *testing.T, f *Fabric, observe func(i int) func(trace.FabricEvent)) (*Group, []*TaskHandle, []uint64) {
 	t.Helper()
 	g := f.NewGroup()
+	n := 0
+	submit := func(arg []byte) (*TaskHandle, error) {
+		var obs func(trace.FabricEvent)
+		if observe != nil {
+			obs = observe(n)
+		}
+		n++
+		return f.submit("sleepsum", arg, g, obs)
+	}
 	for i := 0; i < 2; i++ {
-		if _, err := g.SubmitJob("sleepsum", sleepSumArg(250, 0)); err != nil {
+		if _, err := submit(sleepSumArg(250, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var handles []*TaskHandle
 	var want []uint64
-	for i := 0; i < 18; i++ {
+	for i := 0; i < fixtureTasks-2; i++ {
 		v := uint64(i)*13 + 1
-		h, err := g.SubmitJob("sleepsum", sleepSumArg(2, v))
+		h, err := submit(sleepSumArg(2, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +75,7 @@ func TestPeerStealDirect(t *testing.T) {
 	}
 	defer f.Close()
 
-	g, handles, want := stealFixture(t, f)
+	g, handles, want := stealFixture(t, f, nil)
 	if err := g.WaitAll(30 * time.Second); err != nil {
 		t.Fatalf("WaitAll: %v", err)
 	}
@@ -80,6 +90,81 @@ func TestPeerStealDirect(t *testing.T) {
 	}
 	if sum := rec.Summary(); sum.PeerSteals != st.PeerSteals {
 		t.Errorf("trace PeerSteals %d != stats %d", sum.PeerSteals, st.PeerSteals)
+	}
+}
+
+// TestObserverSeesItsTaskEvents runs the steal fixture with an observer
+// on every task and a trace.Recorder as the global sink: each observer
+// must get exactly the send/recv/steal records the sink got for its one
+// task, and the observed steals must add up to the fabric's counters.
+func TestObserverSeesItsTaskEvents(t *testing.T) {
+	rec := trace.NewRecorder(4096)
+	f, err := NewFabric(testRegistry(t),
+		WithDomains(3),
+		WithDomainWorkers(1),
+		WithTaskDeadline(10*time.Second),
+		WithInflight(16),
+		WithEventSink(rec),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	var mu sync.Mutex
+	observed := make([][]trace.FabricEvent, fixtureTasks)
+	g, handles, want := stealFixture(t, f, func(i int) func(trace.FabricEvent) {
+		return func(ev trace.FabricEvent) {
+			mu.Lock()
+			observed[i] = append(observed[i], ev)
+			mu.Unlock()
+		}
+	})
+	if err := g.WaitAll(30 * time.Second); err != nil {
+		t.Fatalf("WaitAll: %v", err)
+	}
+	verifyExact(t, handles, want)
+
+	sunk := make(map[uint64][]trace.Event)
+	for _, e := range rec.Events() {
+		sunk[uint64(e.Units)] = append(sunk[uint64(e.Units)], e)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var steals, peerSteals uint64
+	for i, evs := range observed {
+		if len(evs) == 0 {
+			t.Fatalf("task %d: observer got nothing", i)
+		}
+		id := evs[0].Task
+		got := sunk[id]
+		if len(got) != len(evs) {
+			t.Fatalf("task %d (id %d): observer got %d records, sink %d", i, id, len(evs), len(got))
+		}
+		for k, ev := range evs {
+			if ev.Task != id || ev.Kind != got[k].Kind || ev.Domain != got[k].Tid {
+				t.Fatalf("task %d (id %d) record %d: observer %+v, sink %v", i, id, k, ev, got[k])
+			}
+			switch ev.Kind {
+			case trace.EvPeerSteal:
+				peerSteals++
+				steals++
+			case trace.EvTaskSteal:
+				steals++
+			}
+		}
+		delete(sunk, id)
+	}
+	if len(sunk) != 0 {
+		t.Errorf("sink saw %d tasks no observer did", len(sunk))
+	}
+	st := f.Stats()
+	t.Logf("steals=%d peer=%d", st.Steals, st.PeerSteals)
+	if st.Steals == 0 {
+		t.Error("Steals = 0: the fixture stole nothing, so steal records went unchecked")
+	}
+	if steals != st.Steals || peerSteals != st.PeerSteals {
+		t.Errorf("observed steals %d (peer %d), stats %d (peer %d)", steals, peerSteals, st.Steals, st.PeerSteals)
 	}
 }
 
@@ -105,7 +190,7 @@ func TestBrokeredFallbackSteals(t *testing.T) {
 		}
 	}
 
-	g, handles, want := stealFixture(t, f)
+	g, handles, want := stealFixture(t, f, nil)
 	if err := g.WaitAll(30 * time.Second); err != nil {
 		t.Fatalf("WaitAll: %v", err)
 	}
@@ -143,7 +228,7 @@ func TestKillVictimMidYield(t *testing.T) {
 	}
 	defer f.Close()
 
-	g, handles, want := stealFixture(t, f)
+	g, handles, want := stealFixture(t, f, nil)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for f.Stats().Steals == 0 && time.Now().Before(deadline) {

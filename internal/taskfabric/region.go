@@ -9,6 +9,7 @@ import (
 	"openmpmca/internal/core"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
+	"openmpmca/internal/trace"
 )
 
 // Parallel-for regions on the fabric. A region's iteration space is cut
@@ -198,7 +199,7 @@ func (o *Offloader) ParallelForObserved(kernel string, n int, arg []byte,
 		lo, hi := bounds(ci)
 		descs[ci] = offload.EncodeChunkDesc(offload.ChunkDesc{Kernel: kernel, Lo: int64(lo), Hi: int64(hi), Arg: arg})
 	}
-	handles, err := f.submitAll(chunkJobName, descs, g)
+	handles, err := f.submitAll(chunkJobName, descs, g, nil)
 	for _, d := range descs {
 		offload.RecycleFrame(d)
 	}
@@ -235,16 +236,17 @@ func (o *Offloader) ParallelForObserved(kernel string, n int, arg []byte,
 
 	for ci := grouped; ci < nc; ci++ {
 		lo, hi := bounds(ci)
-		id := int(taskSeq.Add(1))
+		ev := trace.FabricEvent{Kind: trace.EvTaskSend, Task: taskSeq.Add(1), Domain: -1, Victim: -1}
 		if f.cfg.sink != nil {
-			f.cfg.sink.TaskSend(-1, id)
+			f.cfg.sink.Event(ev)
 		}
 		part, err := k.Chunk(f.net.Host, lo, hi, arg)
 		if err != nil {
 			return fail(oerrors.Errorf(oerrors.Internal, oerrors.CodeJobFailed, "failed on the host: %w", err))
 		}
 		if f.cfg.sink != nil {
-			f.cfg.sink.TaskRecv(-1, id)
+			ev.Kind = trace.EvTaskRecv
+			f.cfg.sink.Event(ev)
 		}
 		o.hostChunks.Add(1)
 		accept(ci, -1, part)

@@ -2,7 +2,8 @@
 // implements core.Monitor with a bounded in-memory event log plus
 // aggregate counters, for debugging parallel structure and for asserting
 // construct sequences in tests. Combine it with the virtual-time model via
-// Tee to trace and time one run simultaneously.
+// Tee to trace and time one run simultaneously. It also defines the task
+// fabric's event record, FabricEvent, which the Recorder logs too.
 package trace
 
 import (
@@ -36,18 +37,28 @@ const (
 	// task, or one chunk of a parallel-for region — dispatched to a
 	// worker domain, a task result accepted by the host, and a queued
 	// task migrating from an overloaded domain to an idle one through a
-	// host-brokered steal. Emitted through the Recorder's
-	// TaskSend/TaskRecv/TaskSteal methods — the fabric's EventSink.
+	// host-brokered steal. Each reaches a sink as one FabricEvent.
 	EvTaskSend
 	EvTaskRecv
 	EvTaskSteal
-	// EvPeerSteal records a direct domain-to-domain steal over the mesh
-	// (internal/taskfabric with peer stealing on): the task never passed
-	// through the host, which only re-pointed its accounting. Emitted
-	// through the Recorder's PeerSteal method — the fabric's
-	// PeerStealSink. Every peer steal is also counted as an EvTaskSteal.
+	// EvPeerSteal records a direct domain-to-domain steal over the mesh:
+	// the task never passed through the host, which only re-pointed its
+	// accounting. Summary counts it among TaskSteals too.
 	EvPeerSteal
 )
+
+// FabricEvent is the task fabric's one event record, delivered to its
+// global sink and to the task's own observer. Kind is EvTaskSend,
+// EvTaskRecv, EvTaskSteal or EvPeerSteal. Domain is the executor a task
+// was sent to or received from, or a steal's thief; -1 is the host (its
+// local executor, or a brokered steal's unknown thief). Victim is the
+// domain a steal took the task from, -1 on sends and receives.
+type FabricEvent struct {
+	Kind   EventKind
+	Task   uint64
+	Domain int
+	Victim int
+}
 
 var kindNames = [...]string{
 	EvFork:          "fork",
@@ -80,10 +91,11 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind EventKind
 	// Tid is the thread the event belongs to (-1 for team-wide events;
-	// the thief for EvSteal, the outer thread for EvNestedFork/Join).
+	// the thief for EvSteal, the outer thread for EvNestedFork/Join). For
+	// fabric kinds it is the FabricEvent's Domain.
 	Tid int
 	// Units carries the charge amount or the team size, by kind; for
-	// EvSteal it is the victim's thread id.
+	// EvSteal it is the victim's thread id, for fabric kinds the task id.
 	Units float64
 	// Seq is the global sequence number.
 	Seq uint64
@@ -103,7 +115,7 @@ type Summary struct {
 	Tasks, Steals                               uint64
 	NestedForks, NestedJoins                    uint64
 	Cancels                                     uint64
-	TaskSends, TaskRecvs, TaskSteals            uint64
+	TaskSends, TaskRecvs, TaskSteals            uint64 // TaskSteals includes PeerSteals
 	PeerSteals                                  uint64
 	ChargeEvents                                uint64
 	UnitsCharged                                float64
@@ -182,6 +194,7 @@ func (r *Recorder) record(kind EventKind, tid int, units float64) {
 	case EvTaskSteal:
 		r.sum.TaskSteals++
 	case EvPeerSteal:
+		r.sum.TaskSteals++
 		r.sum.PeerSteals++
 	case EvCharge:
 		r.sum.ChargeEvents++
@@ -230,24 +243,10 @@ func (r *Recorder) NestedJoin(tid int) { r.record(EvNestedJoin, tid, 0) }
 // Cancel implements core.Monitor.
 func (r *Recorder) Cancel() { r.record(EvCancel, -1, 0) }
 
-// TaskSend records a task descriptor dispatched to a worker domain
-// (taskfabric.EventSink): the domain id travels as the event's thread,
-// the task id in Units; domain is -1 for the host's local executor.
-func (r *Recorder) TaskSend(domain, task int) { r.record(EvTaskSend, domain, float64(task)) }
-
-// TaskRecv records a task result accepted by the fabric scheduler
-// (taskfabric.EventSink); domain is -1 when the task ran locally.
-func (r *Recorder) TaskRecv(domain, task int) { r.record(EvTaskRecv, domain, float64(task)) }
-
-// TaskSteal records a queued task migrating between domains through a
-// host-brokered steal: the thief is the event's thread, the victim
-// travels in Units.
-func (r *Recorder) TaskSteal(thief, victim int) { r.record(EvTaskSteal, thief, float64(victim)) }
-
-// PeerSteal records a direct domain-to-domain steal over the mesh
-// (taskfabric.PeerStealSink): the thief is the event's thread, the
-// victim travels in Units.
-func (r *Recorder) PeerSteal(thief, victim int) { r.record(EvPeerSteal, thief, float64(victim)) }
+// Event records one task-fabric record (taskfabric.EventSink): the
+// domain travels as the event's thread, the task id in Units. A steal's
+// victim is not retained.
+func (r *Recorder) Event(ev FabricEvent) { r.record(ev.Kind, ev.Domain, float64(ev.Task)) }
 
 var _ core.Monitor = (*Recorder)(nil)
 
