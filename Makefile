@@ -24,10 +24,12 @@ test-benchmark:
 
 # Tier-1 determinism: the scheduler-sensitive packages (the runtime, its
 # validation suite, and the MRAPI mutex fast path under it), the region
-# tests that run the runtime's join inside fabric domains, and the job
-# event-log tests (a job's task_sent once raced its submit), 20 times
-# each, on one and two procs. CI runs this on every push.
-SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion' ./internal/offload
+# tests that run the runtime's join inside fabric domains (on a region
+# fabric, on a job service's own fabric, and in ompmca-taskgraph's run),
+# and the job event-log tests (a job's task_sent once raced its submit),
+# 20 times each, on one and two procs. CI runs this on every push.
+SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
+	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
@@ -52,7 +54,6 @@ experiments:
 	$(GO) run ./cmd/ompmca-info
 	$(GO) run ./cmd/ompmca-boot -v
 	$(GO) run ./cmd/ompmca-validate
-	$(GO) run ./cmd/ompmca-offload
 	$(GO) run ./cmd/ompmca-taskgraph
 
 # MTAPI task-fabric demo: irregular graph across domains, work stealing,

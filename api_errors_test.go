@@ -99,9 +99,7 @@ func TestClosedErrorsClassifiedAcrossConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, perr := off.ParallelFor("any", 8, nil)
-	if got, ok := ErrorCodeOf(perr); perr == nil || !ok || got != "offload_closed" {
-		t.Errorf("NewOffload: closed ParallelFor = %v (code %q/%v), want offload_closed", perr, got, ok)
-	}
+	check("NewOffload", perr, ErrFabricClosed, "fabric_closed")
 
 	jobs := NewJobRegistry()
 	fab, err := NewTaskFabric(jobs, WithFabricDomains(2))

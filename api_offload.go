@@ -9,17 +9,19 @@ import (
 
 // Multi-domain offload: distribute parallel-for regions across runtime
 // domains — separate Runtime instances on their own hypervisor
-// partitions — that communicate exclusively over MCAPI. A region runs as
-// a group of chunk tasks on a private task fabric (see
+// partitions — that communicate exclusively over MCAPI. A region is a
+// method of the task fabric (TaskFabric.ParallelFor): its chunks run as
+// a group of chunk tasks beside the fabric's jobs (see
 // internal/taskfabric, region.go), so deadlines, retries, stealing and
-// domain-loss recovery are the fabric's.
+// domain-loss recovery are the fabric's. Bind kernels to a fabric with
+// JobRegistry.RegisterKernels before building it.
 //
 // Naming convention: every option that configures NewOffload is named
 // WithOffload*; every option that configures NewTaskFabric is named
 // WithFabric*. They are one option type underneath.
 
-// Offload farms ParallelFor regions out to worker domains; see NewOffload.
-type Offload = taskfabric.Offloader
+// Offload is a TaskFabric built by NewOffload to run regions alone.
+type Offload = TaskFabric
 
 // OffloadOption configures NewOffload.
 type OffloadOption = taskfabric.Option
@@ -48,9 +50,11 @@ var ErrDomainLost = offload.ErrDomainLost
 // NewOffloadRegistry creates an empty kernel registry.
 func NewOffloadRegistry() *OffloadRegistry { return offload.NewRegistry() }
 
-// NewOffload partitions a simulated board into a host domain plus worker
-// domains (default 3), boots an MCA-backed Runtime on each, and wires
-// them together over MCAPI packet channels.
+// NewOffload builds a task fabric that runs regions of reg's kernels and
+// nothing else: partitions named offload-*, one MTAPI worker per worker
+// domain (default 3), each domain an MCA-backed Runtime wired to the
+// host over MCAPI packet channels. A server that already holds a
+// TaskFabric runs regions on it instead.
 func NewOffload(reg *OffloadRegistry, opts ...OffloadOption) (*Offload, error) {
 	return taskfabric.NewOffloader(reg, opts...)
 }
@@ -58,8 +62,8 @@ func NewOffload(reg *OffloadRegistry, opts ...OffloadOption) (*Offload, error) {
 // WithOffloadDomains sets the number of worker domains.
 func WithOffloadDomains(n int) OffloadOption { return taskfabric.WithDomains(n) }
 
-// WithOffloadHeartbeat sets the offloader's domain-health ping period; a
-// domain missing pongs for eight periods is declared lost.
+// WithOffloadHeartbeat sets the region fabric's domain-health ping
+// period; a domain missing pongs for eight periods is declared lost.
 func WithOffloadHeartbeat(period time.Duration) OffloadOption {
 	return taskfabric.WithHeartbeat(period)
 }

@@ -8,10 +8,11 @@ import (
 	"openmpmca/internal/trace"
 )
 
-// Multi-tenant job service: a persistent HTTP/JSON front end over a
-// TaskFabric (and optionally an Offload) with API-key tenants, quotas,
-// priority classes and weighted-fair dispatch. See internal/jobservice
-// for the architecture and cmd/ompmca-serve for a ready-to-run server.
+// Multi-tenant job service: a persistent HTTP/JSON front end over one
+// TaskFabric — jobs, and parallel-for regions when kernels are bound to
+// its JobRegistry — with API-key tenants, quotas, priority classes and
+// weighted-fair dispatch. See internal/jobservice for the architecture
+// and cmd/ompmca-serve for a ready-to-run server.
 
 // JobService is the HTTP job service; it implements http.Handler. See
 // NewJobService.
@@ -84,8 +85,9 @@ func (h *ServiceProgressHub) Event(ev trace.FabricEvent) {
 var ErrServiceClosed = jobservice.ErrClosed
 
 // NewJobService builds a job service over a fabric and its job registry.
-// At least one tenant (WithServiceTenants) is required; wire an
-// offloader with WithServiceOffloader to also serve parallel-for jobs.
+// At least one tenant (WithServiceTenants) is required. Parallel-for
+// jobs run on fab when kernels are bound to jobs
+// (JobRegistry.RegisterKernels).
 // Serve it with net/http and stop it with Close:
 //
 //	svc, err := openmpmca.NewJobService(fab, jobs,
@@ -101,14 +103,14 @@ func NewJobService(fab *TaskFabric, jobs *JobRegistry, opts ...JobServiceOption)
 // WithServiceTenants registers the service's tenants.
 func WithServiceTenants(ts ...Tenant) JobServiceOption { return jobservice.WithTenants(ts...) }
 
-// WithServiceOffloader wires an offloader and its kernel registry into
-// the service so tenants can submit parallel-for jobs.
+// WithServiceOffloader sends parallel-for jobs to a separate region
+// fabric built by NewOffload over kernels, instead of the service's own.
 func WithServiceOffloader(o *Offload, kernels *OffloadRegistry) JobServiceOption {
 	return jobservice.WithOffloader(o, kernels)
 }
 
 // WithServiceDispatchWindow bounds how many jobs may be inside the
-// fabric and offloader at once (default 64).
+// fabric at once (default 64).
 func WithServiceDispatchWindow(n int) JobServiceOption { return jobservice.WithDispatchWindow(n) }
 
 // WithServiceRetryAfter sets the Retry-After hint on HTTP 429 responses

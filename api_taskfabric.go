@@ -88,17 +88,3 @@ func WithFabricEventSink(s FabricEventSink) TaskFabricOption { return taskfabric
 func WithFabricHeartbeat(period time.Duration) TaskFabricOption {
 	return taskfabric.WithHeartbeat(period)
 }
-
-// WithFabricTaskDeadline bounds how long a dispatched task may stay
-// unanswered before it is resent.
-func WithFabricTaskDeadline(d time.Duration) TaskFabricOption {
-	return taskfabric.WithTaskDeadline(d)
-}
-
-// WithFabricInflight caps the tasks outstanding on one domain (the
-// credit window).
-func WithFabricInflight(n int) TaskFabricOption { return taskfabric.WithInflight(n) }
-
-// WithFabricDomainWorkers sets each worker domain's MTAPI scheduler
-// width (workers per domain).
-func WithFabricDomainWorkers(n int) TaskFabricOption { return taskfabric.WithDomainWorkers(n) }

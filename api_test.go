@@ -133,18 +133,6 @@ func TestOptionValidationParity(t *testing.T) {
 			_, err := NewTaskFabric(NewJobRegistry(), WithFabricDomains(-2))
 			return err
 		}},
-		{"fabric deadline", func() error {
-			_, err := NewTaskFabric(NewJobRegistry(), WithFabricTaskDeadline(-time.Second))
-			return err
-		}},
-		{"fabric inflight", func() error {
-			_, err := NewTaskFabric(NewJobRegistry(), WithFabricInflight(0))
-			return err
-		}},
-		{"fabric workers", func() error {
-			_, err := NewTaskFabric(NewJobRegistry(), WithFabricDomainWorkers(-1))
-			return err
-		}},
 		{"service nil fabric", func() error {
 			_, err := NewJobService(nil, NewJobRegistry(),
 				WithServiceTenants(Tenant{Name: "t", Key: "k", Quota: 1, Priority: ServicePriorityNormal}))

@@ -1,13 +1,12 @@
 // Command ompmca-serve boots the multi-tenant job service: a simulated
-// T4240RDB board partitioned into a host plus worker domains, an MTAPI
-// task fabric for jobs and a second, private one for parallel_for
-// regions, and the HTTP/JSON front end of internal/jobservice on top —
-// turning the one-shot demo binaries into a persistent daemon tenants
-// share. Both fabrics feed one span exporter: /v1/spans shows a region's
-// chunks as task spans beside the jobs', and /v1/domains lists the
-// region fabric's domains under "offload" in the fabric's domain shape.
+// T4240RDB board partitioned into a host plus worker domains, one MTAPI
+// task fabric that runs both jobs and parallel_for regions (the vecsum
+// kernel is bound to its job registry), and the HTTP/JSON front end of
+// internal/jobservice on top — turning the one-shot demo binaries into a
+// persistent daemon tenants share. The fabric feeds one span exporter:
+// /v1/spans shows a region's chunks as task spans beside the jobs'.
 //
-//	ompmca-serve -addr :8080 -domains 3 -offload-domains 2
+//	ompmca-serve -addr :8080 -domains 3
 //	ompmca-serve -state-dir /var/lib/ompmca        # survive restarts
 //	ompmca-serve -tls-cert c.pem -tls-key k.pem    # serve HTTPS
 //	ompmca-serve -tenants-file /etc/ompmca/tenants # keys from a 0600 file
@@ -31,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -60,28 +60,35 @@ func (f *tenantFlags) Set(spec string) error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ompmca-serve: ")
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run serves until ctx is done, then shuts the HTTP server down and
+// returns nil. The readiness line goes to stdout, logs to the standard
+// logger.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ompmca-serve", flag.ContinueOnError)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		domains    = flag.Int("domains", 3, "fabric worker domains")
-		offDomains = flag.Int("offload-domains", 2, "offload worker domains (0 disables parallel_for jobs)")
-		heartbeat  = flag.Duration("heartbeat", 25*time.Millisecond, "domain health ping period")
-		dispatch   = flag.Int("dispatch", 64, "dispatch window: jobs inside the fabric/offloader at once")
-		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-		spanCap    = flag.Int("spans", 0, "span ring capacity for GET /v1/spans (0: default bound)")
-		stateDir   = flag.String("state-dir", "", "durable job store directory: journal + snapshots, replayed at startup (empty: in-memory only)")
-		tlsCert    = flag.String("tls-cert", "", "TLS certificate file (serve HTTPS; requires -tls-key)")
-		tlsKey     = flag.String("tls-key", "", "TLS private key file (requires -tls-cert)")
-		tenantsF   = flag.String("tenants-file", "", "tenants file, one name:key:quota:priority[:admin][:rate=R/B] per line (mode 0600)")
+		addr       = fs.String("addr", "127.0.0.1:8080", "listen address")
+		domains    = fs.Int("domains", 3, "fabric worker domains")
+		heartbeat  = fs.Duration("heartbeat", 25*time.Millisecond, "domain health ping period")
+		dispatch   = fs.Int("dispatch", 64, "dispatch window: jobs inside the fabric at once")
+		retryAfter = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
+		spanCap    = fs.Int("spans", 0, "span ring capacity for GET /v1/spans (0: default bound)")
+		stateDir   = fs.String("state-dir", "", "durable job store directory: journal + snapshots, replayed at startup (empty: in-memory only)")
+		tlsCert    = fs.String("tls-cert", "", "TLS certificate file (serve HTTPS; requires -tls-key)")
+		tlsKey     = fs.String("tls-key", "", "TLS private key file (requires -tls-cert)")
+		tenantsF   = fs.String("tenants-file", "", "tenants file, one name:key:quota:priority[:admin][:rate=R/B] per line (mode 0600)")
 		tenants    tenantFlags
 	)
-	flag.Var(&tenants, "tenant", "tenant spec name:key:quota:priority[:admin][:rate=R/B] (repeatable; default: demo tenants)")
-	flag.Parse()
+	fs.Var(&tenants, "tenant", "tenant spec name:key:quota:priority[:admin][:rate=R/B] (repeatable; default: demo tenants)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return fmt.Errorf("-tls-cert and -tls-key must be given together")
@@ -110,6 +117,13 @@ func run() error {
 	if err := jobservice.RegisterBuiltinJobs(jobs); err != nil {
 		return err
 	}
+	kernels := openmpmca.NewOffloadRegistry()
+	if err := jobservice.RegisterBuiltinKernels(kernels); err != nil {
+		return err
+	}
+	if err := jobs.RegisterKernels(kernels); err != nil {
+		return err
+	}
 	sp := openmpmca.NewSpanExporter(*spanCap)
 	fab, err := openmpmca.NewTaskFabric(jobs,
 		openmpmca.WithFabricDomains(*domains),
@@ -130,22 +144,6 @@ func run() error {
 	if *stateDir != "" {
 		log.Printf("durable job store in %s", *stateDir)
 		opts = append(opts, openmpmca.WithServiceStateDir(*stateDir))
-	}
-	if *offDomains > 0 {
-		kernels := openmpmca.NewOffloadRegistry()
-		if err := jobservice.RegisterBuiltinKernels(kernels); err != nil {
-			return err
-		}
-		off, err := openmpmca.NewOffload(kernels,
-			openmpmca.WithOffloadDomains(*offDomains),
-			openmpmca.WithOffloadHeartbeat(*heartbeat),
-			openmpmca.WithOffloadEventSink(sp),
-		)
-		if err != nil {
-			return err
-		}
-		defer off.Close()
-		opts = append(opts, openmpmca.WithServiceOffloader(off, kernels))
 	}
 
 	svc, err := openmpmca.NewJobService(fab, jobs, opts...)
@@ -168,12 +166,11 @@ func run() error {
 		go func() { errCh <- hs.Serve(ln) }()
 	}
 
-	// The readiness line CI and scripts wait for; keep its shape stable.
-	fmt.Printf("ompmca-serve: listening on %s://%s (%d fabric domains, %d offload domains)\n",
-		scheme, ln.Addr(), *domains, *offDomains)
+	// The readiness line CI and scripts wait for; keep its
+	// "listening on <url>" prefix stable.
+	fmt.Fprintf(stdout, "ompmca-serve: listening on %s://%s (%d fabric domains)\n",
+		scheme, ln.Addr(), *domains)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		log.Print("shutting down")

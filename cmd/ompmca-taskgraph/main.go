@@ -7,6 +7,12 @@
 // fault-injection pass kills one domain mid-graph and shows the graph
 // still completing with the exact sequential result.
 //
+// Parallel-for regions run on the same fabric: an NPB EP-style counting
+// kernel is bound to the fabric's job registry, the killed domain is
+// readmitted, and one clean region and one region during which that
+// domain dies again must both return the exact EP count — the second
+// together with ErrDomainLost, its lost chunks re-executed on the host.
+//
 // The demo scales to the board's full width (-domains 8 on the default
 // T4240RDB) and exercises the peer-to-peer steal mesh: idle domains
 // steal queued tasks directly from loaded peers, and
@@ -23,9 +29,11 @@ import (
 	"log"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"openmpmca"
+	"openmpmca/internal/taskfabric"
 	"openmpmca/internal/trace"
 )
 
@@ -157,10 +165,74 @@ var blockJob = openmpmca.FabricFuncJob{
 	},
 }
 
+// mix is the EP kernel's deterministic per-index hash: the "random"
+// stream an NPB EP rank would generate, reduced to an integer so counts
+// compare exactly across any distribution of chunks.
+func mix(i int64) uint64 {
+	x := uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 29
+	return x
+}
+
+// epAccept is EP's acceptance test, integerized: does index i's deviate
+// fall inside the band?
+func epAccept(i int64) bool { return mix(i)%1000 < 337 }
+
+// regionIters is the EP region's iteration count.
+const regionIters = 200_000
+
+// epKernel counts accepted indices in [lo,hi) on the executing domain's
+// OpenMP runtime; onChunk runs first, with lo, on every chunk execution.
+func epKernel(onChunk func(lo int)) openmpmca.OffloadFuncKernel {
+	return openmpmca.OffloadFuncKernel{
+		KernelName: "ep-count",
+		ChunkFn: func(rt *openmpmca.Runtime, lo, hi int, arg []byte) ([]byte, error) {
+			onChunk(lo)
+			var count atomic.Uint64
+			err := rt.ParallelForRange(hi-lo, func(l, h int) {
+				var c uint64
+				for i := l; i < h; i++ {
+					if epAccept(int64(lo + i)) {
+						c++
+					}
+				}
+				count.Add(c)
+			})
+			if err != nil {
+				return nil, err
+			}
+			return binary.LittleEndian.AppendUint64(nil, count.Load()), nil
+		},
+		FoldFn: func(acc, part []byte) ([]byte, error) {
+			if len(part) != 8 {
+				return nil, fmt.Errorf("bad partial (%d bytes)", len(part))
+			}
+			if acc == nil {
+				acc = make([]byte, 8)
+			}
+			binary.LittleEndian.PutUint64(acc,
+				binary.LittleEndian.Uint64(acc)+binary.LittleEndian.Uint64(part))
+			return acc, nil
+		},
+	}
+}
+
+func seqCount(n int) uint64 {
+	var c uint64
+	for i := 0; i < n; i++ {
+		if epAccept(int64(i)) {
+			c++
+		}
+	}
+	return c
+}
+
 // run executes the demo: one clean graph, then one with domain 0 killed
-// mid-expansion. It returns an error on any mismatch. With requirePeer,
-// domains are serialized and blocked so the mesh must carry steals, and
-// a run without any direct peer steal fails.
+// mid-expansion, then the two EP regions. It returns an error on any
+// mismatch. With requirePeer, domains are serialized and blocked so the
+// mesh must carry steals, and a run without any direct peer steal fails.
 func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 	requirePeer bool, out *log.Logger) error {
 	reg := openmpmca.NewJobRegistry()
@@ -168,6 +240,22 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 		return err
 	}
 	if err := reg.Register(blockJob); err != nil {
+		return err
+	}
+	// The faulted region's kill: armed before that region, it fires at
+	// the start of chunk 0, which heads the region's group and so is
+	// dispatched to domain 0; the domain dies with that chunk in flight.
+	var fab *openmpmca.TaskFabric
+	var killArmed atomic.Bool
+	kernels := openmpmca.NewOffloadRegistry()
+	if err := kernels.Register(epKernel(func(lo int) {
+		if lo == 0 && killArmed.CompareAndSwap(true, false) {
+			_ = fab.KillDomain(0)
+		}
+	})); err != nil {
+		return err
+	}
+	if err := reg.RegisterKernels(kernels); err != nil {
 		return err
 	}
 	rec := trace.NewRecorder(16384)
@@ -181,9 +269,9 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 		// back up behind blockers instead of draining in parallel, and
 		// re-dispatch cannot masquerade as stealing.
 		opts = append(opts,
-			openmpmca.WithFabricDomainWorkers(1),
-			openmpmca.WithFabricTaskDeadline(10*time.Second),
-			openmpmca.WithFabricInflight(16),
+			taskfabric.WithDomainWorkers(1),
+			taskfabric.WithTaskDeadline(10*time.Second),
+			taskfabric.WithInflight(16),
 		)
 	}
 	fab, err := openmpmca.NewTaskFabric(reg, opts...)
@@ -268,6 +356,39 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 	if requirePeer && st.PeerSteals == 0 {
 		return fmt.Errorf("PeerSteals = 0 under -require-peer-steals: the mesh never carried a direct steal (Steals = %d)", st.Steals)
 	}
+
+	// Regions on the same fabric, with domain 0 back in service.
+	if err := fab.ReadmitDomain(0); err != nil {
+		return fmt.Errorf("readmit domain 0: %w", err)
+	}
+	wantEP := seqCount(regionIters)
+	region := func(name string) error {
+		start := time.Now()
+		res, err := fab.ParallelFor("ep-count", regionIters, nil)
+		rs := fab.RegionStats()
+		if len(res) != 8 {
+			return fmt.Errorf("%s region: %d result bytes (%v)", name, len(res), err)
+		}
+		got := binary.LittleEndian.Uint64(res)
+		out.Printf("%-16s count=%d (%v)  remote=%d local=%d chunks",
+			name+" region:", got, time.Since(start).Round(time.Millisecond), rs.RemoteChunks, rs.LocalChunks)
+		if got != wantEP {
+			return fmt.Errorf("%s region count = %d, want %d", name, got, wantEP)
+		}
+		return err
+	}
+	if err := region("clean"); err != nil {
+		return fmt.Errorf("clean region: %w", err)
+	}
+	killArmed.Store(true)
+	err = region("faulted")
+	out.Printf("                 (%v)", err)
+	if !errors.Is(err, openmpmca.ErrDomainLost) {
+		return fmt.Errorf("faulted region error = %v, want ErrDomainLost", err)
+	}
+	if st := fab.Stats(); st.DomainsLost != 2 {
+		return fmt.Errorf("DomainsLost = %d after the faulted region, want 2", st.DomainsLost)
+	}
 	return nil
 }
 
@@ -292,5 +413,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "FAIL:", err)
 		os.Exit(1)
 	}
-	out.Printf("PASS: irregular task graph across %d MCAPI domains; domain loss tolerated", *domains)
+	out.Printf("PASS: irregular task graph and parallel-for regions across %d MCAPI domains; domain loss tolerated", *domains)
 }

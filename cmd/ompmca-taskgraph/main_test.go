@@ -27,6 +27,12 @@ func TestRunRequirePeerSteals(t *testing.T) {
 	}
 }
 
+func TestSeqCountDeterministic(t *testing.T) {
+	if a, b := seqCount(10_000), seqCount(10_000); a != b || a == 0 {
+		t.Fatalf("seqCount unstable or degenerate: %d vs %d", a, b)
+	}
+}
+
 func TestFibIter(t *testing.T) {
 	want := map[uint32]uint64{0: 0, 1: 1, 2: 1, 10: 55, 30: 832040}
 	for n, v := range want {

@@ -46,8 +46,8 @@ const (
 	// directly: sum tasks with closed-form results, long spin blockers
 	// to set up stealing, sacrificial groups for cancellation.
 	WorkloadFabric Workload = "fabric"
-	// WorkloadOffload runs parallel-for regions on an
-	// taskfabric.Offloader: vecsum kernels with closed-form results.
+	// WorkloadOffload runs parallel-for regions on a region fabric
+	// (taskfabric.NewOffloader): vecsum kernels with closed-form results.
 	WorkloadOffload Workload = "offload"
 	// WorkloadService drives the full HTTP job service: submissions,
 	// polling, group cancel and domain drain/readmit all travel through

@@ -45,18 +45,14 @@ func crashHelperMain() {
 	if err := jobservice.RegisterBuiltinJobs(jobs); err != nil {
 		log.Fatal(err)
 	}
-	fab, err := taskfabric.NewFabric(jobs,
-		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
 	kernels := offload.NewRegistry()
 	if err := jobservice.RegisterBuiltinKernels(kernels); err != nil {
 		log.Fatal(err)
 	}
-	off, err := taskfabric.NewOffloader(kernels,
+	if err := jobs.RegisterKernels(kernels); err != nil {
+		log.Fatal(err)
+	}
+	fab, err := taskfabric.NewFabric(jobs,
 		taskfabric.WithDomains(2),
 		taskfabric.WithHeartbeat(10*time.Millisecond),
 	)
@@ -65,7 +61,6 @@ func crashHelperMain() {
 	}
 	srv, err := jobservice.New(fab, jobs,
 		jobservice.WithTenants(jobservice.DemoTenants()...),
-		jobservice.WithOffloader(off, kernels),
 		jobservice.WithStateDir(*stateDir),
 	)
 	if err != nil {
@@ -75,7 +70,7 @@ func crashHelperMain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ompmca-serve: listening on http://%s (2 fabric domains, 2 offload domains)\n", ln.Addr())
+	fmt.Printf("ompmca-serve: listening on http://%s (2 fabric domains)\n", ln.Addr())
 	log.Fatal(http.Serve(ln, srv))
 }
 

@@ -368,6 +368,10 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		res.fail("kernels: %v", err)
 		return
 	}
+	if err := jobs.RegisterKernels(kernels); err != nil {
+		res.fail("kernels: %v", err)
+		return
+	}
 	sp := spans.NewExporter(0)
 	fab, err := taskfabric.NewFabric(jobs,
 		taskfabric.WithDomains(c.Domains),
@@ -380,19 +384,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		return
 	}
 	defer fab.Close()
-	off, err := taskfabric.NewOffloader(kernels,
-		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(5*time.Millisecond),
-		taskfabric.WithTaskDeadline(200*time.Millisecond),
-		taskfabric.WithEventSink(sp),
-	)
-	if err != nil {
-		res.fail("offload: %v", err)
-		return
-	}
-	defer off.Close()
 	srv, err := jobservice.New(fab, jobs,
-		jobservice.WithOffloader(off, kernels),
 		jobservice.WithSpans(sp),
 		jobservice.WithTenants(
 			jobservice.Tenant{Name: "chaos", Key: chaosKey, Quota: 256,
@@ -459,7 +451,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 	}
 
 	// The main load: task jobs with closed-form results plus
-	// parallel-for regions through the offloader.
+	// parallel-for regions on the same fabric.
 	for i := 0; i < c.Tasks; i++ {
 		switch i % 4 {
 		case 0, 1:

@@ -3,14 +3,12 @@ package jobservice
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"openmpmca/internal/durable"
-	"openmpmca/internal/offload"
 	"openmpmca/internal/taskfabric"
 )
 
@@ -19,55 +17,10 @@ import (
 // restart tests can tear the first life down before booting the second.
 func newDurableEnv(t *testing.T, opts ...Option) (*testEnv, func()) {
 	t.Helper()
-	jobs := taskfabric.NewRegistry()
-	if err := RegisterBuiltinJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	fab, err := taskfabric.NewFabric(jobs,
+	return bootEnv(t, builtinRegistry(t), []taskfabric.Option{
 		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernels := offload.NewRegistry()
-	if err := RegisterBuiltinKernels(kernels); err != nil {
-		fab.Close()
-		t.Fatal(err)
-	}
-	off, err := taskfabric.NewOffloader(kernels,
-		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
-	)
-	if err != nil {
-		fab.Close()
-		t.Fatal(err)
-	}
-	opts = append([]Option{
-		WithTenants(testTenants...),
-		WithOffloader(off, kernels),
+		taskfabric.WithHeartbeat(10 * time.Millisecond),
 	}, opts...)
-	srv, err := New(fab, jobs, opts...)
-	if err != nil {
-		off.Close()
-		fab.Close()
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	env := &testEnv{fab: fab, off: off, srv: srv, ts: ts}
-	done := false
-	shutdown := func() {
-		if done {
-			return
-		}
-		done = true
-		ts.Close()
-		srv.Close()
-		off.Close()
-		fab.Close()
-	}
-	t.Cleanup(shutdown)
-	return env, shutdown
 }
 
 // TestDurableRestartPreservesSettled settles a batch of jobs against a

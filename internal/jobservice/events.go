@@ -21,7 +21,7 @@ import (
 // Job event types, in rough lifecycle order.
 const (
 	EventAccepted   = "accepted"    // admitted (and journaled, when durable)
-	EventDispatched = "dispatched"  // handed to the fabric or offloader
+	EventDispatched = "dispatched"  // handed to the fabric
 	EventTaskSent   = "task_sent"   // fabric task dispatched to a domain
 	EventTaskDone   = "task_done"   // fabric task result accepted
 	EventTaskStolen = "task_stolen" // fabric task taken by a peer domain; Domain is the thief

@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
-	"openmpmca/internal/offload"
 	"openmpmca/internal/spans"
 	"openmpmca/internal/taskfabric"
 )
@@ -20,49 +18,11 @@ import (
 func newProgressEnv(t *testing.T) (*testEnv, *spans.Exporter) {
 	t.Helper()
 	x := spans.NewExporter(0)
-	jobs := taskfabric.NewRegistry()
-	if err := RegisterBuiltinJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	fab, err := taskfabric.NewFabric(jobs,
+	env, _ := bootEnv(t, builtinRegistry(t), []taskfabric.Option{
 		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
+		taskfabric.WithHeartbeat(10 * time.Millisecond),
 		taskfabric.WithEventSink(x),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernels := offload.NewRegistry()
-	if err := RegisterBuiltinKernels(kernels); err != nil {
-		fab.Close()
-		t.Fatal(err)
-	}
-	off, err := taskfabric.NewOffloader(kernels,
-		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
-	)
-	if err != nil {
-		fab.Close()
-		t.Fatal(err)
-	}
-	srv, err := New(fab, jobs,
-		WithTenants(testTenants...),
-		WithOffloader(off, kernels),
-		WithSpans(x),
-	)
-	if err != nil {
-		off.Close()
-		fab.Close()
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	env := &testEnv{fab: fab, off: off, srv: srv, ts: ts}
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		off.Close()
-		fab.Close()
-	})
+	}, WithSpans(x))
 	return env, x
 }
 

@@ -38,7 +38,9 @@ type HealthView struct {
 	Offload []taskfabric.DomainInfo `json:"offload,omitempty"`
 }
 
-// Health assembles the service's liveness verdict.
+// Health assembles the service's liveness verdict. The offload section
+// lists the separate region fabric's domains, present only with
+// WithOffloader.
 func (s *Server) Health() HealthView {
 	v := HealthView{
 		Fabric: s.fab.DomainInfos(),

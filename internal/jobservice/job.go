@@ -15,7 +15,7 @@ const (
 // Job statuses, in lifecycle order.
 const (
 	StatusQueued    = "queued"    // admitted, waiting for a dispatch slot
-	StatusRunning   = "running"   // handed to the fabric or offloader
+	StatusRunning   = "running"   // handed to the fabric
 	StatusSucceeded = "succeeded" // settled with a result
 	StatusFailed    = "failed"    // settled with an error
 	StatusCanceled  = "canceled"  // canceled before dispatch

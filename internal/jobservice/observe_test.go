@@ -26,8 +26,8 @@ func TestHealthSurface(t *testing.T) {
 	if hv.DomainsLive == 0 || hv.DomainsLost != 0 {
 		t.Errorf("domains live/lost = %d/%d", hv.DomainsLive, hv.DomainsLost)
 	}
-	if len(hv.Fabric) == 0 || len(hv.Offload) == 0 {
-		t.Errorf("per-domain detail missing: fabric=%d offload=%d", len(hv.Fabric), len(hv.Offload))
+	if len(hv.Fabric) == 0 || hv.Offload != nil {
+		t.Errorf("per-domain detail: fabric=%d offload=%d, want fabric only", len(hv.Fabric), len(hv.Offload))
 	}
 
 	// Draining a domain degrades health; readmitting restores it. The

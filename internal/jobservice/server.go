@@ -1,8 +1,8 @@
-// Package jobservice turns the one-shot fabric and offload demos into a
+// Package jobservice turns the one-shot fabric demos into a
 // long-running, multi-tenant job service: an HTTP/JSON front end that
-// wraps a taskfabric.Fabric (irregular named jobs) and optionally an
-// taskfabric.Offloader (chunked parallel-for regions) behind a small REST
-// surface, with per-tenant admission control on top.
+// wraps one taskfabric.Fabric — irregular named jobs, and chunked
+// parallel-for regions when kernels are bound to its job registry —
+// behind a small REST surface, with per-tenant admission control on top.
 //
 // The API shape follows the incus-osd REST handlers: every response is a
 // JSON envelope ({"type":"sync",...} or {"type":"error",...}), endpoints
@@ -55,7 +55,7 @@ var ErrClosed = oerrors.Sentinel(oerrors.Cancel, oerrors.CodeServiceClosed,
 
 // config collects the tunables behind the Options.
 type config struct {
-	off        *taskfabric.Offloader
+	off        *taskfabric.Fabric // separate region fabric; nil runs regions on the service's own
 	kernels    *offload.Registry
 	tenants    []Tenant
 	dispatch   int
@@ -75,9 +75,11 @@ func defaultConfig() config {
 	}
 }
 
-// WithOffloader wires an offloader (and its kernel registry) into the
-// service so tenants can submit kind=parallel_for jobs.
-func WithOffloader(o *taskfabric.Offloader, kernels *offload.Registry) Option {
+// WithOffloader sends kind=parallel_for jobs to a separate region fabric
+// (one built by taskfabric.NewOffloader over kernels) instead of the
+// service's own. Without it, regions run on the service's fabric
+// whenever kernels are bound to its job registry.
+func WithOffloader(o *taskfabric.Fabric, kernels *offload.Registry) Option {
 	return func(c *config) error {
 		if o == nil || kernels == nil {
 			return fmt.Errorf("%w: jobservice: WithOffloader(nil)", core.ErrInvalidOption)
@@ -102,9 +104,9 @@ func WithTenants(ts ...Tenant) Option {
 	}
 }
 
-// WithDispatchWindow bounds how many jobs may be inside the fabric and
-// offloader at once (default 64); admitted jobs past the window wait in
-// their tenant's queue.
+// WithDispatchWindow bounds how many jobs may be inside the fabric at
+// once (default 64); admitted jobs past the window wait in their
+// tenant's queue.
 func WithDispatchWindow(n int) Option {
 	return func(c *config) error {
 		if n < 1 || n > 4096 {
@@ -129,8 +131,8 @@ func WithRetryAfter(d time.Duration) Option {
 
 // WithSpans serves a span exporter's folded task (and chunk) lifetimes
 // at GET /v1/spans. The exporter should be the one wired into the
-// fabric (and offloader) as their event sink; the service only reads
-// it. Without this option /v1/spans answers 404.
+// fabric (or fabrics) as their event sink; the service only reads it.
+// Without this option /v1/spans answers 404.
 func WithSpans(x *spans.Exporter) Option {
 	return func(c *config) error {
 		if x == nil {
@@ -160,6 +162,8 @@ type Server struct {
 	fab     *taskfabric.Fabric
 	jobsReg *taskfabric.Registry
 	cfg     config
+	regions *taskfabric.Fabric // runs kind=parallel_for jobs over kernels
+	kernels *offload.Registry  // nil: no kernels bound, parallel_for refused
 	mux     *http.ServeMux
 
 	byKey  map[string]*tenantState
@@ -206,9 +210,14 @@ func New(fab *taskfabric.Fabric, jobs *taskfabric.Registry, opts ...Option) (*Se
 		byName:  make(map[string]*tenantState),
 		jobs:    make(map[string]*jobRec),
 		groups:  make(map[string]*groupRec),
+		regions: fab,
+		kernels: jobs.Kernels(),
 		slots:   make(chan struct{}, cfg.dispatch),
 		kick:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
+	}
+	if cfg.off != nil {
+		s.regions, s.kernels = cfg.off, cfg.kernels
 	}
 	for _, t := range cfg.tenants {
 		if _, dup := s.byName[t.Name]; dup {
@@ -236,8 +245,8 @@ func New(fab *taskfabric.Fabric, jobs *taskfabric.Registry, opts ...Option) (*Se
 }
 
 // Close stops the dispatcher, settles every queued job with ErrClosed
-// and waits for in-flight jobs to drain. It does not close the fabric or
-// offloader — the caller owns those. Idempotent.
+// and waits for in-flight jobs to drain. It does not close the fabrics —
+// the caller owns those. Idempotent.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -471,11 +480,11 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 			return
 		}
 	case KindParallelFor:
-		if s.cfg.off == nil {
-			writeError(w, http.StatusBadRequest, "no offloader wired: kind %q unavailable", req.Kind)
+		if s.kernels == nil {
+			writeError(w, http.StatusBadRequest, "no kernels bound: kind %q unavailable", req.Kind)
 			return
 		}
-		if _, ok := s.cfg.kernels.Lookup(req.Job); !ok {
+		if _, ok := s.kernels.Lookup(req.Job); !ok {
 			writeError(w, http.StatusNotFound, "unknown kernel %q", req.Job)
 			return
 		}
@@ -782,7 +791,7 @@ func (s *Server) apiGroupCancel(w http.ResponseWriter, r *http.Request, t *tenan
 }
 
 // DomainsView is the GET /v1/domains body: the fabric's worker fleet
-// (always) and the offloader's (when wired).
+// (always) and the separate region fabric's (only with WithOffloader).
 type DomainsView struct {
 	Fabric  []taskfabric.DomainInfo `json:"fabric"`
 	Offload []taskfabric.DomainInfo `json:"offload,omitempty"`
@@ -847,9 +856,9 @@ func (s *Server) Snapshot() Snapshot {
 	fabStats := s.fab.Stats()
 	svc := s.ServiceStats()
 	snap := Snapshot{Core: &hostStats, Fabric: &fabStats, Service: &svc}
-	if s.cfg.off != nil {
-		offStats := s.cfg.off.Stats()
-		snap.Offload = &offStats
+	if s.kernels != nil {
+		regions := s.regions.RegionStats()
+		snap.Offload = &regions
 	}
 	errCounts := oerrors.Counts()
 	snap.Errors = &errCounts
@@ -909,7 +918,7 @@ func (s *Server) kickDispatcher() {
 }
 
 // dispatcher is the single goroutine draining tenant queues into the
-// fabric/offloader: it acquires a dispatch-window slot, picks the next
+// fabric: it acquires a dispatch-window slot, picks the next
 // tenant by smooth weighted round-robin, pops that tenant's oldest
 // uncanceled job and launches it. Slots are returned by the per-job
 // completion goroutines, which kick the dispatcher awake again.
@@ -977,7 +986,7 @@ func (s *Server) launch(j *jobRec) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			res, err := s.cfg.off.ParallelForObserved(j.name, j.n, j.arg, func(chunk, total, domain int) {
+			res, err := s.regions.ParallelForObserved(j.name, j.n, j.arg, func(chunk, total, domain int) {
 				j.progress(JobEvent{Type: EventChunk, Chunk: chunk, Total: total, Domain: domainOf(domain)})
 			})
 			finish(res, err)

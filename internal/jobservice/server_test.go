@@ -22,11 +22,10 @@ import (
 	"openmpmca/internal/taskfabric"
 )
 
-// testEnv is one booted service: fabric + offloader + Server + httptest
-// listener.
+// testEnv is one booted service: one fabric running jobs and regions +
+// Server + httptest listener.
 type testEnv struct {
 	fab *taskfabric.Fabric
-	off *taskfabric.Offloader
 	srv *Server
 	ts  *httptest.Server
 }
@@ -39,50 +38,57 @@ var testTenants = []Tenant{
 	{Name: "carol", Key: "key-carol", Quota: 2, Priority: PriorityLow},
 }
 
-func newTestEnv(t *testing.T, opts ...Option) *testEnv {
+// builtinRegistry holds the builtin jobs with the builtin kernels bound.
+func builtinRegistry(t *testing.T) *taskfabric.Registry {
 	t.Helper()
 	jobs := taskfabric.NewRegistry()
 	if err := RegisterBuiltinJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	fab, err := taskfabric.NewFabric(jobs,
-		taskfabric.WithDomains(3),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	kernels := offload.NewRegistry()
 	if err := RegisterBuiltinKernels(kernels); err != nil {
-		fab.Close()
 		t.Fatal(err)
 	}
-	off, err := taskfabric.NewOffloader(kernels,
-		taskfabric.WithDomains(2),
-		taskfabric.WithHeartbeat(10*time.Millisecond),
-	)
-	if err != nil {
-		fab.Close()
+	if err := jobs.RegisterKernels(kernels); err != nil {
 		t.Fatal(err)
 	}
-	opts = append([]Option{
-		WithTenants(testTenants...),
-		WithOffloader(off, kernels),
-	}, opts...)
-	srv, err := New(fab, jobs, opts...)
+	return jobs
+}
+
+// bootEnv boots a service over a fresh fabric of jobs, with the test
+// tenants ahead of opts, and returns it with its shutdown.
+func bootEnv(t *testing.T, jobs *taskfabric.Registry, fabOpts []taskfabric.Option, opts ...Option) (*testEnv, func()) {
+	t.Helper()
+	fab, err := taskfabric.NewFabric(jobs, fabOpts...)
 	if err != nil {
-		off.Close()
+		t.Fatal(err)
+	}
+	srv, err := New(fab, jobs, append([]Option{WithTenants(testTenants...)}, opts...)...)
+	if err != nil {
 		fab.Close()
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	env := &testEnv{fab: fab, off: off, srv: srv, ts: ts}
-	t.Cleanup(func() {
+	done := false
+	shutdown := func() {
+		if done {
+			return
+		}
+		done = true
 		ts.Close()
 		srv.Close()
-		off.Close()
 		fab.Close()
-	})
+	}
+	t.Cleanup(shutdown)
+	return &testEnv{fab: fab, srv: srv, ts: ts}, shutdown
+}
+
+func newTestEnv(t *testing.T, opts ...Option) *testEnv {
+	t.Helper()
+	env, _ := bootEnv(t, builtinRegistry(t), []taskfabric.Option{
+		taskfabric.WithDomains(3),
+		taskfabric.WithHeartbeat(10 * time.Millisecond),
+	}, opts...)
 	return env
 }
 
@@ -365,7 +371,7 @@ func TestSubmitWaitExact(t *testing.T) {
 		t.Errorf("bearer list = %d, want 200", resp.StatusCode)
 	}
 
-	// parallel_for through the offloader.
+	// parallel_for on the service's own fabric.
 	v = e.submit(t, "key-alice", submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: 10000})
 	if got = e.wait(t, "key-alice", v.ID); !bytes.Equal(got.Result, VecSumExpected(10000)) {
 		t.Errorf("vecsum(10000) = %x, want %x", got.Result, VecSumExpected(10000))
@@ -538,8 +544,8 @@ func TestDomainsDrainReadmit(t *testing.T) {
 	var doms DomainsView
 	_, env := e.do(t, http.MethodGet, "/v1/domains", "key-bob", nil)
 	meta(t, env, &doms)
-	if len(doms.Fabric) != 3 || len(doms.Offload) != 2 {
-		t.Fatalf("domains = %d fabric, %d offload; want 3, 2", len(doms.Fabric), len(doms.Offload))
+	if len(doms.Fabric) != 3 || doms.Offload != nil {
+		t.Fatalf("domains = %d fabric, %d offload; want 3, none", len(doms.Fabric), len(doms.Offload))
 	}
 	for _, d := range doms.Fabric {
 		if !d.Live {

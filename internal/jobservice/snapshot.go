@@ -11,8 +11,8 @@ import (
 // job service's GET /v1/stats and ompmca-info -stats -json both emit
 // this one shape, replacing the divergent ad-hoc dumps that predated
 // it. Sections a producer cannot fill are omitted from the JSON rather
-// than zeroed, so a consumer can tell "no offloader wired" from
-// "offloader idle".
+// than zeroed, so a consumer can tell "no kernels bound" from "no
+// region run yet".
 type Snapshot struct {
 	Core    *core.StatsSnapshot     `json:"core,omitempty"`    // host runtime scheduler counters
 	Offload *taskfabric.RegionStats `json:"offload,omitempty"` // parallel-for region counters
@@ -29,7 +29,7 @@ type ServiceStats struct {
 	Accepted    uint64        `json:"accepted"`               // jobs admitted (202)
 	Rejected    uint64        `json:"rejected"`               // jobs refused over quota (429)
 	RateLimited uint64        `json:"rate_limited,omitempty"` // jobs refused over token-bucket rate (429)
-	Dispatched  uint64        `json:"dispatched"`             // jobs handed to the fabric/offloader
+	Dispatched  uint64        `json:"dispatched"`             // jobs handed to the fabric
 	Completed   uint64        `json:"completed"`              // jobs settled with a result
 	Failed      uint64        `json:"failed"`                 // jobs settled with an error
 	Canceled    uint64        `json:"canceled"`               // jobs canceled before dispatch

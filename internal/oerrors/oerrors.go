@@ -57,7 +57,6 @@ func Categories() []Category {
 const (
 	CodeDomainLost    = "domain_lost"      // worker domain declared dead (Domain)
 	CodeRuntimeClosed = "runtime_closed"   // core runtime closed (Cancel)
-	CodeOffloadClosed = "offload_closed"   // offloader closed (Cancel)
 	CodeFabricClosed  = "fabric_closed"    // task fabric closed (Cancel)
 	CodeServiceClosed = "service_closed"   // job service closed (Cancel)
 	CodeSaturated     = "saturated"        // admission queue full (Admission)

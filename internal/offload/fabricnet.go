@@ -11,8 +11,8 @@ import (
 // The multi-domain fabric net: the board partitioned under the embedded
 // hypervisor, one MCA-backed OpenMP runtime per partition, and a
 // host<->worker MCAPI wiring per worker domain. The task fabric
-// (internal/taskfabric) builds one per Fabric — the job service's, and
-// the private one behind each region Offloader.
+// (internal/taskfabric) builds one per Fabric; a server builds one
+// fabric, which runs both its jobs and its parallel-for regions.
 
 // Well-known ports on each worker domain's MCAPI node. Host-side
 // endpoints use PortAny; workers sit on fixed ports the way firmware

@@ -1,6 +1,6 @@
 // Region tests: kernels registered in this package, driven end to end as
 // parallel-for regions on the task fabric. They live in an external test
-// package because the engine (taskfabric.Offloader) imports this one.
+// package because the engine (taskfabric's region.go) imports this one.
 package offload_test
 
 import (
@@ -81,9 +81,9 @@ func decodeSum(t *testing.T, b []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(b))
 }
 
-// newOffloader builds an offloader whose registry holds k (sumKernel
-// when nil), closed when the test ends.
-func newOffloader(t *testing.T, k offload.Kernel, opts ...taskfabric.Option) *taskfabric.Offloader {
+// newOffloader builds a region fabric whose kernel registry holds k
+// (sumKernel when nil), closed when the test ends.
+func newOffloader(t *testing.T, k offload.Kernel, opts ...taskfabric.Option) *taskfabric.Fabric {
 	t.Helper()
 	if k == nil {
 		k = sumKernel()
@@ -126,7 +126,7 @@ func TestParallelForDistributes(t *testing.T) {
 		t.Errorf("observed %d chunk completions, want 16", len(seen))
 	}
 
-	st := o.Stats()
+	st := o.RegionStats()
 	if st.Regions != 1 {
 		t.Errorf("Regions = %d, want 1", st.Regions)
 	}
@@ -136,8 +136,8 @@ func TestParallelForDistributes(t *testing.T) {
 	if st.LocalChunks == 0 {
 		t.Error("no chunks ran on the host: the calling goroutine's share is missing")
 	}
-	if st.DomainsLost != 0 {
-		t.Errorf("DomainsLost = %d, want 0", st.DomainsLost)
+	if lost := o.Stats().DomainsLost; lost != 0 {
+		t.Errorf("DomainsLost = %d, want 0", lost)
 	}
 	sum := rec.Summary()
 	if sum.TaskSends == 0 || sum.TaskRecvs == 0 {
@@ -155,7 +155,7 @@ func TestParallelForDistributes(t *testing.T) {
 	if want := seqSum(1234); decodeSum(t, got) != want {
 		t.Errorf("second region sum = %d, want %d", decodeSum(t, got), want)
 	}
-	if st := o.Stats(); st.Regions != 2 {
+	if st := o.RegionStats(); st.Regions != 2 {
 		t.Errorf("Regions = %d, want 2", st.Regions)
 	}
 }
@@ -169,7 +169,7 @@ func TestParallelForMatchesSequentialFold(t *testing.T) {
 		o := newOffloader(t, nil, taskfabric.WithDomains(domains), taskfabric.WithChunkIters(chunk))
 		sized := newOffloader(t, nil, taskfabric.WithDomains(domains)) // chunks sized per region
 		for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 100_000} {
-			for name, o := range map[string]*taskfabric.Offloader{"fixed": o, "sized": sized} {
+			for name, o := range map[string]*taskfabric.Fabric{"fixed": o, "sized": sized} {
 				got, err := o.ParallelFor("sum", n, nil)
 				if err != nil {
 					t.Fatalf("domains=%d n=%d %s chunks: %v", domains, n, name, err)
@@ -194,6 +194,15 @@ func TestParallelForUnknownKernel(t *testing.T) {
 	if _, err := o.ParallelFor("nope", 0, nil); err == nil {
 		t.Error("kernel name not validated for an empty region")
 	}
+	// A fabric with no kernels bound knows no kernel.
+	f, err := taskfabric.NewFabric(taskfabric.NewRegistry(), taskfabric.WithDomains(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.ParallelFor("sum", 10, nil); err == nil {
+		t.Error("region ran on a fabric with no kernels bound")
+	}
 }
 
 // TestDomainLossMidRegion kills a domain while a region is in flight and
@@ -204,7 +213,7 @@ func TestDomainLossMidRegion(t *testing.T) {
 	// first execution kills that domain from inside the kernel. The kill
 	// therefore lands with chunk 0 itself in flight there (its result
 	// dies with the domain), which no timing can undo.
-	var o *taskfabric.Offloader
+	var o *taskfabric.Fabric
 	var once sync.Once
 	k := sumKernel()
 	sum := k.ChunkFn
@@ -298,8 +307,8 @@ func TestCloseIdempotentAndRejects(t *testing.T) {
 	if err := o.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := o.ParallelFor("sum", 10, nil); !errors.Is(err, taskfabric.ErrOffloaderClosed) {
-		t.Errorf("ParallelFor after Close = %v, want ErrOffloaderClosed", err)
+	if _, err := o.ParallelFor("sum", 10, nil); !errors.Is(err, taskfabric.ErrClosed) {
+		t.Errorf("ParallelFor after Close = %v, want the fabric's ErrClosed", err)
 	}
 	if err := o.ReadmitDomain(0); !errors.Is(err, taskfabric.ErrClosed) {
 		t.Errorf("ReadmitDomain after Close = %v, want the fabric's ErrClosed", err)
@@ -358,27 +367,40 @@ func TestReadmitDomain(t *testing.T) {
 }
 
 // TestConcurrentRegionsShareOneExporter runs eight regions at once on
-// one offloader, interleaved with a task group on a second fabric, all
-// feeding one span exporter: results must be byte-exact, and every chunk
-// and task must fold into a span of its own — as many spans as units of
-// work, no ID completing twice, none left open — which fails if two live
-// tasks ever share an ID across regions or fabrics.
+// one fabric, interleaved with a task group on that fabric and another
+// on a second fabric, all feeding one span exporter: results must be
+// byte-exact, and every chunk and task must fold into a span of its own —
+// as many spans as units of work, no ID completing twice, none left open
+// — which fails if two live tasks ever share an ID across regions or
+// fabrics, or if the region counters count the shared fabric's tasks.
 func TestConcurrentRegionsShareOneExporter(t *testing.T) {
 	sp := spans.NewExporter(4096)
-	o := newOffloader(t, nil, taskfabric.WithDomains(2), taskfabric.WithEventSink(sp))
-
-	jobs := taskfabric.NewRegistry()
-	err := jobs.Register(taskfabric.FuncJob{JobName: "echo", Fn: func(_ *core.Runtime, arg []byte) ([]byte, error) {
+	echo := taskfabric.FuncJob{JobName: "echo", Fn: func(_ *core.Runtime, arg []byte) ([]byte, error) {
 		return append([]byte(nil), arg...), nil
-	}})
-	if err != nil {
+	}}
+	kernels := offload.NewRegistry()
+	if err := kernels.Register(sumKernel()); err != nil {
 		t.Fatal(err)
 	}
-	fab, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2), taskfabric.WithEventSink(sp))
-	if err != nil {
-		t.Fatal(err)
+	var fabs [2]*taskfabric.Fabric
+	for i := range fabs {
+		jobs := taskfabric.NewRegistry()
+		if err := jobs.Register(echo); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := jobs.RegisterKernels(kernels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2), taskfabric.WithEventSink(sp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fabs[i] = f
 	}
-	defer fab.Close()
+	o := fabs[0]
 
 	const regions, tasks = 8, 64
 	var wg sync.WaitGroup
@@ -396,25 +418,28 @@ func TestConcurrentRegionsShareOneExporter(t *testing.T) {
 			}
 		}(10_000 + 777*r)
 	}
-	g := fab.NewGroup()
-	handles := make([]*taskfabric.TaskHandle, tasks)
-	for i := range handles {
-		if handles[i], err = g.SubmitJob("echo", []byte{byte(i)}); err != nil {
+	for _, f := range fabs {
+		g := f.NewGroup()
+		handles := make([]*taskfabric.TaskHandle, tasks)
+		for i := range handles {
+			var err error
+			if handles[i], err = g.SubmitJob("echo", []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.WaitAll(taskfabric.TimeoutInfinite); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := g.WaitAll(taskfabric.TimeoutInfinite); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range handles {
-		if res, err := h.Wait(0); err != nil || len(res) != 1 || res[0] != byte(i) {
-			t.Errorf("task %d: result %v, %v", i, res, err)
+		for i, h := range handles {
+			if res, err := h.Wait(0); err != nil || len(res) != 1 || res[0] != byte(i) {
+				t.Errorf("task %d: result %v, %v", i, res, err)
+			}
 		}
 	}
 	wg.Wait()
 
-	st := o.Stats()
-	want := st.RemoteChunks + st.LocalChunks + tasks
+	st := o.RegionStats()
+	want := st.RemoteChunks + st.LocalChunks + 2*tasks
 	ss := sp.Stats()
 	if ss.Opened != want || ss.Completed != want {
 		t.Errorf("spans opened/completed = %d/%d, want %d each (chunks + tasks)", ss.Opened, ss.Completed, want)

@@ -17,9 +17,9 @@
 // completes — the loss surfaces as an ErrDomainLost-wrapped error
 // alongside the full result.
 //
-// Parallel-for regions ride the same engine: an Offloader (region.go)
-// submits a region's chunks as one task group on a private Fabric and
-// folds the results in chunk order on the host.
+// Parallel-for regions ride the same engine: Fabric.ParallelFor
+// (region.go) submits a region's chunks as one task group beside the
+// fabric's jobs and folds the results in chunk order on the host.
 //
 // This completes the paper's MCA trio in load-bearing form: MRAPI under
 // each runtime (core.MCALayer), MCAPI as the inter-domain transport, and
@@ -135,9 +135,8 @@ func WithBoard(b *platform.Board) Option {
 	}
 }
 
-// WithChunkIters fixes the iterations per parallel-for chunk on an
-// Offloader; 0 (the default) sizes chunks so each executor sees about
-// four. A plain Fabric ignores it.
+// WithChunkIters fixes the iterations per parallel-for chunk; 0 (the
+// default) sizes chunks so each executor sees about four.
 func WithChunkIters(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -219,6 +218,11 @@ type counters struct {
 	readmissions      atomic.Uint64
 	heartbeats        atomic.Uint64
 	pingDrops         atomic.Uint64
+
+	// Region counters (region.go).
+	regions      atomic.Uint64
+	remoteChunks atomic.Uint64
+	localChunks  atomic.Uint64
 }
 
 // Stats is a point-in-time copy of the fabric counters. It is
@@ -400,9 +404,9 @@ type Fabric struct {
 }
 
 // taskSeq mints task IDs. It is process-wide, not per Fabric, so one
-// event sink shared by several fabrics (the job service's and a region
-// Offloader's feed the same span exporter) never sees two live tasks
-// under one ID.
+// event sink shared by several fabrics (a job fabric and a separate
+// region fabric, as jobservice.WithOffloader wires them) never sees two
+// live tasks under one ID.
 var taskSeq atomic.Uint64
 
 // NewFabric partitions the configured board, boots the host and worker
@@ -418,12 +422,6 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 			return nil, err
 		}
 	}
-	return newFabric(reg, cfg)
-}
-
-// newFabric builds a fabric from a finished config; NewOffloader calls it
-// with its own defaults.
-func newFabric(reg *Registry, cfg config) (*Fabric, error) {
 	cfg.lostAfter = 8 * cfg.heartbeat
 
 	net, err := offload.BuildNet(offload.NetConfig{

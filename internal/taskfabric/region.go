@@ -3,7 +3,6 @@ package taskfabric
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"openmpmca/internal/core"
@@ -20,13 +19,10 @@ import (
 // fold in ascending chunk index on the host, so the result does not
 // depend on which executor ran what. Deadlines, retries, stealing, loss
 // recovery and readmission are the fabric's; nothing here dispatches.
+// Regions and jobs share a fabric: kernels bind to it through its job
+// registry (Registry.RegisterKernels).
 
-// ErrOffloaderClosed is returned by regions on a closed Offloader.
-// Classified Cancel/offload_closed.
-var ErrOffloaderClosed = oerrors.Sentinel(oerrors.Cancel, oerrors.CodeOffloadClosed,
-	"offload: offloader closed")
-
-// chunkJobName is the one job a region fabric executes.
+// chunkJobName is the job every region chunk executes.
 const chunkJobName = "offload.chunk"
 
 // chunkJob runs one chunk descriptor against the kernel registry.
@@ -46,88 +42,68 @@ func (j chunkJob) Execute(rt *core.Runtime, arg []byte) ([]byte, error) {
 	return k.Chunk(rt, int(d.Lo), int(d.Hi), d.Arg)
 }
 
-// RegionStats is a point-in-time copy of an Offloader's counters, derived
-// from its fabric's plus the region and host-share counts kept here. It
-// is JSON-taggable: it serializes as the "offload" section of the
-// unified openmpmca.Snapshot.
+// RegisterKernels binds a kernel registry to the fabric built over r by
+// registering the offload.chunk job, which resolves every chunk
+// descriptor against kernels. A registry binds at most one.
+func (r *Registry) RegisterKernels(kernels *offload.Registry) error {
+	if kernels == nil {
+		return fmt.Errorf("%w: taskfabric: nil kernel registry", core.ErrInvalidOption)
+	}
+	return r.Register(chunkJob{kernels})
+}
+
+// Kernels returns the kernel registry bound with RegisterKernels, or nil.
+func (r *Registry) Kernels() *offload.Registry {
+	j, _ := r.Lookup(chunkJobName)
+	cj, _ := j.(chunkJob)
+	return cj.kernels
+}
+
+// NewOffloader builds a fabric that runs regions of kernels and nothing
+// else. Its defaults differ from NewFabric's in two ways: partitions are
+// named offload-*, and each domain runs one chunk at a time (a chunk
+// kernel forks the partition's whole team). opts apply over them.
+func NewOffloader(kernels *offload.Registry, opts ...Option) (*Fabric, error) {
+	jobs := NewRegistry()
+	if err := jobs.RegisterKernels(kernels); err != nil {
+		return nil, err
+	}
+	regionDefaults := func(c *config) error {
+		c.namePrefix = "offload"
+		c.mtWorkers = 1
+		return nil
+	}
+	return NewFabric(jobs, append([]Option{regionDefaults}, opts...)...)
+}
+
+// RegionStats is a point-in-time copy of a fabric's region counters,
+// plus the fabric's own recovery counters (jobs' included where the
+// fabric runs jobs too). It is JSON-taggable: it serializes as the
+// "offload" section of the unified openmpmca.Snapshot.
 type RegionStats struct {
 	Regions      uint64 `json:"regions"`       // ParallelFor regions run
-	RemoteChunks uint64 `json:"remote_chunks"` // chunks completed by worker domains
-	LocalChunks  uint64 `json:"local_chunks"`  // chunks completed on the host
-	Resends      uint64 `json:"resends"`       // chunk re-dispatches (deadline or domain loss)
+	RemoteChunks uint64 `json:"remote_chunks"` // chunks whose accepted result a worker domain delivered
+	LocalChunks  uint64 `json:"local_chunks"`  // chunks whose accepted result the host computed
+	Resends      uint64 `json:"resends"`       // task re-dispatches (deadline or domain loss)
 	DomainsLost  uint64 `json:"domains_lost"`  // worker domains declared dead
 	Heartbeats   uint64 `json:"heartbeats"`    // pongs received
 	PingDrops    uint64 `json:"ping_drops"`    // pings dropped by a full send queue
 	Readmissions uint64 `json:"readmissions"`  // lost domains readmitted after restart
 }
 
-// Offloader runs parallel-for regions over a private Fabric: its own
-// board partitions, its own worker domains. It is safe for concurrent
-// use, and concurrent regions run concurrently.
-type Offloader struct {
-	f       *Fabric
-	kernels *offload.Registry
-
-	regions    atomic.Uint64
-	hostChunks atomic.Uint64 // chunks run by calling goroutines
-}
-
-// NewOffloader builds the region fabric. It takes the fabric's Options
-// over two different defaults: partitions are named offload-*, and each
-// domain runs one chunk at a time (a chunk kernel forks the partition's
-// whole team).
-func NewOffloader(kernels *offload.Registry, opts ...Option) (*Offloader, error) {
-	if kernels == nil {
-		return nil, fmt.Errorf("%w: offload: nil registry", core.ErrInvalidOption)
-	}
-	cfg := defaultConfig()
-	cfg.namePrefix = "offload"
-	cfg.mtWorkers = 1
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	jobs := NewRegistry()
-	if err := jobs.Register(chunkJob{kernels}); err != nil {
-		return nil, err
-	}
-	f, err := newFabric(jobs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Offloader{f: f, kernels: kernels}, nil
-}
-
-// Render draws the hypervisor partition map.
-func (o *Offloader) Render() string { return o.f.Render() }
-
-// DomainInfos snapshots every worker domain's identity, liveness and
-// occupancy.
-func (o *Offloader) DomainInfos() []DomainInfo { return o.f.DomainInfos() }
-
-// KillDomain crashes worker domain i (0-based) for fault injection. The
-// host is not told: it finds out through missed heartbeats.
-func (o *Offloader) KillDomain(i int) error { return o.f.KillDomain(i) }
-
-// ReadmitDomain returns a lost, restarted domain to service.
-func (o *Offloader) ReadmitDomain(i int) error { return o.f.ReadmitDomain(i) }
-
-// Close shuts the region fabric down. Idempotent.
-func (o *Offloader) Close() error { return o.f.Close() }
-
-// Stats snapshots the region counters.
-func (o *Offloader) Stats() RegionStats {
-	fs := o.f.Stats()
+// RegionStats snapshots the region counters. Chunks are counted by the
+// executor of each accepted result, not from the fabric's task counters,
+// which also count jobs.
+func (f *Fabric) RegionStats() RegionStats {
 	return RegionStats{
-		Regions:      o.regions.Load(),
-		RemoteChunks: fs.RemoteTasks,
-		LocalChunks:  fs.LocalTasks + o.hostChunks.Load(),
-		Resends:      fs.Resends,
-		DomainsLost:  fs.DomainsLost,
-		Heartbeats:   fs.Heartbeats,
-		PingDrops:    fs.PingDrops,
-		Readmissions: fs.Readmissions,
+		Regions:      f.st.regions.Load(),
+		RemoteChunks: f.st.remoteChunks.Load(),
+		LocalChunks:  f.st.localChunks.Load(),
+		Resends:      f.st.resends.Load(),
+		DomainsLost:  f.st.domainsLost.Load(),
+		Heartbeats:   f.st.heartbeats.Load(),
+		PingDrops:    f.st.pingDrops.Load(),
+		Readmissions: f.st.readmissions.Load(),
 	}
 }
 
@@ -139,28 +115,30 @@ func (o *Offloader) Stats() RegionStats {
 // If a worker domain dies mid-region its chunks are re-executed on the
 // host: the full result is still returned, together with an error
 // wrapping ErrDomainLost.
-func (o *Offloader) ParallelFor(kernel string, n int, arg []byte) ([]byte, error) {
-	return o.ParallelForObserved(kernel, n, arg, nil)
+func (f *Fabric) ParallelFor(kernel string, n int, arg []byte) ([]byte, error) {
+	return f.ParallelForObserved(kernel, n, arg, nil)
 }
 
 // ParallelForObserved is ParallelFor with a progress callback: onChunk
 // (may be nil) is called on the calling goroutine once per chunk as its
 // result is accepted, with the chunk's index, the region's chunk count
 // and the executor (a worker domain's 0-based index, -1 = host).
-func (o *Offloader) ParallelForObserved(kernel string, n int, arg []byte,
+func (f *Fabric) ParallelForObserved(kernel string, n int, arg []byte,
 	onChunk func(chunk, total, domain int)) ([]byte, error) {
-	f := o.f
 	if f.closed.Load() {
-		return nil, ErrOffloaderClosed
+		return nil, ErrClosed
 	}
-	k, ok := o.kernels.Lookup(kernel)
+	k, ok := offload.Kernel(nil), false
+	if kernels := f.reg.Kernels(); kernels != nil {
+		k, ok = kernels.Lookup(kernel)
+	}
 	if !ok {
 		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "offload: unknown kernel %q", kernel)
 	}
 	if n <= 0 {
 		return nil, nil
 	}
-	o.regions.Add(1)
+	f.st.regions.Add(1)
 
 	executors := len(f.links) + 1
 	chunkIters := f.cfg.chunkIters
@@ -175,6 +153,11 @@ func (o *Offloader) ParallelForObserved(kernel string, n int, arg []byte,
 	parts := make([][]byte, nc)
 	accept := func(ci, domain int, part []byte) {
 		parts[ci] = part
+		if domain < 0 {
+			f.st.localChunks.Add(1)
+		} else {
+			f.st.remoteChunks.Add(1)
+		}
 		if onChunk != nil {
 			onChunk(ci, nc, domain)
 		}
@@ -189,9 +172,6 @@ func (o *Offloader) ParallelForObserved(kernel string, n int, arg []byte,
 	index := make(map[*TaskHandle]int, grouped)
 	fail := func(err error) ([]byte, error) {
 		g.Cancel()
-		if errors.Is(err, ErrClosed) {
-			err = ErrOffloaderClosed
-		}
 		return nil, fmt.Errorf("offload: kernel %q: %w", kernel, err)
 	}
 	descs := make([][]byte, grouped)
@@ -248,7 +228,6 @@ func (o *Offloader) ParallelForObserved(kernel string, n int, arg []byte,
 			ev.Kind = trace.EvTaskRecv
 			f.cfg.sink.Event(ev)
 		}
-		o.hostChunks.Add(1)
 		accept(ci, -1, part)
 		if err := collect(0); err != nil {
 			return fail(err)
