@@ -38,6 +38,13 @@ const (
 // slot.
 const spinCap = 500 * time.Millisecond
 
+// maxRegionIters bounds a parallel_for job's n for the same reason: a
+// region holds its dispatch slot until it folds, and at the fabric's
+// cap the builtin vecsum finishes within spinCap on one core.
+// Admission refuses a larger n with 400; the fabric refuses it too, so
+// an accept journaled before this check settles failed on replay.
+const maxRegionIters = taskfabric.MaxRegionIters
+
 // U64 encodes v big-endian, the builtins' wire convention.
 func U64(v uint64) []byte {
 	var b [8]byte

@@ -2,9 +2,11 @@ package jobservice
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,6 +198,47 @@ func TestDurableGroupSurvivesRestart(t *testing.T) {
 	meta(t, genv2, &gv2)
 	if gv2.Members != len(ids) {
 		t.Fatalf("group members = %d, want %d", gv2.Members, len(ids))
+	}
+}
+
+// TestOversizedRegionReplaysFailed restarts over a state dir holding the
+// accept of a region over the iteration cap, as a server without the
+// admission check journaled it. Replay must settle it failed, not crash
+// the process, and the restarted server must refuse the same submit
+// without journaling it.
+func TestOversizedRegionReplaysFailed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := durable.Open(dir, durable.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(durable.Entry{
+		Op: durable.OpAccept, ID: "j-1", At: time.Now().UnixNano(),
+		Tenant: "alice", Kind: KindParallelFor, Name: KernelVecSum, N: math.MaxInt,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	env, _ := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+	v := env.wait(t, "key-alice", "j-1")
+	if v.Status != StatusFailed || !strings.Contains(v.Error, "region cap") {
+		t.Fatalf("replayed oversized region = %+v, want failed over the region cap", v)
+	}
+	records := env.srv.DurableStats().JournalRecords
+	code, envl := env.do(t, http.MethodPost, "/v1/jobs", "key-alice",
+		submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: math.MaxInt})
+	if code != http.StatusBadRequest {
+		t.Fatalf("n = MaxInt after restart = %d (%s), want 400", code, envl.Error)
+	}
+	if got := env.srv.DurableStats().JournalRecords; got != records {
+		t.Fatalf("refused submit journaled %d records", got-records)
+	}
+	ok := env.submit(t, "key-alice", submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: 500})
+	if got := env.wait(t, "key-alice", ok.ID); !bytes.Equal(got.Result, VecSumExpected(500)) {
+		t.Fatalf("region after the refusal = %+v", got)
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 
 	"openmpmca/internal/core"
 	"openmpmca/internal/durable"
-	"openmpmca/internal/mcapi"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
 	"openmpmca/internal/spans"
@@ -440,24 +439,13 @@ func (s *Server) apiReady(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// submitRequest is the POST /v1/jobs body.
-type submitRequest struct {
-	Job   string `json:"job"`             // registered job (kind=task) or kernel (kind=parallel_for) name
-	Kind  string `json:"kind,omitempty"`  // default "task"
-	Arg   []byte `json:"arg,omitempty"`   // opaque argument, base64 in JSON
-	N     int    `json:"n,omitempty"`     // parallel_for iteration count
-	Group string `json:"group,omitempty"` // optional group membership
-}
-
-// maxSubmitBody caps a POST /v1/jobs body. Every argument rides one
-// inline task frame, so the largest useful argument is one MCAPI message
-// (mcapi.MaxMsgSize); in JSON it is base64, 4/3 the size, plus slack for
-// the envelope's other fields.
-const maxSubmitBody = (mcapi.MaxMsgSize+2)/3*4 + (4 << 10)
-
 func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantState) {
 	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+	body, err := readSubmitBody(w, r)
+	if err == nil {
+		req, err = decodeSubmit(body)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			// Refused before admission: nothing queued, journaled or
@@ -490,6 +478,12 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 		}
 		if req.N < 1 {
 			writeError(w, http.StatusBadRequest, "kind %q needs n >= 1, got %d", req.Kind, req.N)
+			return
+		}
+		if req.N > maxRegionIters {
+			_ = oerrors.New(oerrors.Admission, oerrors.CodeRegionTooLarge,
+				"jobservice: parallel_for n over limit")
+			writeError(w, http.StatusBadRequest, "kind %q takes n <= %d, got %d", req.Kind, maxRegionIters, req.N)
 			return
 		}
 	default:

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -328,6 +329,75 @@ func TestEnvelopes(t *testing.T) {
 		if snap.Errors == nil || snap.Errors.ByCode[oerrors.CodeBodyTooLarge] == 0 {
 			t.Errorf("413 not counted as admission/%s: %+v", oerrors.CodeBodyTooLarge, snap.Errors)
 		}
+	}
+
+	// The cap is on the whole body, read before decoding: trailing bytes
+	// past it are refused whatever the prefix, a body shorter than its
+	// Content-Length is malformed rather than too large, and a chunked
+	// body (no Content-Length) is still read and admitted.
+	post := func(body io.Reader) (int, apiResponse) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, e.ts.URL+"/v1/jobs", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-API-Key", "key-bob")
+		resp, err := e.ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env apiResponse
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, env
+	}
+	valid := `{"job":"echo","arg":"aGk="}`
+	for _, tail := range []string{" ", "x"} {
+		body := valid + strings.Repeat(tail, maxSubmitBody)
+		if code, env := post(strings.NewReader(body)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("valid object + %d trailing %q = %d (%s), want 413", maxSubmitBody, tail, code, env.Error)
+		}
+	}
+	short := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(valid))
+	short.ContentLength = int64(len(valid) + 10)
+	short.Header.Set("X-API-Key", "key-bob")
+	rec := httptest.NewRecorder()
+	e.srv.ServeHTTP(rec, short)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("body shorter than its Content-Length = %d (%s), want 400", rec.Code, rec.Body)
+	}
+	code, env = post(io.MultiReader(strings.NewReader(valid[:9]), strings.NewReader(valid[9:])))
+	if code != http.StatusAccepted {
+		t.Fatalf("chunked body = %d (%s), want 202", code, env.Error)
+	}
+	var chunked JobView
+	meta(t, env, &chunked)
+	if got := e.wait(t, "key-bob", chunked.ID); got.Status != StatusSucceeded || string(got.Result) != "hi" {
+		t.Errorf("chunked echo = %+v, want hi", got)
+	}
+
+	// A region over the cap is refused at admission like n < 1: nothing
+	// accepted, nothing in flight, the refusal counted.
+	code, env = e.do(t, http.MethodPost, "/v1/jobs", "key-alice",
+		submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: math.MaxInt})
+	if code != http.StatusBadRequest {
+		t.Fatalf("parallel_for with n = MaxInt = %d (%s), want 400", code, env.Error)
+	}
+	_, env = e.do(t, http.MethodGet, "/v1/stats", "key-alice", nil)
+	var snap Snapshot
+	meta(t, env, &snap)
+	if snap.Service.Accepted != 2 || snap.Service.Queued != 0 || snap.Service.Running != 0 {
+		t.Errorf("after n = MaxInt: service = %+v, want only the two echoes accepted", snap.Service)
+	}
+	for _, ts := range snap.Service.Tenants {
+		if ts.InFlight != 0 || (ts.Name == "alice" && ts.Accepted != 0) {
+			t.Errorf("after n = MaxInt: tenant %+v charged", ts)
+		}
+	}
+	if snap.Errors == nil || snap.Errors.ByCode[oerrors.CodeRegionTooLarge] == 0 {
+		t.Errorf("n over the cap not counted as admission/%s: %+v", oerrors.CodeRegionTooLarge, snap.Errors)
 	}
 }
 

@@ -74,13 +74,14 @@ const (
 
 	// Durable-store codes (internal/durable, the job service's
 	// write-ahead journal + snapshot replay).
-	CodeJournalCorrupt = "journal_corrupt" // journal record failed its CRC or framing (Internal)
-	CodeSnapshotTorn   = "snapshot_torn"   // snapshot file failed its CRC or framing (Internal)
-	CodeStoreClosed    = "store_closed"    // durable store closed (Cancel)
-	CodeStoreIO        = "store_io"        // state-dir I/O failure: open, append, fsync, rename (Internal)
-	CodeRateLimited    = "rate_limited"    // tenant over its token-bucket rate (Admission)
-	CodeTenantGone     = "tenant_gone"     // replayed job's tenant no longer configured (Admission)
-	CodeBodyTooLarge   = "body_too_large"  // submit body over the size one task frame may carry (Admission)
+	CodeJournalCorrupt = "journal_corrupt"  // journal record failed its CRC or framing (Internal)
+	CodeSnapshotTorn   = "snapshot_torn"    // snapshot file failed its CRC or framing (Internal)
+	CodeStoreClosed    = "store_closed"     // durable store closed (Cancel)
+	CodeStoreIO        = "store_io"         // state-dir I/O failure: open, append, fsync, rename (Internal)
+	CodeRateLimited    = "rate_limited"     // tenant over its token-bucket rate (Admission)
+	CodeTenantGone     = "tenant_gone"      // replayed job's tenant no longer configured (Admission)
+	CodeBodyTooLarge   = "body_too_large"   // submit body over the size one task frame may carry (Admission)
+	CodeRegionTooLarge = "region_too_large" // parallel-for iteration count over the region cap (Admission)
 )
 
 // E is one classified error: a category, a stable code, a message and

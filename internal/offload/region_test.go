@@ -7,11 +7,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"openmpmca/internal/core"
+	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
 	"openmpmca/internal/spans"
 	"openmpmca/internal/taskfabric"
@@ -202,6 +204,29 @@ func TestParallelForUnknownKernel(t *testing.T) {
 	defer f.Close()
 	if _, err := f.ParallelFor("sum", 10, nil); err == nil {
 		t.Error("region ran on a fabric with no kernels bound")
+	}
+}
+
+// TestParallelForOverCap: a region over MaxRegionIters is refused with a
+// classified error before a chunk is cut — n = MaxInt once overflowed
+// the chunk-size arithmetic into a panic — and the fabric keeps serving.
+func TestParallelForOverCap(t *testing.T) {
+	o := newOffloader(t, nil, taskfabric.WithDomains(2))
+	for _, n := range []int{taskfabric.MaxRegionIters + 1, math.MaxInt} {
+		_, err := o.ParallelFor("sum", n, nil)
+		if code, _ := oerrors.CodeOf(err); code != oerrors.CodeRegionTooLarge {
+			t.Errorf("n = %d: err = %v, want code %s", n, err, oerrors.CodeRegionTooLarge)
+		}
+		if cat, _ := oerrors.CategoryOf(err); cat != oerrors.Admission {
+			t.Errorf("n = %d: category %q, want %q", n, cat, oerrors.Admission)
+		}
+	}
+	if st := o.RegionStats(); st.Regions != 0 {
+		t.Errorf("refused regions counted: Regions = %d", st.Regions)
+	}
+	got, err := o.ParallelFor("sum", 1000, nil)
+	if err != nil || decodeSum(t, got) != seqSum(1000) {
+		t.Errorf("region after the refusals = %d, %v; want %d", decodeSum(t, got), err, seqSum(1000))
 	}
 }
 

@@ -22,6 +22,14 @@ import (
 // Regions and jobs share a fabric: kernels bind to it through its job
 // registry (Registry.RegisterKernels).
 
+// MaxRegionIters caps a region's iteration count. A region holds its
+// executors until its last chunk folds, and each chunk must beat the
+// task deadline (1 s by default) or be re-sent; 2²⁹ iterations of the
+// cheapest kernel, the job service's builtin vecsum, take ≈ 0.35 s on
+// one core of a 2-vCPU x86-64 VM. Larger regions are refused with an
+// Admission/region_too_large error before a chunk is cut.
+const MaxRegionIters = 1 << 29
+
 // chunkJobName is the job every region chunk executes.
 const chunkJobName = "offload.chunk"
 
@@ -138,12 +146,16 @@ func (f *Fabric) ParallelForObserved(kernel string, n int, arg []byte,
 	if n <= 0 {
 		return nil, nil
 	}
+	if n > MaxRegionIters {
+		return nil, oerrors.Errorf(oerrors.Admission, oerrors.CodeRegionTooLarge,
+			"offload: kernel %q: %d iterations, over the region cap of %d", kernel, n, MaxRegionIters)
+	}
 	f.st.regions.Add(1)
 
 	executors := len(f.links) + 1
 	chunkIters := f.cfg.chunkIters
 	if chunkIters <= 0 {
-		chunkIters = max(1, (n+4*executors-1)/(4*executors))
+		chunkIters = (n-1)/(4*executors) + 1 // ⌈n / 4·executors⌉ without overflow
 	}
 	nc := (n + chunkIters - 1) / chunkIters
 	bounds := func(ci int) (lo, hi int) {
