@@ -3,8 +3,8 @@
 GO ?= go
 
 .PHONY: all build vet test test-benchmark tier1-soak race bench experiments \
-	taskgraph mesh-smoke api api-check serve loadgen service-smoke \
-	chaos chaos-smoke crash-smoke clean
+	taskgraph mesh-smoke api api-check serve chaos chaos-smoke \
+	crash-smoke clean
 
 all: build vet test
 
@@ -109,23 +109,9 @@ crash-smoke:
 	$(GO) build -o /tmp/ompmca-serve ./cmd/ompmca-serve
 	$(GO) run ./cmd/ompmca-chaos -crash -serve-bin /tmp/ompmca-serve
 
-# Multi-tenant job service: boot the HTTP front end / drive it.
+# Multi-tenant job service: boot the HTTP front end.
 serve:
 	$(GO) run ./cmd/ompmca-serve
-
-loadgen:
-	$(GO) run ./cmd/ompmca-loadgen
-
-# End-to-end service smoke: boot ompmca-serve, drive it with 1000
-# concurrent submitters across 3 tenants with mid-run fault injection,
-# require zero lost jobs. CI runs this on every push.
-service-smoke:
-	$(GO) build -o /tmp/ompmca-serve ./cmd/ompmca-serve
-	$(GO) build -o /tmp/ompmca-loadgen ./cmd/ompmca-loadgen
-	/tmp/ompmca-serve -addr 127.0.0.1:18080 & \
-	SERVE_PID=$$!; \
-	trap "kill $$SERVE_PID 2>/dev/null" EXIT; \
-	/tmp/ompmca-loadgen -addr http://127.0.0.1:18080 -submitters 1000 -jobs 2 -fault
 
 clean:
 	$(GO) clean ./...

@@ -2,13 +2,18 @@
 // Figure 3: it first boots the T4240RDB the factory way (NOR flash,
 // volatile root), demonstrates that a reset loses the development state,
 // then reconfigures u-boot for TFTP kernel loading with an NFS root and
-// shows the state surviving reboots.
+// shows the state surviving reboots. Exit status is nonzero if either
+// root breaks its contract.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"openmpmca/internal/board"
 )
@@ -16,72 +21,84 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ompmca-boot: ")
-	verbose := flag.Bool("v", false, "print full boot logs")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run boots the board both ways, writing the walk-through and Figure 3
+// to stdout, and returns an error if the flash root keeps a file across
+// a reset or the NFS root loses one across a reboot.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ompmca-boot", flag.ContinueOnError)
+	verbose := fs.Bool("v", false, "print full boot logs")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	b := board.NewBoard()
+	boot := func(cfg board.BootConfig) (*board.RootFS, error) {
+		b.Reset()
+		if err := b.Boot(cfg); err != nil {
+			return nil, err
+		}
+		if *verbose {
+			for _, line := range b.BootLog() {
+				fmt.Fprintln(stdout, "  "+line)
+			}
+		}
+		return b.Root()
+	}
 
 	// Factory boot from NOR flash.
-	fmt.Println("--- factory boot (NOR flash) ---")
-	if err := b.Boot(board.BootConfig{Source: board.BootFlash}); err != nil {
-		log.Fatal(err)
-	}
-	printLog(b, *verbose)
-	root, err := b.Root()
+	fmt.Fprintln(stdout, "--- factory boot (NOR flash) ---")
+	flash := board.BootConfig{Source: board.BootFlash}
+	root, err := boot(flash)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	root.WriteFile("/home/dev/toolchain.patch", []byte("work in progress"))
-	fmt.Println("wrote /home/dev/toolchain.patch to the RAM-disk root")
-	b.Reset()
-	if err := b.Boot(board.BootConfig{Source: board.BootFlash}); err != nil {
-		log.Fatal(err)
+	const patch = "/home/dev/toolchain.patch"
+	root.WriteFile(patch, []byte("work in progress"))
+	fmt.Fprintf(stdout, "wrote %s to the RAM-disk root\n", patch)
+	if root, err = boot(flash); err != nil {
+		return err
 	}
-	root, _ = b.Root()
-	if _, err := root.ReadFile("/home/dev/toolchain.patch"); err != nil {
-		fmt.Println("after reset: /home/dev/toolchain.patch is GONE (flash root is refreshed every reset)")
+	if _, err := root.ReadFile(patch); err == nil {
+		return fmt.Errorf("flash root kept %s across a reset", patch)
 	}
+	fmt.Fprintf(stdout, "after reset: %s is GONE (flash root is refreshed every reset)\n", patch)
 
 	// Development boot: TFTP kernel + NFS root (Figure 3).
-	fmt.Println("\n--- development boot (TFTP + NFS) ---")
+	fmt.Fprintln(stdout, "\n--- development boot (TFTP + NFS) ---")
+	const export = "/srv/nfs/t4240"
 	tftp := board.NewTFTPServer()
 	tftp.Put("uImage-omp", devKernel())
 	nfs := board.NewNFSServer()
-	nfs.AddExport("/srv/nfs/t4240")
-	b.Flash.SetEnv("bootcmd", "tftp uImage-omp; nfsroot /srv/nfs/t4240; bootm")
-	cfg := board.BootConfig{
+	nfs.AddExport(export)
+	b.Flash.SetEnv("bootcmd", "tftp uImage-omp; nfsroot "+export+"; bootm")
+	dev := board.BootConfig{
 		Source:     board.BootNetwork,
 		TFTP:       tftp,
 		KernelFile: "uImage-omp",
 		NFS:        nfs,
-		Export:     "/srv/nfs/t4240",
+		Export:     export,
 	}
-	b.Reset()
-	if err := b.Boot(cfg); err != nil {
-		log.Fatal(err)
+	if root, err = boot(dev); err != nil {
+		return err
 	}
-	printLog(b, *verbose)
-	root, _ = b.Root()
-	root.WriteFile("/opt/mca-libgomp.so", []byte("the toolchain under development"))
-	fmt.Println("installed /opt/mca-libgomp.so on the NFS root")
-	b.Reset()
-	if err := b.Boot(cfg); err != nil {
-		log.Fatal(err)
+	const lib = "/opt/mca-libgomp.so"
+	want := []byte("the toolchain under development")
+	root.WriteFile(lib, want)
+	fmt.Fprintf(stdout, "installed %s on the NFS root\n", lib)
+	if root, err = boot(dev); err != nil {
+		return err
 	}
-	root, _ = b.Root()
-	if data, err := root.ReadFile("/opt/mca-libgomp.so"); err == nil {
-		fmt.Printf("after reboot: /opt/mca-libgomp.so intact (%d bytes) — NFS root persists\n\n", len(data))
+	if data, err := root.ReadFile(lib); err != nil || !bytes.Equal(data, want) {
+		return fmt.Errorf("NFS root lost %s across a reboot (read %q, %v)", lib, data, err)
 	}
-	fmt.Print(board.RenderEnvironment(b, tftp, nfs, "/srv/nfs/t4240"))
-}
-
-func printLog(b *board.Board, verbose bool) {
-	if !verbose {
-		return
-	}
-	for _, line := range b.BootLog() {
-		fmt.Println("  " + line)
-	}
+	fmt.Fprintf(stdout, "after reboot: %s intact (%d bytes) — NFS root persists\n\n", lib, len(want))
+	fmt.Fprint(stdout, board.RenderEnvironment(b, tftp, nfs, export))
+	return nil
 }
 
 // devKernel is the development kernel image served over TFTP.

@@ -25,34 +25,48 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"openmpmca/internal/chaos"
 )
 
 func main() {
-	seed := flag.Int64("seed", 42, "campaign schedule seed (replay a failure with its seed)")
-	campaigns := flag.Int("campaigns", 6, "number of campaigns to derive and run")
-	duration := flag.Duration("duration", 2*time.Second, "per-campaign fault-schedule budget")
-	killMidGraph := flag.Bool("kill-mid-graph", false, "run only the fixed kill-mid-graph scenario")
-	mesh := flag.Bool("mesh", false, "run only the fixed peer-steal mesh scenarios (kill-victim-mid-yield, dead-peer-channel)")
-	crash := flag.Bool("crash", false, "run the crash-restart durability campaign against a server binary (-serve-bin)")
-	serveBin := flag.String("serve-bin", "", "path to an ompmca-serve binary for -crash")
-	stateDir := flag.String("state-dir", "", "state dir for -crash (default: a fresh temp dir)")
-	crashJobs := flag.Int("crash-jobs", 16, "closed-form jobs submitted per life for -crash")
-	crashKills := flag.Int("crash-kills", 2, "SIGKILL/restart cycles for -crash")
-	verbose := flag.Bool("v", false, "print each campaign's schedule before running it")
-	jsonOut := flag.Bool("json", false, "emit results as JSON on stdout")
-	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("ompmca-chaos: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the selected campaigns and writes their verdicts
+// to stdout. It returns an error naming the replay seed if any campaign
+// failed.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ompmca-chaos", flag.ContinueOnError)
+	seed := fs.Int64("seed", 42, "campaign schedule seed (replay a failure with its seed)")
+	campaigns := fs.Int("campaigns", 6, "number of campaigns to derive and run")
+	duration := fs.Duration("duration", 2*time.Second, "per-campaign fault-schedule budget")
+	killMidGraph := fs.Bool("kill-mid-graph", false, "run only the fixed kill-mid-graph scenario")
+	mesh := fs.Bool("mesh", false, "run only the fixed peer-steal mesh scenarios (kill-victim-mid-yield, dead-peer-channel)")
+	crash := fs.Bool("crash", false, "run the crash-restart durability campaign against a server binary (-serve-bin)")
+	serveBin := fs.String("serve-bin", "", "path to an ompmca-serve binary for -crash")
+	stateDir := fs.String("state-dir", "", "state dir for -crash (default: a fresh temp dir)")
+	crashJobs := fs.Int("crash-jobs", 16, "closed-form jobs submitted per life for -crash")
+	crashKills := fs.Int("crash-kills", 2, "SIGKILL/restart cycles for -crash")
+	verbose := fs.Bool("v", false, "print each campaign's schedule before running it")
+	jsonOut := fs.Bool("json", false, "emit results as JSON on stdout")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *crash {
-		runCrash(*seed, *serveBin, *stateDir, *crashJobs, *crashKills, *jsonOut)
-		return
+		return runCrash(stdout, *seed, *serveBin, *stateDir, *crashJobs, *crashKills, *jsonOut)
 	}
 
 	var plan []chaos.Campaign
@@ -69,15 +83,12 @@ func main() {
 	failed := 0
 	for _, c := range plan {
 		if *verbose && !*jsonOut {
-			fmt.Print(c.Schedule())
+			fmt.Fprint(stdout, c.Schedule())
 		}
 		r := chaos.Run(c)
 		results = append(results, r)
 		if !*jsonOut {
-			fmt.Println(r.Summary())
-			for _, f := range r.Failures {
-				fmt.Printf("    FAIL %s\n", f)
-			}
+			printResult(stdout, r)
 		}
 		if !r.OK() {
 			failed++
@@ -85,43 +96,31 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(os.Stderr, "ompmca-chaos:", err)
-			os.Exit(1)
+		if err := writeJSON(stdout, results); err != nil {
+			return err
 		}
 	} else {
-		fmt.Printf("%d/%d campaigns passed (seed %d)\n", len(plan)-failed, len(plan), *seed)
+		fmt.Fprintf(stdout, "%d/%d campaigns passed (seed %d)\n", len(plan)-failed, len(plan), *seed)
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "ompmca-chaos: %d campaign(s) failed; replay with -seed %d\n", failed, *seed)
-		os.Exit(1)
+		return fmt.Errorf("%d campaign(s) failed; replay with -seed %d", failed, *seed)
 	}
+	return nil
 }
 
-// runCrash executes the crash-restart durability campaign and exits
-// with the verdict.
-func runCrash(seed int64, serveBin, stateDir string, jobs, kills int, jsonOut bool) {
+// runCrash executes the crash-restart durability campaign. A state dir
+// it creates is removed when it returns; one the caller named is kept.
+func runCrash(stdout io.Writer, seed int64, serveBin, stateDir string, jobs, kills int, jsonOut bool) error {
 	if serveBin == "" {
-		fmt.Fprintln(os.Stderr, "ompmca-chaos: -crash requires -serve-bin")
-		os.Exit(2)
+		return errors.New("-crash requires -serve-bin")
 	}
 	if stateDir == "" {
 		dir, err := os.MkdirTemp("", "ompmca-crash-*")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ompmca-chaos:", err)
-			os.Exit(1)
+			return err
 		}
-		// os.Exit skips defers; clean the scratch dir explicitly before
-		// every exit below.
+		defer os.RemoveAll(dir)
 		stateDir = dir
-	}
-	cleanup := func() {
-		if !strings.HasPrefix(filepath.Base(stateDir), "ompmca-crash-") {
-			return // only remove dirs this run created
-		}
-		os.RemoveAll(stateDir)
 	}
 	r := chaos.RunCrash(chaos.CrashCampaign{
 		Name:     "crash-restart",
@@ -132,22 +131,30 @@ func runCrash(seed int64, serveBin, stateDir string, jobs, kills int, jsonOut bo
 		Kills:    kills,
 	})
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r); err != nil {
-			fmt.Fprintln(os.Stderr, "ompmca-chaos:", err)
-			os.Exit(1)
+		if err := writeJSON(stdout, r); err != nil {
+			return err
 		}
 	} else {
-		fmt.Println(r.Summary())
-		for _, f := range r.Failures {
-			fmt.Printf("    FAIL %s\n", f)
-		}
-		fmt.Printf("recovered %d job(s) across %d SIGKILL(s)\n", r.Recovered, kills)
+		printResult(stdout, r)
+		fmt.Fprintf(stdout, "recovered %d job(s) across %d SIGKILL(s)\n", r.Recovered, kills)
 	}
-	cleanup()
 	if !r.OK() {
-		fmt.Fprintf(os.Stderr, "ompmca-chaos: crash campaign failed; replay with -seed %d\n", seed)
-		os.Exit(1)
+		return fmt.Errorf("crash campaign failed; replay with -seed %d", seed)
 	}
+	return nil
+}
+
+// printResult writes one campaign's verdict line and its failures.
+func printResult(w io.Writer, r chaos.Result) {
+	fmt.Fprintln(w, r.Summary())
+	for _, f := range r.Failures {
+		fmt.Fprintf(w, "    FAIL %s\n", f)
+	}
+}
+
+// writeJSON writes v to w as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

@@ -7,8 +7,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -20,55 +22,75 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ompmca-info: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run renders the selected artifacts (all of them when no section flag
+// is given) to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ompmca-info", flag.ContinueOnError)
 	var (
-		diagram    = flag.Bool("diagram", false, "render the board block diagram (Figure 1)")
-		hypervisor = flag.Bool("hypervisor", false, "render a hypervisor partition demo (Figure 2)")
-		compare    = flag.Bool("compare", false, "render the T4240 vs P4080 comparison (§4C)")
-		tree       = flag.Bool("tree", false, "render the MRAPI metadata resource tree")
-		stats      = flag.Bool("stats", false, "run a sample tasking workload and print runtime scheduler counters")
-		threads    = flag.Int("threads", 8, "team size for -stats")
-		jsonOut    = flag.Bool("json", false, "with -stats, emit the unified openmpmca.Snapshot as NDJSON (one line per layer)")
+		diagram    = fs.Bool("diagram", false, "render the board block diagram (Figure 1)")
+		hypervisor = fs.Bool("hypervisor", false, "render a hypervisor partition demo (Figure 2)")
+		compare    = fs.Bool("compare", false, "render the T4240 vs P4080 comparison (§4C)")
+		tree       = fs.Bool("tree", false, "render the MRAPI metadata resource tree")
+		stats      = fs.Bool("stats", false, "run a sample tasking workload and print runtime scheduler counters")
+		threads    = fs.Int("threads", 8, "team size for -stats")
+		jsonOut    = fs.Bool("json", false, "with -stats, emit the unified openmpmca.Snapshot as NDJSON (one line per layer)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	all := !*diagram && !*hypervisor && !*compare && !*tree && !*stats
 
 	t4 := platform.T4240RDB()
 	if *diagram || all {
-		fmt.Println("=== Figure 1: board block diagram ===")
-		fmt.Println(t4.BlockDiagram())
+		fmt.Fprintln(stdout, "=== Figure 1: board block diagram ===")
+		fmt.Fprintln(stdout, t4.BlockDiagram())
 	}
 	if *hypervisor || all {
-		fmt.Println("=== Figure 2: embedded hypervisor partitions ===")
+		fmt.Fprintln(stdout, "=== Figure 2: embedded hypervisor partitions ===")
 		hv, err := platform.NewHypervisor(t4)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		mustPartition(hv, "control-plane", platform.GuestLinux, []int{0, 1, 2, 3, 4, 5, 6, 7}, 2048, "eth0")
-		mustPartition(hv, "data-plane", platform.GuestBareMetal, []int{8, 9, 10, 11, 12, 13, 14, 15}, 2048, "dpaa0")
-		mustPartition(hv, "realtime", platform.GuestRTOS, []int{16, 17, 18, 19}, 1024)
-		for _, name := range []string{"control-plane", "data-plane", "realtime"} {
-			if err := hv.Start(name); err != nil {
-				log.Fatal(err)
+		for _, p := range []struct {
+			name  string
+			guest platform.GuestOS
+			cpus  []int
+			memMB int
+			io    []string
+		}{
+			{"control-plane", platform.GuestLinux, []int{0, 1, 2, 3, 4, 5, 6, 7}, 2048, []string{"eth0"}},
+			{"data-plane", platform.GuestBareMetal, []int{8, 9, 10, 11, 12, 13, 14, 15}, 2048, []string{"dpaa0"}},
+			{"realtime", platform.GuestRTOS, []int{16, 17, 18, 19}, 1024, nil},
+		} {
+			if _, err := hv.CreatePartition(p.name, p.guest, p.cpus, p.memMB, p.io...); err != nil {
+				return fmt.Errorf("partition %s: %w", p.name, err)
+			}
+			if err := hv.Start(p.name); err != nil {
+				return err
 			}
 		}
-		fmt.Println(hv.Render())
+		fmt.Fprintln(stdout, hv.Render())
 	}
 	if *compare || all {
-		fmt.Println("=== §4C: T4240RDB vs P4080DS ===")
-		fmt.Println(platform.Compare(t4, platform.P4080DS()))
+		fmt.Fprintln(stdout, "=== §4C: T4240RDB vs P4080DS ===")
+		fmt.Fprintln(stdout, platform.Compare(t4, platform.P4080DS()))
 	}
 	if *tree || all {
-		fmt.Println("=== MRAPI metadata resource tree (mrapi_resources_get) ===")
-		fmt.Println(t4.ResourceTree().Render())
+		fmt.Fprintln(stdout, "=== MRAPI metadata resource tree (mrapi_resources_get) ===")
+		fmt.Fprintln(stdout, t4.ResourceTree().Render())
 	}
 	if *stats || all {
 		if !*jsonOut {
-			fmt.Println("=== runtime scheduler counters (task workload) ===")
+			fmt.Fprintln(stdout, "=== runtime scheduler counters (task workload) ===")
 		}
-		if err := printStats(t4, *threads, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
+		return printStats(stdout, t4, *threads, *jsonOut)
 	}
+	return nil
 }
 
 // printStats runs the same recursive tasking workload on the native and the
@@ -77,7 +99,7 @@ func main() {
 // probes) observable from the command line. With jsonOut it emits one
 // NDJSON line per layer carrying the unified openmpmca.Snapshot — the
 // same shape the job service serves on /v1/stats.
-func printStats(board *platform.Board, threads int, jsonOut bool) error {
+func printStats(w io.Writer, board *platform.Board, threads int, jsonOut bool) error {
 	layers := []struct {
 		name  string
 		layer func() (openmpmca.ThreadLayer, error)
@@ -124,13 +146,13 @@ func printStats(board *platform.Board, threads int, jsonOut bool) error {
 				Layer    string             `json:"layer"`
 				Snapshot openmpmca.Snapshot `json:"snapshot"`
 			}{lc.name, openmpmca.Snapshot{Core: &s}}
-			if err := json.NewEncoder(os.Stdout).Encode(line); err != nil {
+			if err := json.NewEncoder(w).Encode(line); err != nil {
 				return err
 			}
 		} else {
-			fmt.Printf("%-6s  queue=%s regions=%d threads=%d barriers=%d tasks=%d\n",
+			fmt.Fprintf(w, "%-6s  queue=%s regions=%d threads=%d barriers=%d tasks=%d\n",
 				lc.name, rt.TaskQueueKind(), s.Regions, s.Threads, s.Barriers, s.Tasks)
-			fmt.Printf("        local-pops=%d steals=%d steal-fails=%d\n",
+			fmt.Fprintf(w, "        local-pops=%d steals=%d steal-fails=%d\n",
 				s.LocalPops, s.Steals, s.StealFails)
 		}
 		if err := rt.Close(); err != nil {
@@ -138,10 +160,4 @@ func printStats(board *platform.Board, threads int, jsonOut bool) error {
 		}
 	}
 	return nil
-}
-
-func mustPartition(hv *platform.Hypervisor, name string, guest platform.GuestOS, cpus []int, memMB int, io ...string) {
-	if _, err := hv.CreatePartition(name, guest, cpus, memMB, io...); err != nil {
-		log.Fatalf("partition %s: %v", name, err)
-	}
 }

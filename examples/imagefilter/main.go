@@ -7,9 +7,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"openmpmca/internal/core"
 	"openmpmca/internal/platform"
@@ -140,39 +143,48 @@ func pipeline(rt *core.Runtime, frame image) (float64, error) {
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run filters one frame on 8 MCA worker threads and returns an error if
+// the result differs from a one-thread run of the same pipeline.
+func run(stdout io.Writer) error {
 	frame := synthFrame()
 
 	board := platform.T4240RDB()
 	layer, err := core.NewMCALayer(board.NewSystem())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rt, err := core.New(core.WithLayer(layer), core.WithNumThreads(8))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer rt.Close()
 
 	parallel, err := pipeline(rt, frame)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Sequential verification on a one-thread team.
 	seq, err := core.New(core.WithLayer(core.NewNativeLayer(1)), core.WithNumThreads(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer seq.Close()
 	reference, err := pipeline(seq, frame)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("frame: %dx%d, 8 MCA worker threads on modeled %s\n", width, height, board.Name)
-	fmt.Printf("edge energy: parallel %.6f  sequential %.6f\n", parallel, reference)
+	fmt.Fprintf(stdout, "frame: %dx%d, 8 MCA worker threads on modeled %s\n", width, height, board.Name)
+	fmt.Fprintf(stdout, "edge energy: parallel %.6f  sequential %.6f\n", parallel, reference)
 	if math.Abs(parallel-reference) > 1e-6*math.Abs(reference) {
-		log.Fatal("VERIFICATION FAILED: parallel and sequential pipelines disagree")
+		return errors.New("VERIFICATION FAILED: parallel and sequential pipelines disagree")
 	}
-	fmt.Println("verification: PASS (parallel result matches sequential reference)")
+	fmt.Fprintln(stdout, "verification: PASS (parallel result matches sequential reference)")
+	return nil
 }

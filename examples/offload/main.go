@@ -13,9 +13,13 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
+	"time"
 
 	"openmpmca/internal/core"
 	"openmpmca/internal/mcapi"
@@ -63,8 +67,9 @@ func getFloats(dst []float64, src []byte) {
 }
 
 // accelerator is the bare-metal node's firmware loop: wait for a doorbell
-// naming a block, filter it in remote memory, ring back.
-func accelerator(node *mrapi.Node, in, out *mrapi.Rmem, door *mcapi.Endpoint, hostBell *mcapi.Endpoint) {
+// naming a block, filter it in remote memory, ring back. It returns nil
+// on the shutdown doorbell.
+func accelerator(node *mrapi.Node, in, out *mrapi.Rmem, door *mcapi.Endpoint, hostBell *mcapi.Endpoint) error {
 	inBuf := make([]byte, blockBytes)
 	inF := make([]float64, blockFloats)
 	outF := make([]float64, blockFloats)
@@ -72,102 +77,120 @@ func accelerator(node *mrapi.Node, in, out *mrapi.Rmem, door *mcapi.Endpoint, ho
 	for {
 		msg, _, err := mcapi.MsgRecv(door, mcapi.TimeoutInfinite)
 		if err != nil {
-			log.Fatalf("accelerator doorbell: %v", err)
+			return fmt.Errorf("accelerator doorbell: %w", err)
 		}
 		block := int(binary.LittleEndian.Uint32(msg))
 		if block == 0xFFFF {
-			return // shutdown
+			return nil // shutdown
 		}
 		off := block * blockBytes
 		if err := in.Read(node, off, inBuf); err != nil {
-			log.Fatalf("accelerator rmem read: %v", err)
+			return fmt.Errorf("accelerator rmem read: %w", err)
 		}
 		getFloats(inF, inBuf)
 		firFilter(inF, outF)
 		putFloats(outBuf, outF)
 		if err := out.Write(node, off, outBuf); err != nil {
-			log.Fatalf("accelerator rmem write: %v", err)
+			return fmt.Errorf("accelerator rmem write: %w", err)
 		}
 		if err := mcapi.MsgSend(hostBell, msg, 0, mcapi.TimeoutInfinite); err != nil {
-			log.Fatalf("accelerator ring-back: %v", err)
+			return fmt.Errorf("accelerator ring-back: %w", err)
 		}
 	}
 }
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// ringBackTimeout bounds the host's wait for each block, so a failed
+// accelerator ends the run instead of hanging it.
+const ringBackTimeout = mcapi.Timeout(10 * time.Second)
+
+// run offloads every block, overlaps a host reduction, and returns an
+// error unless every block came back equal to the local FIR.
+func run(stdout io.Writer) error {
 	// Partition the board: the host gets cluster 0, the accelerator-side
 	// control core sits apart — Figure 2's partitioning in action.
 	board := platform.T4240RDB()
 	hv, err := platform.NewHypervisor(board)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := hv.CreatePartition("host", platform.GuestLinux, []int{0, 1, 2, 3, 4, 5, 6, 7}, 2048); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := hv.CreatePartition("accel", platform.GuestBareMetal, []int{8, 9}, 256); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hostSys, err := hv.PartitionSystem("host")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// MRAPI: the host's MCA-backed OpenMP runtime binds to its partition.
 	layer, err := core.NewMCALayer(hostSys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rt, err := core.New(core.WithLayer(layer))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer rt.Close()
-	fmt.Printf("host partition: OpenMP team of %d (from partition metadata)\n", rt.NumThreads())
+	fmt.Fprintf(stdout, "host partition: OpenMP team of %d (from partition metadata)\n", rt.NumThreads())
 
 	// Shared substrate between host and accelerator: one MRAPI domain
 	// with DMA remote memories, plus MCAPI doorbells.
 	sharedSys := mrapi.NewSystem(nil)
 	hostNode, err := sharedSys.Initialize(7, 1, &mrapi.NodeAttributes{Name: "host", Affinity: -1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	accelNode, err := sharedSys.Initialize(7, 2, &mrapi.NodeAttributes{Name: "accel", Affinity: -1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	in, err := hostNode.RmemCreate(rmemIn, numBlocks*blockBytes, &mrapi.RmemAttributes{Access: mrapi.RmemDMA})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	out, err := hostNode.RmemCreate(rmemOut, numBlocks*blockBytes, &mrapi.RmemAttributes{Access: mrapi.RmemDMA})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, pair := range []struct {
 		r *mrapi.Rmem
 		n *mrapi.Node
 	}{{in, hostNode}, {in, accelNode}, {out, hostNode}, {out, accelNode}} {
 		if err := pair.r.Attach(pair.n); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	comm := mcapi.NewSystem()
-	hostComm, _ := comm.Initialize(7, 1)
-	accelComm, _ := comm.Initialize(7, 2)
+	hostComm, err := comm.Initialize(7, 1)
+	if err != nil {
+		return err
+	}
+	accelComm, err := comm.Initialize(7, 2)
+	if err != nil {
+		return err
+	}
 	hostBell, err := hostComm.CreateEndpoint(hostDoor, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	accelBell, err := accelComm.CreateEndpoint(accelDoor, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	go accelerator(accelNode, in, out, accelBell, hostBell)
+	accelDone := make(chan error, 1)
+	go func() { accelDone <- accelerator(accelNode, in, out, accelBell, hostBell) }()
 
 	// Generate input and DMA it out block by block, asynchronously.
 	input := make([]float64, numBlocks*blockFloats)
@@ -181,21 +204,21 @@ func main() {
 	for b := 0; b < numBlocks; b++ {
 		req := in.WriteI(hostNode, b*blockBytes, raw[b*blockBytes:(b+1)*blockBytes])
 		if err := req.Wait(mrapi.TimeoutInfinite); err != nil {
-			log.Fatalf("DMA block %d: %v", b, err)
+			return fmt.Errorf("DMA block %d: %w", b, err)
 		}
 		binary.LittleEndian.PutUint32(doorbell, uint32(b))
 		if err := mcapi.MsgSend(accelBell, doorbell, 0, mcapi.TimeoutInfinite); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	stats := in.Stats()
-	fmt.Printf("host -> accel: %d blocks, %d DMA bursts, %d bytes written\n",
+	fmt.Fprintf(stdout, "host -> accel: %d blocks, %d DMA bursts, %d bytes written\n",
 		numBlocks, stats.DMABursts, stats.BytesWritten)
 
 	// While the accelerator filters, the host runs its own OpenMP stage:
 	// compute the input's energy in parallel.
 	var energy float64
-	_ = rt.Parallel(func(c *core.Context) {
+	if err := rt.Parallel(func(c *core.Context) {
 		e := core.Reduce(c, len(input), 0.0,
 			func(a, b float64) float64 { return a + b },
 			func(lo, hi int) float64 {
@@ -206,25 +229,37 @@ func main() {
 				return s
 			})
 		c.Master(func() { energy = e })
-	})
+	}); err != nil {
+		return err
+	}
 
 	// Collect ring-backs, then read results back over DMA.
 	seen := make(map[int]bool)
 	for i := 0; i < numBlocks; i++ {
-		msg, _, err := mcapi.MsgRecv(hostBell, mcapi.TimeoutInfinite)
+		msg, _, err := mcapi.MsgRecv(hostBell, ringBackTimeout)
 		if err != nil {
-			log.Fatal(err)
+			select {
+			case aerr := <-accelDone:
+				return aerr
+			default:
+				return fmt.Errorf("ring-back %d: %w", i, err)
+			}
 		}
 		seen[int(binary.LittleEndian.Uint32(msg))] = true
 	}
 	binary.LittleEndian.PutUint32(doorbell, 0xFFFF)
-	_ = mcapi.MsgSend(accelBell, doorbell, 0, mcapi.TimeoutInfinite)
+	if err := mcapi.MsgSend(accelBell, doorbell, 0, mcapi.TimeoutInfinite); err != nil {
+		return err
+	}
+	if err := <-accelDone; err != nil {
+		return err
+	}
 
 	result := make([]float64, numBlocks*blockFloats)
 	resultRaw := make([]byte, numBlocks*blockBytes)
 	rd := out.ReadI(hostNode, 0, resultRaw)
 	if err := rd.Wait(mrapi.TimeoutInfinite); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	getFloats(result, resultRaw)
 
@@ -239,10 +274,11 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("host overlap stage: signal energy = %.4f\n", energy)
-	fmt.Printf("accel -> host: %d/%d blocks returned, max abs err = %.2e\n", len(seen), numBlocks, maxErr)
+	fmt.Fprintf(stdout, "host overlap stage: signal energy = %.4f\n", energy)
+	fmt.Fprintf(stdout, "accel -> host: %d/%d blocks returned, max abs err = %.2e\n", len(seen), numBlocks, maxErr)
 	if len(seen) != numBlocks || maxErr > 1e-12 {
-		log.Fatal("VERIFICATION FAILED")
+		return errors.New("VERIFICATION FAILED")
 	}
-	fmt.Println("verification: PASS (offloaded FIR matches local reference bit-for-bit)")
+	fmt.Fprintln(stdout, "verification: PASS (offloaded FIR matches local reference bit-for-bit)")
+	return nil
 }

@@ -451,15 +451,26 @@ func (b *Board) BootAuto(env NetworkEnvironment) error {
 }
 
 // RenderEnvironment draws the Figure 3 development-environment diagram
-// for a network-boot setup.
+// for a network-boot setup. The workstation box is as wide as its
+// longest line, so any export path keeps the borders aligned.
 func RenderEnvironment(b *Board, tftp *TFTPServer, nfs *NFSServer, export string) string {
+	left := []string{
+		"  Linux workstation   ",
+		fmt.Sprintf("  TFTP: %4d blocks   ", tftp.BlocksServed()),
+		"  NFS export: " + export + " ",
+	}
+	w := 0
+	for _, l := range left {
+		w = max(w, len(l))
+	}
+	border := "+" + strings.Repeat("-", w) + "+            +--------------------+\n"
 	var sb strings.Builder
 	sb.WriteString("Figure 3 — NFS development environment\n")
-	sb.WriteString("+----------------------+            +--------------------+\n")
-	sb.WriteString("|  Linux workstation   |  ethernet  |      T4240RDB      |\n")
-	fmt.Fprintf(&sb, "|  TFTP: %4d blocks   |<---------->|  u-boot -> kernel  |\n", tftp.BlocksServed())
-	fmt.Fprintf(&sb, "|  NFS export: %-7s |            |  rootfs over NFS   |\n", export)
-	sb.WriteString("+----------------------+            +--------------------+\n")
+	sb.WriteString(border)
+	fmt.Fprintf(&sb, "|%-*s|  ethernet  |      T4240RDB      |\n", w, left[0])
+	fmt.Fprintf(&sb, "|%-*s|<---------->|  u-boot -> kernel  |\n", w, left[1])
+	fmt.Fprintf(&sb, "|%-*s|            |  rootfs over NFS   |\n", w, left[2])
+	sb.WriteString(border)
 	if b.Booted() {
 		fmt.Fprintf(&sb, "board state: up (%d hw threads online)\n", b.HW.HWThreads())
 	} else {

@@ -185,16 +185,34 @@ func TestNFSSharedAcrossMounts(t *testing.T) {
 }
 
 func TestRenderEnvironmentFigure3(t *testing.T) {
-	b := NewBoard()
-	tftp := NewTFTPServer()
-	tftp.Put("k", buildKernelImage("x"))
-	nfs := NewNFSServer()
-	nfs.AddExport("root")
-	_ = b.Boot(BootConfig{Source: BootNetwork, TFTP: tftp, KernelFile: "k", NFS: nfs, Export: "root"})
-	out := RenderEnvironment(b, tftp, nfs, "root")
-	for _, want := range []string{"Figure 3", "TFTP", "NFS export", "T4240RDB", "board state: up"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
+	// A short export and ompmca-boot's: the box must stay aligned for both.
+	for _, export := range []string{"root", "/srv/nfs/t4240"} {
+		b := NewBoard()
+		tftp := NewTFTPServer()
+		tftp.Put("k", buildKernelImage("x"))
+		nfs := NewNFSServer()
+		nfs.AddExport(export)
+		_ = b.Boot(BootConfig{Source: BootNetwork, TFTP: tftp, KernelFile: "k", NFS: nfs, Export: export})
+		out := RenderEnvironment(b, tftp, nfs, export)
+		for _, want := range []string{"Figure 3", "TFTP", "NFS export: " + export, "T4240RDB", "board state: up"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("render missing %q:\n%s", want, out)
+			}
+		}
+		var box []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "+") || strings.HasPrefix(line, "|") {
+				box = append(box, line)
+			}
+		}
+		if len(box) != 5 {
+			t.Fatalf("export %q: %d box lines, want 5:\n%s", export, len(box), out)
+		}
+		for _, line := range box[1:] {
+			if len(line) != len(box[0]) {
+				t.Errorf("export %q: box lines differ in width (%d vs %d):\n%s", export, len(line), len(box[0]), out)
+				break
+			}
 		}
 	}
 }

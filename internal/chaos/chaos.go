@@ -49,9 +49,11 @@ const (
 	// WorkloadOffload runs parallel-for regions on a region fabric
 	// (taskfabric.NewOffloader): vecsum kernels with closed-form results.
 	WorkloadOffload Workload = "offload"
-	// WorkloadService drives the full HTTP job service: submissions,
-	// polling, group cancel and domain drain/readmit all travel through
-	// the JSON API, including its quota (429) admission path.
+	// WorkloadService drives the full HTTP job service over a loopback
+	// socket: submissions, polling, group cancel and domain
+	// drain/readmit all travel through the JSON API, including its quota
+	// (429 + Retry-After) admission path, and /v1/stats must balance
+	// once the campaign drains.
 	WorkloadService Workload = "service"
 )
 

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -136,37 +135,6 @@ func (p *serverProc) shutdown() {
 	}
 }
 
-// get/post drive the server's JSON API over the real socket.
-func (p *serverProc) do(method, path, key string, body any) (int, envelope, error) {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return 0, envelope{}, err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequest(method, p.base+path, rd)
-	if err != nil {
-		return 0, envelope{}, err
-	}
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, envelope{}, err
-	}
-	defer resp.Body.Close()
-	var env envelope
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, envelope{}, err
-	}
-	_ = json.Unmarshal(data, &env)
-	return resp.StatusCode, env, nil
-}
-
 // crashJob is one job the campaign tracks across process lives.
 type crashJob struct {
 	id     string
@@ -190,7 +158,7 @@ func RunCrash(c CrashCampaign) (res Result) {
 
 	var tracked []crashJob
 	submit := func(p *serverProc, name string, body map[string]any, expect []byte) {
-		code, env, err := p.do(http.MethodPost, "/v1/jobs", key, body)
+		code, env, err := do(p.base, http.MethodPost, "/v1/jobs", key, body)
 		if err != nil {
 			res.fail("submit %s: %v", name, err)
 			return
@@ -260,7 +228,7 @@ func RunCrash(c CrashCampaign) (res Result) {
 	for len(pending) > 0 && time.Now().Before(deadline) {
 		var still []crashJob
 		for _, j := range pending {
-			code, env, err := p.do(http.MethodGet, "/v1/jobs/"+j.id, key, nil)
+			code, env, err := do(p.base, http.MethodGet, "/v1/jobs/"+j.id, key, nil)
 			if err != nil {
 				res.fail("poll %s: %v", j.id, err)
 				continue
@@ -319,7 +287,7 @@ func RunCrash(c CrashCampaign) (res Result) {
 	if res.Recovered == 0 {
 		res.fail("no job was flagged recovered: the kills landed on an idle server")
 	}
-	code, env, err := p.do(http.MethodGet, "/v1/stats", key, nil)
+	code, env, err := do(p.base, http.MethodGet, "/v1/stats", key, nil)
 	if err != nil || code != http.StatusOK {
 		res.fail("/v1/stats: HTTP %d err=%v", code, err)
 		return res

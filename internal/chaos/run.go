@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -308,7 +309,7 @@ func runOffload(c Campaign, ff *frameFaults, res *Result) {
 }
 
 // ---------------------------------------------------------------------------
-// Service workload (full HTTP stack).
+// Service workload (full HTTP stack, over a loopback socket).
 
 // envelope mirrors the service's JSON wrapper.
 type envelope struct {
@@ -317,28 +318,44 @@ type envelope struct {
 	Metadata   json.RawMessage `json:"metadata"`
 	Error      string          `json:"error"`
 	ErrorCode  int             `json:"error_code"`
+	// RetryAfter is the response's Retry-After header, which every 429
+	// must carry.
+	RetryAfter string `json:"-"`
 }
 
-// httpClient drives a jobservice.Server in-process.
-type httpClient struct{ srv *jobservice.Server }
-
-func (hc httpClient) do(method, path, key string, body any) (int, envelope) {
-	var rd *bytes.Reader
+// do sends one JSON API request to the server at base (http://host:port)
+// over a real socket. A transport error also comes back as status 0
+// with its text in Error, so a caller that checks only the status still
+// reports it.
+func do(base, method, path, key string, body any) (int, envelope, error) {
+	failed := func(err error) (int, envelope, error) { return 0, envelope{Error: err.Error()}, err }
+	var rd io.Reader
 	if body != nil {
-		b, _ := json.Marshal(body)
+		b, err := json.Marshal(body)
+		if err != nil {
+			return failed(err)
+		}
 		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req := httptest.NewRequest(method, path, rd)
+	req, err := http.NewRequest(method, base+path, rd)
+	if err != nil {
+		return failed(err)
+	}
 	if key != "" {
 		req.Header.Set("X-API-Key", key)
 	}
-	rec := httptest.NewRecorder()
-	hc.srv.ServeHTTP(rec, req)
-	var env envelope
-	_ = json.Unmarshal(rec.Body.Bytes(), &env)
-	return rec.Code, env
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return failed(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return failed(err)
+	}
+	env := envelope{RetryAfter: resp.Header.Get("Retry-After")}
+	_ = json.Unmarshal(data, &env)
+	return resp.StatusCode, env, nil
 }
 
 // serviceJob tracks one HTTP-submitted job to settlement.
@@ -398,14 +415,20 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		return
 	}
 	defer srv.Close()
-	hc := httpClient{srv: srv}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	base := ts.URL
 
 	var mu sync.Mutex
 	var tracked []serviceJob
 	submit := func(key string, body map[string]any, name string, expect []byte, cancelable bool) bool {
-		code, env := hc.do(http.MethodPost, "/v1/jobs", key, body)
+		code, env, _ := do(base, http.MethodPost, "/v1/jobs", key, body)
 		if code == http.StatusTooManyRequests {
-			return false // quota refusal: the saturation outcome, counted server-side
+			// Quota refusal: the saturation outcome, counted server-side.
+			if env.RetryAfter == "" {
+				res.fail("submit %s: 429 without Retry-After", name)
+			}
+			return false
 		}
 		if code != http.StatusAccepted {
 			res.fail("submit %s: HTTP %d %s", name, code, env.Error)
@@ -432,7 +455,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		if a.Kind != ActCancelGroup {
 			continue
 		}
-		code, env := hc.do(http.MethodPost, "/v1/groups", chaosKey, nil)
+		code, env, _ := do(base, http.MethodPost, "/v1/groups", chaosKey, nil)
 		if code != http.StatusCreated && code != http.StatusOK && code != http.StatusAccepted {
 			res.fail("group create: HTTP %d %s", code, env.Error)
 			break
@@ -476,7 +499,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		defer close(done)
 		driveFaults(c, ff, ops{
 			kill: func(d int) error {
-				code, env := hc.do(http.MethodPost, fmt.Sprintf("/v1/domains/%d/drain", d), chaosKey, nil)
+				code, env, _ := do(base, http.MethodPost, fmt.Sprintf("/v1/domains/%d/drain", d), chaosKey, nil)
 				if code != http.StatusOK {
 					return oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit,
 						"chaos: drain %d: HTTP %d: %s", d, code, env.Error)
@@ -484,7 +507,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 				return nil
 			},
 			readmit: func(d int) error {
-				code, env := hc.do(http.MethodPost, fmt.Sprintf("/v1/domains/%d/readmit", d), chaosKey, nil)
+				code, env, _ := do(base, http.MethodPost, fmt.Sprintf("/v1/domains/%d/readmit", d), chaosKey, nil)
 				if code != http.StatusOK {
 					return oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit,
 						"chaos: readmit %d: HTTP %d: %s", d, code, env.Error)
@@ -502,7 +525,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 			},
 			cancel: func() {
 				if sacGroup != "" {
-					hc.do(http.MethodPost, "/v1/groups/"+sacGroup+"/cancel", chaosKey, nil)
+					_, _, _ = do(base, http.MethodPost, "/v1/groups/"+sacGroup+"/cancel", chaosKey, nil)
 				}
 			},
 		}, stop, res)
@@ -517,7 +540,7 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 	for len(pending) > 0 && time.Now().Before(deadline) {
 		var still []serviceJob
 		for _, j := range pending {
-			code, env := hc.do(http.MethodGet, "/v1/jobs/"+j.id, j.key, nil)
+			code, env, _ := do(base, http.MethodGet, "/v1/jobs/"+j.id, j.key, nil)
 			if code != http.StatusOK {
 				res.fail("poll %s: HTTP %d %s", j.id, code, env.Error)
 				continue
@@ -570,15 +593,46 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 
 	res.Steals = fab.Stats().Steals
 	res.PeerSteals = fab.Stats().PeerSteals
-	verifyObservability(hc, ff, res)
+	verifyLedger(base, res)
+	verifyObservability(base, ff, res)
+}
+
+// verifyLedger asserts /v1/stats balances after the drain: the service
+// accepted exactly the jobs the campaign got a 202 for, every accepted
+// job settled once (completed, canceled or failed), and nothing is left
+// queued or running. A settle's counter lands just after its status, so
+// the ledger is read until it balances or a short budget runs out.
+func verifyLedger(base string, res *Result) {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, env, _ := do(base, http.MethodGet, "/v1/stats", chaosKey, nil)
+		var snap struct {
+			Service *jobservice.ServiceStats `json:"service"`
+		}
+		if code != http.StatusOK || json.Unmarshal(env.Metadata, &snap) != nil || snap.Service == nil {
+			res.fail("/v1/stats: HTTP %d or missing service section", code)
+			return
+		}
+		st := snap.Service
+		settled := st.Completed + st.Canceled + st.Failed
+		if st.Accepted == uint64(res.Submitted) && settled == st.Accepted && st.Queued == 0 && st.Running == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			res.fail("/v1/stats ledger: accepted %d for %d submitted, completed %d + canceled %d + failed %d, queued %d, running %d",
+				st.Accepted, res.Submitted, st.Completed, st.Canceled, st.Failed, st.Queued, st.Running)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // verifyObservability asserts the health, stats and spans surfaces
 // reflect the campaign: /v1/health parses with a sane status, the
 // /v1/stats errors section carries the injected-fault code, and
 // /v1/spans serves folded spans.
-func verifyObservability(hc httpClient, ff *frameFaults, res *Result) {
-	code, env := hc.do(http.MethodGet, "/v1/health", "", nil)
+func verifyObservability(base string, ff *frameFaults, res *Result) {
+	code, env, _ := do(base, http.MethodGet, "/v1/health", "", nil)
 	var hv struct {
 		Status string `json:"status"`
 	}
@@ -587,7 +641,7 @@ func verifyObservability(hc httpClient, ff *frameFaults, res *Result) {
 		res.fail("/v1/health: HTTP %d status %q", code, hv.Status)
 	}
 
-	code, env = hc.do(http.MethodGet, "/v1/stats", chaosKey, nil)
+	code, env, _ = do(base, http.MethodGet, "/v1/stats", chaosKey, nil)
 	var snap struct {
 		Errors *oerrors.CountsSnapshot `json:"errors"`
 	}
@@ -597,7 +651,7 @@ func verifyObservability(hc httpClient, ff *frameFaults, res *Result) {
 		res.fail("/v1/stats: %d faults injected but no %q count", ff.injected.Load(), oerrors.CodeFrameFault)
 	}
 
-	code, env = hc.do(http.MethodGet, "/v1/spans", chaosKey, nil)
+	code, env, _ = do(base, http.MethodGet, "/v1/spans", chaosKey, nil)
 	var sv struct {
 		Stats spans.Stats `json:"stats"`
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // Built-in demo jobs and kernels. ompmca-serve registers these so the
-// service is usable out of the box, and ompmca-loadgen (plus the test
-// suite) submits them and asserts the exact expected payloads — every
+// service is usable out of the box, and the chaos campaigns (plus the
+// test suite) submit them and assert the exact expected payloads — every
 // builtin is deterministic with a closed-form or cheaply recomputable
 // expected result.
 const (

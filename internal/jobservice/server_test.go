@@ -777,7 +777,9 @@ func TestStatsSnapshot(t *testing.T) {
 
 // TestConcurrentTenants is the -race soak: 16 tenants × concurrent
 // submitters hammering the service with tight quotas, retrying on 429,
-// every accepted job asserting its exact expected result.
+// every accepted job asserting its exact expected result. Each tenant
+// has more submitters than its quota, released together, so every
+// tenant is refused at least once and the retry path runs.
 func TestConcurrentTenants(t *testing.T) {
 	jobs := taskfabric.NewRegistry()
 	if err := RegisterBuiltinJobs(jobs); err != nil {
@@ -811,21 +813,31 @@ func TestConcurrentTenants(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	const subsPerTenant = 4
-	const jobsPerSub = 6
+	const subsPerTenant = 8
+	const jobsPerSub = 3
 	var wg sync.WaitGroup
 	errCh := make(chan error, nt*subsPerTenant)
+	start := make(chan struct{})
 	for ti := 0; ti < nt; ti++ {
 		for si := 0; si < subsPerTenant; si++ {
 			wg.Add(1)
 			go func(ti, si int) {
 				defer wg.Done()
+				<-start
 				rng := rand.New(rand.NewSource(int64(ti*100 + si)))
 				key := fmt.Sprintf("key-t%02d", ti)
 				client := ts.Client()
 				for k := 0; k < jobsPerSub; k++ {
 					n := uint64(10 + rng.Intn(30))
-					body, _ := json.Marshal(submitRequest{Job: JobFib, Arg: U64(n)})
+					sub, want := submitRequest{Job: JobFib, Arg: U64(n)}, FibExpected(n)
+					if k == 0 {
+						// Every submitter opens with a spin, so a tenant's
+						// first four accepts hold its quota while the rest
+						// of the released burst arrives.
+						sub = submitRequest{Job: JobSpin, Arg: U64(uint64(50 * time.Millisecond))}
+						want = sub.Arg
+					}
+					body, _ := json.Marshal(sub)
 					var id string
 					for {
 						req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
@@ -877,8 +889,8 @@ func TestConcurrentTenants(t *testing.T) {
 							return
 						}
 						if v.Status == StatusSucceeded {
-							if !bytes.Equal(v.Result, FibExpected(n)) {
-								errCh <- fmt.Errorf("job %s: fib(%d) = %x, want %x", id, n, v.Result, FibExpected(n))
+							if !bytes.Equal(v.Result, want) {
+								errCh <- fmt.Errorf("job %s: %s(%x) = %x, want %x", id, sub.Job, sub.Arg, v.Result, want)
 							}
 							break
 						}
@@ -891,6 +903,7 @@ func TestConcurrentTenants(t *testing.T) {
 			}(ti, si)
 		}
 	}
+	close(start)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -904,6 +917,11 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 	if st.Accepted != wantJobs {
 		t.Errorf("accepted = %d, want %d", st.Accepted, wantJobs)
+	}
+	for _, tn := range st.Tenants {
+		if tn.Rejected == 0 {
+			t.Errorf("tenant %s: no 429 with %d submitters against quota %d", tn.Name, subsPerTenant, tn.Quota)
+		}
 	}
 }
 

@@ -79,11 +79,11 @@ func FuzzSubmitDecode(f *testing.F) {
 }
 
 // TestSubmitFastPath pins that the bodies in-repo clients send take the
-// fast path: the benchmark generator's, loadgen's and the tests' structs,
+// fast path: the benchmark generator's and the tests' structs,
 // the chaos campaigns' and ompmca-serve smoke's maps, and the curl line
 // in ompmca-serve's docs.
 func TestSubmitFastPath(t *testing.T) {
-	// The benchmark generator and loadgen marshal this shape; the
+	// The benchmark generator marshals this shape; the
 	// generator splices a group in after the fact (bodyInGroup).
 	type clientBody struct {
 		Job  string `json:"job"`
@@ -108,8 +108,8 @@ func TestSubmitFastPath(t *testing.T) {
 		"bench sum":           marshal(clientBody{Job: JobSum, Arg: I64Pair(7, 10_007)}),
 		"bench sum in group":  inGroup(marshal(clientBody{Job: JobSum, Arg: I64Pair(1, 2)}), "g-7"),
 		"bench vecsum group":  inGroup(marshal(clientBody{Job: KernelVecSum, Kind: KindParallelFor, N: 400_001}), "g-12"),
-		"loadgen spin":        marshal(clientBody{Job: JobSpin, Arg: U64(50_000_000)}),
-		"loadgen empty echo":  marshal(clientBody{Job: JobEcho}),
+		"struct spin":         marshal(clientBody{Job: JobSpin, Arg: U64(50_000_000)}),
+		"struct echo no arg":  marshal(clientBody{Job: JobEcho}),
 		"tests submitRequest": marshal(submitRequest{Job: JobSpin, Arg: U64(100), Group: "g-3"}),
 		"tests vecsum":        marshal(submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: 500}),
 		"chaos sum map":       marshal(map[string]any{"job": JobSum, "arg": I64Pair(3, 9)}),

@@ -77,10 +77,10 @@ func (t Tenant) validate() error {
 }
 
 // ParseTenant parses the "name:key:quota:priority[:admin][:rate=R/B]"
-// spec the command-line tools (ompmca-serve -tenant, ompmca-loadgen
-// -tenant) share. The optional trailing fields may appear in either
-// order: "admin" grants the admin bit, "rate=R/B" sets a token bucket
-// of R submissions/sec with burst depth B.
+// spec of ompmca-serve's -tenant flag and tenants-file lines. The
+// optional trailing fields may appear in either order: "admin" grants
+// the admin bit, "rate=R/B" sets a token bucket of R submissions/sec
+// with burst depth B.
 func ParseTenant(spec string) (Tenant, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) < 4 || len(parts) > 6 {
@@ -126,9 +126,9 @@ func ParseTenant(spec string) (Tenant, error) {
 }
 
 // DemoTenants is the out-of-the-box tenant set ompmca-serve boots with
-// when no -tenant flags are given, and the set ompmca-loadgen drives by
-// default; the keys are demo fixtures for the simulated board, not
-// secrets.
+// when no -tenant flags are given, and the set the crash campaign
+// (internal/chaos) drives; the keys are demo fixtures for the simulated
+// board, not secrets.
 func DemoTenants() []Tenant {
 	return []Tenant{
 		{Name: "alice", Key: "key-alice", Quota: 64, Priority: PriorityHigh, Admin: true},

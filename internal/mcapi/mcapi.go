@@ -5,8 +5,9 @@
 //
 // The paper limits itself to MRAPI and names MCAPI as the vehicle for its
 // future heterogeneous work (§7, and §4A's plan to drive the hypervisor
-// with it); this package completes that surface so the router example can
-// demonstrate inter-node communication on the modeled platform.
+// with it); this package completes that surface so the task fabric and
+// the offload example can communicate between nodes on the modeled
+// platform.
 package mcapi
 
 import (
