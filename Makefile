@@ -62,9 +62,10 @@ taskgraph:
 	$(GO) run ./cmd/ompmca-taskgraph
 
 # Peer-steal mesh smoke: the task graph at 3 and 8 domains, each
-# asserting at least one direct peer steal and a byte-exact result after
-# a domain kill, then the two fixed seed-42 mesh fault campaigns
-# (kill-victim-mid-yield, dead-peer-channel). CI runs this on every push.
+# asserting at least one direct peer steal (the mesh is the fabric's only
+# steal path) and a byte-exact result after a domain kill, then the two
+# fixed seed-42 mesh fault campaigns (kill-victim-mid-yield,
+# dead-peer-channel). CI runs this on every push.
 mesh-smoke:
 	$(GO) run ./cmd/ompmca-taskgraph -n 26 -cutoff 18 -leaf-delay 1ms -domains 3 -require-peer-steals
 	$(GO) run ./cmd/ompmca-taskgraph -n 26 -cutoff 18 -leaf-delay 1ms -domains 8 -require-peer-steals

@@ -9,8 +9,8 @@ import (
 // MTAPI task fabric: distribute irregular tasks across runtime domains —
 // separate Runtime instances on their own hypervisor partitions, each
 // running a local MTAPI scheduler — joined only by MCAPI packet
-// channels, with direct domain-to-domain work stealing (the host brokers
-// only as a fallback). See internal/taskfabric for the architecture.
+// channels, with direct domain-to-domain work stealing over a peer
+// mesh. See internal/taskfabric for the architecture.
 
 // TaskFabric executes jobs submitted by name across worker domains; see
 // NewTaskFabric.

@@ -5,9 +5,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -19,41 +22,60 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ompmca-epcc: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run measures Table I (and the schedule and array sweeps when asked)
+// and prints it to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ompmca-epcc", flag.ContinueOnError)
 	var (
-		threadsFlag = flag.String("threads", "4,8,12,16,20,24", "comma-separated team sizes")
-		inner       = flag.Int("inner", 128, "construct executions per sample")
-		outer       = flag.Int("outer", 7, "samples per cell (median reported)")
-		delay       = flag.Int("delay", 64, "busy-delay length inside constructs")
-		boardName   = flag.String("board", "t4240", "board model: t4240 or p4080")
-		absolute    = flag.Bool("absolute", false, "also print absolute overheads (µs)")
-		sched       = flag.Bool("sched", false, "also run the schedbench schedule-overhead sweep")
-		array       = flag.Bool("array", false, "also run the arraybench data-environment sweep")
+		threadsFlag = fs.String("threads", "4,8,12,16,20,24", "comma-separated team sizes")
+		inner       = fs.Int("inner", 128, "construct executions per sample")
+		outer       = fs.Int("outer", 7, "samples per cell (median reported)")
+		delay       = fs.Int("delay", 64, "busy-delay length inside constructs")
+		boardName   = fs.String("board", "t4240", "board model: t4240 or p4080")
+		absolute    = fs.Bool("absolute", false, "also print absolute overheads (µs)")
+		sched       = fs.Bool("sched", false, "also run the schedbench schedule-overhead sweep")
+		array       = fs.Bool("array", false, "also run the arraybench data-environment sweep")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *inner < 1:
+		return fmt.Errorf("-inner %d: want >= 1", *inner)
+	case *outer < 1:
+		return fmt.Errorf("-outer %d: want >= 1", *outer)
+	case *delay < 0:
+		return fmt.Errorf("-delay %d: want >= 0", *delay)
+	}
 
 	board, err := pickBoard(*boardName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opt := epcc.Options{InnerReps: *inner, OuterReps: *outer, DelayLength: *delay}
 
 	res, err := epcc.MeasureTable1(board, opt, threads)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(res.Render())
+	fmt.Fprint(stdout, res.Render())
 	if *sched {
 		for _, layerName := range []string{"native", "mca"} {
 			rt, err := runtimeFor(board, layerName, threads[len(threads)-1])
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("\n[%s layer] ", layerName)
-			fmt.Print(epcc.NewSuite(rt, opt).MeasureScheduleTable().Render())
+			fmt.Fprintf(stdout, "\n[%s layer] ", layerName)
+			fmt.Fprint(stdout, epcc.NewSuite(rt, opt).MeasureScheduleTable().Render())
 			_ = rt.Close()
 		}
 	}
@@ -61,31 +83,32 @@ func main() {
 		for _, layerName := range []string{"native", "mca"} {
 			rt, err := runtimeFor(board, layerName, threads[len(threads)-1])
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			table, err := epcc.NewSuite(rt, opt).MeasureArrayTable()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\n[%s layer] ", layerName)
-			fmt.Print(table.Render())
 			_ = rt.Close()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "\n[%s layer] ", layerName)
+			fmt.Fprint(stdout, table.Render())
 		}
 	}
 	if *absolute {
-		fmt.Println("\nAbsolute overheads (µs, median):")
+		fmt.Fprintln(stdout, "\nAbsolute overheads (µs, median):")
 		for _, c := range res.Constructs {
-			fmt.Printf("%-14s native:", c)
+			fmt.Fprintf(stdout, "%-14s native:", c)
 			for _, v := range res.NativeUS[c] {
-				fmt.Printf("%9.2f", v)
+				fmt.Fprintf(stdout, "%9.2f", v)
 			}
-			fmt.Printf("\n%-14s mca:   ", c)
+			fmt.Fprintf(stdout, "\n%-14s mca:   ", c)
 			for _, v := range res.MCAUS[c] {
-				fmt.Printf("%9.2f", v)
+				fmt.Fprintf(stdout, "%9.2f", v)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return nil
 }
 
 func runtimeFor(board *platform.Board, layerName string, threads int) (*core.Runtime, error) {

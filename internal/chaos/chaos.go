@@ -77,7 +77,7 @@ type Action struct {
 	At   time.Duration `json:"at"` // offset from campaign start
 	// Domain targets kill/readmit (fabric/offload link index).
 	Domain int `json:"domain,omitempty"`
-	// AfterSteal delays a kill until the fabric has brokered at least
+	// AfterSteal delays a kill until the fabric has completed at least
 	// one steal (At then acts as the wait deadline) — the
 	// kill-mid-graph scenario: the victim dies holding stolen tasks.
 	AfterSteal bool `json:"after_steal,omitempty"`
@@ -195,9 +195,8 @@ type Result struct {
 	Readmissions   int    `json:"readmissions"`
 	FaultsInjected uint64 `json:"faults_injected"` // frames dropped/dup'd/delayed
 	Steals         uint64 `json:"steals,omitempty"`
-	// PeerSteals counts the subset of Steals that moved directly
-	// domain-to-domain over the mesh (fabric workloads with peer
-	// stealing on).
+	// PeerSteals equals Steals: every steal moves directly
+	// domain-to-domain over the mesh.
 	PeerSteals uint64 `json:"peer_steals,omitempty"`
 	Recovered  uint64 `json:"recovered,omitempty"` // units that survived a domain loss
 
@@ -343,8 +342,8 @@ func driveFaults(c Campaign, ff *frameFaults, o ops, stop <-chan struct{}, res *
 				continue
 			}
 			if a.AfterSteal && o.steals != nil {
-				// The kill-mid-graph trigger: wait for a brokered steal
-				// so the victim dies holding migrated tasks. a.At is
+				// The kill-mid-graph trigger: wait until a steal has
+				// completed so the victim dies holding migrated tasks. a.At is
 				// already spent; allow one more window of patience.
 				deadline := time.Now().Add(10 * time.Second)
 				for o.steals() == 0 && time.Now().Before(deadline) {

@@ -47,7 +47,7 @@ func TestKillMidGraphCampaign(t *testing.T) {
 		t.Errorf("DomainKills = %d, want 1", r.DomainKills)
 	}
 	if r.Steals == 0 {
-		t.Error("Steals = 0, want >= 1: the kill must land after a brokered steal")
+		t.Error("Steals = 0, want >= 1: the kill must land after a completed steal")
 	}
 	if r.Recovered == 0 {
 		t.Error("Recovered = 0, want >= 1: the victim must die holding in-flight work")

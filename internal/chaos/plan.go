@@ -103,7 +103,7 @@ func Plan(seed int64, n int, duration time.Duration) []Campaign {
 // KillMidGraphCampaign is the promoted form of the fabric's original
 // kill-mid-graph CI test: three serial worker domains, two long
 // blockers backing up domains 0 and 1 so the idle third domain steals,
-// then domain 2 killed the moment a steal is brokered — it dies holding
+// then domain 2 killed the moment a steal completes — it dies holding
 // migrated tasks, and the graph must still settle byte-exact with
 // exactly one domain lost. Seed 42, fixed forever; chaos CI replays it
 // every run.
@@ -152,9 +152,9 @@ func KillVictimMidYieldCampaign() Campaign {
 
 // DeadPeerChannelCampaign starves the mesh instead of killing domains:
 // a long high-rate drop window eats peer-steal requests and yields
-// mid-flight, so thieves time out on unanswered peers and walk the
-// fallback ladder down to host brokerage — while a mid-window kill (of
-// a domain whose mesh links are equally lossy) exercises loss recovery
+// mid-flight, so thieves time out on unanswered peers and ask again
+// while victims drain their own queues — and a mid-window kill (of a
+// domain whose mesh links are equally lossy) exercises loss recovery
 // under the same damage. Zero lost jobs, byte-exact, at eight domains.
 // Seed 42, fixed forever.
 func DeadPeerChannelCampaign() Campaign {

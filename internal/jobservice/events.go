@@ -114,8 +114,8 @@ func (j *jobRec) progress(e JobEvent) {
 }
 
 // observe is a fabric job's task observer: it turns the task's event
-// records into progress lines. A brokered steal gets no line of its own:
-// the task_sent that re-dispatches the task names its new domain.
+// records into progress lines: task_sent, task_done, and task_stolen
+// for a peer steal, naming the thief domain the task moved to.
 func (j *jobRec) observe(ev trace.FabricEvent) {
 	var typ string
 	switch ev.Kind {

@@ -26,8 +26,8 @@ type FaultClass int
 
 // Traffic classes the injector can distinguish.
 const (
-	// FaultPkt is a packet-channel send (PktSendHandle.Send) — task and
-	// chunk descriptors, results, credits, yields.
+	// FaultPkt is a packet-channel send (PktSendHandle.Send) — task
+	// descriptors, results, peer-steal requests and yields.
 	FaultPkt FaultClass = iota
 	// FaultMsg is a connectionless message send (MsgSend) — heartbeat
 	// pings and pongs, boot traffic.

@@ -13,8 +13,8 @@ import (
 //	batch: kind | count u16 | (frameLen u32 | frame)*
 //
 // KindBatch extends the shared kind space (heartbeat kinds 3..4, task
-// fabric kinds 6..12), so any receiver draining a mixed channel can
-// classify a batch by its first byte like every other frame.
+// fabric kinds 6, 7, 11 and 12), so any receiver draining a mixed
+// channel can classify a batch by its first byte like every other frame.
 
 // KindBatch is the batch envelope's kind byte.
 const KindBatch = msgKind(13)
@@ -25,11 +25,6 @@ const batchHeader = 1 + 2
 // maxBatchFrames bounds one envelope; a flush larger than this splits
 // into several batches.
 const maxBatchFrames = 1 << 10
-
-// IsBatch reports whether a packet is a batch envelope.
-func IsBatch(pkt []byte) bool {
-	return len(pkt) > 0 && msgKind(pkt[0]) == KindBatch
-}
 
 // EncodeBatch wraps the given frames into one batch packet. The frames
 // are copied into the envelope, so callers may recycle them immediately.

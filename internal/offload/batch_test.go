@@ -13,8 +13,8 @@ func TestBatchRoundTrip(t *testing.T) {
 		encodeHB(kindPing, hbMsg{Domain: 3, Seq: 9}),
 	}
 	pkt := EncodeBatch(frames...)
-	if !IsBatch(pkt) {
-		t.Fatalf("IsBatch = false for a batch packet")
+	if k, ok := FrameKind(pkt); !ok || k != KindBatch {
+		t.Fatalf("FrameKind = %d, %v for a batch packet", k, ok)
 	}
 	got, err := DecodeBatch(pkt)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestBatcherLoneFramePassthrough(t *testing.T) {
 	if len(sent) != 1 {
 		t.Fatalf("lone frame sent as %d packets", len(sent))
 	}
-	if IsBatch(sent[0]) {
+	if WireKind(sent[0][0]) == KindBatch {
 		t.Fatalf("lone frame was wrapped in a batch envelope")
 	}
 	if !bytes.Equal(sent[0], want) {

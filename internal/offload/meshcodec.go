@@ -17,19 +17,18 @@ import (
 
 // Mesh frame kinds, continuing the shared kind space after KindBatch
 // (13). Kinds 17 and 18 belonged to the retired remote-memory
-// descriptor and ack frames and stay unassigned, like 1, 2 and 5, so
-// old and new frames never alias.
+// descriptor and ack frames and stay unassigned, like 1, 2, 5 and 8-10,
+// so old and new frames never alias.
 const (
-	KindPeerSteal  = msgKind(14) // thief -> victim (direct) or thief -> host (brokered fallback)
+	KindPeerSteal  = msgKind(14) // thief -> victim: yield up to N queued tasks
 	KindPeerYield  = msgKind(15) // victim -> thief (direct): one queued task changes hands
 	KindStealMoved = msgKind(16) // thief -> host: re-point accounting after a direct steal
 	KindLoadMap    = msgKind(19) // host -> workers: per-domain occupancy snapshot
 )
 
 // PeerStealFrame asks a victim domain to yield up to Want queued tasks
-// directly to the thief. Sent host-ward on the result channel it is a
-// brokered-fallback request: the host runs the classic grant path on
-// the thief's behalf.
+// directly to the thief. It travels only over the mesh; the host never
+// sees it.
 type PeerStealFrame struct {
 	Thief uint32 // requesting domain id
 	Want  uint32 // max tasks to yield

@@ -61,12 +61,13 @@ func TestMeshFrameKindClassifies(t *testing.T) {
 		}
 	}
 	// One past the mesh range must not classify, and neither may the
-	// retired kinds: 1, 2, 5 (chunk dispatcher) and 17, 18 (remote-memory
-	// descriptor and ack), however well-formed the rest of the frame.
+	// retired kinds: 1, 2, 5 (chunk dispatcher), 8, 9, 10 (host-brokered
+	// steal: yield, grant, credit) and 17, 18 (remote-memory descriptor
+	// and ack), however well-formed the rest of the frame.
 	if _, ok := FrameKind([]byte{byte(KindLoadMap) + 1}); ok {
 		t.Fatal("kind past the mesh range classified as a fabric frame")
 	}
-	for _, kind := range []byte{1, 2, 5, 17, 18} {
+	for _, kind := range []byte{1, 2, 5, 8, 9, 10, 17, 18} {
 		pkt := append([]byte{kind}, EncodeTaskFrame(KindTask, TaskFrame{Task: 42, Job: "sum"})...)
 		if k, ok := FrameKind(pkt); ok {
 			t.Fatalf("retired kind %d classified as fabric frame kind %d", kind, k)

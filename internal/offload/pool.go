@@ -3,7 +3,7 @@ package offload
 import "sync"
 
 // Encode-buffer pooling for the wire codec. On the hot paths (one frame
-// per task, result, credit and heartbeat) a fresh make([]byte, ...) per
+// per task, result and heartbeat) a fresh make([]byte, ...) per
 // encode shows up directly in the fork/join and round-trip latencies the
 // paper's Table I measures (BENCH_0 → BENCH_1: task codec −18 %). The
 // MCAPI transport copies payloads on send, so a sender may recycle a

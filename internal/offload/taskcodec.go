@@ -12,12 +12,10 @@ import (
 // byte. Nothing Go-specific crosses the wire: each job serializes its
 // argument and result as opaque []byte.
 //
-//	task/yield: kind | task u64 | attempt u32 | group u64 |
+//	task:       kind | task u64 | attempt u32 | group u64 |
 //	            jobLen u16 | job | argLen u32 | arg
 //	result:     kind | task u64 | attempt u32 | status u8 |
 //	            payloadLen u32 | payload
-//	credit:     kind | domain u32 | queued u32 | running u32
-//	steal:      kind | want u32
 //	groupdone:  kind | group u64
 //	shutdown:   kind
 
@@ -25,15 +23,14 @@ import (
 type WireKind = msgKind
 
 // Task fabric frame kinds, above the heartbeat kinds and the retired
-// kinds 1, 2 and 5 (see codec.go).
+// kinds 1, 2 and 5 (see codec.go). Kinds 8, 9 and 10 belonged to the
+// retired host-brokered steal (task yield, steal grant, credit report)
+// and stay unassigned, so old and new frames never alias.
 const (
-	KindTask           = msgKind(6 + iota) // host -> worker: execute a task
-	KindTaskResult                         // worker -> host: task outcome
-	KindTaskYield                          // worker -> host: stolen task returned unexecuted
-	KindStealGrant                         // host -> worker: yield up to N queued tasks
-	KindCredit                             // worker -> host: queue occupancy report
-	KindGroupDone                          // host -> worker: drop queued tasks of a group
-	KindFabricShutdown                     // host -> worker: stop the dispatcher
+	KindTask           = msgKind(6)  // host -> worker: execute a task
+	KindTaskResult     = msgKind(7)  // worker -> host: task outcome
+	KindGroupDone      = msgKind(11) // host -> worker: drop queued tasks of a group
+	KindFabricShutdown = msgKind(12) // host -> worker: stop the dispatcher
 )
 
 // Task result statuses.
@@ -48,20 +45,18 @@ const (
 // envelopes (KindBatch) are part of the range: a receiver unwraps them
 // with DecodeBatch and classifies each inner frame. The mesh kinds
 // (KindPeerSteal..KindStealMoved and KindLoadMap, see meshcodec.go)
-// extend the range past KindBatch; the retired kinds in between do not
-// classify.
+// extend the range past KindBatch; the retired kinds do not classify.
 func FrameKind(pkt []byte) (WireKind, bool) {
 	if len(pkt) == 0 {
 		return 0, false
 	}
 	k := msgKind(pkt[0])
-	return k, (k >= KindTask && k <= KindStealMoved) || k == KindLoadMap
+	return k, k == KindTask || k == KindTaskResult ||
+		(k >= KindGroupDone && k <= KindStealMoved) || k == KindLoadMap
 }
 
-// TaskFrame describes one task for a worker domain to execute (KindTask)
-// or one a worker hands back unexecuted after a steal grant
-// (KindTaskYield) — the same layout both directions, so a yielded task
-// re-dispatches without re-encoding.
+// TaskFrame describes one task for a worker domain to execute (KindTask).
+// A peer yield carries the same body (see meshcodec.go).
 type TaskFrame struct {
 	Task    uint64 // fabric-wide task ID
 	Attempt uint32
@@ -78,27 +73,14 @@ type TaskResultFrame struct {
 	Payload []byte
 }
 
-// CreditFrame reports a worker's queue occupancy; the host uses it to
-// spot idle domains (steal thieves) and loaded ones (steal victims).
-type CreditFrame struct {
-	Domain  uint32
-	Queued  uint32 // tasks accepted but not yet started
-	Running uint32 // tasks currently executing
-}
-
-// StealGrantFrame asks a worker to yield up to Want queued tasks.
-type StealGrantFrame struct {
-	Want uint32
-}
-
 // GroupDoneFrame tells a worker a group completed or was canceled; it
 // drops queued tasks belonging to that group.
 type GroupDoneFrame struct {
 	Group uint64
 }
 
-// EncodeTaskFrame encodes m under the given kind, which must be KindTask
-// or KindTaskYield.
+// EncodeTaskFrame encodes m under the given kind, which must be
+// KindTask.
 func EncodeTaskFrame(kind WireKind, m TaskFrame) []byte {
 	buf := frameBuf(1 + 8 + 4 + 8 + 2 + len(m.Job) + 4 + len(m.Arg))
 	buf = append(buf, byte(kind))
@@ -112,7 +94,7 @@ func EncodeTaskFrame(kind WireKind, m TaskFrame) []byte {
 	return buf
 }
 
-// DecodeTaskFrame decodes a KindTask or KindTaskYield packet, copying
+// DecodeTaskFrame decodes a packet of the given kind (KindTask), copying
 // the argument out of pkt; use DecodeTaskFrameShared when the caller
 // owns pkt exclusively.
 func DecodeTaskFrame(kind WireKind, pkt []byte) (TaskFrame, error) {
@@ -205,46 +187,6 @@ func decodeTaskResultBuf(pkt []byte, share bool) (TaskResultFrame, error) {
 			m.Payload = append([]byte(nil), p...)
 		}
 	}
-	return m, nil
-}
-
-// EncodeCredit encodes a KindCredit packet.
-func EncodeCredit(m CreditFrame) []byte {
-	buf := frameBuf(1 + 4 + 4 + 4)
-	buf = append(buf, byte(KindCredit))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Domain)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Queued)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Running)
-	return buf
-}
-
-// DecodeCredit decodes a KindCredit packet.
-func DecodeCredit(pkt []byte) (CreditFrame, error) {
-	var m CreditFrame
-	if len(pkt) != 1+4+4+4 || msgKind(pkt[0]) != KindCredit {
-		return m, fmt.Errorf("offload: malformed credit frame (%d bytes)", len(pkt))
-	}
-	m.Domain = binary.LittleEndian.Uint32(pkt[1:])
-	m.Queued = binary.LittleEndian.Uint32(pkt[5:])
-	m.Running = binary.LittleEndian.Uint32(pkt[9:])
-	return m, nil
-}
-
-// EncodeStealGrant encodes a KindStealGrant packet.
-func EncodeStealGrant(m StealGrantFrame) []byte {
-	buf := frameBuf(1 + 4)
-	buf = append(buf, byte(KindStealGrant))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Want)
-	return buf
-}
-
-// DecodeStealGrant decodes a KindStealGrant packet.
-func DecodeStealGrant(pkt []byte) (StealGrantFrame, error) {
-	var m StealGrantFrame
-	if len(pkt) != 1+4 || msgKind(pkt[0]) != KindStealGrant {
-		return m, fmt.Errorf("offload: malformed steal grant (%d bytes)", len(pkt))
-	}
-	m.Want = binary.LittleEndian.Uint32(pkt[1:])
 	return m, nil
 }
 

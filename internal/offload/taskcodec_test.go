@@ -7,15 +7,13 @@ import (
 
 func TestTaskCodecRoundTrips(t *testing.T) {
 	tf := TaskFrame{Task: 42, Attempt: 3, Group: 7, Job: "fib", Arg: []byte{1, 2, 3}}
-	for _, kind := range []WireKind{KindTask, KindTaskYield} {
-		got, err := DecodeTaskFrame(kind, EncodeTaskFrame(kind, tf))
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		if got.Task != tf.Task || got.Attempt != tf.Attempt || got.Group != tf.Group ||
-			got.Job != tf.Job || !bytes.Equal(got.Arg, tf.Arg) {
-			t.Fatalf("kind %d: round trip %+v != %+v", kind, got, tf)
-		}
+	got, err := DecodeTaskFrame(KindTask, EncodeTaskFrame(KindTask, tf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Task != tf.Task || got.Attempt != tf.Attempt || got.Group != tf.Group ||
+		got.Job != tf.Job || !bytes.Equal(got.Arg, tf.Arg) {
+		t.Fatalf("task round trip %+v != %+v", got, tf)
 	}
 
 	res := TaskResultFrame{Task: 42, Attempt: 3, Status: StatusJobError, Payload: []byte("boom")}
@@ -28,14 +26,6 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 		t.Fatalf("result round trip %+v != %+v", gotRes, res)
 	}
 
-	cr := CreditFrame{Domain: 2, Queued: 5, Running: 1}
-	if got, err := DecodeCredit(EncodeCredit(cr)); err != nil || got != cr {
-		t.Fatalf("credit round trip: %+v, %v", got, err)
-	}
-	sg := StealGrantFrame{Want: 4}
-	if got, err := DecodeStealGrant(EncodeStealGrant(sg)); err != nil || got != sg {
-		t.Fatalf("steal grant round trip: %+v, %v", got, err)
-	}
 	gd := GroupDoneFrame{Group: 9}
 	if got, err := DecodeGroupDone(EncodeGroupDone(gd)); err != nil || got != gd {
 		t.Fatalf("group-done round trip: %+v, %v", got, err)
@@ -60,21 +50,24 @@ func TestFrameKindClassifies(t *testing.T) {
 	if !ok || k != KindFabricShutdown {
 		t.Fatalf("shutdown frame: kind %d ok=%v", k, ok)
 	}
-	if k, ok := FrameKind(EncodeCredit(CreditFrame{})); !ok || k != KindCredit {
-		t.Fatalf("credit frame: kind %d ok=%v", k, ok)
+	if k, ok := FrameKind(EncodeGroupDone(GroupDoneFrame{})); !ok || k != KindGroupDone {
+		t.Fatalf("group-done frame: kind %d ok=%v", k, ok)
 	}
 }
 
 // FuzzTaskCodec feeds arbitrary bytes to every task-fabric decoder — no
 // input may panic — and, when a decode succeeds, re-encodes and checks
 // the bytes round-trip exactly (the canonical-form property the host
-// relies on when it re-dispatches a yielded task frame verbatim).
+// relies on when it re-dispatches a task frame verbatim).
 func FuzzTaskCodec(f *testing.F) {
 	f.Add(EncodeTaskFrame(KindTask, TaskFrame{Task: 1, Job: "j", Arg: []byte{9}}))
-	f.Add(EncodeTaskFrame(KindTaskYield, TaskFrame{Task: 2, Group: 3}))
 	f.Add(EncodeTaskResult(TaskResultFrame{Task: 1, Payload: []byte("x")}))
-	f.Add(EncodeCredit(CreditFrame{Domain: 1, Queued: 2}))
-	f.Add(EncodeStealGrant(StealGrantFrame{Want: 2}))
+	// The retired kinds 8, 9 and 10 in their old layouts (yield: a task
+	// frame; grant: want u32; credit: domain u32 | queued u32 | running
+	// u32): they must not classify.
+	f.Add(append([]byte{8}, EncodeTaskFrame(KindTask, TaskFrame{Task: 2, Group: 3})[1:]...))
+	f.Add([]byte{9, 2, 0, 0, 0})
+	f.Add([]byte{10, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(EncodeGroupDone(GroupDoneFrame{Group: 5}))
 	f.Add(EncodePing(HBFrame{Domain: 1, Seq: 2}))
 	f.Add(EncodePeerSteal(PeerStealFrame{Thief: 1, Want: 2}))
@@ -96,7 +89,7 @@ func FuzzTaskCodec(f *testing.F) {
 	f.Add(desc[:chunkDescHeader+3])
 	f.Add(append(append([]byte(nil), desc[:16]...), 0xff, 0xff, 'v'))
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		if len(pkt) > 0 && (pkt[0] == 17 || pkt[0] == 18) {
+		if len(pkt) > 0 && (pkt[0] >= 8 && pkt[0] <= 10 || pkt[0] == 17 || pkt[0] == 18) {
 			if k, ok := FrameKind(pkt); ok {
 				t.Fatalf("retired kind %d classified as fabric frame kind %d", pkt[0], k)
 			}
@@ -106,24 +99,9 @@ func FuzzTaskCodec(f *testing.F) {
 				t.Fatalf("task frame not canonical: % x", pkt)
 			}
 		}
-		if m, err := DecodeTaskFrame(KindTaskYield, pkt); err == nil {
-			if !bytes.Equal(EncodeTaskFrame(KindTaskYield, m), pkt) {
-				t.Fatalf("yield frame not canonical: % x", pkt)
-			}
-		}
 		if m, err := DecodeTaskResult(pkt); err == nil {
 			if !bytes.Equal(EncodeTaskResult(m), pkt) {
 				t.Fatalf("result frame not canonical: % x", pkt)
-			}
-		}
-		if m, err := DecodeCredit(pkt); err == nil {
-			if !bytes.Equal(EncodeCredit(m), pkt) {
-				t.Fatalf("credit frame not canonical: % x", pkt)
-			}
-		}
-		if m, err := DecodeStealGrant(pkt); err == nil {
-			if !bytes.Equal(EncodeStealGrant(m), pkt) {
-				t.Fatalf("steal grant not canonical: % x", pkt)
 			}
 		}
 		if m, err := DecodeGroupDone(pkt); err == nil {

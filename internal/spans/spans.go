@@ -60,9 +60,9 @@ type Stats struct {
 	Dropped   uint64 `json:"dropped"`   // completed spans evicted by the ring bound
 	Retries   uint64 `json:"retries"`   // extra dispatch attempts across all spans
 	Recovered uint64 `json:"recovered"` // spans re-executed on the host after a remote send
-	Steals    uint64 `json:"steals"`    // task migrations, brokered and direct
-	// PeerSteals counts the subset of Steals that moved domain-to-domain
-	// over the mesh without the host relaying the task frame.
+	Steals    uint64 `json:"steals"`    // task migrations over the peer mesh
+	// PeerSteals equals Steals: the mesh is the fabric's only steal
+	// path.
 	PeerSteals uint64 `json:"peer_steals,omitempty"`
 }
 
@@ -116,8 +116,6 @@ func (x *Exporter) Event(ev trace.FabricEvent) {
 		x.send(ev.Task, ev.Domain)
 	case trace.EvTaskRecv:
 		x.recv(ev.Task, ev.Domain)
-	case trace.EvTaskSteal:
-		x.st.Steals++
 	case trace.EvPeerSteal:
 		x.st.Steals++
 		x.st.PeerSteals++

@@ -178,7 +178,7 @@ func TestConcurrentFolding(t *testing.T) {
 					send(x, -1, id) // re-dispatch
 				}
 				recv(x, base%3, id)
-				x.Event(trace.FabricEvent{Kind: trace.EvTaskSteal, Task: id, Domain: base % 3, Victim: (base + 1) % 3})
+				x.Event(trace.FabricEvent{Kind: trace.EvPeerSteal, Task: id, Domain: base % 3, Victim: (base + 1) % 3})
 			}
 		}(g)
 	}

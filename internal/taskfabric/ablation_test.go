@@ -6,7 +6,7 @@ import (
 )
 
 // TestAblationBatching once ran a task graph with frame batching on and
-// off; batched flush is now the only way frames move, so only the
+// off; batched flush is now the only way the host dispatches, so only the
 // batch=true half remains (test and subtest IDs kept for the suite's
 // floor list). The whole graph is handed over in one submitAll, so each
 // domain's share leaves the host as a single batch envelope.

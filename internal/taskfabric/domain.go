@@ -17,7 +17,7 @@ import (
 const fabricJob mtapi.JobID = 1
 
 // queuedTask is one task frame accepted by a worker but not yet running:
-// the unit of currency for steal grants and group-done drops, both of
+// the unit of currency for peer steals and group-done drops, both of
 // which work by canceling the still-queued MTAPI task.
 type queuedTask struct {
 	frame offload.TaskFrame
@@ -36,8 +36,8 @@ type worker struct {
 	mt   *mtapi.Node
 	reg  *Registry
 
-	cmdRecv *mcapi.PktRecvHandle // host -> worker task/steal/group frames
-	resSend *mcapi.PktSendHandle // worker -> host results/yields/credits
+	cmdRecv *mcapi.PktRecvHandle // host -> worker task/load-map/group frames
+	resSend *mcapi.PktSendHandle // worker -> host results and steal moves
 	hbEp    *mcapi.Endpoint      // receives host pings
 	hbHost  *mcapi.Endpoint      // host endpoint pongs are sent to
 
@@ -46,7 +46,7 @@ type worker struct {
 	hbReq  atomic.Pointer[mcapi.Request]
 	wg     sync.WaitGroup
 
-	sendMu  sync.Mutex // serializes result/yield/credit sends
+	sendMu  sync.Mutex // serializes sends to the host
 	qmu     sync.Mutex
 	queued  map[uint64]*queuedTask // accepted, not yet started
 	running int                    // tasks currently executing
@@ -201,8 +201,6 @@ func (w *worker) handle(kind offload.WireKind, pkt []byte) bool {
 		return false
 	case offload.KindTask:
 		w.accept(pkt)
-	case offload.KindStealGrant:
-		w.yield(pkt)
 	case offload.KindGroupDone:
 		w.dropGroup(pkt)
 	case offload.KindLoadMap:
@@ -223,7 +221,7 @@ func (w *worker) accept(pkt []byte) {
 }
 
 // acceptFrame enqueues one task frame on the local MTAPI node. The
-// queued-map insert happens before Start so a steal grant can always
+// queued-map insert happens before Start so a peer steal can always
 // find the task; the mt field is backfilled under the lock, and skipped
 // if the MTAPI worker already started (and removed) the task in between.
 // Duplicate deliveries — a fault-injected dup, or a peer yield racing a
@@ -253,9 +251,9 @@ func (w *worker) acceptFrame(f offload.TaskFrame) bool {
 }
 
 // execute is the MTAPI action behind every fabric task: resolve the job
-// by name, run it on this domain's OpenMP runtime, send the result and a
-// fresh credit report. A killed worker's results die with it. Going idle
-// afterwards triggers a direct peer steal.
+// by name, run it on this domain's OpenMP runtime, send the result. A
+// killed worker's results die with it. Going idle afterwards triggers a
+// direct peer steal.
 func (w *worker) execute(args any) (any, error) {
 	qt := args.(*queuedTask)
 	f := qt.frame
@@ -277,72 +275,24 @@ func (w *worker) execute(args any) (any, error) {
 
 	w.qmu.Lock()
 	w.running--
-	credit := offload.CreditFrame{
-		Domain:  uint32(w.id),
-		Queued:  uint32(len(w.queued)),
-		Running: uint32(w.running),
-	}
 	w.qmu.Unlock()
 	if w.killed.Load() {
 		// Crashed mid-task: the computed result dies with the domain.
 		return nil, nil
 	}
-	w.flush(offload.EncodeTaskResult(res), offload.EncodeCredit(credit))
+	w.sendHost(offload.EncodeTaskResult(res))
 	w.maybeSteal()
 	return nil, nil
 }
 
-// flush ships encoded frames to the host under sendMu as one packet (a
-// batch envelope when there are several) and recycles them. A failed send
-// drops the frames: the host's deadline and credit machinery recover.
-func (w *worker) flush(frames ...[]byte) {
+// sendHost ships one encoded frame to the host under sendMu and
+// recycles it. A failed send drops the frame: the host's deadline
+// recovers.
+func (w *worker) sendHost(frame []byte) {
 	w.sendMu.Lock()
-	defer w.sendMu.Unlock()
-	var b offload.Batcher
-	for _, fr := range frames {
-		b.Add(fr)
-	}
-	_ = b.Flush(func(pkt []byte) error {
-		return w.resSend.Send(pkt, mcapi.TimeoutInfinite)
-	})
-}
-
-// yield answers a steal grant: cancel up to Want still-queued tasks —
-// mtapi.Task.Cancel succeeds only before the task starts running, which
-// is exactly steal semantics — and hand their frames back to the host,
-// followed by a credit report so the host can settle the grant.
-func (w *worker) yield(pkt []byte) {
-	g, err := offload.DecodeStealGrant(pkt)
-	if err != nil {
-		return
-	}
-	var yields []offload.TaskFrame
-	w.qmu.Lock()
-	for id, qt := range w.queued {
-		if len(yields) >= int(g.Want) {
-			break
-		}
-		if qt.mt == nil || qt.mt.Cancel() != nil {
-			continue // about to run, or already running
-		}
-		delete(w.queued, id)
-		yields = append(yields, qt.frame)
-	}
-	credit := offload.CreditFrame{
-		Domain:  uint32(w.id),
-		Queued:  uint32(len(w.queued)),
-		Running: uint32(w.running),
-	}
-	w.qmu.Unlock()
-	if w.killed.Load() {
-		return
-	}
-	frames := make([][]byte, 0, len(yields)+1)
-	for _, f := range yields {
-		frames = append(frames, offload.EncodeTaskFrame(offload.KindTaskYield, f))
-	}
-	frames = append(frames, offload.EncodeCredit(credit))
-	w.flush(frames...)
+	_ = w.resSend.Send(frame, mcapi.TimeoutInfinite)
+	w.sendMu.Unlock()
+	offload.RecycleFrame(frame)
 }
 
 // dropGroup discards queued tasks of a completed or canceled group.

@@ -5,17 +5,17 @@
 //
 // The host submits jobs by name; task descriptors travel to worker
 // domains as wire frames (internal/offload's task codec), where a local
-// MTAPI node schedules them onto the partition's OpenMP runtime. Results,
-// queue-occupancy credits and steal yields flow back on the result
-// channel. Idle domains steal from each other directly: an idle worker
-// asks the most loaded peer, over a worker-to-worker mesh channel, for
-// half its unstarted tasks (peersteal.go). When that peer link is dead
-// or the request goes unanswered, the worker asks the host to broker
-// the steal instead. Per-task deadlines and retries handle slow domains;
-// heartbeat loss detection reclaims a dead domain's in-flight tasks and
-// re-executes them locally on the host, so a submitted graph always
-// completes — the loss surfaces as an ErrDomainLost-wrapped error
-// alongside the full result.
+// MTAPI node schedules them onto the partition's OpenMP runtime. Results
+// flow back on the result channel, one frame per packet. Idle domains
+// steal from each other directly: an idle worker asks the most loaded
+// peer, over a worker-to-worker mesh channel, for half its unstarted
+// tasks (peersteal.go). When that peer link is dead or the request goes
+// unanswered, the worker simply asks again later; the victim's queue
+// drains locally either way. Per-task deadlines and retries handle slow
+// domains; heartbeat loss detection reclaims a dead domain's in-flight
+// tasks and re-executes them locally on the host, so a submitted graph
+// always completes — the loss surfaces as an ErrDomainLost-wrapped
+// error alongside the full result.
 //
 // Parallel-for regions ride the same engine: Fabric.ParallelFor
 // (region.go) submits a region's chunks as one task group beside the
@@ -76,10 +76,6 @@ const TimeoutInfinite time.Duration = -1
 type EventSink interface {
 	Event(ev trace.FabricEvent)
 }
-
-// stealMin is the outstanding-task floor below which a domain is not
-// worth stealing from.
-const stealMin = 2
 
 // maxRetries is how many re-dispatches a task gets before it is pinned
 // to local execution on the host.
@@ -206,18 +202,16 @@ func WithEventSink(s EventSink) Option {
 
 // counters are the Fabric's monotonically increasing stats.
 type counters struct {
-	submitted         atomic.Uint64
-	remoteTasks       atomic.Uint64
-	localTasks        atomic.Uint64
-	resends           atomic.Uint64
-	steals            atomic.Uint64
-	peerSteals        atomic.Uint64
-	brokeredFallbacks atomic.Uint64
-	canceled          atomic.Uint64
-	domainsLost       atomic.Uint64
-	readmissions      atomic.Uint64
-	heartbeats        atomic.Uint64
-	pingDrops         atomic.Uint64
+	submitted    atomic.Uint64
+	remoteTasks  atomic.Uint64
+	localTasks   atomic.Uint64
+	resends      atomic.Uint64
+	steals       atomic.Uint64
+	canceled     atomic.Uint64
+	domainsLost  atomic.Uint64
+	readmissions atomic.Uint64
+	heartbeats   atomic.Uint64
+	pingDrops    atomic.Uint64
 
 	// Region counters (region.go).
 	regions      atomic.Uint64
@@ -233,9 +227,9 @@ type Stats struct {
 	RemoteTasks       uint64 `json:"remote_tasks"`       // tasks completed by worker domains
 	LocalTasks        uint64 `json:"local_tasks"`        // tasks completed by the host's local executor
 	Resends           uint64 `json:"resends"`            // task re-dispatches (deadline or domain loss)
-	Steals            uint64 `json:"steals"`             // queued tasks migrated between domains (any path)
-	PeerSteals        uint64 `json:"peer_steals"`        // steals completed over direct peer channels
-	BrokeredFallbacks uint64 `json:"brokered_fallbacks"` // peer-steal attempts that fell back to host brokerage
+	Steals            uint64 `json:"steals"`             // queued tasks migrated between domains over the peer mesh
+	PeerSteals        uint64 `json:"peer_steals"`        // equals Steals: the mesh is the only steal path; removed with the taskfabric.peer_steals_per_kjob row in the next benchmark-only change
+	BrokeredFallbacks uint64 `json:"brokered_fallbacks"` // always 0: there is no host-brokered steal; removed with the taskfabric.brokered_fallbacks row in the next benchmark-only change
 	RmemBytesMoved    uint64 `json:"rmem_bytes_moved"`   // always 0 since PR 23; removed with the taskfabric.rmem_bytes_per_job row in the next benchmark-only PR
 	Canceled          uint64 `json:"canceled"`           // tasks canceled via Group.Cancel
 	DomainsLost       uint64 `json:"domains_lost"`       // worker domains declared dead
@@ -518,18 +512,17 @@ func (f *Fabric) Render() string { return f.net.HV.Render() }
 // Stats snapshots the fabric counters.
 func (f *Fabric) Stats() Stats {
 	return Stats{
-		Submitted:         f.st.submitted.Load(),
-		RemoteTasks:       f.st.remoteTasks.Load(),
-		LocalTasks:        f.st.localTasks.Load(),
-		Resends:           f.st.resends.Load(),
-		Steals:            f.st.steals.Load(),
-		PeerSteals:        f.st.peerSteals.Load(),
-		BrokeredFallbacks: f.st.brokeredFallbacks.Load(),
-		Canceled:          f.st.canceled.Load(),
-		DomainsLost:       f.st.domainsLost.Load(),
-		Readmissions:      f.st.readmissions.Load(),
-		Heartbeats:        f.st.heartbeats.Load(),
-		PingDrops:         f.st.pingDrops.Load(),
+		Submitted:    f.st.submitted.Load(),
+		RemoteTasks:  f.st.remoteTasks.Load(),
+		LocalTasks:   f.st.localTasks.Load(),
+		Resends:      f.st.resends.Load(),
+		Steals:       f.st.steals.Load(),
+		PeerSteals:   f.st.steals.Load(),
+		Canceled:     f.st.canceled.Load(),
+		DomainsLost:  f.st.domainsLost.Load(),
+		Readmissions: f.st.readmissions.Load(),
+		Heartbeats:   f.st.heartbeats.Load(),
+		PingDrops:    f.st.pingDrops.Load(),
 	}
 }
 
@@ -726,21 +719,18 @@ func (f *Fabric) healthLoop() {
 }
 
 // scheduler is the single goroutine owning all dispatch state: the
-// pending queue, the in-flight table, per-domain occupancy and the
-// active steal grant. Everything else talks to it over channels.
+// pending queue, the in-flight table and per-domain occupancy.
+// Everything else talks to it over channels.
 func (f *Fabric) scheduler() {
 	defer f.wg.Done()
 	var (
-		pending     []*task
-		tasks       = make(map[uint64]*task)
-		infl        = make(map[uint64]flight)
-		grantVictim = -1
-		grantThief  = -1
+		pending []*task
+		tasks   = make(map[uint64]*task)
+		infl    = make(map[uint64]flight)
 	)
 	// Per-domain outstanding counts live on the links as atomics so
 	// DomainInfos can snapshot them; the scheduler is the only writer.
 	occ := func(li int) int { return int(f.links[li].occ.Load()) }
-	clearGrant := func() { grantVictim, grantThief = -1, -1 }
 	live := func(li int) bool { return !f.links[li].health.Lost() }
 	anyLive := func() bool {
 		for li := range f.links {
@@ -876,38 +866,6 @@ func (f *Fabric) scheduler() {
 		pending = append(pending, t)
 	}
 
-	// tryGrant brokers a steal for an idle thief domain: grant the most
-	// loaded live victim permission to yield half its queue to the host.
-	// Idle domains steal over the peer mesh on their own; the host only
-	// brokers when a worker asks it to fall back (KindPeerSteal on the
-	// result channel) because its peer link is dead or its request went
-	// unanswered.
-	tryGrant := func(thief int) {
-		if occ(thief) != 0 || len(pending) != 0 || grantVictim >= 0 || !live(thief) {
-			return
-		}
-		victim := -1
-		for li := range f.links {
-			if li == thief || !live(li) || occ(li) < stealMin {
-				continue
-			}
-			if victim < 0 || occ(li) > occ(victim) {
-				victim = li
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		grant := offload.EncodeStealGrant(offload.StealGrantFrame{
-			Want: uint32(occ(victim) / 2),
-		})
-		err := f.links[victim].cmd.Send(grant, mcapi.TimeoutImmediate)
-		offload.RecycleFrame(grant)
-		if err == nil {
-			grantVictim, grantThief = victim, thief
-		}
-	}
-
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 
@@ -930,10 +888,9 @@ func (f *Fabric) scheduler() {
 			pump()
 
 		case a := <-f.arrCh:
-			// handleFrame processes one unwrapped frame from domain
-			// a.dom, reporting whether dispatch state changed (the
-			// caller pumps once after the whole packet). Decodes are
-			// zero-copy: the scheduler owns each delivered packet
+			// handleFrame processes the one frame of a packet from domain
+			// a.dom, reporting whether dispatch state changed. Decodes
+			// are zero-copy: the scheduler owns each delivered packet
 			// exclusively and never recycles it, so payloads may alias.
 			handleFrame := func(pkt []byte) bool {
 				kind, ok := offload.FrameKind(pkt)
@@ -961,48 +918,6 @@ func (f *Fabric) scheduler() {
 					emit(t, trace.EvTaskRecv, a.dom, -1)
 					finish(t, a.dom, m.Payload, terr)
 					return true
-				case offload.KindTaskYield:
-					m, err := offload.DecodeTaskFrameShared(offload.KindTaskYield, pkt)
-					if err != nil {
-						return false
-					}
-					t, known := tasks[m.Task]
-					if !known {
-						return false
-					}
-					fl, ok := infl[t.id]
-					if !ok || fl.dom != a.dom {
-						return false
-					}
-					delete(infl, t.id)
-					f.links[a.dom].occ.Add(-1)
-					t.attempt++
-					f.st.steals.Add(1)
-					thief := -1
-					if grantVictim == a.dom {
-						thief = grantThief
-					}
-					emit(t, trace.EvTaskSteal, thief, a.dom)
-					// Head of the queue: the idle thief has the lowest
-					// occupancy, so min-outstanding dispatch routes the
-					// migrated task straight to it.
-					pending = append([]*task{t}, pending...)
-					return true
-				case offload.KindCredit:
-					if _, err := offload.DecodeCredit(pkt); err != nil {
-						return false
-					}
-					if grantVictim == a.dom {
-						clearGrant() // grant settled: victim reported back
-					}
-				case offload.KindPeerSteal:
-					// A thief's peer path is dead or went unanswered: it
-					// asks the host to broker the steal the classic way.
-					if _, err := offload.DecodePeerSteal(pkt); err != nil {
-						return false
-					}
-					f.st.brokeredFallbacks.Add(1)
-					tryGrant(a.dom)
 				case offload.KindStealMoved:
 					m, err := offload.DecodeStealMoved(pkt)
 					if err != nil {
@@ -1031,25 +946,12 @@ func (f *Fabric) scheduler() {
 					f.links[victimLi].occ.Add(-1)
 					f.links[thiefLi].occ.Add(1)
 					f.st.steals.Add(1)
-					f.st.peerSteals.Add(1)
 					emit(t, trace.EvPeerSteal, thiefLi, victimLi)
 					return true
 				}
 				return false
 			}
-			needPump := false
-			if offload.IsBatch(a.pkt) {
-				if frames, err := offload.DecodeBatch(a.pkt); err == nil {
-					for _, fr := range frames {
-						if handleFrame(fr) {
-							needPump = true
-						}
-					}
-				}
-			} else if handleFrame(a.pkt) {
-				needPump = true
-			}
-			if needPump {
+			if handleFrame(a.pkt) {
 				pump()
 			}
 
@@ -1081,9 +983,6 @@ func (f *Fabric) scheduler() {
 				reclaim(t, true)
 			}
 			f.links[li].occ.Store(0)
-			if grantVictim == li || grantThief == li {
-				clearGrant()
-			}
 			pump()
 
 		case g := <-f.cancelCh:

@@ -111,13 +111,15 @@ func TestLargePayloads(t *testing.T) {
 	}
 }
 
-// TestRetiredKindsIgnored: wire kinds 17 and 18 carried the deleted
-// remote-memory descriptor and ack frames. A frame starting with either
-// byte must be dropped unread — bare or inside a batch envelope — by the
-// worker's command loop, the peer-mesh receive loop and the host's
-// scheduler, and the fabric must carry on exactly as if it never arrived.
+// TestRetiredKindsIgnored: wire kinds 8, 9 and 10 carried the deleted
+// host-brokered steal's task yield, steal grant and credit report, and
+// kinds 17 and 18 the deleted remote-memory descriptor and ack frames. A
+// frame starting with any of these bytes must be dropped unread — bare
+// or inside a batch envelope — by the worker's command loop, the
+// peer-mesh receive loop and the host's scheduler, and the fabric must
+// carry on exactly as if it never arrived.
 func TestRetiredKindsIgnored(t *testing.T) {
-	f, err := NewFabric(testRegistry(t), WithDomains(2), WithTaskDeadline(10*time.Second))
+	f, err := NewFabric(testRegistry(t), WithDomains(2), WithDomainWorkers(1), WithTaskDeadline(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +131,19 @@ func TestRetiredKindsIgnored(t *testing.T) {
 		"worker->host": w.resSend,
 		"peer->peer":   f.workers[1].peerSend[w.id],
 	}
-	for _, kind := range []byte{17, 18} {
-		// The old descriptor layout wrapping a task frame: were the kind
-		// still live this would enqueue task 99.
-		pkt := append([]byte{kind, byte(offload.KindTask)},
-			offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{Task: 99, Job: "echo"})...)
+	task := offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{Task: 99, Job: "echo"})
+	// Each retired kind in its old layout: a yielded task frame, a grant
+	// of 4 tasks, a credit report, and the descriptor layout wrapping a
+	// task frame (were 17 still live this would enqueue task 99).
+	retired := [][]byte{
+		append([]byte{8}, task[1:]...),
+		{9, 4, 0, 0, 0},
+		{10, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0},
+		append([]byte{17, byte(offload.KindTask)}, task...),
+		append([]byte{18, byte(offload.KindTask)}, task...),
+	}
+	for _, pkt := range retired {
+		kind := pkt[0]
 		if _, ok := offload.FrameKind(pkt); ok {
 			t.Fatalf("kind %d still classifies as a fabric frame", kind)
 		}
@@ -183,5 +193,35 @@ func TestRetiredKindsIgnored(t *testing.T) {
 	st := f.Stats()
 	if st.Submitted != 4 || st.RemoteTasks != 4 || st.Steals != 0 || st.Resends != 0 || st.LocalTasks != 0 {
 		t.Errorf("stats moved by retired frames: %+v", st)
+	}
+
+	// A kind-9 frame reaching a worker with a queued task must leave the
+	// task queued: were the grant still live, the worker would cancel it
+	// and yield it host-ward. A blocker occupies the one MTAPI worker so
+	// the second task stays queued; neither is known to the host, which
+	// drops their results.
+	w.acceptFrame(offload.TaskFrame{Task: 1001, Job: "sleepsum", Arg: sleepSumArg(250, 0)})
+	w.acceptFrame(offload.TaskFrame{Task: 1002, Job: "sleepsum", Arg: sleepSumArg(1, 0)})
+	queuedID := func() (uint64, bool) {
+		w.qmu.Lock()
+		defer w.qmu.Unlock()
+		if len(w.queued) != 1 || w.running != 1 {
+			return 0, false
+		}
+		for id, qt := range w.queued {
+			return id, qt.mt != nil
+		}
+		return 0, false
+	}
+	id, ok := queuedID()
+	for deadline := time.Now().Add(10 * time.Second); !ok; id, ok = queuedID() {
+		if time.Now().After(deadline) {
+			t.Fatal("no task queued behind the blocker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w.handle(9, retired[1])
+	if got, still := queuedID(); !still || got != id {
+		t.Errorf("kind-9 frame moved queued task %d off the worker", id)
 	}
 }

@@ -14,15 +14,21 @@ import (
 // relays task frames on this path — it only learns of the migration via
 // the thief's KindStealMoved, which re-points flight accounting.
 //
-// Fallback ladder: no usable peer channel, a failed send, or a steal
-// request unanswered past stealPending all degrade to the classic
-// host-brokered path (KindPeerSteal on the result channel), so a dead
-// mesh link costs latency, never correctness.
+// The mesh is the only way a task migrates, and stealing is an
+// optimisation, never a correctness dependency: a failed send or a
+// request unanswered past stealPending just clears the outstanding
+// request, the thief asks again on a later pass, and the victim's queue
+// still drains locally. A dead mesh link costs latency, never a
+// re-dispatch.
+
+// stealMin is the outstanding-task floor below which a domain is not
+// worth stealing from.
+const stealMin = 2
 
 // stealPending is how long a direct steal request may go unanswered —
 // victim killed, frame dropped by fault injection — before the thief
-// gives up on the peer and asks the host to broker instead. Checked on
-// load-map arrivals, so resolution is the host's tick.
+// forgets it and picks a victim afresh. Checked on load-map arrivals, so
+// resolution is the host's tick.
 const stealPending = 50 * time.Millisecond
 
 // peerLoop services one inbound mesh channel. Receives are cancelable
@@ -74,8 +80,8 @@ func (w *worker) onLoadMap(pkt []byte) {
 
 // maybeSteal sends a direct steal request when this worker is idle and a
 // peer is loaded enough to be worth robbing. At most one request is
-// outstanding at a time; one gone unanswered past stealPending falls
-// back to host brokerage.
+// outstanding at a time; one gone unanswered past stealPending is
+// dropped and the same pass picks a victim again.
 func (w *worker) maybeSteal() {
 	if w.killed.Load() || len(w.peerSend) == 0 {
 		return
@@ -92,16 +98,11 @@ func (w *worker) maybeSteal() {
 	}
 	now := time.Now()
 	w.stealMu.Lock()
-	if w.stealVictim >= 0 {
-		if now.Sub(w.stealAt) < stealPending {
-			w.stealMu.Unlock()
-			return
-		}
-		w.stealVictim = -1
+	if w.stealVictim >= 0 && now.Sub(w.stealAt) < stealPending {
 		w.stealMu.Unlock()
-		w.brokeredFallback()
 		return
 	}
+	w.stealVictim = -1
 	victim, best := -1, uint32(stealMin)
 	for i, occ := range *lm {
 		dom := i + 1
@@ -127,31 +128,19 @@ func (w *worker) maybeSteal() {
 	err := w.peerSend[victim].Send(pkt, mcapi.TimeoutImmediate)
 	offload.RecycleFrame(pkt)
 	if err != nil {
-		// Dead or saturated mesh link: broker through the host instead.
+		// Dead or saturated mesh link: forget the request, ask again later.
 		w.stealMu.Lock()
 		if w.stealVictim == victim {
 			w.stealVictim = -1
 		}
 		w.stealMu.Unlock()
-		w.brokeredFallback()
 	}
-}
-
-// brokeredFallback asks the host to run the classic steal-grant path on
-// this worker's behalf.
-func (w *worker) brokeredFallback() {
-	if w.killed.Load() {
-		return
-	}
-	w.flush(offload.EncodePeerSteal(offload.PeerStealFrame{Thief: uint32(w.id), Want: 1}))
 }
 
 // peerYield answers a direct steal request: cancel up to want queued
 // tasks and ship them straight to the thief. A failed mesh send
 // re-accepts the remaining tasks locally rather than strand them; the
-// thief's stealPending timeout then degrades it to host brokerage. A
-// credit report follows so the host sees the victim's new occupancy
-// promptly.
+// thief's stealPending timeout then lets it ask again.
 func (w *worker) peerYield(thief, want int) {
 	send := w.peerSend[thief]
 	if send == nil || w.killed.Load() || want <= 0 {
@@ -168,11 +157,6 @@ func (w *worker) peerYield(thief, want int) {
 		}
 		delete(w.queued, id)
 		yields = append(yields, qt.frame)
-	}
-	credit := offload.CreditFrame{
-		Domain:  uint32(w.id),
-		Queued:  uint32(len(w.queued)),
-		Running: uint32(w.running),
 	}
 	w.qmu.Unlock()
 	if w.killed.Load() {
@@ -192,7 +176,6 @@ func (w *worker) peerYield(thief, want int) {
 			break
 		}
 	}
-	w.flush(offload.EncodeCredit(credit))
 }
 
 // acceptPeerYield lands a directly-yielded task on this worker and tells
@@ -208,7 +191,7 @@ func (w *worker) acceptPeerYield(victim uint32, f offload.TaskFrame) {
 	if w.killed.Load() || !w.acceptFrame(f) {
 		return
 	}
-	w.flush(offload.EncodeStealMoved(offload.StealMovedFrame{
+	w.sendHost(offload.EncodeStealMoved(offload.StealMovedFrame{
 		Task:   f.Task,
 		Thief:  uint32(w.id),
 		Victim: victim,

@@ -32,27 +32,26 @@ const (
 	EvNestedFork
 	EvNestedJoin
 	EvCancel
-	// EvTaskSend / EvTaskRecv / EvTaskSteal record MTAPI task-fabric
-	// traffic (internal/taskfabric): a task descriptor — an irregular
-	// task, or one chunk of a parallel-for region — dispatched to a
-	// worker domain, a task result accepted by the host, and a queued
-	// task migrating from an overloaded domain to an idle one through a
-	// host-brokered steal. Each reaches a sink as one FabricEvent.
+	// EvTaskSend / EvTaskRecv record MTAPI task-fabric traffic
+	// (internal/taskfabric): a task descriptor — an irregular task, or
+	// one chunk of a parallel-for region — dispatched to a worker domain,
+	// and a task result accepted by the host. Each reaches a sink as one
+	// FabricEvent.
 	EvTaskSend
 	EvTaskRecv
-	EvTaskSteal
-	// EvPeerSteal records a direct domain-to-domain steal over the mesh:
-	// the task never passed through the host, which only re-pointed its
-	// accounting. Summary counts it among TaskSteals too.
+	// EvPeerSteal records a queued task migrating from a loaded domain
+	// to an idle one over the peer mesh: the task never passed through
+	// the host, which only re-pointed its accounting. Summary counts it
+	// among TaskSteals too.
 	EvPeerSteal
 )
 
 // FabricEvent is the task fabric's one event record, delivered to its
 // global sink and to the task's own observer. Kind is EvTaskSend,
-// EvTaskRecv, EvTaskSteal or EvPeerSteal. Domain is the executor a task
-// was sent to or received from, or a steal's thief; -1 is the host (its
-// local executor, or a brokered steal's unknown thief). Victim is the
-// domain a steal took the task from, -1 on sends and receives.
+// EvTaskRecv or EvPeerSteal. Domain is the executor a task was sent to
+// or received from, or a steal's thief; -1 is the host's local
+// executor. Victim is the domain a steal took the task from, -1 on
+// sends and receives.
 type FabricEvent struct {
 	Kind   EventKind
 	Task   uint64
@@ -76,7 +75,6 @@ var kindNames = [...]string{
 	EvCancel:        "cancel",
 	EvTaskSend:      "task-send",
 	EvTaskRecv:      "task-recv",
-	EvTaskSteal:     "task-steal",
 	EvPeerSteal:     "peer-steal",
 }
 
@@ -115,7 +113,7 @@ type Summary struct {
 	Tasks, Steals                               uint64
 	NestedForks, NestedJoins                    uint64
 	Cancels                                     uint64
-	TaskSends, TaskRecvs, TaskSteals            uint64 // TaskSteals includes PeerSteals
+	TaskSends, TaskRecvs, TaskSteals            uint64 // TaskSteals equals PeerSteals
 	PeerSteals                                  uint64
 	ChargeEvents                                uint64
 	UnitsCharged                                float64
@@ -191,8 +189,6 @@ func (r *Recorder) record(kind EventKind, tid int, units float64) {
 		r.sum.TaskSends++
 	case EvTaskRecv:
 		r.sum.TaskRecvs++
-	case EvTaskSteal:
-		r.sum.TaskSteals++
 	case EvPeerSteal:
 		r.sum.TaskSteals++
 		r.sum.PeerSteals++
