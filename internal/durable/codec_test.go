@@ -74,6 +74,23 @@ func sameEntry(a, b Entry) bool {
 	return reflect.DeepEqual(a, b)
 }
 
+// writeV1Snapshot writes generation 1's snapshot the way a version-1
+// store did, three jobs and group g-1, and returns the jobs.
+func writeV1Snapshot(t testing.TB, dir string) []JobState {
+	t.Helper()
+	snapJobs := []JobState{
+		{ID: "j-1", Tenant: "alice", Kind: "task", Name: "sum", Arg: []byte{1, 2, 3}, Group: "g-1",
+			Status: StatusSucceeded, Result: []byte("res-1"), SubmittedNs: 11, StartedNs: 12, FinishedNs: 13},
+		{ID: "j-2", Tenant: "alice", Kind: "parallel_for", Name: "vecsum", N: 4000,
+			Status: StatusRunning, SubmittedNs: 14, StartedNs: 15},
+		{ID: "j-3", Tenant: "bob", Kind: "task", Name: "spin", Status: StatusFailed,
+			Error: "boom", Recovered: true, SubmittedNs: 16, StartedNs: 17, FinishedNs: 18},
+	}
+	writeFile(t, dir, "snap-000001.db", v1Snapshot(t, 1, 19,
+		append([]JobState(nil), snapJobs...), []GroupState{{ID: "g-1", Tenant: "alice", CreatedNs: 10}}))
+	return snapJobs
+}
+
 // TestOpenReadsVersion1 recovers a state dir written by a version-1
 // store — a JSON snapshot frame plus a wal of JSON entries — and checks
 // that Open folds it into the same states, counts the same replay, and
@@ -81,16 +98,7 @@ func sameEntry(a, b Entry) bool {
 func TestOpenReadsVersion1(t *testing.T) {
 	t.Run("parent-layout", func(t *testing.T) {
 		dir := t.TempDir()
-		snapJobs := []JobState{
-			{ID: "j-1", Tenant: "alice", Kind: "task", Name: "sum", Arg: []byte{1, 2, 3}, Group: "g-1",
-				Status: StatusSucceeded, Result: []byte("res-1"), SubmittedNs: 11, StartedNs: 12, FinishedNs: 13},
-			{ID: "j-2", Tenant: "alice", Kind: "parallel_for", Name: "vecsum", N: 4000,
-				Status: StatusRunning, SubmittedNs: 14, StartedNs: 15},
-			{ID: "j-3", Tenant: "bob", Kind: "task", Name: "spin", Status: StatusFailed,
-				Error: "boom", Recovered: true, SubmittedNs: 16, StartedNs: 17, FinishedNs: 18},
-		}
-		writeFile(t, dir, "snap-000001.db", v1Snapshot(t, 1, 19,
-			append([]JobState(nil), snapJobs...), []GroupState{{ID: "g-1", Tenant: "alice", CreatedNs: 10}}))
+		snapJobs := writeV1Snapshot(t, dir)
 		writeFile(t, dir, "wal-000001.log",
 			v1Entry(t, Entry{Op: OpAccept, ID: "j-4", At: 20, Tenant: "bob", Kind: "task", Name: "echo",
 				Arg: []byte("four"), Group: "g-1"}),

@@ -15,20 +15,26 @@
 // response leaves the process, so an accepted job survives any crash.
 // When the wal outgrows a threshold the store compacts: it writes the
 // folded state to snap-<g+1>.tmp, fsyncs, renames it into place, starts
-// an empty wal-<g+1>.log and prunes generations older than g. Because
-// every journal entry is self-contained and idempotent, a crash at any
-// point of that dance is safe: recovery loads the newest snapshot that
-// passes its CRC and replays every wal of that generation and later, in
-// order, each to its longest intact prefix. A torn snapshot (crash
-// mid-write, bit rot) simply falls back one generation — the previous
-// snapshot plus the retained wals reconstruct the same state.
+// an empty wal-<g+1>.log, fsyncs the directory and prunes generations
+// older than g. Because every journal entry is self-contained and
+// idempotent, a crash at any point of that dance is safe: recovery
+// loads the newest snapshot that passes its CRC and replays every wal
+// of that generation and later, in order, each to its longest intact
+// prefix. A torn snapshot (crash mid-write, bit rot) simply falls back
+// one generation — the previous snapshot plus the retained wals
+// reconstruct the same state.
 //
-// Open itself compacts: recovery folds everything it found into a fresh
-// generation, so the process never appends to a file another process
-// (or a torn tail) wrote. Jobs that were mid-flight at crash time come
-// back with Status "running"; the service re-enqueues them for
-// deterministic re-execution — safe because every builtin is
-// closed-form and results are byte-verified downstream.
+// Open compacts only when there is something to fold: when the newest
+// generation is an intact binary snapshot with an empty wal beside it —
+// what Close leaves — the process appends to that wal as is. Anything
+// else (a wal with records, a torn tail, a torn snapshot, a wal-only
+// generation, a version-1 snapshot) is folded into a fresh generation,
+// so the process never appends behind a torn tail.
+//
+// Jobs that were mid-flight at crash time come back with Status
+// "running"; the service re-enqueues them for deterministic
+// re-execution — safe because every builtin is closed-form and results
+// are byte-verified downstream.
 package durable
 
 import (
@@ -225,9 +231,10 @@ type Store struct {
 }
 
 // Open recovers (or initializes) the state directory and returns a
-// ready store. Recovery loads the newest intact snapshot, replays every
-// retained wal of that generation and later to its longest intact
-// prefix, then immediately compacts into a fresh generation so this
+// ready store. Recovery loads the newest intact snapshot and replays
+// every retained wal of that generation and later to its longest intact
+// prefix. When that left nothing to fold (see recover) Open appends to
+// the newest wal; otherwise it compacts into a fresh generation so this
 // process never appends behind a torn tail.
 func Open(dir string, opts ...Option) (*Store, error) {
 	cfg := config{compactBytes: 4 << 20, fsync: true}
@@ -241,17 +248,43 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			"durable: state dir %s: %w", dir, err)
 	}
 	s := &Store{dir: dir, cfg: cfg, state: newState()}
-	if err := s.recover(); err != nil {
+	compact, err := s.recover()
+	if err != nil {
 		return nil, err
 	}
-	// Fold everything recovery found into a fresh generation: one
-	// snapshot, one empty wal, no inherited tails.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.compactLocked(); err != nil {
+	if compact {
+		// Fold everything recovery found into a fresh generation: one
+		// snapshot, one empty wal, no inherited tails.
+		if err := s.compactLocked(); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	if err := s.reopenWal(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// reopenWal opens the newest generation's empty wal for append. The
+// directory fsync makes the snapshot's rename and the wal's creation
+// durable even when the process that made them died before its own
+// directory fsync, so nothing this process appends hangs off an
+// unsynced directory entry.
+func (s *Store) reopenWal() error {
+	wal, err := os.OpenFile(s.genFile("wal", s.gen), os.O_WRONLY|os.O_APPEND, 0o600)
+	if err != nil {
+		return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
+			"durable: reopen wal gen %d: %w", s.gen, err)
+	}
+	if err := s.syncDir(); err != nil {
+		wal.Close()
+		return err
+	}
+	s.f = wal
+	return nil
 }
 
 // genFile renders a generation's snapshot or wal path.
@@ -292,27 +325,32 @@ func (s *Store) scanGenerations() ([]uint64, error) {
 	return gens, nil
 }
 
-// recover rebuilds s.state from disk. Called once, from Open.
-func (s *Store) recover() error {
+// recover rebuilds s.state from disk. Called once, from Open. It
+// reports whether Open must compact: it need not only when the newest
+// generation's snapshot decoded intact, in the binary format, as the
+// base of recovery, with an existing, empty wal beside it — the state
+// a Close or a finished compaction leaves.
+func (s *Store) recover() (compact bool, err error) {
 	gens, err := s.scanGenerations()
 	if err != nil {
-		return err
+		return true, err
 	}
 	if len(gens) == 0 {
 		s.gen = 0 // compactLocked bumps to 1
-		return nil
+		return true, nil
 	}
 	// Newest intact snapshot wins; torn ones fall back a generation.
 	base := 0 // index into gens of the snapshot generation actually used; gens[0] if none
 	st := newState()
 	var snapAt int64
+	binarySnap := false // the base snapshot is in the current format
 	for i := len(gens) - 1; i >= 0; i-- {
 		data, rerr := os.ReadFile(s.genFile("snap", gens[i]))
 		if rerr != nil {
 			if os.IsNotExist(rerr) {
 				continue // wal-only generation
 			}
-			return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
+			return true, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 				"durable: read snapshot gen %d: %w", gens[i], rerr)
 		}
 		dec, _, at, derr := decodeSnapshot(data)
@@ -321,20 +359,23 @@ func (s *Store) recover() error {
 			continue
 		}
 		st, snapAt, base = dec, at, i
+		binarySnap = !isV1(data[frameHeaderLen:])
 		break
 	}
 	// Replay the wals of the base generation and everything after it,
 	// in order, each to its longest intact prefix.
 	replayedGens := 0
+	emptyWal := false // the newest generation's wal exists and is empty
 	for i := base; i < len(gens); i++ {
 		data, rerr := os.ReadFile(s.genFile("wal", gens[i]))
 		if rerr != nil {
 			if os.IsNotExist(rerr) {
 				continue
 			}
-			return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
+			return true, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 				"durable: read wal gen %d: %w", gens[i], rerr)
 		}
+		emptyWal = i == len(gens)-1 && len(data) == 0
 		rep := replayJournal(data)
 		for _, e := range rep.entries {
 			st.apply(e)
@@ -362,24 +403,20 @@ func (s *Store) recover() error {
 			s.replayStats.ReplayedQueued++
 		}
 	}
-	return nil
+	// A torn snapshot always sits above the base, so a base in the
+	// newest generation also means none was seen.
+	clean := binarySnap && base == len(gens)-1 && emptyWal
+	return !clean, nil
 }
 
-// Recovered returns the state reconstructed at Open. The caller owns
-// the returned maps; the store keeps its own mirror for compaction.
+// Recovered returns the store's folded state itself, not a copy: as
+// reconstructed at Open until the first Append, which folds into the
+// same maps. The caller must treat it as read-only and finish reading
+// before it appends.
 func (s *Store) Recovered() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := newState()
-	for id, j := range s.state.Jobs {
-		cp := *j
-		out.Jobs[id] = &cp
-	}
-	for id, g := range s.state.Groups {
-		cp := *g
-		out.Groups[id] = &cp
-	}
-	return out
+	return s.state
 }
 
 // Append journals one entry, fsyncs it, and folds it into the live
@@ -435,12 +472,18 @@ func (s *Store) Compact() error {
 }
 
 // compactLocked rotates to generation gen+1: snapshot first (tmp +
-// fsync + atomic rename), then a fresh wal, then pruning of
-// generations older than the previous one. Caller holds s.mu. The
-// ordering makes every crash window safe: before the rename the old
-// generation is intact; between rename and wal creation the new
-// snapshot plus the old wals replay idempotently; after it the old
-// generation is pure redundancy kept as the torn-snapshot fallback.
+// fsync + atomic rename), then a fresh wal, then one directory fsync
+// covering both entries, then pruning of generations older than the
+// previous one. Caller holds s.mu. The ordering makes every crash
+// window safe: before the rename the old generation is intact; between
+// rename and wal creation the new snapshot already holds everything
+// the old wals did; a crash before the directory fsync may lose either
+// entry, and recovery falls back to the old generation or compacts
+// over a missing wal. Nothing is appended to the new wal before the
+// fsync has made its entry durable, which matters because a later Open
+// appends to it without compacting. The fsync count stays two per
+// compaction (TestCompactFsyncs). The journal's power-loss model
+// (ROADMAP, item 6) is to check this ordering with a crash at each step.
 func (s *Store) compactLocked() error {
 	newGen := s.gen + 1
 	now := time.Now().UnixNano()
@@ -458,13 +501,14 @@ func (s *Store) compactLocked() error {
 			"durable: publish snapshot gen %d: %w", newGen, err)
 	}
 	s.fsyncs++ // writeFileSync's
-	if err := s.syncDir(); err != nil {
-		return err
-	}
 	wal, err := os.OpenFile(s.genFile("wal", newGen), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
 		return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 			"durable: open wal gen %d: %w", newGen, err)
+	}
+	if err := s.syncDir(); err != nil {
+		wal.Close()
+		return err
 	}
 	if s.f != nil {
 		_ = s.f.Close()
@@ -541,8 +585,9 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close compacts one last time (folding the final wal into a snapshot)
-// and releases the wal handle. Idempotent.
+// Close compacts one last time (folding the final wal into a snapshot,
+// so the next Open has nothing to fold) and releases the wal handle.
+// Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

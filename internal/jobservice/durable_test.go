@@ -2,10 +2,12 @@ package jobservice
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,8 +29,9 @@ func newDurableEnv(t *testing.T, opts ...Option) (*testEnv, func()) {
 
 // TestDurableRestartPreservesSettled settles a batch of jobs against a
 // state dir, restarts the service over the same dir, and checks every
-// job is still queryable with its byte-exact result — no re-execution,
-// no loss.
+// job is still queryable with the view it had before: status,
+// byte-exact result, recovered flag and all three timestamps — no
+// re-execution, no loss.
 func TestDurableRestartPreservesSettled(t *testing.T) {
 	dir := t.TempDir()
 	env1, shutdown1 := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
@@ -55,15 +58,17 @@ func TestDurableRestartPreservesSettled(t *testing.T) {
 		VecSumExpected(500),
 	})
 	// Wait under the owning key.
+	var before []JobView
 	for i, wt := range wants {
 		key := "key-alice"
 		if i >= 2 {
 			key = "key-bob"
 		}
 		v := env1.wait(t, key, wt.id)
-		if v.Status != StatusSucceeded || !bytes.Equal(v.Result, wt.result) {
+		if v.Status != StatusSucceeded || !bytes.Equal(v.Result, wt.result) || v.StartedAt == nil {
 			t.Fatalf("first life: job %s = %+v", wt.id, v)
 		}
+		before = append(before, v)
 	}
 	shutdown1()
 
@@ -86,6 +91,11 @@ func TestDurableRestartPreservesSettled(t *testing.T) {
 		if !bytes.Equal(v.Result, wt.result) {
 			t.Fatalf("restart: job %s result %x, want %x", wt.id, v.Result, wt.result)
 		}
+		got, _ := json.Marshal(v)
+		was, _ := json.Marshal(before[i])
+		if !bytes.Equal(got, was) {
+			t.Fatalf("restart changed job %s:\n got %s\nwant %s", wt.id, got, was)
+		}
 	}
 	// Settled jobs must not have been re-enqueued.
 	if st := env2.srv.ServiceStats(); st.Replayed != 0 {
@@ -102,6 +112,70 @@ func TestDurableRestartPreservesSettled(t *testing.T) {
 	snap := env2.srv.Snapshot()
 	if snap.Durable == nil || snap.Durable.ReplayedJobs < len(wants) {
 		t.Fatalf("durable stats missing or short: %+v", snap.Durable)
+	}
+}
+
+// TestDurableRestartEventsFromJournal restarts over a settled job and
+// follows its event stream: the replayed accepted and settled events
+// carry the journaled submit and finish times, not the time of the
+// reopen.
+func TestDurableRestartEventsFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	env1, shutdown1 := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+	id := env1.submit(t, "key-alice", submitRequest{Job: JobEcho, Arg: []byte("when")}).ID
+	v := env1.wait(t, "key-alice", id)
+	shutdown1()
+
+	env2, _ := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+	evs := readEvents(t, env2, "key-alice", id)
+	if len(evs) != 2 || evs[0].Type != EventAccepted || evs[1].Type != EventSettled {
+		t.Fatalf("replayed events = %+v, want accepted then settled", evs)
+	}
+	if at, want := evs[0].AtNs, v.SubmittedAt.UnixNano(); at != want {
+		t.Fatalf("replayed accepted event at %d, want the submit time %d", at, want)
+	}
+	if at, want := evs[1].AtNs, v.FinishedAt.UnixNano(); at != want {
+		t.Fatalf("replayed settled event at %d, want the finish time %d", at, want)
+	}
+}
+
+// TestRecoverFromStoreAllocs pins what rebuilding a replayed settled
+// job costs: one allocation for its record and event log together, the
+// shared tables' growth amortized over the replay.
+func TestRecoverFromStoreAllocs(t *testing.T) {
+	const jobs = 1000
+	st, err := durable.Open(t.TempDir(), durable.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 1; i <= jobs; i++ {
+		id := "j-" + strconv.Itoa(i)
+		for _, e := range []durable.Entry{
+			{Op: durable.OpAccept, ID: id, At: int64(3 * i), Tenant: "alice", Kind: KindTask, Name: JobEcho, Arg: []byte("x")},
+			{Op: durable.OpDispatch, ID: id, At: int64(3*i + 1)},
+			{Op: durable.OpSettle, ID: id, At: int64(3*i + 2), Status: durable.StatusSucceeded, Result: []byte("x")},
+		} {
+			if err := st.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	alice := &tenantState{Tenant: testTenants[0]}
+	s := &Server{
+		cfg:    config{store: st},
+		byName: map[string]*tenantState{"alice": alice},
+		groups: make(map[string]*groupRec),
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		alice.jobs = alice.jobs[:0]
+		s.recoverFromStore()
+	})
+	if len(s.jobs) != jobs {
+		t.Fatalf("rebuilt %d jobs, want %d", len(s.jobs), jobs)
+	}
+	if perJob := allocs / jobs; perJob > 1.01 {
+		t.Fatalf("recoverFromStore allocates %.2f objects per settled job, want <= 1.01", perJob)
 	}
 }
 

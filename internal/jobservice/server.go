@@ -969,7 +969,9 @@ func (s *Server) launch(j *jobRec) {
 	s.st.dispatched.Add(1)
 	// A lost dispatch record only costs a redundant deterministic
 	// re-execution after a crash, so it does not gate the launch.
-	s.journalBestEffort(durable.Entry{Op: durable.OpDispatch, ID: j.id})
+	// claim stamped j.started on this goroutine and nothing writes it
+	// again, so the record carries the time a restart restores.
+	s.journalBestEffort(durable.Entry{Op: durable.OpDispatch, ID: j.id, At: j.started.UnixNano()})
 	j.progress(JobEvent{Type: EventDispatched, Chunk: -1})
 	finish := func(res []byte, err error) {
 		s.complete(j, res, err)

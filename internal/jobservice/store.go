@@ -129,12 +129,31 @@ func sortedBySeq[V any](m map[string]V, prefix string) []seqID {
 	return ids
 }
 
+// settledDone is the done channel every replayed settled job shares:
+// closed here, once, and never again, because settle and cancelQueued
+// leave a terminal job's channel alone.
+var settledDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// replayedJob is one allocation for what a replayed job needs: its
+// record, its event log and room for the log's first two events.
+type replayedJob struct {
+	rec jobRec
+	log eventLog
+	evs [2]JobEvent
+}
+
 // recoverFromStore rebuilds the server's job and group tables from the
 // store's recovered state. Runs inside New, before the dispatcher
 // starts, so no locking is contended; Server.mu is still held for the
 // invariant's sake. Settled members of recovered groups are re-queued
 // for streaming (delivery is exactly-once per server lifetime,
 // at-least-once across restarts: stream positions are not journaled).
+// The recovered state is the store's own, so nothing is journaled
+// until it has been read.
 func (s *Server) recoverFromStore() {
 	rec := s.cfg.store.Recovered()
 	s.mu.Lock()
@@ -151,7 +170,18 @@ func (s *Server) recoverFromStore() {
 		s.groups[gid] = &groupRec{id: gid, tenant: t, notify: make(chan struct{}, 1)}
 	}
 
+	// A replayed job's events are stamped from the journal; only a
+	// journal without the time falls back to now.
+	now := time.Now().UnixNano()
+	stamp := func(ns int64) int64 {
+		if ns != 0 {
+			return ns
+		}
+		return now
+	}
+	var gone []durable.Entry
 	var maxJ uint64
+	s.jobs = make(map[string]*jobRec, len(rec.Jobs)) // New left it empty
 	for _, sj := range sortedBySeq(rec.Jobs, "j-") {
 		id, js := sj.id, rec.Jobs[sj.id]
 		maxJ = max(maxJ, sj.seq)
@@ -162,22 +192,22 @@ func (s *Server) recoverFromStore() {
 			// the orphan forever.
 			err := oerrors.Errorf(oerrors.Admission, oerrors.CodeTenantGone,
 				"jobservice: replayed job %s: tenant %q no longer configured", id, js.Tenant)
-			s.journalBestEffort(durable.Entry{
+			gone = append(gone, durable.Entry{
 				Op: durable.OpSettle, ID: id,
 				Status: durable.StatusFailed, Error: err.Error(),
 			})
 			continue
 		}
-		j := &jobRec{
+		r := &replayedJob{rec: jobRec{
 			id:     id,
 			tenant: t,
 			kind:   js.Kind,
 			name:   js.Name,
 			arg:    js.Arg,
 			n:      js.N,
-			events: new(eventLog),
-			done:   make(chan struct{}),
-		}
+		}}
+		j := &r.rec
+		j.events = &r.log
 		if js.SubmittedNs != 0 {
 			j.submitted = time.Unix(0, js.SubmittedNs)
 		}
@@ -188,17 +218,21 @@ func (s *Server) recoverFromStore() {
 				g.pending++
 			}
 		}
-		j.events.add(JobEvent{Type: EventAccepted, Chunk: -1})
+		r.evs[0] = JobEvent{AtNs: stamp(js.SubmittedNs), Type: EventAccepted, Chunk: -1}
 		if js.Settled() {
 			j.status = js.Status
 			j.result = js.Result
 			j.errMsg = js.Error
 			j.recovered = js.Recovered
+			if js.StartedNs != 0 {
+				j.started = time.Unix(0, js.StartedNs)
+			}
 			if js.FinishedNs != 0 {
 				j.finished = time.Unix(0, js.FinishedNs)
 			}
-			close(j.done)
-			j.events.add(JobEvent{Type: EventSettled, Chunk: -1, Status: j.status})
+			j.done = settledDone
+			r.evs[1] = JobEvent{Seq: 1, AtNs: stamp(js.FinishedNs), Type: EventSettled, Chunk: -1, Status: j.status}
+			r.log.events, r.log.seq, r.log.done = r.evs[:2], 2, true
 			if j.group != nil {
 				j.group.pending--
 				j.group.ready = append(j.group.ready, j)
@@ -213,12 +247,17 @@ func (s *Server) recoverFromStore() {
 			if js.Status == durable.StatusRunning {
 				j.recovered = true
 			}
+			j.done = make(chan struct{})
+			r.log.events, r.log.seq = r.evs[:1], 1
 			t.queue = append(t.queue, j)
 			t.inflight++
 			s.st.replayed.Add(1)
 		}
 		s.jobs[id] = j
 		t.jobs = append(t.jobs, id)
+	}
+	for _, e := range gone {
+		s.journalBestEffort(e)
 	}
 	if maxJ > 0 {
 		s.jobSeq.Store(maxJ)
