@@ -3,14 +3,14 @@ package openmpmca
 import (
 	"openmpmca/internal/jobservice"
 	"openmpmca/internal/oerrors"
-	"openmpmca/internal/spans"
+	"openmpmca/internal/trace"
 )
 
-// Observability surface: the error taxonomy (internal/oerrors) and the
-// span exporter (internal/spans). Every error the public API returns
-// carries a stable category and code; ErrorCategoryOf/ErrorCodeOf read
-// them and ErrorCounts exposes the process-wide counters the job
-// service serves at /v1/stats and /v1/health.
+// Observability surface: the error taxonomy (internal/oerrors). Every
+// error the public API returns carries a stable category and code;
+// ErrorCategoryOf/ErrorCodeOf read them and ErrorCounts exposes the
+// process-wide counters the job service serves at /v1/stats and
+// /v1/health.
 
 // ErrorCategory is the failure plane an error belongs to.
 type ErrorCategory = oerrors.Category
@@ -45,33 +45,22 @@ type ErrorStats = oerrors.CountsSnapshot
 // /v1/health report.
 func ErrorCounts() ErrorStats { return oerrors.Counts() }
 
-// Span is one folded task lifetime: a fabric task (an offloaded chunk
-// is one), from first dispatch to settled result, with retry and
-// loss-recovery annotations.
-type Span = spans.Span
-
-// SpanStats aggregates a span exporter's whole run.
-type SpanStats = spans.Stats
-
-// SpanView is a span exporter snapshot: retained completed spans, open
-// spans and aggregates — the GET /v1/spans body.
-type SpanView = spans.View
-
-// SpanExporter folds the fabric's task events into lifetime spans. It is
-// a FabricEventSink, so one exporter can observe the task fabric and an
-// offloader at once:
+// SpanExporter discards the fabric events it receives.
 //
-//	sp := openmpmca.NewSpanExporter(0)
-//	fab, _ := openmpmca.NewTaskFabric(jobs, openmpmca.WithFabricEventSink(sp))
-//	... run work ...
-//	view := sp.Snapshot() // or serve it: WithServiceSpans(sp)
-type SpanExporter = spans.Exporter
+// Deprecated: the job service folds each settled job's event log into
+// the latency histograms of its Snapshot (GET /v1/stats), and serves a
+// job's events at GET /v1/jobs/{id}/events; nothing reads an exporter.
+type SpanExporter struct{}
 
-// NewSpanExporter creates a span exporter retaining the last capacity
-// completed spans (a default bound if capacity <= 0).
-func NewSpanExporter(capacity int) *SpanExporter { return spans.NewExporter(capacity) }
+// NewSpanExporter returns an exporter; capacity is ignored.
+//
+// Deprecated: see SpanExporter.
+func NewSpanExporter(capacity int) *SpanExporter { return &SpanExporter{} }
 
-// WithServiceSpans serves a span exporter's folded lifetimes at the job
-// service's GET /v1/spans. Wire the same exporter into the fabric
-// and/or offloader as their event sink; the service only reads it.
-func WithServiceSpans(x *SpanExporter) JobServiceOption { return jobservice.WithSpans(x) }
+// Event discards ev.
+func (*SpanExporter) Event(trace.FabricEvent) {}
+
+// WithServiceSpans does nothing: it adds no tenants.
+//
+// Deprecated: drop the option; see SpanExporter.
+func WithServiceSpans(*SpanExporter) JobServiceOption { return jobservice.WithTenants() }

@@ -38,8 +38,9 @@ const (
 )
 
 // Snapshot is the unified stats umbrella: core runtime, offload, fabric
-// and job-service counters in one JSON-taggable shape. GET /v1/stats and
-// ompmca-info -stats both serialize this type.
+// and job-service counters, plus the settled jobs' latency histograms,
+// in one JSON-taggable shape. GET /v1/stats and ompmca-info -stats both
+// serialize this type.
 type Snapshot = jobservice.Snapshot
 
 // ServiceStats is the job service's section of Snapshot.

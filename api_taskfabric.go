@@ -51,7 +51,7 @@ type FabricDomainInfo = taskfabric.DomainInfo
 
 // FabricEventSink receives the fabric's event records through one
 // method: every task send, receive and steal (direct mesh steals
-// included), each once. A SpanExporter satisfies it.
+// included), each once.
 type FabricEventSink = taskfabric.EventSink
 
 var (

@@ -6,9 +6,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -21,28 +24,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ompmca-npb: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run measures the requested Figure 4 panels and prints them to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ompmca-npb", flag.ContinueOnError)
 	var (
-		kernelFlag  = flag.String("kernel", "all", "kernel: EP, CG, IS, MG, FT or all")
-		classFlag   = flag.String("class", "W", "problem class: S, W or A")
-		threadsFlag = flag.String("threads", "1,2,4,8,12,16,20,24", "comma-separated team sizes")
-		boardName   = flag.String("board", "t4240", "board model: t4240 or p4080")
-		calibrate   = flag.Bool("calibrate", true, "scale the MCA layer's modeled management costs by host-measured EPCC ratios")
-		traceFlag   = flag.Bool("trace", false, "print each kernel's construct profile (fork/barrier/reduction counts)")
-		plot        = flag.Bool("plot", true, "draw the ASCII speedup chart under each panel")
+		kernelFlag  = fs.String("kernel", "all", "kernel: EP, CG, IS, MG, FT or all")
+		classFlag   = fs.String("class", "W", "problem class: S, W or A")
+		threadsFlag = fs.String("threads", "1,2,4,8,12,16,20,24", "comma-separated team sizes")
+		boardName   = fs.String("board", "t4240", "board model: t4240 or p4080")
+		calibrate   = fs.Bool("calibrate", true, "scale the MCA layer's modeled management costs by host-measured EPCC ratios")
+		traceFlag   = fs.Bool("trace", false, "print each kernel's construct profile (fork/barrier/reduction counts)")
+		plot        = fs.Bool("plot", true, "draw the ASCII speedup chart under each panel")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	class, err := npb.ParseClass(*classFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	board, err := pickBoard(*boardName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	kernels := npb.Kernels
@@ -54,36 +67,37 @@ func main() {
 	if *calibrate {
 		scales, err := npb.CalibrateMCAScales(board, maxOf(threads))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opts.Scales = &scales
-		fmt.Printf("EPCC-calibrated MCA cost factors (shared across kernels): fork %.2f, sync %.2f, reduction %.2f\n\n",
+		fmt.Fprintf(stdout, "EPCC-calibrated MCA cost factors (shared across kernels): fork %.2f, sync %.2f, reduction %.2f\n\n",
 			scales.Fork, scales.Sync, scales.Reduction)
 	}
 
 	for _, name := range kernels {
 		series, err := npb.MeasureFigure4Opts(board, name, class, threads, opts)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Print(series.Render())
+		fmt.Fprint(stdout, series.Render())
 		if *plot {
-			fmt.Print(series.Plot())
+			fmt.Fprint(stdout, series.Plot())
 		}
-		fmt.Printf("max MCA-vs-native time gap: %.2f%%\n", series.MaxRelativeGap()*100)
+		fmt.Fprintf(stdout, "max MCA-vs-native time gap: %.2f%%\n", series.MaxRelativeGap()*100)
 		if *traceFlag {
-			if err := printConstructProfile(board, name, class); err != nil {
-				log.Fatal(err)
+			if err := printConstructProfile(stdout, board, name, class); err != nil {
+				return err
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }
 
 // printConstructProfile runs the kernel once at 4 threads with the trace
 // recorder attached and prints its construct counts — the parallel
 // structure behind each Figure 4 panel.
-func printConstructProfile(board *platform.Board, kernelName string, class npb.Class) error {
+func printConstructProfile(stdout io.Writer, board *platform.Board, kernelName string, class npb.Class) error {
 	kern, err := npb.New(kernelName, class)
 	if err != nil {
 		return err
@@ -102,7 +116,7 @@ func printConstructProfile(board *platform.Board, kernelName string, class npb.C
 		return err
 	}
 	s := rec.Summary()
-	fmt.Printf("construct profile (4 threads): %d regions, %d barriers, %d reductions, %d singles, %.0f work units\n",
+	fmt.Fprintf(stdout, "construct profile (4 threads): %d regions, %d barriers, %d reductions, %d singles, %.0f work units\n",
 		s.Forks, s.Barriers, s.Reductions, s.Singles, s.UnitsCharged)
 	return nil
 }

@@ -3,8 +3,10 @@
 // task fabric that runs both jobs and parallel_for regions (the vecsum
 // kernel is bound to its job registry), and the HTTP/JSON front end of
 // internal/jobservice on top — turning the one-shot demo binaries into a
-// persistent daemon tenants share. The fabric feeds one span exporter:
-// /v1/spans shows a region's chunks as task spans beside the jobs'.
+// persistent daemon tenants share. GET /v1/jobs/{id}/events follows one
+// job's lifecycle, task and chunk events; GET /v1/stats carries, beside
+// every layer's counters, the settled jobs' latency histograms (queue,
+// dispatch, remote execution, completion, region).
 //
 //	ompmca-serve -addr :8080 -domains 3
 //	ompmca-serve -state-dir /var/lib/ompmca        # survive restarts
@@ -78,7 +80,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		heartbeat  = fs.Duration("heartbeat", 25*time.Millisecond, "domain health ping period")
 		dispatch   = fs.Int("dispatch", 64, "dispatch window: jobs inside the fabric at once")
 		retryAfter = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-		spanCap    = fs.Int("spans", 0, "span ring capacity for GET /v1/spans (0: default bound)")
 		stateDir   = fs.String("state-dir", "", "durable job store directory: journal + snapshots, replayed at startup (empty: in-memory only)")
 		tlsCert    = fs.String("tls-cert", "", "TLS certificate file (serve HTTPS; requires -tls-key)")
 		tlsKey     = fs.String("tls-key", "", "TLS private key file (requires -tls-cert)")
@@ -124,11 +125,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := jobs.RegisterKernels(kernels); err != nil {
 		return err
 	}
-	sp := openmpmca.NewSpanExporter(*spanCap)
 	fab, err := openmpmca.NewTaskFabric(jobs,
 		openmpmca.WithFabricDomains(*domains),
 		openmpmca.WithFabricHeartbeat(*heartbeat),
-		openmpmca.WithFabricEventSink(sp),
 	)
 	if err != nil {
 		return err
@@ -139,7 +138,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		openmpmca.WithServiceTenants(tenants...),
 		openmpmca.WithServiceDispatchWindow(*dispatch),
 		openmpmca.WithServiceRetryAfter(*retryAfter),
-		openmpmca.WithServiceSpans(sp),
 	}
 	if *stateDir != "" {
 		log.Printf("durable job store in %s", *stateDir)

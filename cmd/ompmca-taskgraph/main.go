@@ -304,9 +304,9 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 		return fmt.Errorf("clean graph: %w", err)
 	}
 	st := fab.Stats()
-	out.Printf("clean graph:     fib(%d)=%d (%v)  tasks=%d remote=%d local=%d steals=%d peer=%d",
+	out.Printf("clean graph:     fib(%d)=%d (%v)  tasks=%d remote=%d local=%d steals=%d",
 		n, got, time.Since(start).Round(time.Millisecond),
-		st.Submitted, st.RemoteTasks, st.LocalTasks, st.Steals, st.PeerSteals)
+		st.Submitted, st.RemoteTasks, st.LocalTasks, st.Steals)
 	if got != want {
 		return fmt.Errorf("clean graph fib(%d) = %d, want %d", n, got, want)
 	}
@@ -330,9 +330,9 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 		return fmt.Errorf("faulted graph: %w", err)
 	}
 	st = fab.Stats()
-	out.Printf("faulted graph:   fib(%d)=%d (%v)  remote=%d local=%d resends=%d lost=%d steals=%d peer=%d",
+	out.Printf("faulted graph:   fib(%d)=%d (%v)  remote=%d local=%d resends=%d lost=%d steals=%d",
 		n, got, time.Since(start).Round(time.Millisecond),
-		st.RemoteTasks, st.LocalTasks, st.Resends, st.DomainsLost, st.Steals, st.PeerSteals)
+		st.RemoteTasks, st.LocalTasks, st.Resends, st.DomainsLost, st.Steals)
 	if got != want {
 		return fmt.Errorf("faulted graph fib(%d) = %d, want %d", n, got, want)
 	}
@@ -349,11 +349,11 @@ func run(n, cutoff uint32, domains int, leafDelay time.Duration,
 	}
 	st = fab.Stats()
 	sum := rec.Summary()
-	out.Printf("trace:           %d task sends, %d task recvs, %d steals (%d peer), %d heartbeats",
-		sum.TaskSends, sum.TaskRecvs, sum.TaskSteals, sum.PeerSteals, st.Heartbeats)
-	out.Printf("mesh:            peer-steals=%d", st.PeerSteals)
-	if requirePeer && st.PeerSteals == 0 {
-		return fmt.Errorf("PeerSteals = 0 under -require-peer-steals: the mesh never carried a direct steal (Steals = %d)", st.Steals)
+	out.Printf("trace:           %d task sends, %d task recvs, %d steals, %d heartbeats",
+		sum.TaskSends, sum.TaskRecvs, sum.TaskSteals, st.Heartbeats)
+	out.Printf("mesh:            peer-steals=%d", st.Steals)
+	if requirePeer && st.Steals == 0 {
+		return fmt.Errorf("Steals = 0 under -require-peer-steals: the mesh never carried a direct steal")
 	}
 
 	// Regions on the same fabric, with domain 0 back in service.

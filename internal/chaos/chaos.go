@@ -195,10 +195,7 @@ type Result struct {
 	Readmissions   int    `json:"readmissions"`
 	FaultsInjected uint64 `json:"faults_injected"` // frames dropped/dup'd/delayed
 	Steals         uint64 `json:"steals,omitempty"`
-	// PeerSteals equals Steals: every steal moves directly
-	// domain-to-domain over the mesh.
-	PeerSteals uint64 `json:"peer_steals,omitempty"`
-	Recovered  uint64 `json:"recovered,omitempty"` // units that survived a domain loss
+	Recovered      uint64 `json:"recovered,omitempty"` // units that survived a domain loss
 
 	// Unclassified counts surfaced errors that carried no taxonomy
 	// code: MUST be zero — every error crossing the public surface is

@@ -15,7 +15,6 @@ import (
 	"openmpmca/internal/mcapi"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
-	"openmpmca/internal/spans"
 	"openmpmca/internal/taskfabric"
 )
 
@@ -79,6 +78,7 @@ func settleUnit(u unit, res *Result) {
 	case err == nil || errors.Is(err, taskfabric.ErrDomainLost):
 		if errors.Is(err, taskfabric.ErrDomainLost) {
 			res.checkClassified(u.where, err)
+			res.Recovered++
 		}
 		if bytes.Equal(payload, u.expect) {
 			res.Exact++
@@ -126,8 +126,7 @@ func runFabric(c Campaign, ff *frameFaults, res *Result) {
 		opts = append(opts, taskfabric.WithDomainWorkers(1))
 		deadline = 5 * time.Second
 	}
-	sp := spans.NewExporter(0)
-	opts = append(opts, taskfabric.WithTaskDeadline(deadline), taskfabric.WithEventSink(sp))
+	opts = append(opts, taskfabric.WithTaskDeadline(deadline))
 	f, err := taskfabric.NewFabric(reg, opts...)
 	if err != nil {
 		res.fail("fabric: %v", err)
@@ -244,8 +243,6 @@ func runFabric(c Campaign, ff *frameFaults, res *Result) {
 	}
 	st := f.Stats()
 	res.Steals = st.Steals
-	res.PeerSteals = st.PeerSteals
-	res.Recovered = sp.Stats().Recovered
 	if st.DomainsLost < uint64(res.DomainKills) {
 		res.fail("DomainsLost = %d < kills applied %d", st.DomainsLost, res.DomainKills)
 	}
@@ -260,13 +257,11 @@ func runOffload(c Campaign, ff *frameFaults, res *Result) {
 		res.fail("registry: %v", err)
 		return
 	}
-	sp := spans.NewExporter(0)
 	o, err := taskfabric.NewOffloader(reg,
 		taskfabric.WithDomains(c.Domains),
 		taskfabric.WithHeartbeat(5*time.Millisecond),
 		taskfabric.WithTaskDeadline(200*time.Millisecond),
 		taskfabric.WithChunkIters(2048),
-		taskfabric.WithEventSink(sp),
 	)
 	if err != nil {
 		res.fail("offload: %v", err)
@@ -296,6 +291,7 @@ func runOffload(c Campaign, ff *frameFaults, res *Result) {
 				res.fail("region %d: %v", i, perr)
 				continue
 			}
+			res.Recovered++
 		}
 		if bytes.Equal(got, jobservice.VecSumExpected(n)) {
 			res.Exact++
@@ -305,7 +301,6 @@ func runOffload(c Campaign, ff *frameFaults, res *Result) {
 		}
 	}
 	<-done
-	res.Recovered = sp.Stats().Recovered
 }
 
 // ---------------------------------------------------------------------------
@@ -389,12 +384,10 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 		res.fail("kernels: %v", err)
 		return
 	}
-	sp := spans.NewExporter(0)
 	fab, err := taskfabric.NewFabric(jobs,
 		taskfabric.WithDomains(c.Domains),
 		taskfabric.WithHeartbeat(5*time.Millisecond),
 		taskfabric.WithTaskDeadline(600*time.Millisecond),
-		taskfabric.WithEventSink(sp),
 	)
 	if err != nil {
 		res.fail("fabric: %v", err)
@@ -402,7 +395,6 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 	}
 	defer fab.Close()
 	srv, err := jobservice.New(fab, jobs,
-		jobservice.WithSpans(sp),
 		jobservice.WithTenants(
 			jobservice.Tenant{Name: "chaos", Key: chaosKey, Quota: 256,
 				Priority: jobservice.PriorityHigh, Admin: true},
@@ -592,7 +584,6 @@ func runService(c Campaign, ff *frameFaults, res *Result) {
 	}
 
 	res.Steals = fab.Stats().Steals
-	res.PeerSteals = fab.Stats().PeerSteals
 	verifyLedger(base, res)
 	verifyObservability(base, ff, res)
 }
@@ -627,10 +618,11 @@ func verifyLedger(base string, res *Result) {
 	}
 }
 
-// verifyObservability asserts the health, stats and spans surfaces
-// reflect the campaign: /v1/health parses with a sane status, the
-// /v1/stats errors section carries the injected-fault code, and
-// /v1/spans serves folded spans.
+// verifyObservability asserts the health and stats surfaces reflect the
+// campaign: /v1/health parses with a sane status, the /v1/stats errors
+// section carries the injected-fault code, and its jobservice.queue
+// latency histogram counts every job settled after dispatch. It runs
+// after verifyLedger, so no settle is still in flight.
 func verifyObservability(base string, ff *frameFaults, res *Result) {
 	code, env, _ := do(base, http.MethodGet, "/v1/health", "", nil)
 	var hv struct {
@@ -643,19 +635,20 @@ func verifyObservability(base string, ff *frameFaults, res *Result) {
 
 	code, env, _ = do(base, http.MethodGet, "/v1/stats", chaosKey, nil)
 	var snap struct {
-		Errors *oerrors.CountsSnapshot `json:"errors"`
+		Errors  *oerrors.CountsSnapshot         `json:"errors"`
+		Service *jobservice.ServiceStats        `json:"service"`
+		Latency map[string]jobservice.Histogram `json:"latency"`
 	}
-	if code != http.StatusOK || json.Unmarshal(env.Metadata, &snap) != nil || snap.Errors == nil {
-		res.fail("/v1/stats: HTTP %d or missing errors section", code)
-	} else if ff.injected.Load() > 0 && snap.Errors.ByCode[oerrors.CodeFrameFault] == 0 {
+	if code != http.StatusOK || json.Unmarshal(env.Metadata, &snap) != nil || snap.Errors == nil || snap.Service == nil {
+		res.fail("/v1/stats: HTTP %d or missing errors or service section", code)
+		return
+	}
+	if ff.injected.Load() > 0 && snap.Errors.ByCode[oerrors.CodeFrameFault] == 0 {
 		res.fail("/v1/stats: %d faults injected but no %q count", ff.injected.Load(), oerrors.CodeFrameFault)
 	}
-
-	code, env, _ = do(base, http.MethodGet, "/v1/spans", chaosKey, nil)
-	var sv struct {
-		Stats spans.Stats `json:"stats"`
-	}
-	if code != http.StatusOK || json.Unmarshal(env.Metadata, &sv) != nil || sv.Stats.Completed == 0 {
-		res.fail("/v1/spans: HTTP %d or no completed spans", code)
+	// A canceled job never left its queue; every other settled job was
+	// dispatched, and folded once when it settled.
+	if q, n := snap.Latency["jobservice.queue"].Count, snap.Service.Completed+snap.Service.Failed; q != n {
+		res.fail("/v1/stats: jobservice.queue counts %d jobs, %d settled after dispatch", q, n)
 	}
 }

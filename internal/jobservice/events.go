@@ -29,10 +29,12 @@ const (
 	EventSettled    = "settled"     // terminal: succeeded, failed or canceled
 )
 
-// JobEvent is one line of a job's progress stream. Chunk and Domain are
-// -1 when the event type carries no such coordinate; Domain -1 on a
-// chunk/task event means host-local execution (matching the span and
-// trace conventions), so task/chunk events carry HostDomain instead.
+// JobEvent is one line of a job's progress stream. Chunk is -1 and
+// Domain absent when the event type carries no such coordinate; Domain
+// -1 on a chunk or task event means host-local execution, as in
+// trace.FabricEvent. AtNs is the event's unix-nanosecond instant: the
+// latency histograms (latency.go) and the benchmark harness measure
+// their intervals between these instants.
 type JobEvent struct {
 	Seq    int    `json:"seq"`
 	AtNs   int64  `json:"at_ns"`
@@ -44,7 +46,7 @@ type JobEvent struct {
 }
 
 // eventLogCap bounds one job's retained events: a drop-oldest window,
-// like the trace and span rings. Seq numbers stay global, so a follower
+// like the trace ring. Seq numbers stay global, so a follower
 // can detect the gap.
 const eventLogCap = 256
 
@@ -98,6 +100,22 @@ func (l *eventLog) since(seq int) (evs []JobEvent, done bool, pulse <-chan struc
 		l.pulse = make(chan struct{})
 	}
 	return evs, l.done, l.pulse
+}
+
+// taskInstants returns the instants of the log's first task_sent and
+// last task_done, 0 for one it does not hold.
+func (l *eventLog) taskInstants() (sent, done int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range l.events {
+		switch {
+		case e.Type == EventTaskSent && sent == 0: // a resend does not restart the clock
+			sent = e.AtNs
+		case e.Type == EventTaskDone:
+			done = e.AtNs
+		}
+	}
+	return sent, done
 }
 
 // domainOf boxes a domain id for the JSON shape.

@@ -8,22 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"openmpmca/internal/spans"
 	"openmpmca/internal/taskfabric"
 )
 
-// newProgressEnv boots a service the way ompmca-serve does: a spans
-// exporter as the fabric's global event sink, served at /v1/spans, while
-// each job's task carries its own observer into the fabric.
-func newProgressEnv(t *testing.T) (*testEnv, *spans.Exporter) {
+// newProgressEnv boots a service on a two-domain fabric: each job's
+// task carries its own observer into the fabric, which feeds the job's
+// event log.
+func newProgressEnv(t *testing.T) *testEnv {
 	t.Helper()
-	x := spans.NewExporter(0)
 	env, _ := bootEnv(t, builtinRegistry(t), []taskfabric.Option{
 		taskfabric.WithDomains(2),
 		taskfabric.WithHeartbeat(10 * time.Millisecond),
-		taskfabric.WithEventSink(x),
-	}, WithSpans(x))
-	return env, x
+	})
+	return env
 }
 
 // readEvents follows one job's NDJSON event stream to its settled
@@ -63,7 +60,7 @@ func readEvents(t *testing.T, env *testEnv, key, id string) []JobEvent {
 // and checks the full lifecycle lands in order: accepted, dispatched,
 // per-chunk completions with the region's chunk count, settled.
 func TestJobEventsParallelFor(t *testing.T) {
-	env, _ := newProgressEnv(t)
+	env := newProgressEnv(t)
 	v := env.submit(t, "key-alice", submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: 4000})
 	evs := readEvents(t, env, "key-alice", v.ID)
 	var accepted, dispatched, chunks int
@@ -120,17 +117,13 @@ func taskAttributed(evs []JobEvent) (sent, done bool) {
 }
 
 // TestJobEventsTask checks fabric-task attribution: a task job's stream
-// carries task_sent then task_done with the executing domain, and the
-// global sink sees the same task.
+// carries task_sent then task_done with the executing domain.
 func TestJobEventsTask(t *testing.T) {
-	env, x := newProgressEnv(t)
+	env := newProgressEnv(t)
 	v := env.submit(t, "key-alice", submitRequest{Job: JobSum, Arg: I64Pair(0, 100)})
 	evs := readEvents(t, env, "key-alice", v.ID)
 	if sent, done := taskAttributed(evs); !sent || !done {
 		t.Fatalf("task attribution missing: sent=%v done=%v (%+v)", sent, done, evs)
-	}
-	if st := x.Stats(); st.Completed == 0 {
-		t.Fatalf("spans exporter saw nothing: %+v", st)
 	}
 }
 
@@ -141,7 +134,7 @@ func TestJobEventsTask(t *testing.T) {
 // send can outrun it; a binding made after SubmitJob returned lost the
 // first send of a fast task.
 func TestJobEventsEveryTaskAttributed(t *testing.T) {
-	env, _ := newProgressEnv(t)
+	env := newProgressEnv(t)
 	const jobs, batch = 200, 50
 	var noSent, noDone int
 	for lo := 0; lo < jobs; lo += batch {
@@ -233,7 +226,7 @@ func TestJobEventsAddAllocs(t *testing.T) {
 // TestGroupStreamProgress checks the group stream interleaves member
 // progress lines before the settled-member and drained events.
 func TestGroupStreamProgress(t *testing.T) {
-	env, _ := newProgressEnv(t)
+	env := newProgressEnv(t)
 	code, genv := env.do(t, http.MethodPost, "/v1/groups", "key-alice", nil)
 	if code != http.StatusCreated {
 		t.Fatalf("group create: %d", code)

@@ -92,13 +92,3 @@ func (s *Server) apiHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeSync(w, code, v)
 }
-
-// apiSpans serves GET /v1/spans: the folded task (and chunk) lifetime
-// spans of the exporter wired via WithSpans.
-func (s *Server) apiSpans(w http.ResponseWriter, _ *http.Request, _ *tenantState) {
-	if s.cfg.spans == nil {
-		writeError(w, http.StatusNotFound, "no span exporter wired (jobservice.WithSpans)")
-		return
-	}
-	writeSync(w, http.StatusOK, s.cfg.spans.Snapshot())
-}

@@ -40,6 +40,11 @@ type jobRec struct {
 	// dispatcher starts, read-only after.
 	replayed bool
 
+	// accepted is the accepted event's instant (unix ns), kept because
+	// a long region's log can drop that event. Set before the job is
+	// queued, read-only after.
+	accepted int64
+
 	mu        sync.Mutex
 	status    string
 	result    []byte
@@ -95,7 +100,7 @@ func (j *jobRec) settle(result []byte, errMsg string, recovered bool) {
 	j.recovered = recovered
 	j.finished = time.Now()
 	close(j.done)
-	j.events.add(JobEvent{Type: EventSettled, Chunk: -1, Status: j.status})
+	j.events.add(JobEvent{AtNs: j.finished.UnixNano(), Type: EventSettled, Chunk: -1, Status: j.status})
 }
 
 // JobView is the wire representation of a job; result bytes travel

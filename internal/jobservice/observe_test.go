@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"openmpmca/internal/oerrors"
-	"openmpmca/internal/spans"
-	"openmpmca/internal/trace"
 )
 
 func TestHealthSurface(t *testing.T) {
@@ -72,32 +70,115 @@ func TestHealthSurface(t *testing.T) {
 	}
 }
 
-func TestSpansEndpoint(t *testing.T) {
-	// Without WithSpans the endpoint 404s.
-	bare := newTestEnv(t)
-	if code, _ := bare.do(t, http.MethodGet, "/v1/spans", "key-bob", nil); code != http.StatusNotFound {
-		t.Errorf("unwired /v1/spans = %d, want 404", code)
+// TestJobEventsLatencyHistograms checks the /v1/stats latency section
+// against the jobs' own event streams. For every settled job it
+// recomputes each interval from the job's view and /events lines, as
+// the benchmark harness does; the histograms must hold exactly those
+// intervals, bucket for bucket and nanosecond for nanosecond, and each
+// histogram's count must equal the settled count of the job kinds it
+// covers.
+func TestJobEventsLatencyHistograms(t *testing.T) {
+	env := newProgressEnv(t)
+	const tasks, regions = 24, 4
+	var ids []string
+	for i := 0; i < tasks; i++ {
+		ids = append(ids, env.submit(t, "key-alice", submitRequest{Job: JobSum, Arg: I64Pair(0, int64(100+i))}).ID)
+	}
+	for i := 0; i < regions; i++ {
+		ids = append(ids, env.submit(t, "key-alice", submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: 4000 + i}).ID)
 	}
 
-	sp := spans.NewExporter(256)
-	env := newTestEnv(t, WithSpans(sp))
-	// The exporter only sees events it is wired into as a sink; feed it
-	// directly — the wiring contract (fabric/offload sinks) is covered by
-	// the span package's own tests and cmd/ompmca-serve.
-	sp.Event(trace.FabricEvent{Kind: trace.EvTaskSend, Task: 7, Domain: 1, Victim: -1})
-	sp.Event(trace.FabricEvent{Kind: trace.EvTaskRecv, Task: 7, Domain: 1, Victim: -1})
+	want := make(map[string]Histogram)
+	add := func(id, name string, from, to int64) {
+		if from == 0 || to < from {
+			t.Errorf("job %s: %s runs from %d to %d", id, name, from, to)
+		}
+		d := to - from
+		i := 0
+		for i < LatencyBuckets-1 && d >= 1000<<i {
+			i++
+		}
+		h := want[name]
+		h.Count++
+		h.SumNs += d
+		h.Buckets[i]++
+		want[name] = h
+	}
+	for _, id := range ids {
+		v := env.wait(t, "key-alice", id)
+		if v.Status != StatusSucceeded {
+			t.Fatalf("job %s: status %q (%s)", id, v.Status, v.Error)
+		}
+		var accepted, dispatched, sent, done, settled int64
+		for _, e := range readEvents(t, env, "key-alice", id) {
+			switch e.Type {
+			case EventAccepted:
+				accepted = e.AtNs
+			case EventDispatched:
+				dispatched = e.AtNs
+			case EventTaskSent:
+				if sent == 0 {
+					sent = e.AtNs
+				}
+			case EventTaskDone:
+				done = e.AtNs
+			case EventSettled:
+				settled = e.AtNs
+			}
+		}
+		add(id, "jobservice.accept", v.SubmittedAt.UnixNano(), accepted)
+		add(id, "jobservice.queue", accepted, dispatched)
+		if v.Kind == KindParallelFor {
+			add(id, "offload.region", dispatched, settled)
+		} else {
+			add(id, "taskfabric.dispatch", dispatched, sent)
+			add(id, "taskfabric.remote", sent, done)
+			add(id, "jobservice.complete", done, settled)
+		}
+	}
 
-	if code, _ := env.do(t, http.MethodGet, "/v1/spans", "", nil); code != http.StatusUnauthorized {
-		t.Errorf("unauthenticated /v1/spans = %d, want 401", code)
+	// A job's view turns terminal in settle, before complete folds it
+	// and counts it: read the section once every job is counted.
+	var snap Snapshot
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, resp := env.do(t, http.MethodGet, "/v1/stats", "key-alice", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/stats = %d (%s)", code, resp.Error)
+		}
+		meta(t, resp, &snap)
+		if snap.Service.Completed == uint64(len(ids)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("completed = %d, want %d", snap.Service.Completed, len(ids))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	code, resp := env.do(t, http.MethodGet, "/v1/spans", "key-bob", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /v1/spans = %d (%s)", code, resp.Error)
+
+	covers := map[string]uint64{
+		"jobservice.accept":   tasks + regions,
+		"jobservice.queue":    tasks + regions,
+		"taskfabric.dispatch": tasks,
+		"taskfabric.remote":   tasks,
+		"jobservice.complete": tasks,
+		"offload.region":      regions,
 	}
-	var view spans.View
-	meta(t, resp, &view)
-	if view.Stats.Completed != 1 || len(view.Spans) != 1 {
-		t.Errorf("view = %+v, want one completed span", view.Stats)
+	if len(snap.Latency) != len(covers) {
+		t.Errorf("latency section has %d histograms, want %d: %v", len(snap.Latency), len(covers), snap.Latency)
+	}
+	for name, n := range covers {
+		got, ok := snap.Latency[name]
+		if !ok {
+			t.Errorf("latency section lacks %s", name)
+			continue
+		}
+		if got.Count != n {
+			t.Errorf("%s: count %d, want %d settled jobs", name, got.Count, n)
+		}
+		if got != want[name] {
+			t.Errorf("%s: served %+v, events give %+v", name, got, want[name])
+		}
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"openmpmca/internal/durable"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
-	"openmpmca/internal/spans"
 	"openmpmca/internal/taskfabric"
 )
 
@@ -59,9 +58,7 @@ type config struct {
 	tenants    []Tenant
 	dispatch   int
 	retryAfter time.Duration
-	spans      *spans.Exporter
-	store      *durable.Store
-	ownStore   bool // store opened by WithStateDir: Close closes it
+	store      *durable.Store // opened by WithStateDir; Close closes it
 }
 
 // Option configures New.
@@ -128,20 +125,6 @@ func WithRetryAfter(d time.Duration) Option {
 	}
 }
 
-// WithSpans serves a span exporter's folded task (and chunk) lifetimes
-// at GET /v1/spans. The exporter should be the one wired into the
-// fabric (or fabrics) as their event sink; the service only reads it.
-// Without this option /v1/spans answers 404.
-func WithSpans(x *spans.Exporter) Option {
-	return func(c *config) error {
-		if x == nil {
-			return fmt.Errorf("%w: jobservice: WithSpans(nil)", core.ErrInvalidOption)
-		}
-		c.spans = x
-		return nil
-	}
-}
-
 // serviceCounters are the server's monotonic counters.
 type serviceCounters struct {
 	accepted    atomic.Uint64
@@ -182,7 +165,8 @@ type Server struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
-	st serviceCounters
+	st  serviceCounters
+	lat latencyHists
 }
 
 // New builds a job service over the given fabric and job registry. The
@@ -267,7 +251,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.cfg.ownStore {
+	if s.cfg.store != nil {
 		return s.cfg.store.Close()
 	}
 	return nil
@@ -368,7 +352,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/domains/{id}/drain", s.auth(s.admin(s.apiDomainDrain)))
 	s.mux.HandleFunc("POST /v1/domains/{id}/readmit", s.auth(s.admin(s.apiDomainReadmit)))
 	s.mux.HandleFunc("GET /v1/stats", s.auth(s.apiStats))
-	s.mux.HandleFunc("GET /v1/spans", s.auth(s.apiSpans))
 }
 
 type authedHandler func(w http.ResponseWriter, r *http.Request, t *tenantState)
@@ -423,7 +406,6 @@ func (s *Server) apiIndex(w http.ResponseWriter, _ *http.Request) {
 		"/v1/health",
 		"/v1/jobs",
 		"/v1/ready",
-		"/v1/spans",
 		"/v1/stats",
 	})
 }
@@ -584,7 +566,8 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 	}
 	// Log the accept before queueing: a dispatcher already awake may
 	// launch the job as soon as it is in the queue.
-	j.progress(JobEvent{Type: EventAccepted, Chunk: -1})
+	j.accepted = time.Now().UnixNano()
+	j.progress(JobEvent{AtNs: j.accepted, Type: EventAccepted, Chunk: -1})
 	s.mu.Lock()
 	t.queue = append(t.queue, j)
 	s.mu.Unlock()
@@ -857,6 +840,7 @@ func (s *Server) Snapshot() Snapshot {
 	errCounts := oerrors.Counts()
 	snap.Errors = &errCounts
 	snap.Durable = s.DurableStats()
+	snap.Latency = s.lat.snapshot()
 	return snap
 }
 
@@ -972,7 +956,7 @@ func (s *Server) launch(j *jobRec) {
 	// claim stamped j.started on this goroutine and nothing writes it
 	// again, so the record carries the time a restart restores.
 	s.journalBestEffort(durable.Entry{Op: durable.OpDispatch, ID: j.id, At: j.started.UnixNano()})
-	j.progress(JobEvent{Type: EventDispatched, Chunk: -1})
+	j.progress(JobEvent{AtNs: j.started.UnixNano(), Type: EventDispatched, Chunk: -1})
 	finish := func(res []byte, err error) {
 		s.complete(j, res, err)
 		s.slots <- struct{}{}
@@ -1013,6 +997,7 @@ func (s *Server) complete(j *jobRec, res []byte, err error) {
 		errMsg = err.Error()
 	}
 	j.settle(res, errMsg, recovered)
+	s.lat.fold(j)
 	s.journalBestEffort(settleEntry(j))
 	s.mu.Lock()
 	j.tenant.inflight--

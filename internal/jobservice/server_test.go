@@ -231,7 +231,7 @@ func TestEnvelopes(t *testing.T) {
 	}
 	var routes []string
 	meta(t, env, &routes)
-	want := []string{"/v1/domains", "/v1/groups", "/v1/health", "/v1/jobs", "/v1/ready", "/v1/spans", "/v1/stats"}
+	want := []string{"/v1/domains", "/v1/groups", "/v1/health", "/v1/jobs", "/v1/ready", "/v1/stats"}
 	if fmt.Sprint(routes) != fmt.Sprint(want) {
 		t.Errorf("index routes = %v, want %v", routes, want)
 	}

@@ -20,6 +20,9 @@ type Snapshot struct {
 	Service *ServiceStats           `json:"service,omitempty"` // job-service admission/dispatch counters
 	Errors  *oerrors.CountsSnapshot `json:"errors,omitempty"`  // error-taxonomy counters (by category and code)
 	Durable *durable.Stats          `json:"durable,omitempty"` // journal/snapshot activity and replay evidence
+	// Latency holds the settled jobs' interval histograms by name
+	// (jobservice.queue, taskfabric.remote, ...; see latency.go).
+	Latency map[string]Histogram `json:"latency,omitempty"`
 }
 
 // ServiceStats is the job service's own section of Snapshot: admission,

@@ -30,22 +30,9 @@ import (
 // costs only a redundant (deterministic) re-execution after a crash,
 // never a wrong or missing result.
 
-// WithStore attaches a caller-owned durable store. The caller keeps
-// ownership: the server journals to it and replays its recovered state,
-// but Close does not close it.
-func WithStore(st *durable.Store) Option {
-	return func(c *config) error {
-		if st == nil {
-			return fmt.Errorf("%w: jobservice: WithStore(nil)", core.ErrInvalidOption)
-		}
-		c.store = st
-		return nil
-	}
-}
-
 // WithStateDir opens (creating if needed) a durable store in dir and
-// attaches it, server-owned: Close closes it. The shorthand for
-// WithStore when the caller has no reason to hold the store itself.
+// attaches it: the server journals to it, replays its recovered state
+// in New, and closes it in Close.
 func WithStateDir(dir string, opts ...durable.Option) Option {
 	return func(c *config) error {
 		if strings.TrimSpace(dir) == "" {
@@ -56,7 +43,6 @@ func WithStateDir(dir string, opts ...durable.Option) Option {
 			return err
 		}
 		c.store = st
-		c.ownStore = true
 		return nil
 	}
 }
@@ -218,7 +204,8 @@ func (s *Server) recoverFromStore() {
 				g.pending++
 			}
 		}
-		r.evs[0] = JobEvent{AtNs: stamp(js.SubmittedNs), Type: EventAccepted, Chunk: -1}
+		j.accepted = stamp(js.SubmittedNs)
+		r.evs[0] = JobEvent{AtNs: j.accepted, Type: EventAccepted, Chunk: -1}
 		if js.Settled() {
 			j.status = js.Status
 			j.result = js.Result

@@ -15,7 +15,6 @@ import (
 	"openmpmca/internal/core"
 	"openmpmca/internal/oerrors"
 	"openmpmca/internal/offload"
-	"openmpmca/internal/spans"
 	"openmpmca/internal/taskfabric"
 	"openmpmca/internal/trace"
 )
@@ -391,15 +390,16 @@ func TestReadmitDomain(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegionsShareOneExporter runs eight regions at once on
-// one fabric, interleaved with a task group on that fabric and another
-// on a second fabric, all feeding one span exporter: results must be
-// byte-exact, and every chunk and task must fold into a span of its own —
-// as many spans as units of work, no ID completing twice, none left open
-// — which fails if two live tasks ever share an ID across regions or
-// fabrics, or if the region counters count the shared fabric's tasks.
-func TestConcurrentRegionsShareOneExporter(t *testing.T) {
-	sp := spans.NewExporter(4096)
+// TestConcurrentRegionsShareOneSink runs eight regions at once on one
+// fabric, interleaved with a task group on that fabric and another on a
+// second fabric, all feeding one trace.Recorder: results must be
+// byte-exact, and every chunk and task must be received exactly once
+// under an ID of its own — as many received IDs as units of work, none
+// received twice, none sent and never received — which fails if two
+// live tasks ever share an ID across regions or fabrics, or if the
+// region counters count the shared fabric's tasks.
+func TestConcurrentRegionsShareOneSink(t *testing.T) {
+	rec := trace.NewRecorder(4096)
 	echo := taskfabric.FuncJob{JobName: "echo", Fn: func(_ *core.Runtime, arg []byte) ([]byte, error) {
 		return append([]byte(nil), arg...), nil
 	}}
@@ -418,7 +418,7 @@ func TestConcurrentRegionsShareOneExporter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2), taskfabric.WithEventSink(sp))
+		f, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2), taskfabric.WithEventSink(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,18 +465,30 @@ func TestConcurrentRegionsShareOneExporter(t *testing.T) {
 
 	st := o.RegionStats()
 	want := st.RemoteChunks + st.LocalChunks + 2*tasks
-	ss := sp.Stats()
-	if ss.Opened != want || ss.Completed != want {
-		t.Errorf("spans opened/completed = %d/%d, want %d each (chunks + tasks)", ss.Opened, ss.Completed, want)
+	if d := rec.Summary().Dropped; d != 0 {
+		t.Fatalf("recorder dropped %d events", d)
 	}
-	if open := sp.Open(); len(open) != 0 {
-		t.Errorf("%d spans left open: %+v", len(open), open)
-	}
-	ids := make(map[uint64]bool, want)
-	for _, s := range sp.Completed() {
-		if ids[s.ID] {
-			t.Errorf("span id %d completed twice", s.ID)
+	sent := make(map[uint64]bool, want)
+	recvs := make(map[uint64]int, want)
+	for _, e := range rec.Events() {
+		switch id := uint64(e.Units); e.Kind {
+		case trace.EvTaskSend:
+			sent[id] = true
+		case trace.EvTaskRecv:
+			recvs[id]++
 		}
-		ids[s.ID] = true
+	}
+	if uint64(len(recvs)) != want {
+		t.Errorf("%d task IDs received, want %d (chunks + tasks)", len(recvs), want)
+	}
+	for id, n := range recvs {
+		if n != 1 {
+			t.Errorf("task id %d received %d times", id, n)
+		}
+	}
+	for id := range sent {
+		if recvs[id] == 0 {
+			t.Errorf("task id %d sent, never received", id)
+		}
 	}
 }

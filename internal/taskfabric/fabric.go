@@ -72,7 +72,7 @@ var (
 const TimeoutInfinite time.Duration = -1
 
 // EventSink receives the fabric's event records: every send, receive
-// and steal, each once. trace.Recorder and spans.Exporter implement it.
+// and steal, each once. trace.Recorder implements it.
 type EventSink interface {
 	Event(ev trace.FabricEvent)
 }

@@ -40,8 +40,8 @@ func TestLargePayloads(t *testing.T) {
 			verify: func(t *testing.T, st Stats, recovered int) {
 				// The blockers are running, so only queued echoes can have
 				// been yielded.
-				if st.PeerSteals == 0 {
-					t.Errorf("PeerSteals = 0 (Steals = %d): no echo crossed the mesh", st.Steals)
+				if st.Steals == 0 {
+					t.Error("Steals = 0: no echo crossed the mesh")
 				}
 			}},
 		{name: "killed-mid-flight", domains: 2, blockers: 1, kill: true,

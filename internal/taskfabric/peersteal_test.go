@@ -84,14 +84,11 @@ func TestPeerStealDirect(t *testing.T) {
 	verifyExact(t, handles, want)
 
 	st := f.Stats()
-	if st.PeerSteals == 0 {
-		t.Fatalf("PeerSteals = 0 (Steals = %d): no direct mesh migration happened", st.Steals)
+	if st.Steals == 0 {
+		t.Fatal("Steals = 0: no direct mesh migration happened")
 	}
-	if st.Steals < st.PeerSteals {
-		t.Errorf("Steals %d < PeerSteals %d: peer steals must count as steals", st.Steals, st.PeerSteals)
-	}
-	if sum := rec.Summary(); sum.PeerSteals != st.PeerSteals {
-		t.Errorf("trace PeerSteals %d != stats %d", sum.PeerSteals, st.PeerSteals)
+	if sum := rec.Summary(); sum.TaskSteals != st.Steals {
+		t.Errorf("trace steals %d != stats %d", sum.TaskSteals, st.Steals)
 	}
 }
 
@@ -133,7 +130,7 @@ func TestObserverSeesItsTaskEvents(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	var steals, peerSteals uint64
+	var steals uint64
 	for i, evs := range observed {
 		if len(evs) == 0 {
 			t.Fatalf("task %d: observer got nothing", i)
@@ -148,7 +145,6 @@ func TestObserverSeesItsTaskEvents(t *testing.T) {
 				t.Fatalf("task %d (id %d) record %d: observer %+v, sink %v", i, id, k, ev, got[k])
 			}
 			if ev.Kind == trace.EvPeerSteal {
-				peerSteals++
 				steals++
 			}
 		}
@@ -158,12 +154,11 @@ func TestObserverSeesItsTaskEvents(t *testing.T) {
 		t.Errorf("sink saw %d tasks no observer did", len(sunk))
 	}
 	st := f.Stats()
-	t.Logf("steals=%d peer=%d", st.Steals, st.PeerSteals)
 	if st.Steals == 0 {
 		t.Error("Steals = 0: the fixture stole nothing, so steal records went unchecked")
 	}
-	if steals != st.Steals || peerSteals != st.PeerSteals {
-		t.Errorf("observed steals %d (peer %d), stats %d (peer %d)", steals, peerSteals, st.Steals, st.PeerSteals)
+	if steals != st.Steals {
+		t.Errorf("observed steals %d, stats %d", steals, st.Steals)
 	}
 }
 

@@ -42,7 +42,7 @@ const (
 	// EvPeerSteal records a queued task migrating from a loaded domain
 	// to an idle one over the peer mesh: the task never passed through
 	// the host, which only re-pointed its accounting. Summary counts it
-	// among TaskSteals too.
+	// as TaskSteals.
 	EvPeerSteal
 )
 
@@ -113,8 +113,7 @@ type Summary struct {
 	Tasks, Steals                               uint64
 	NestedForks, NestedJoins                    uint64
 	Cancels                                     uint64
-	TaskSends, TaskRecvs, TaskSteals            uint64 // TaskSteals equals PeerSteals
-	PeerSteals                                  uint64
+	TaskSends, TaskRecvs, TaskSteals            uint64
 	ChargeEvents                                uint64
 	UnitsCharged                                float64
 	UnitsByThread                               map[int]float64
@@ -191,7 +190,6 @@ func (r *Recorder) record(kind EventKind, tid int, units float64) {
 		r.sum.TaskRecvs++
 	case EvPeerSteal:
 		r.sum.TaskSteals++
-		r.sum.PeerSteals++
 	case EvCharge:
 		r.sum.ChargeEvents++
 		r.sum.UnitsCharged += units
