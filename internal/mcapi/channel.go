@@ -45,6 +45,9 @@ func connect(send, recv *Endpoint, sendState, recvState chanState) error {
 	recv.state = recvState
 	send.peer = recv
 	recv.peer = send
+	// Parked connectionless receives cannot be reinterpreted either.
+	send.failPending(ErrChanConnected)
+	recv.failPending(ErrChanConnected)
 	return nil
 }
 
@@ -144,18 +147,12 @@ func (h *PktRecvHandle) Recv(timeout Timeout) ([]byte, error) {
 	return m.data, nil
 }
 
-// RecvI is the non-blocking packet receive (mcapi_pktchan_recv_i) with a
-// request-level deadline: the returned Request completes with the next
-// packet, with ErrTimeout once timeout elapses with nothing queued, or
-// with ErrRequestCanceled when Cancel beats both. TimeoutInfinite waits
-// for a packet or a Cancel indefinitely.
-func (h *PktRecvHandle) RecvI(timeout Timeout) *Request {
-	r := newRequest()
-	go recvPoll(r, timeout, func(t Timeout) ([]byte, int, error) {
-		data, err := h.Recv(t)
-		return data, 0, err
-	})
-	return r
+// RecvI is the non-blocking packet receive (mcapi_pktchan_recv_i): the
+// request takes the next queued packet, or parks until one arrives.
+// Bound it with Wait(timeout); abandon it with Cancel. Close or either
+// endpoint's deletion fails a parked request.
+func (h *PktRecvHandle) RecvI() *Request {
+	return h.ep.recvRequest(statePktRecv, ErrChanNotOpen)
 }
 
 // Available reports queued packets on the receive side.
@@ -174,6 +171,7 @@ func closeHandle(ep *Endpoint) error {
 		return ErrChanNotOpen
 	}
 	ep.opened = false
+	ep.failPending(ErrChanNotOpen)
 	return nil
 }
 

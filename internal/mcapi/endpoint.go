@@ -2,6 +2,7 @@ package mcapi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +52,9 @@ type Endpoint struct {
 	opened  bool
 	deleted bool
 
-	recvQ syncq.WaitQueue // waiters for data
-	sendQ syncq.WaitQueue // waiters for queue space
+	recvQ   syncq.WaitQueue // blocking receivers waiting for data
+	sendQ   syncq.WaitQueue // blocking senders waiting for queue space
+	pending []*Request      // parked receive requests, oldest first
 }
 
 func newEndpoint(n *Node, port Port, attr EndpointAttributes) *Endpoint {
@@ -70,7 +72,8 @@ func (e *Endpoint) String() string {
 }
 
 // Delete removes the endpoint (mcapi_endpoint_delete); blocked callers are
-// woken with ErrClosed and a connected peer is disconnected.
+// woken, parked requests fail with ErrEndpInvalid, and a connected peer
+// is disconnected (its parked requests fail with ErrChanNotOpen).
 func (e *Endpoint) Delete() error {
 	e.mu.Lock()
 	if e.deleted {
@@ -83,6 +86,7 @@ func (e *Endpoint) Delete() error {
 	e.state = stateFree
 	e.recvQ.Broadcast()
 	e.sendQ.Broadcast()
+	e.failPending(ErrEndpInvalid)
 	e.mu.Unlock()
 
 	if peer != nil {
@@ -92,6 +96,7 @@ func (e *Endpoint) Delete() error {
 			peer.state = stateFree
 			peer.recvQ.Broadcast()
 			peer.sendQ.Broadcast()
+			peer.failPending(ErrChanNotOpen)
 		}
 		peer.mu.Unlock()
 	}
@@ -113,8 +118,9 @@ func wait(q *syncq.WaitQueue, mu *sync.Mutex, timeout Timeout) Status {
 	return ErrTimeout
 }
 
-// enqueue appends a message at its priority, blocking while the queue is
-// full. Callers must NOT hold e.mu.
+// enqueue hands a message to the oldest parked receive request, or else
+// appends it at its priority, blocking while the queue is full. Callers
+// must NOT hold e.mu.
 func (e *Endpoint) enqueue(m message, timeout Timeout) error {
 	if m.priority < 0 || m.priority > MaxPriority {
 		return ErrPriority
@@ -124,6 +130,13 @@ func (e *Endpoint) enqueue(m message, timeout Timeout) error {
 		if e.deleted {
 			e.mu.Unlock()
 			return ErrEndpInvalid
+		}
+		if len(e.pending) > 0 {
+			r := e.pending[0]
+			e.pending = slices.Delete(e.pending, 0, 1)
+			r.complete(m.data, m.priority, nil)
+			e.mu.Unlock()
+			return nil
 		}
 		if e.queued < e.attr.QueueDepth {
 			e.queues[m.priority] = append(e.queues[m.priority], m)
@@ -139,6 +152,21 @@ func (e *Endpoint) enqueue(m message, timeout Timeout) error {
 	}
 }
 
+// pop removes the highest-priority oldest message and wakes one blocked
+// sender; callers hold e.mu.
+func (e *Endpoint) pop() (message, bool) {
+	for p := range e.queues {
+		if len(e.queues[p]) > 0 {
+			m := e.queues[p][0]
+			e.queues[p] = e.queues[p][1:]
+			e.queued--
+			e.sendQ.Signal()
+			return m, true
+		}
+	}
+	return message{}, false
+}
+
 // dequeue removes the highest-priority oldest message, blocking while
 // empty.
 func (e *Endpoint) dequeue(timeout Timeout) (message, error) {
@@ -148,21 +176,46 @@ func (e *Endpoint) dequeue(timeout Timeout) (message, error) {
 			e.mu.Unlock()
 			return message{}, ErrEndpInvalid
 		}
-		for p := 0; p <= MaxPriority; p++ {
-			if len(e.queues[p]) > 0 {
-				m := e.queues[p][0]
-				e.queues[p] = e.queues[p][1:]
-				e.queued--
-				e.sendQ.Signal()
-				e.mu.Unlock()
-				return m, nil
-			}
+		if m, ok := e.pop(); ok {
+			e.mu.Unlock()
+			return m, nil
 		}
 		if st := wait(&e.recvQ, &e.mu, timeout); st != Success {
 			e.mu.Unlock()
 			return message{}, st
 		}
 	}
+}
+
+// recvRequest is the one receive-request path: outside channel state want,
+// or on a channel not opened, the request fails with stateErr; otherwise
+// it takes a queued message or parks on e.pending until enqueue, Cancel
+// or a teardown (Delete, Close, connect) settles it under e.mu.
+func (e *Endpoint) recvRequest(want chanState, stateErr Status) *Request {
+	r := &Request{doneCh: make(chan struct{}), ep: e}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case e.state != want || (want != stateFree && !e.opened):
+		r.complete(nil, 0, stateErr)
+	case e.deleted:
+		r.complete(nil, 0, ErrEndpInvalid)
+	default:
+		if m, ok := e.pop(); ok {
+			r.complete(m.data, m.priority, nil)
+		} else {
+			e.pending = append(e.pending, r)
+		}
+	}
+	return r
+}
+
+// failPending settles every parked request with err; callers hold e.mu.
+func (e *Endpoint) failPending(err Status) {
+	for _, r := range e.pending {
+		r.complete(nil, 0, err)
+	}
+	e.pending = nil
 }
 
 // Available reports queued items (mcapi_msg_available /

@@ -1,29 +1,26 @@
 package mcapi
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
 // Request is a handle to a non-blocking MCAPI operation (mcapi_request_t):
-// Test polls it, Wait blocks on it, Cancel attempts to abort it.
+// Test polls it, Wait blocks on it, Cancel attempts to abort it. A pending
+// receive request is parked on ep, settled under ep.mu (ep.mu → r.mu).
 type Request struct {
 	mu       sync.Mutex
 	done     bool
-	canceled bool
 	err      error
 	data     []byte
 	priority int
 	doneCh   chan struct{}
-	cancelCh chan struct{}
+	ep       *Endpoint // receive requests only
 }
 
-func newRequest() *Request {
-	return &Request{doneCh: make(chan struct{}), cancelCh: make(chan struct{})}
-}
-
-// complete records the operation outcome unless the request was canceled
-// first.
+// complete records the operation outcome unless the request is already
+// settled.
 func (r *Request) complete(data []byte, priority int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -45,7 +42,8 @@ func (r *Request) Test() (finished bool, err error) {
 	return r.done, r.err
 }
 
-// Wait blocks up to timeout for completion (mcapi_wait).
+// Wait blocks up to timeout for completion (mcapi_wait). On ErrTimeout
+// the request is still pending: wait again, or Cancel it.
 func (r *Request) Wait(timeout Timeout) error {
 	if timeout == TimeoutInfinite {
 		<-r.doneCh
@@ -63,20 +61,26 @@ func (r *Request) Wait(timeout Timeout) error {
 	return r.err
 }
 
-// Cancel aborts a pending operation (mcapi_cancel). Completed requests
-// cannot be canceled.
+// Cancel aborts a pending operation (mcapi_cancel); a completed request
+// returns ErrRequestInvalid. A receive request is unparked under its
+// endpoint's lock, so a won cancel consumes nothing: the message it
+// would have taken stays queued.
 func (r *Request) Cancel() error {
+	if e := r.ep; e != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if i := slices.Index(e.pending, r); i >= 0 {
+			e.pending = slices.Delete(e.pending, i, i+1)
+		}
+	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.done {
-		r.mu.Unlock()
 		return ErrRequestInvalid
 	}
 	r.done = true
-	r.canceled = true
 	r.err = ErrRequestCanceled
 	close(r.doneCh)
-	close(r.cancelCh)
-	r.mu.Unlock()
 	return nil
 }
 
@@ -127,7 +131,7 @@ func WaitAny(reqs []*Request, timeout Timeout) (int, error) {
 // returns immediately with a Request that completes when the message is
 // queued at the destination.
 func MsgSendI(to *Endpoint, data []byte, priority int) *Request {
-	r := newRequest()
+	r := &Request{doneCh: make(chan struct{})}
 	buf := append([]byte(nil), data...)
 	go func() {
 		err := MsgSend(to, buf, priority, TimeoutInfinite)
@@ -136,68 +140,9 @@ func MsgSendI(to *Endpoint, data []byte, priority int) *Request {
 	return r
 }
 
-// recvPollSlice paces the cancellation checks of deadline-aware receive
-// requests: the underlying blocking receive is issued in slices this long
-// so a Cancel (or an expired deadline) wins between arrivals.
-const recvPollSlice = 2 * time.Millisecond
-
-// recvPoll drives a cancelable, deadline-bounded receive request over any
-// blocking receive primitive. It completes the request with the received
-// payload, with ErrTimeout once the deadline elapses with nothing queued,
-// or not at all when a Cancel wins first.
-func recvPoll(r *Request, timeout Timeout, recv func(Timeout) ([]byte, int, error)) {
-	var deadline time.Time
-	if timeout > TimeoutImmediate {
-		deadline = time.Now().Add(time.Duration(timeout))
-	}
-	for {
-		select {
-		case <-r.cancelCh:
-			return
-		default:
-		}
-		step := Timeout(recvPollSlice)
-		if timeout == TimeoutImmediate {
-			step = TimeoutImmediate
-		} else if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				r.complete(nil, 0, ErrTimeout)
-				return
-			}
-			if rem < recvPollSlice {
-				step = Timeout(rem)
-			}
-		}
-		data, prio, err := recv(step)
-		if err == ErrTimeout {
-			if timeout == TimeoutImmediate || (!deadline.IsZero() && !time.Now().Before(deadline)) {
-				r.complete(nil, 0, ErrTimeout)
-				return
-			}
-			continue
-		}
-		r.complete(data, prio, err)
-		return
-	}
-}
-
-// MsgRecvI is the non-blocking message receive (mcapi_msg_recv_i). The
-// payload is retrieved from the Request after completion. A canceled
-// receive re-queues nothing: cancellation only wins if it beats message
-// arrival.
+// MsgRecvI is the non-blocking message receive (mcapi_msg_recv_i): the
+// request takes the highest-priority queued message, or parks until the
+// next arrives. Bound it with Wait(timeout); abandon it with Cancel.
 func MsgRecvI(from *Endpoint) *Request {
-	return MsgRecvTI(from, TimeoutInfinite)
-}
-
-// MsgRecvTI is MsgRecvI bounded by a deadline — mcapi_msg_recv_i whose
-// request carries its own timeout, the gap the offload layer exposed:
-// a host waiting on a worker domain needs a receive it can both abandon
-// at a per-chunk deadline (the request completes with ErrTimeout) and
-// cancel outright when the domain is declared lost (Cancel, completing
-// with ErrRequestCanceled). Test/Wait observe whichever happens first.
-func MsgRecvTI(from *Endpoint, timeout Timeout) *Request {
-	r := newRequest()
-	go recvPoll(r, timeout, func(t Timeout) ([]byte, int, error) { return MsgRecv(from, t) })
-	return r
+	return from.recvRequest(stateFree, ErrChanConnected)
 }

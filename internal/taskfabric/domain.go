@@ -42,8 +42,7 @@ type worker struct {
 	hbHost  *mcapi.Endpoint      // host endpoint pongs are sent to
 
 	killed atomic.Bool
-	cmdReq atomic.Pointer[mcapi.Request]
-	hbReq  atomic.Pointer[mcapi.Request]
+	reqs   []atomic.Pointer[mcapi.Request] // each loop's pending receive, by slot
 	wg     sync.WaitGroup
 
 	sendMu  sync.Mutex // serializes sends to the host
@@ -55,9 +54,6 @@ type worker struct {
 	peerSend map[int]*mcapi.PktSendHandle
 	peerRecv map[int]*mcapi.PktRecvHandle
 	loadMap  atomic.Pointer[[]uint32] // latest host occupancy broadcast
-
-	peerReqMu sync.Mutex
-	peerReqs  map[int]*mcapi.Request // outstanding peer receives, by peer
 
 	stealMu     sync.Mutex
 	stealVictim int // domain a steal request is outstanding to; -1 none
@@ -79,7 +75,7 @@ func newWorker(nl *offload.NetLink, reg *Registry, mtWorkers int) (*worker, erro
 		queued:      make(map[uint64]*queuedTask),
 		peerSend:    nl.PeerSend,
 		peerRecv:    nl.PeerRecv,
-		peerReqs:    make(map[int]*mcapi.Request),
+		reqs:        make([]atomic.Pointer[mcapi.Request], slotPeers+len(nl.PeerRecv)),
 		stealVictim: -1,
 	}
 	if _, err := w.mt.CreateAction(fabricJob, "taskfabric", w.execute); err != nil {
@@ -89,14 +85,36 @@ func newWorker(nl *offload.NetLink, reg *Registry, mtWorkers int) (*worker, erro
 	return w, nil
 }
 
+// Receive slots: the command loop, the heartbeat loop, then the mesh links.
+const slotCmd, slotHB, slotPeers = 0, 1, 2
+
 func (w *worker) start() {
 	w.wg.Add(2)
 	go w.dispatch()
 	go w.heartbeat()
-	for peer, recv := range w.peerRecv {
+	slot := slotPeers
+	for _, recv := range w.peerRecv {
 		w.wg.Add(1)
-		go w.peerLoop(peer, recv)
+		go w.peerLoop(slot, recv)
+		slot++
 	}
+}
+
+// recv is one receive of a service loop: issue the request, publish it in
+// the loop's slot for Kill, and wait. Kill sets killed before canceling
+// the slots and recv stores before checking killed, so one side always
+// sees the other. False means exit: killed, or the endpoint torn down.
+func (w *worker) recv(slot int, start func() *mcapi.Request) ([]byte, bool) {
+	req := start()
+	w.reqs[slot].Store(req)
+	if w.killed.Load() {
+		_ = req.Cancel()
+	}
+	if err := req.Wait(mcapi.TimeoutInfinite); err != nil {
+		return nil, false
+	}
+	data, _, _ := req.Payload()
+	return data, true
 }
 
 // Kill simulates the domain crashing: the service loops abandon their
@@ -107,17 +125,11 @@ func (w *worker) Kill() {
 	if !w.killed.CompareAndSwap(false, true) {
 		return
 	}
-	if r := w.cmdReq.Load(); r != nil {
-		_ = r.Cancel()
+	for i := range w.reqs {
+		if r := w.reqs[i].Load(); r != nil {
+			_ = r.Cancel()
+		}
 	}
-	if r := w.hbReq.Load(); r != nil {
-		_ = r.Cancel()
-	}
-	w.peerReqMu.Lock()
-	for _, r := range w.peerReqs {
-		_ = r.Cancel()
-	}
-	w.peerReqMu.Unlock()
 	w.stealMu.Lock()
 	w.stealVictim = -1
 	w.stealMu.Unlock()
@@ -156,20 +168,15 @@ func (w *worker) stop() {
 }
 
 // dispatch is the worker's command loop, one frame per MCAPI packet.
-// Receives are issued as cancelable requests so Kill can yank the loop
-// out from under a blocked receive.
+// Each receive is a request parked on the command endpoint, so Kill can
+// cancel it; a canceled receive leaves its packet queued.
 func (w *worker) dispatch() {
 	defer w.wg.Done()
 	for {
-		req := w.cmdRecv.RecvI(mcapi.TimeoutInfinite)
-		w.cmdReq.Store(req)
-		if w.killed.Load() {
-			_ = req.Cancel()
-		}
-		if err := req.Wait(mcapi.TimeoutInfinite); err != nil {
+		pkt, ok := w.recv(slotCmd, w.cmdRecv.RecvI)
+		if !ok {
 			return
 		}
-		pkt, _, _ := req.Payload()
 		kind, ok := offload.FrameKind(pkt)
 		if !ok {
 			continue
@@ -319,15 +326,10 @@ func (w *worker) dropGroup(pkt []byte) {
 func (w *worker) heartbeat() {
 	defer w.wg.Done()
 	for {
-		req := mcapi.MsgRecvTI(w.hbEp, mcapi.TimeoutInfinite)
-		w.hbReq.Store(req)
-		if w.killed.Load() {
-			_ = req.Cancel()
-		}
-		if err := req.Wait(mcapi.TimeoutInfinite); err != nil {
+		msg, ok := w.recv(slotHB, func() *mcapi.Request { return mcapi.MsgRecvI(w.hbEp) })
+		if !ok {
 			return
 		}
-		msg, _, _ := req.Payload()
 		ping, err := offload.DecodePing(msg)
 		if err != nil {
 			continue

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -157,10 +158,19 @@ func TestReadmitDomain(t *testing.T) {
 		t.Error("ReadmitDomain accepted an out-of-range index")
 	}
 
+	// Kill parked loops, not ones yet to issue their first receive (those
+	// would see the kill flag on their own).
+	deadline := time.Now().Add(5 * time.Second)
+	for !loopsParked(f) {
+		if time.Now().After(deadline) {
+			t.Fatal("service loops never issued their receives")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := runtime.NumGoroutine()
 	if err := f.KillDomain(0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for f.Stats().DomainsLost == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("domain never declared lost")
@@ -173,6 +183,15 @@ func TestReadmitDomain(t *testing.T) {
 	}
 	if st := f.Stats(); st.Readmissions != 1 {
 		t.Errorf("Readmissions = %d, want 1", st.Readmissions)
+	}
+	// Kill unparked every service loop: the restarted loops replace the
+	// killed ones rather than pile up beside them.
+	deadline = time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after kill and readmit, want %d as before the kill", n, before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// The readmitted fabric must serve tasks correctly again.
@@ -208,6 +227,19 @@ func TestReadmitDomain(t *testing.T) {
 	if st := f.Stats(); st.DomainsLost != 1 {
 		t.Errorf("DomainsLost = %d, want 1 (readmission must not re-count)", st.DomainsLost)
 	}
+}
+
+// loopsParked reports whether every service loop of every domain has
+// published a receive request in its slot.
+func loopsParked(f *Fabric) bool {
+	for _, l := range f.links {
+		for i := range l.w.reqs {
+			if l.w.reqs[i].Load() == nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestGroupCancel(t *testing.T) {

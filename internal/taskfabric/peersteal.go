@@ -31,22 +31,15 @@ const stealMin = 2
 // resolution is the host's tick.
 const stealPending = 50 * time.Millisecond
 
-// peerLoop services one inbound mesh channel. Receives are cancelable
-// requests so Kill can yank the loop, mirroring dispatch.
-func (w *worker) peerLoop(peer int, recv *mcapi.PktRecvHandle) {
+// peerLoop services one inbound mesh channel through its receive slot,
+// like dispatch: Kill cancels the parked receive.
+func (w *worker) peerLoop(slot int, recv *mcapi.PktRecvHandle) {
 	defer w.wg.Done()
 	for {
-		req := recv.RecvI(mcapi.TimeoutInfinite)
-		w.peerReqMu.Lock()
-		w.peerReqs[peer] = req
-		w.peerReqMu.Unlock()
-		if w.killed.Load() {
-			_ = req.Cancel()
-		}
-		if err := req.Wait(mcapi.TimeoutInfinite); err != nil {
+		pkt, ok := w.recv(slot, recv.RecvI)
+		if !ok {
 			return
 		}
-		pkt, _, _ := req.Payload()
 		kind, ok := offload.FrameKind(pkt)
 		if !ok {
 			continue
