@@ -27,22 +27,29 @@ test-benchmark:
 # tests that run the runtime's join inside fabric domains (on a region
 # fabric, on a job service's own fabric, and in ompmca-taskgraph's run),
 # the job event-log tests (a job's task_sent once raced its submit), and
-# the MCAPI receive-request tests (a cancel racing an arrival), 20 times
-# each, on one and two procs. CI runs this on every push.
+# the MCAPI receive-request tests (a cancel racing an arrival), and the
+# boot count pins (a board's metadata tree rendered as before, its
+# allocations bounded, hotplug per board; the MCA restart's pin is in
+# ./internal/core), 20 times each, on one and two procs. CI runs this on
+# every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
 SOAK_MCAPI = -run 'TestRecvRequestNeverLosesPacket|TestParkedRecv|TestMsgRecvI|TestPktRecvI|TestWaitAny' \
 	./internal/mcapi
+SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestHotplugIsPerBoard' \
+	./internal/platform
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_REGIONS)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_EVENTS)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_MCAPI)
+	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_BOOT)
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_REGIONS)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_EVENTS)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_MCAPI)
+	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_BOOT)
 
 race:
 	$(GO) test -race ./...

@@ -4,6 +4,8 @@ package openmpmca
 // evaluation (§6), plus the ablations DESIGN.md calls out:
 //
 //	BenchmarkTable1/*      — EPCC overhead ratio per directive (Table I)
+//	BenchmarkBoot/*        — one runtime boot per layer (Table I's
+//	                         differencing applied to boot)
 //	BenchmarkFigure4/*     — NAS kernel scaling, MCA vs native (Figure 4)
 //	BenchmarkFigure1       — board model construction/diagram (Figure 1)
 //	BenchmarkAblation*     — barrier algorithm, shmem kind, pool reuse,
@@ -99,6 +101,47 @@ func BenchmarkTable1(b *testing.B) {
 				ratioSum += r
 			}
 			b.ReportMetric(ratioSum/float64(b.N), "mca/native")
+		})
+	}
+}
+
+// BenchmarkBoot boots a runtime the way a restart does, on each layer:
+// the board, the layer, core.New with 4 threads, one empty region, Close.
+// Both layers run the same core code, so mca − native is the MCA layer's
+// boot cost: the board's MRAPI universe, node registration per worker and
+// thread creation through MRAPI.
+func BenchmarkBoot(b *testing.B) {
+	layers := []struct {
+		name string
+		mk   func(board *platform.Board) (core.ThreadLayer, error)
+	}{
+		{"native", func(board *platform.Board) (core.ThreadLayer, error) {
+			return core.NewNativeLayer(board.HWThreads()), nil
+		}},
+		{"mca", func(board *platform.Board) (core.ThreadLayer, error) {
+			return core.NewMCALayer(board.NewSystem())
+		}},
+	}
+	body := func(*core.Context) {}
+	for _, lc := range layers {
+		b.Run(lc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l, err := lc.mk(platform.T4240RDB())
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt, err := core.New(core.WithLayer(l), core.WithNumThreads(4))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := rt.Parallel(body); err != nil {
+					b.Fatal(err)
+				}
+				if err := rt.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -137,8 +138,9 @@ func (l *MCALayer) NumProcs() int { return l.master.ProcessorsOnline() }
 // node is registered in the domain's global database for the worker's
 // lifetime, exactly as the paper's runtime registers each forked thread.
 func (l *MCALayer) StartWorker(wid int, loop func()) (Worker, error) {
+	name := "omp-worker-" + strconv.Itoa(wid)
 	node, err := l.sys.Initialize(MCADomain, mcaWorkerBase+mrapi.NodeID(wid), &mrapi.NodeAttributes{
-		Name:     fmt.Sprintf("omp-worker-%d", wid),
+		Name:     name,
 		Affinity: wid,
 	})
 	if err != nil {
@@ -149,7 +151,7 @@ func (l *MCALayer) StartWorker(wid int, loop func()) (Worker, error) {
 	l.mu.Unlock()
 
 	th, err := node.SpawnThread(mrapi.ThreadParams{
-		Name:  fmt.Sprintf("omp-worker-%d", wid),
+		Name:  name,
 		Start: loop,
 	})
 	if err != nil {

@@ -375,3 +375,29 @@ func TestMCALayerAllocDebugIgnoresForeignBuffer(t *testing.T) {
 		t.Errorf("FreeMisses = %d, want 1", got)
 	}
 }
+
+// TestMCARestartAllocs bounds what one MCA runtime boot costs: the
+// board's MRAPI universe, the layer, a 4-thread runtime, its first (empty)
+// region and Close. Beyond what the native layer allocates, a boot should
+// pay for the tree's arena and for MRAPI node and thread registration.
+func TestMCARestartAllocs(t *testing.T) {
+	restart := func() {
+		l, err := NewMCALayer(platform.T4240RDB().NewSystem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(WithLayer(l), WithNumThreads(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Parallel(func(*Context) {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, restart); n > 250 {
+		t.Errorf("an MCA restart allocates %.0f objects, want <= 250", n)
+	}
+}

@@ -2,7 +2,7 @@ package mrapi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -60,19 +60,21 @@ type Resource struct {
 	Type     ResourceType
 	Children []*Resource
 
-	mu      sync.RWMutex
-	static  map[string]any
-	dynamic map[string]func() any
+	mu    sync.RWMutex
+	attrs []attr // sorted by name, one slot per name
+}
+
+// attr is one attribute slot: a static value, or a getter read on each
+// access when get is set.
+type attr struct {
+	name  string
+	value any
+	get   func() any
 }
 
 // NewResource creates a resource tree node.
 func NewResource(name string, typ ResourceType) *Resource {
-	return &Resource{
-		Name:    name,
-		Type:    typ,
-		static:  make(map[string]any),
-		dynamic: make(map[string]func() any),
-	}
+	return &Resource{Name: name, Type: typ}
 }
 
 // AddChild appends a child and returns it for chaining.
@@ -81,19 +83,35 @@ func (r *Resource) AddChild(c *Resource) *Resource {
 	return c
 }
 
-// SetAttr sets a static attribute.
+// SetAttr sets a static attribute, replacing any attribute of that name.
 func (r *Resource) SetAttr(name string, value any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.static[name] = value
+	r.set(attr{name: name, value: value})
 }
 
 // SetDynamicAttr installs a live attribute whose value is fetched on each
-// read (mrapi_dynamic_attributes).
+// read (mrapi_dynamic_attributes), replacing any attribute of that name.
 func (r *Resource) SetDynamicAttr(name string, get func() any) {
+	r.set(attr{name: name, get: get})
+}
+
+// set stores a in its sorted slot: in place over an attribute of the same
+// name, otherwise inserted.
+func (r *Resource) set(a attr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dynamic[name] = get
+	if i, ok := r.find(a.name); ok {
+		r.attrs[i] = a
+	} else {
+		r.attrs = slices.Insert(r.attrs, i, a)
+	}
+}
+
+// find returns the slot of the named attribute, or where it would go.
+// Callers hold r.mu.
+func (r *Resource) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.attrs, name, func(a attr, name string) int {
+		return strings.Compare(a.name, name)
+	})
 }
 
 // Attr reads an attribute (static or dynamic). The boolean reports
@@ -101,25 +119,24 @@ func (r *Resource) SetDynamicAttr(name string, get func() any) {
 func (r *Resource) Attr(name string) (any, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if g, ok := r.dynamic[name]; ok {
-		return g(), true
+	i, ok := r.find(name)
+	if !ok {
+		return nil, false
 	}
-	v, ok := r.static[name]
-	return v, ok
+	if get := r.attrs[i].get; get != nil {
+		return get(), true
+	}
+	return r.attrs[i].value, true
 }
 
 // AttrNames returns the sorted attribute names.
 func (r *Resource) AttrNames() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.static)+len(r.dynamic))
-	for k := range r.static {
-		names = append(names, k)
+	names := make([]string, len(r.attrs))
+	for i := range r.attrs {
+		names[i] = r.attrs[i].name
 	}
-	for k := range r.dynamic {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	return names
 }
 
@@ -171,6 +188,51 @@ func (r *Resource) render(b *strings.Builder, depth int) {
 	}
 }
 
+// TreeArena backs one metadata tree with one slice each of resources,
+// attribute slots and child links. A builder that counts its tree first
+// then builds it in three allocations, whatever its size. The arena hands
+// out pointers into its resource slice and never copies a Resource.
+type TreeArena struct {
+	res   []Resource
+	attrs []attr
+	links []*Resource
+}
+
+// NewTreeArena sizes an arena for a tree of resources nodes holding attrs
+// attributes and links child links in all.
+func NewTreeArena(resources, attrs, links int) TreeArena {
+	return TreeArena{
+		res:   make([]Resource, resources),
+		attrs: make([]attr, attrs),
+		links: make([]*Resource, links),
+	}
+}
+
+// NewResource takes the next resource from the arena with room for nattrs
+// attributes and nchildren children. A resource past the arena's sizing,
+// or an attribute or child past its room, comes from the heap: a miscount
+// costs allocations, never a wrong tree.
+func (a *TreeArena) NewResource(name string, typ ResourceType, nattrs, nchildren int) *Resource {
+	var r *Resource
+	if len(a.res) > 0 {
+		r, a.res = &a.res[0], a.res[1:]
+	} else {
+		r = new(Resource)
+	}
+	r.Name, r.Type = name, typ
+	r.attrs, a.attrs = carve(a.attrs, nattrs)
+	r.Children, a.links = carve(a.links, nchildren)
+	return r
+}
+
+// carve splits an empty slice with capacity n off the front of s.
+func carve[T any](s []T, n int) (part, rest []T) {
+	if n > len(s) {
+		return nil, s
+	}
+	return s[:0:n], s[n:]
+}
+
 // ResourcesGet returns the system resource tree root (mrapi_resources_get).
 // The paper's runtime uses this to discover how many processors are online
 // (§5B4). It fails with ErrResourceInvalid when the system carries no
@@ -196,17 +258,26 @@ func (n *Node) ProcessorsOnline() int {
 	if err != nil {
 		return 1
 	}
-	online := 0
-	for _, hw := range root.Filter(ResHWThread) {
-		if v, ok := hw.Attr("online"); ok {
+	if online := root.onlineHWThreads(); online > 0 {
+		return online
+	}
+	return 1
+}
+
+// onlineHWThreads counts the tree's hardware threads, less those whose
+// "online" attribute reads false.
+func (r *Resource) onlineHWThreads() int {
+	n := 0
+	if r.Type == ResHWThread {
+		n++
+		if v, ok := r.Attr("online"); ok {
 			if b, isBool := v.(bool); isBool && !b {
-				continue
+				n--
 			}
 		}
-		online++
 	}
-	if online == 0 {
-		return 1
+	for _, c := range r.Children {
+		n += c.onlineHWThreads()
 	}
-	return online
+	return n
 }

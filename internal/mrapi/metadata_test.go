@@ -125,3 +125,54 @@ func TestResourceTypeString(t *testing.T) {
 		t.Errorf("unknown type = %q", got)
 	}
 }
+
+func TestSetAttrReplaces(t *testing.T) {
+	r := NewResource("x", ResHWThread)
+	r.SetAttr("online", true)
+	r.SetDynamicAttr("online", func() any { return false })
+	if names := r.AttrNames(); len(names) != 1 || names[0] != "online" {
+		t.Errorf("names = %v, want one slot", names)
+	}
+	if v, _ := r.Attr("online"); v != false {
+		t.Errorf("online = %v, want the getter's false", v)
+	}
+	r.SetAttr("online", true)
+	if v, _ := r.Attr("online"); v != true {
+		t.Errorf("online = %v, want the static true", v)
+	}
+}
+
+// arenaMiniTree is miniTree built from a TreeArena holding room for
+// resources nodes (miniTree has 7).
+func arenaMiniTree(resources int) *Resource {
+	a := NewTreeArena(resources, 1+2*2+2*2*2, resources-1)
+	root := a.NewResource("testboard", ResSystem, 1, 2)
+	root.SetAttr("cores", 2)
+	for c := 0; c < 2; c++ {
+		cpu := a.NewResource("core", ResCPU, 2, 2)
+		cpu.SetAttr("mhz", 1800)
+		cpu.SetAttr("index", c)
+		for h := 0; h < 2; h++ {
+			hw := a.NewResource("hwthread", ResHWThread, 2, 0)
+			hw.SetAttr("online", true)
+			hw.SetAttr("index", c*2+h)
+			cpu.AddChild(hw)
+		}
+		root.AddChild(cpu)
+	}
+	return root
+}
+
+func TestTreeArenaBuildsSameTree(t *testing.T) {
+	want := miniTree().Render()
+	// Exactly sized, and short of room: a miscount costs allocations,
+	// never a different tree.
+	for _, resources := range []int{7, 3} {
+		if got := arenaMiniTree(resources).Render(); got != want {
+			t.Errorf("arena of %d resources:\n%s\nwant:\n%s", resources, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { arenaMiniTree(7) }); n > 3 {
+		t.Errorf("an exactly sized arena tree allocates %.0f objects, want 3", n)
+	}
+}

@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -277,64 +278,122 @@ func (b *Board) Validate() error {
 // structure mrapi_resources_get hands to the runtime (§5B4). Each hardware
 // thread carries a dynamic "online" attribute backed by the board's
 // online-mask so metadata consumers observe hotplug.
+//
+// The tree is counted first, then built from one arena and one names
+// buffer, with each distinct attribute value boxed once: a runtime boot
+// pays for its nodes and threads, not for describing the board.
 func (b *Board) ResourceTree() *mrapi.Resource {
-	root := mrapi.NewResource(b.Name, mrapi.ResSystem)
+	clusters, cores := 0, b.Cores
+	if b.CoresPerCluster > 1 {
+		clusters = b.Clusters()
+		cores = clusters * b.CoresPerCluster
+	}
+	hwThreads := cores * b.ThreadsPerCore
+	simd := 0
+	if b.SIMD != "" {
+		simd = 1
+	}
+
+	// Each cache level's name and boxed values, shared by all its copies.
+	type cacheAttrs struct {
+		name            string
+		sizeKB, latency any
+	}
+	caches := make([]cacheAttrs, len(b.Caches))
+	var chipCaches, clusterCaches, coreCaches, cacheNameBytes int
+	for _, c := range b.Caches {
+		switch c.SharedBy {
+		case "chip":
+			chipCaches++
+		case "cluster":
+			clusterCaches++
+		case "core":
+			coreCaches++
+		}
+		cacheNameBytes += nameBytes(1, len("L"), c.Level)
+	}
+	resources := 2 + chipCaches + b.DDRControllers + len(b.Accelerators) +
+		clusters*(1+clusterCaches) + cores*(1+coreCaches) + hwThreads
+	attrs := 5 + 2*chipCaches + b.DDRControllers + 2*clusters*clusterCaches +
+		cores*(2+simd+coreCaches) + 2*hwThreads
+	arena := mrapi.NewTreeArena(resources, attrs, resources-1)
+
+	var names treeNames
+	names.sb.Grow(cacheNameBytes +
+		nameBytes(b.DDRControllers, len("DDR"), b.DDRControllers) +
+		nameBytes(clusters, len("cluster-"), clusters) +
+		nameBytes(cores, len(b.CoreModel)+1, cores) +
+		nameBytes(hwThreads, len("cpu"), hwThreads))
+	for i, c := range b.Caches {
+		caches[i] = cacheAttrs{names.make("L", "", c.Level), c.SizeKB, c.LatencyCycles}
+	}
+	mhz := any(b.FreqMHz)
+
+	root := arena.NewResource(b.Name, mrapi.ResSystem, 5, 1)
 	root.SetAttr("core_model", b.CoreModel)
 	root.SetAttr("isa", b.ISA)
-	root.SetAttr("mhz", b.FreqMHz)
+	root.SetAttr("mhz", mhz)
 	root.SetAttr("process_nm", b.ProcessNm)
 	root.SetAttr("mem_mb", b.MemMB)
 
-	fabric := root.AddChild(mrapi.NewResource(b.Fabric, mrapi.ResFabric))
-	for _, c := range b.Caches {
+	processors := cores // the fabric's processor children: cores, or their clusters
+	if clusters > 0 {
+		processors = clusters
+	}
+	fabric := root.AddChild(arena.NewResource(b.Fabric, mrapi.ResFabric,
+		0, chipCaches+b.DDRControllers+len(b.Accelerators)+processors))
+	for i, c := range b.Caches {
 		if c.SharedBy == "chip" {
-			l3 := mrapi.NewResource(fmt.Sprintf("L%d", c.Level), mrapi.ResCache)
-			l3.SetAttr("size_kb", c.SizeKB)
-			l3.SetAttr("latency_cycles", c.LatencyCycles)
+			l3 := arena.NewResource(caches[i].name, mrapi.ResCache, 2, 0)
+			l3.SetAttr("size_kb", caches[i].sizeKB)
+			l3.SetAttr("latency_cycles", caches[i].latency)
 			fabric.AddChild(l3)
 		}
 	}
-	for d := 0; d < b.DDRControllers; d++ {
-		mem := mrapi.NewResource(fmt.Sprintf("DDR%d", d+1), mrapi.ResMemory)
-		mem.SetAttr("size_mb", b.MemMB/b.DDRControllers)
-		fabric.AddChild(mem)
+	if b.DDRControllers > 0 {
+		share := any(b.MemMB / b.DDRControllers)
+		for d := 0; d < b.DDRControllers; d++ {
+			mem := arena.NewResource(names.make("DDR", "", d+1), mrapi.ResMemory, 1, 0)
+			mem.SetAttr("size_mb", share)
+			fabric.AddChild(mem)
+		}
 	}
 	for _, acc := range b.Accelerators {
-		fabric.AddChild(mrapi.NewResource(acc, mrapi.ResAccelerator))
+		fabric.AddChild(arena.NewResource(acc, mrapi.ResAccelerator, 0, 0))
 	}
 
+	simdName := any(b.SIMD)
 	addCore := func(parent *mrapi.Resource, coreIdx int) {
-		cpu := mrapi.NewResource(fmt.Sprintf("%s-%d", b.CoreModel, coreIdx), mrapi.ResCPU)
+		cpu := arena.NewResource(names.make(b.CoreModel, "-", coreIdx), mrapi.ResCPU,
+			2+simd, coreCaches+b.ThreadsPerCore)
 		cpu.SetAttr("index", coreIdx)
-		cpu.SetAttr("mhz", b.FreqMHz)
-		if b.SIMD != "" {
-			cpu.SetAttr("simd", b.SIMD)
+		cpu.SetAttr("mhz", mhz)
+		if simd > 0 {
+			cpu.SetAttr("simd", simdName)
 		}
-		for _, c := range b.Caches {
+		for i, c := range b.Caches {
 			if c.SharedBy == "core" {
-				cache := mrapi.NewResource(fmt.Sprintf("L%d", c.Level), mrapi.ResCache)
-				cache.SetAttr("size_kb", c.SizeKB)
+				cache := arena.NewResource(caches[i].name, mrapi.ResCache, 1, 0)
+				cache.SetAttr("size_kb", caches[i].sizeKB)
 				cpu.AddChild(cache)
 			}
 		}
 		for s := 0; s < b.ThreadsPerCore; s++ {
-			hwIdx := coreIdx*b.ThreadsPerCore + s
-			hw := mrapi.NewResource(fmt.Sprintf("cpu%d", hwIdx), mrapi.ResHWThread)
-			hw.SetAttr("index", hwIdx)
-			hw.SetDynamicAttr("online", func() any { return b.Online(hwIdx) })
-			cpu.AddChild(hw)
+			addHWThread(&arena, &names, cpu, b, coreIdx*b.ThreadsPerCore+s)
 		}
 		parent.AddChild(cpu)
 	}
 
-	if b.CoresPerCluster > 1 {
-		for cl := 0; cl < b.Clusters(); cl++ {
-			cluster := mrapi.NewResource(fmt.Sprintf("cluster-%d", cl), mrapi.ResCluster)
-			for _, c := range b.Caches {
+	if clusters > 0 {
+		banks := any(b.CoresPerCluster)
+		for cl := 0; cl < clusters; cl++ {
+			cluster := arena.NewResource(names.make("cluster", "-", cl), mrapi.ResCluster,
+				0, clusterCaches+b.CoresPerCluster)
+			for i, c := range b.Caches {
 				if c.SharedBy == "cluster" {
-					l2 := mrapi.NewResource(fmt.Sprintf("L%d", c.Level), mrapi.ResCache)
-					l2.SetAttr("size_kb", c.SizeKB)
-					l2.SetAttr("banks", b.CoresPerCluster)
+					l2 := arena.NewResource(caches[i].name, mrapi.ResCache, 2, 0)
+					l2.SetAttr("size_kb", caches[i].sizeKB)
+					l2.SetAttr("banks", banks)
 					cluster.AddChild(l2)
 				}
 			}
@@ -349,6 +408,41 @@ func (b *Board) ResourceTree() *mrapi.Resource {
 		}
 	}
 	return root
+}
+
+// addHWThread adds hardware thread hwIdx under cpu, with its static index
+// and its "online" attribute read live from the board.
+func addHWThread(arena *mrapi.TreeArena, names *treeNames, cpu *mrapi.Resource, b *Board, hwIdx int) {
+	hw := arena.NewResource(names.make("cpu", "", hwIdx), mrapi.ResHWThread, 2, 0)
+	hw.SetAttr("index", hwIdx)
+	hw.SetDynamicAttr("online", func() any { return b.Online(hwIdx) })
+	cpu.AddChild(hw)
+}
+
+// treeNames builds one tree's generated resource names ("cpu12",
+// "cluster-2") into one buffer, so they cost one allocation rather than
+// one each. A name stays valid as the buffer grows: a strings.Builder
+// never rewrites the bytes it has handed out.
+type treeNames struct{ sb strings.Builder }
+
+// make returns prefix, sep and the decimal n, as one name.
+func (t *treeNames) make(prefix, sep string, n int) string {
+	start := t.sb.Len()
+	t.sb.WriteString(prefix)
+	t.sb.WriteString(sep)
+	var digits [20]byte
+	t.sb.Write(strconv.AppendInt(digits[:0], int64(n), 10))
+	return t.sb.String()[start:]
+}
+
+// nameBytes bounds the bytes of count names, each a prefix of prefixLen
+// bytes followed by a decimal no larger than maxN.
+func nameBytes(count, prefixLen, maxN int) int {
+	digits := 1
+	for ; maxN >= 10; maxN /= 10 {
+		digits++
+	}
+	return count * (prefixLen + digits)
 }
 
 // NewSystem builds a fresh MRAPI universe whose metadata is this board's

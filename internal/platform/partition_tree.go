@@ -1,8 +1,7 @@
 package platform
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"openmpmca/internal/mrapi"
 )
@@ -12,7 +11,8 @@ import (
 // threads (and the cores/clusters containing them), its memory share, and
 // its pass-through I/O devices. This is how an OpenMP runtime deployed in
 // one hypervisor partition sizes itself to the partition instead of the
-// whole board (§4A's partitioning put to work).
+// whole board (§4A's partitioning put to work). Like Board.ResourceTree,
+// it counts the tree first and builds it from one arena.
 func (h *Hypervisor) PartitionResourceTree(name string) (*mrapi.Resource, error) {
 	p, err := h.Partition(name)
 	if err != nil {
@@ -20,67 +20,89 @@ func (h *Hypervisor) PartitionResourceTree(name string) (*mrapi.Resource, error)
 	}
 	b := h.board
 
-	owned := make(map[int]bool, len(p.CPUs))
-	for _, c := range p.CPUs {
-		owned[c] = true
+	// Sorted, a core's threads are adjacent and cores and clusters ascend,
+	// so each cluster and each core is a run of the list.
+	cpus := p.CPUs
+	if !slices.IsSorted(cpus) {
+		cpus = slices.Sorted(slices.Values(cpus))
+	}
+	coreOf := func(hw int) int { _, core, _ := b.Location(hw); return core }
+	clusterOf := func(hw int) int { cluster, _, _ := b.Location(hw); return cluster }
+	clustered := b.CoresPerCluster > 1
+	cores, clusters, last := runs(cpus, coreOf), 0, 0
+	if clustered {
+		clusters = runs(cpus, clusterOf)
+	}
+	if len(cpus) > 0 {
+		last = cpus[len(cpus)-1]
 	}
 
-	root := mrapi.NewResource(fmt.Sprintf("%s/%s", b.Name, p.Name), mrapi.ResSystem)
-	root.SetAttr("guest", string(p.Guest))
-	root.SetAttr("mhz", b.FreqMHz)
-	root.SetAttr("mem_mb", p.MemMB)
+	resources := 3 + len(p.IOmask) + clusters + cores + len(cpus)
+	arena := mrapi.NewTreeArena(resources, 4+2*cores+2*len(cpus), resources-1)
+	var names treeNames
+	names.sb.Grow(nameBytes(clusters, len("cluster-"), clusterOf(last)) +
+		nameBytes(cores, len(b.CoreModel)+1, coreOf(last)) +
+		nameBytes(len(cpus), len("cpu"), last))
+	mhz, memMB := any(b.FreqMHz), any(p.MemMB)
 
-	fabric := root.AddChild(mrapi.NewResource(b.Fabric, mrapi.ResFabric))
-	mem := mrapi.NewResource("DDR-share", mrapi.ResMemory)
-	mem.SetAttr("size_mb", p.MemMB)
+	root := arena.NewResource(b.Name+"/"+p.Name, mrapi.ResSystem, 3, 1)
+	root.SetAttr("guest", string(p.Guest))
+	root.SetAttr("mhz", mhz)
+	root.SetAttr("mem_mb", memMB)
+
+	processors := cores // the fabric's processor children: cores, or their clusters
+	if clustered {
+		processors = clusters
+	}
+	fabric := root.AddChild(arena.NewResource(b.Fabric, mrapi.ResFabric, 0, 1+len(p.IOmask)+processors))
+	mem := arena.NewResource("DDR-share", mrapi.ResMemory, 1, 0)
+	mem.SetAttr("size_mb", memMB)
 	fabric.AddChild(mem)
 	for _, dev := range p.IOmask {
-		fabric.AddChild(mrapi.NewResource(dev, mrapi.ResAccelerator))
+		fabric.AddChild(arena.NewResource(dev, mrapi.ResAccelerator, 0, 0))
 	}
 
-	// Group the owned hardware threads by core, cores by cluster.
-	coreThreads := make(map[int][]int)
-	for _, hw := range p.CPUs {
-		_, core, _ := b.Location(hw)
-		coreThreads[core] = append(coreThreads[core], hw)
-	}
-	cores := make([]int, 0, len(coreThreads))
-	for c := range coreThreads {
-		cores = append(cores, c)
-	}
-	sort.Ints(cores)
-
-	clusters := make(map[int]*mrapi.Resource)
-	parentFor := func(coreIdx int) *mrapi.Resource {
-		if b.CoresPerCluster <= 1 {
-			return fabric
+	for rest := cpus; len(rest) > 0; {
+		parent, group := fabric, rest
+		if clustered {
+			group = leadingRun(rest, clusterOf)
+			parent = fabric.AddChild(arena.NewResource(names.make("cluster", "-", clusterOf(group[0])),
+				mrapi.ResCluster, 0, runs(group, coreOf)))
 		}
-		cl := coreIdx / b.CoresPerCluster
-		node, ok := clusters[cl]
-		if !ok {
-			node = mrapi.NewResource(fmt.Sprintf("cluster-%d", cl), mrapi.ResCluster)
-			clusters[cl] = node
-			fabric.AddChild(node)
+		for threads := group; len(threads) > 0; {
+			core := leadingRun(threads, coreOf)
+			coreIdx := coreOf(core[0])
+			cpu := arena.NewResource(names.make(b.CoreModel, "-", coreIdx), mrapi.ResCPU, 2, len(core))
+			cpu.SetAttr("index", coreIdx)
+			cpu.SetAttr("mhz", mhz)
+			for _, hw := range core {
+				addHWThread(&arena, &names, cpu, b, hw)
+			}
+			parent.AddChild(cpu)
+			threads = threads[len(core):]
 		}
-		return node
-	}
-
-	for _, coreIdx := range cores {
-		cpu := mrapi.NewResource(fmt.Sprintf("%s-%d", b.CoreModel, coreIdx), mrapi.ResCPU)
-		cpu.SetAttr("index", coreIdx)
-		cpu.SetAttr("mhz", b.FreqMHz)
-		hws := coreThreads[coreIdx]
-		sort.Ints(hws)
-		for _, hw := range hws {
-			hwIdx := hw
-			res := mrapi.NewResource(fmt.Sprintf("cpu%d", hwIdx), mrapi.ResHWThread)
-			res.SetAttr("index", hwIdx)
-			res.SetDynamicAttr("online", func() any { return b.Online(hwIdx) })
-			cpu.AddChild(res)
-		}
-		parentFor(coreIdx).AddChild(cpu)
+		rest = rest[len(group):]
 	}
 	return root, nil
+}
+
+// leadingRun returns the longest prefix of s whose elements share
+// key(s[0]).
+func leadingRun(s []int, key func(int) int) []int {
+	n := 1
+	for n < len(s) && key(s[n]) == key(s[0]) {
+		n++
+	}
+	return s[:n]
+}
+
+// runs counts the runs of equal key in s.
+func runs(s []int, key func(int) int) int {
+	n := 0
+	for rest := s; len(rest) > 0; rest = rest[len(leadingRun(rest, key)):] {
+		n++
+	}
+	return n
 }
 
 // PartitionSystem builds an MRAPI universe scoped to the partition —

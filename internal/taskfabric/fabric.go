@@ -347,6 +347,12 @@ type arrival struct {
 	pkt []byte
 }
 
+// readmission is one ReadmitDomain call waiting on the scheduler.
+type readmission struct {
+	dom   int
+	reply chan error
+}
+
 // localDone is one task completed by the host's local executor.
 type localDone struct {
 	t       *task
@@ -388,6 +394,7 @@ type Fabric struct {
 	localQ      chan *task
 	localDoneCh chan localDone
 	lostCh      chan int
+	readmitCh   chan readmission
 	cancelCh    chan *Group
 	stopCh      chan struct{}
 	wg          sync.WaitGroup
@@ -439,6 +446,7 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 		localQ:      make(chan *task, 4),
 		localDoneCh: make(chan localDone),
 		lostCh:      make(chan int, cfg.domains),
+		readmitCh:   make(chan readmission),
 		cancelCh:    make(chan *Group),
 		stopCh:      make(chan struct{}),
 	}
@@ -577,6 +585,11 @@ func (f *Fabric) KillDomain(i int) error {
 // ReadmitDomain returns a lost (and since restarted) domain to service:
 // restart the worker's service loops, then clear the health record so
 // the monitor resumes pinging it. Only a lost domain can be readmitted.
+//
+// The scheduler does the readmission, and only once it has taken the
+// domain's loss notice and reclaimed the flights sent there before the
+// loss. A notice taken after the readmission would reclaim flights sent
+// to the live, readmitted domain.
 func (f *Fabric) ReadmitDomain(i int) error {
 	if f.closed.Load() {
 		return ErrClosed
@@ -584,16 +597,18 @@ func (f *Fabric) ReadmitDomain(i int) error {
 	if i < 0 || i >= len(f.links) {
 		return oerrors.Errorf(oerrors.Admission, oerrors.CodeInvalidOption, "taskfabric: no domain %d", i)
 	}
-	l := f.links[i]
-	if !l.health.Lost() {
-		return oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s is not lost", l.w.name)
+	req := readmission{dom: i, reply: make(chan error, 1)}
+	select {
+	case f.readmitCh <- req:
+	case <-f.stopCh:
+		return ErrClosed
 	}
-	l.w.restart()
-	if !l.health.Readmit(time.Now().UnixNano()) {
-		return oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s readmitted concurrently", l.w.name)
+	select {
+	case err := <-req.reply:
+		return err
+	case <-f.stopCh:
+		return ErrClosed
 	}
-	f.st.readmissions.Add(1)
-	return nil
 }
 
 // SubmitJob submits one ungrouped task executing the named job with the
@@ -709,9 +724,11 @@ func (f *Fabric) healthLoop() {
 		func(i int) {
 			f.st.domainsLost.Add(1)
 			f.links[i].w.Kill()
+			// Never full: a domain has at most one notice pending, since
+			// it is readmitted only after the scheduler takes it.
 			select {
 			case f.lostCh <- i:
-			default:
+			case <-f.stopCh:
 			}
 		},
 		func() { f.st.heartbeats.Add(1) },
@@ -855,6 +872,19 @@ func (f *Fabric) scheduler() {
 		pending = rest
 	}
 
+	// noticed[li]: li's loss notice is taken and li not yet readmitted.
+	// parked[li]: a readmission of li waiting for that notice.
+	noticed := make([]bool, len(f.links))
+	parked := make([]chan error, len(f.links))
+	readmit := func(li int, reply chan error) {
+		l := f.links[li]
+		l.w.restart()
+		l.health.Readmit(time.Now().UnixNano())
+		noticed[li] = false
+		f.st.readmissions.Add(1)
+		reply <- nil
+	}
+
 	// reclaim pulls a task back from a failed dispatch for another try;
 	// past the retry budget (or after domain loss) it pins local.
 	reclaim := func(t *task, toLocal bool) {
@@ -983,7 +1013,26 @@ func (f *Fabric) scheduler() {
 				reclaim(t, true)
 			}
 			f.links[li].occ.Store(0)
+			noticed[li] = true
+			if reply := parked[li]; reply != nil {
+				parked[li] = nil
+				readmit(li, reply)
+			}
 			pump()
+
+		case r := <-f.readmitCh:
+			l := f.links[r.dom]
+			switch {
+			case !l.health.Lost():
+				r.reply <- oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s is not lost", l.w.name)
+			case parked[r.dom] != nil:
+				r.reply <- oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s readmitted concurrently", l.w.name)
+			case noticed[r.dom]:
+				readmit(r.dom, r.reply)
+				pump()
+			default:
+				parked[r.dom] = r.reply
+			}
 
 		case g := <-f.cancelCh:
 			for id, t := range tasks {

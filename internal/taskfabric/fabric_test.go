@@ -229,6 +229,63 @@ func TestReadmitDomain(t *testing.T) {
 	}
 }
 
+// TestReadmitWaitsForLossNotice: a readmission waits until the scheduler
+// has taken the domain's loss notice. The test stands in for a health
+// monitor stalled between marking domain 0 lost and queuing its notice.
+// Had ReadmitDomain returned first, the late notice would reclaim the
+// flights sent to the readmitted domain, and they would settle with
+// ErrDomainLost.
+func TestReadmitWaitsForLossNotice(t *testing.T) {
+	f, err := NewFabric(testRegistry(t),
+		WithDomains(2),
+		WithHeartbeat(time.Hour), // the monitor never judges a domain
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	l := f.links[0]
+	l.health.MarkLost()
+	l.w.Kill()
+	done := make(chan error, 1)
+	go func() { done <- f.ReadmitDomain(0) }()
+	select {
+	case err := <-done:
+		t.Fatalf("ReadmitDomain returned %v before the scheduler took the loss notice", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	f.lostCh <- 0
+	if err := <-done; err != nil {
+		t.Fatalf("ReadmitDomain: %v", err)
+	}
+	if err := f.ReadmitDomain(0); err == nil {
+		t.Error("ReadmitDomain accepted a domain it had just readmitted")
+	}
+
+	g := f.NewGroup()
+	var hs []*TaskHandle
+	for i := 0; i < 8; i++ {
+		h, err := g.SubmitJob("sleepsum", sleepSumArg(2, uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	for i, h := range hs {
+		res, err := h.Wait(TimeoutInfinite)
+		if err != nil {
+			t.Fatalf("task %d after readmission: %v", i, err)
+		}
+		if got := decodeU64(t, res); got != uint64(i) {
+			t.Errorf("task %d = %d", i, got)
+		}
+	}
+	if infos := f.DomainInfos(); !infos[0].Live {
+		t.Error("domain 0 not live after readmission")
+	}
+}
+
 // loopsParked reports whether every service loop of every domain has
 // published a receive request in its slot.
 func loopsParked(f *Fabric) bool {
