@@ -30,8 +30,10 @@ test-benchmark:
 # the MCAPI receive-request tests (a cancel racing an arrival), and the
 # boot count pins (a board's metadata tree rendered as before, its
 # allocations bounded, hotplug per board; the MCA restart's pin is in
-# ./internal/core), 20 times each, on one and two procs. CI runs this on
-# every push.
+# ./internal/core), and the durable restart pins (which layouts Open
+# appends to and Close folds, the fsyncs of each, journal order across
+# restarts, the allocations of Open and of the service's rebuild), 20
+# times each, on one and two procs. CI runs this on every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
@@ -39,17 +41,21 @@ SOAK_MCAPI = -run 'TestRecvRequestNeverLosesPacket|TestParkedRecv|TestMsgRecvI|T
 	./internal/mcapi
 SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestHotplugIsPerBoard' \
 	./internal/platform
+SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestRecoverFromStoreAllocs' \
+	./internal/durable ./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_REGIONS)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_EVENTS)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_MCAPI)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_BOOT)
+	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_DURABLE)
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_REGIONS)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_EVENTS)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_MCAPI)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_BOOT)
+	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_DURABLE)
 
 race:
 	$(GO) test -race ./...

@@ -6,6 +6,8 @@ package openmpmca
 //	BenchmarkTable1/*      — EPCC overhead ratio per directive (Table I)
 //	BenchmarkBoot/*        — one runtime boot per layer (Table I's
 //	                         differencing applied to boot)
+//	BenchmarkReopen        — one durable job-service restart, per
+//	                         thousand replayed jobs
 //	BenchmarkFigure4/*     — NAS kernel scaling, MCA vs native (Figure 4)
 //	BenchmarkFigure1       — board model construction/diagram (Figure 1)
 //	BenchmarkAblation*     — barrier algorithm, shmem kind, pool reuse,
@@ -20,12 +22,14 @@ package openmpmca
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"openmpmca/internal/board"
 	"openmpmca/internal/core"
+	"openmpmca/internal/durable"
 	"openmpmca/internal/epcc"
 	"openmpmca/internal/mcapi"
 	"openmpmca/internal/mrapi"
@@ -143,6 +147,68 @@ func BenchmarkBoot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReopen restarts a durable job service the way a graceful
+// restart does: Close of the running service, which closes its store,
+// then a new service over the same state dir, which opens the store and
+// rebuilds the service's job tables from it. The dir holds 1 000 settled
+// jobs and nothing changes between restarts, so this is the restart
+// after a restart; it reports ms per thousand replayed jobs, the unit of
+// the full-stack svc_durable restart_ms.
+func BenchmarkReopen(b *testing.B) {
+	const jobs = 1000
+	dir := b.TempDir()
+	st, err := durable.Open(dir, durable.WithFsync(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i <= jobs; i++ {
+		id := "j-" + strconv.Itoa(i)
+		for _, e := range []durable.Entry{
+			{Op: durable.OpAccept, ID: id, Tenant: "alice", Kind: "task", Name: "sum", Arg: make([]byte, 16)},
+			{Op: durable.OpDispatch, ID: id},
+			{Op: durable.OpSettle, ID: id, Status: durable.StatusSucceeded, Result: make([]byte, 8)},
+		} {
+			if err := st.Append(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	reg := NewJobRegistry()
+	fab, err := NewTaskFabric(reg, WithFabricDomains(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fab.Close()
+	open := func() *JobService {
+		svc, err := NewJobService(fab, reg, WithServiceStateDir(dir),
+			WithServiceTenants(Tenant{Name: "alice", Key: "k", Quota: 1, Priority: ServicePriorityNormal}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := svc.DurableStats().ReplayedJobs; n != jobs {
+			b.Fatalf("replayed %d jobs, want %d", n, jobs)
+		}
+		return svc
+	}
+	svc := open()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := svc.Close(); err != nil {
+			b.Fatal(err)
+		}
+		svc = open()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6/(jobs/1000), "ms/kjob")
+	if err := svc.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

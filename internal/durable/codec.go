@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"slices"
-	"strings"
 
 	"openmpmca/internal/oerrors"
 )
@@ -17,11 +15,12 @@ import (
 //
 // in a fixed order per tag. A journal entry's tag is its op. A
 // snapshot file is a header record (generation, write time, job count,
-// group count), then one frame per job and one per group, each in ID
-// order, and nothing after — so no frame grows with the state. Readers
-// are strict: an unknown tag, a length past the payload, a padded
-// varint, a flag other than 0 or 1, or a byte left over invalidates the
-// record, which makes a decoded state re-encode to the same bytes.
+// group count), then one frame per job and one per group, each in the
+// state's journal order, and nothing after — so no frame grows with the
+// state. Readers are strict: an unknown tag, a length past the payload,
+// a padded varint, a flag other than 0 or 1, a byte left over or a
+// second frame for one ID invalidates the record or image, which makes
+// a decoded state re-encode to the same bytes.
 //
 // Version-1 stores wrote JSON payloads (a snapshot was one frame
 // holding the whole state). JSON starts with '{', which no tag uses, so
@@ -143,6 +142,20 @@ func (r *reader) bytes() []byte {
 
 func (r *reader) string() string { return string(r.bytes()) }
 
+// interner hands out one string per distinct value of the fields that
+// repeat from job to job (tenant, kind, name, status), so a decoded
+// snapshot allocates each value once, not once per job.
+type interner map[string]string
+
+func (in interner) of(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	in[s] = s
+	return s
+}
+
 // ---------------------------------------------------------------------------
 // Journal entries.
 
@@ -223,14 +236,14 @@ func appendJobState(b []byte, j *JobState) []byte {
 	return appendFlag(b, j.Recovered)
 }
 
-func decodeJobState(p []byte, j *JobState) bool {
+func decodeJobState(p []byte, j *JobState, in interner) bool {
 	r := reader{b: p}
 	if r.tag() != tagJobState {
 		return false
 	}
 	*j = JobState{
-		ID: r.string(), Tenant: r.string(), Kind: r.string(), Name: r.string(),
-		Arg: r.bytes(), Group: r.string(), Status: r.string(), Result: r.bytes(),
+		ID: r.string(), Tenant: in.of(r.bytes()), Kind: in.of(r.bytes()), Name: in.of(r.bytes()),
+		Arg: r.bytes(), Group: r.string(), Status: in.of(r.bytes()), Result: r.bytes(),
 		Error: r.string(), N: int(r.varint()), SubmittedNs: r.varint(),
 		StartedNs: r.varint(), FinishedNs: r.varint(), Recovered: r.flag(),
 	}
@@ -265,38 +278,32 @@ var (
 )
 
 // encodeSnapshot renders the state as a snapshot file image: the
-// header frame, then one frame per job and per group, in ID order so
-// identical states serialize identically.
+// header frame, then one frame per job and per group, in the state's
+// journal order, which decoding keeps.
 func encodeSnapshot(st *State, gen uint64, at int64) ([]byte, error) {
 	size := frameHeaderLen + 1 + 4*binary.MaxVarintLen64
-	jobs := make([]*JobState, 0, len(st.Jobs))
-	for _, j := range st.Jobs {
-		jobs = append(jobs, j)
+	for _, j := range st.JobOrder {
 		size += frameHeaderLen + j.recordBound()
 	}
-	slices.SortFunc(jobs, func(a, b *JobState) int { return strings.Compare(a.ID, b.ID) })
-	groups := make([]*GroupState, 0, len(st.Groups))
-	for _, g := range st.Groups {
-		groups = append(groups, g)
+	for _, g := range st.GroupOrder {
 		size += frameHeaderLen + g.recordBound()
 	}
-	slices.SortFunc(groups, func(a, b *GroupState) int { return strings.Compare(a.ID, b.ID) })
 
 	b, start := openFrame(make([]byte, 0, size))
 	b = append(b, tagSnapshot)
 	b = binary.AppendUvarint(b, gen)
 	b = binary.AppendVarint(b, at)
-	b = binary.AppendUvarint(b, uint64(len(jobs)))
-	b = binary.AppendUvarint(b, uint64(len(groups)))
+	b = binary.AppendUvarint(b, uint64(len(st.JobOrder)))
+	b = binary.AppendUvarint(b, uint64(len(st.GroupOrder)))
 	closeFrame(b, start)
-	for _, j := range jobs {
+	for _, j := range st.JobOrder {
 		b, start = openFrame(b)
 		if b = appendJobState(b, j); !closeFrame(b, start) {
 			return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 				"durable: encode snapshot gen %d: job %s record exceeds %d bytes", gen, j.ID, maxRecordLen)
 		}
 	}
-	for _, g := range groups {
+	for _, g := range st.GroupOrder {
 		b, start = openFrame(b)
 		if b = appendGroupState(b, g); !closeFrame(b, start) {
 			return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
@@ -334,26 +341,35 @@ func decodeSnapshot(data []byte) (*State, uint64, int64, error) {
 		return nil, 0, 0, tornSnapshot(len(data), "bad header record")
 	}
 	st := &State{
-		Jobs:   make(map[string]*JobState, nJobs),
-		Groups: make(map[string]*GroupState, nGroups),
+		Jobs:       make(map[string]*JobState, nJobs),
+		Groups:     make(map[string]*GroupState, nGroups),
+		JobOrder:   make([]*JobState, nJobs),
+		GroupOrder: make([]*GroupState, nGroups),
 	}
 	jobs := make([]JobState, nJobs) // one allocation for every job
+	in := make(interner)
 	for i := range jobs {
 		var payload []byte
-		if payload, off, ok = readFrame(data, off); !ok || !decodeJobState(payload, &jobs[i]) ||
-			(i > 0 && jobs[i].ID <= jobs[i-1].ID) {
+		if payload, off, ok = readFrame(data, off); !ok || !decodeJobState(payload, &jobs[i], in) {
 			return nil, 0, 0, tornSnapshot(len(data), "bad job frame")
 		}
 		st.Jobs[jobs[i].ID] = &jobs[i]
+		st.JobOrder[i] = &jobs[i]
+	}
+	if len(st.Jobs) != len(jobs) {
+		return nil, 0, 0, tornSnapshot(len(data), "duplicate job frame")
 	}
 	groups := make([]GroupState, nGroups)
 	for i := range groups {
 		var payload []byte
-		if payload, off, ok = readFrame(data, off); !ok || !decodeGroupState(payload, &groups[i]) ||
-			(i > 0 && groups[i].ID <= groups[i-1].ID) {
+		if payload, off, ok = readFrame(data, off); !ok || !decodeGroupState(payload, &groups[i]) {
 			return nil, 0, 0, tornSnapshot(len(data), "bad group frame")
 		}
 		st.Groups[groups[i].ID] = &groups[i]
+		st.GroupOrder[i] = &groups[i]
+	}
+	if len(st.Groups) != len(groups) {
+		return nil, 0, 0, tornSnapshot(len(data), "duplicate group frame")
 	}
 	if off != len(data) {
 		return nil, 0, 0, tornSnapshot(len(data), "trailing bytes")
@@ -386,9 +402,14 @@ func decodeSnapshotV1(payload []byte, trailing int) (*State, uint64, int64, erro
 	st := newState()
 	for i := range img.Jobs {
 		st.Jobs[img.Jobs[i].ID] = &img.Jobs[i]
+		st.JobOrder = append(st.JobOrder, &img.Jobs[i])
 	}
 	for i := range img.Groups {
 		st.Groups[img.Groups[i].ID] = &img.Groups[i]
+		st.GroupOrder = append(st.GroupOrder, &img.Groups[i])
+	}
+	if len(st.Jobs) != len(img.Jobs) || len(st.Groups) != len(img.Groups) {
+		return nil, 0, 0, tornSnapshot(size, "duplicate ID")
 	}
 	return st, img.Gen, img.At, nil
 }

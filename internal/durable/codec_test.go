@@ -220,8 +220,10 @@ func TestEncodeEntryRefusesUnwritable(t *testing.T) {
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot reader: it
 // must never panic, no declared count may allocate beyond what the
-// input could hold, and an accepted binary image must re-encode to the
-// same bytes (a version-1 one to a binary image that is a fixed point).
+// input could hold, an accepted image holds each ID once, and an
+// accepted binary image must re-encode to the same bytes, its frames in
+// the order read (a version-1 one to a binary image that is a fixed
+// point).
 func FuzzSnapshotDecode(f *testing.F) {
 	st := newState()
 	for _, e := range nEntries(3) {
@@ -236,6 +238,26 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(img)
 	f.Add(img[:len(img)-3])
 	f.Add(append(append([]byte(nil), img...), 0))
+	// Journal order is not ID order: j-10 was accepted after j-2, and
+	// g-1 after g-2.
+	st.apply(Entry{Op: OpAccept, ID: "j-10", Tenant: "t", Name: "echo", At: 10})
+	st.apply(Entry{Op: OpGroup, ID: "g-2", Tenant: "t", At: 11})
+	st.GroupOrder[0], st.GroupOrder[1] = st.GroupOrder[1], st.GroupOrder[0]
+	if img, err = encodeSnapshot(st, 5, 100); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	// Two frames for one job, and for one group: torn.
+	dup := &State{JobOrder: append(st.JobOrder, st.JobOrder[1]), GroupOrder: st.GroupOrder}
+	if img, err = encodeSnapshot(dup, 6, 101); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	dup = &State{JobOrder: st.JobOrder, GroupOrder: append(st.GroupOrder, st.GroupOrder[0])}
+	if img, err = encodeSnapshot(dup, 7, 102); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
 	f.Add(v1Snapshot(f, 2, 5, []JobState{{ID: "j-1", Tenant: "t", Status: StatusQueued, Arg: []byte{1}}},
 		[]GroupState{{ID: "g-1", Tenant: "t"}}))
 	f.Add(frameOf([]byte{tagSnapshot, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}))
@@ -251,6 +273,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if len(st.Jobs) != len(st.JobOrder) || len(st.Groups) != len(st.GroupOrder) {
+			t.Fatalf("accepted %d job and %d group frames for %d and %d IDs",
+				len(st.JobOrder), len(st.GroupOrder), len(st.Jobs), len(st.Groups))
 		}
 		img, err := encodeSnapshot(st, gen, at)
 		if err != nil {
@@ -282,7 +308,7 @@ func svcEntries(i int) [3]Entry {
 
 // BenchmarkOpen times recovery of a 5 000-job store, the cost the
 // ledger row durable.open_ms_per_kjob measures from outside: read and
-// decode the snapshot, then Open's own compaction.
+// decode the snapshot Close left, beside an empty wal.
 func BenchmarkOpen(b *testing.B) {
 	const jobs = 5000
 	dir := b.TempDir()

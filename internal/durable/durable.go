@@ -24,12 +24,19 @@
 // one generation — the previous snapshot plus the retained wals
 // reconstruct the same state.
 //
-// Open compacts only when there is something to fold: when the newest
-// generation is an intact binary snapshot with an empty wal beside it —
-// what Close leaves — the process appends to that wal as is. Anything
-// else (a wal with records, a torn tail, a torn snapshot, a wal-only
-// generation, a version-1 snapshot) is folded into a fresh generation,
-// so the process never appends behind a torn tail.
+// A restart costs what changed since the newest snapshot. Close
+// compacts only when the live wal holds at least a quarter of that
+// snapshot's bytes (foldDivisor), and Open appends to the newest wal as
+// is when it is intact and under that share beside an intact binary
+// snapshot of the same generation. Anything else (a grown wal, a torn
+// tail, a torn snapshot, a wal-only generation, a version-1 snapshot)
+// is folded into a fresh generation, so the process never appends
+// behind a torn tail.
+//
+// Jobs and groups are kept, written to snapshots and replayed in
+// journal order, which is accept order: recovery sorts nothing unless it
+// reads a snapshot an earlier version wrote in ID order, or two accepts
+// were journaled against their times.
 //
 // Jobs that were mid-flight at crash time come back with Status
 // "running"; the service re-enqueues them for deterministic
@@ -38,9 +45,11 @@
 package durable
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,14 +110,35 @@ type GroupState struct {
 }
 
 // State is the full folded store state: every job and group ever
-// journaled and not yet pruned by compaction retention.
+// journaled and not yet pruned by compaction retention. Each map is
+// indexed by ID; the slice beside it holds the same values in accept
+// order, which is the order snapshots store them in.
 type State struct {
 	Jobs   map[string]*JobState
 	Groups map[string]*GroupState
+
+	JobOrder   []*JobState
+	GroupOrder []*GroupState
 }
 
 func newState() *State {
 	return &State{Jobs: make(map[string]*JobState), Groups: make(map[string]*GroupState)}
+}
+
+// inAcceptOrder restores accept order when the state is not in it: a
+// snapshot an earlier version wrote in ID order, or two accepts
+// journaled against their times. One O(n) check decides; the stable
+// sort by accept time keeps ties in the order they had, so an
+// ID-ordered image sorts by (time, ID).
+func (st *State) inAcceptOrder() {
+	byJob := func(a, b *JobState) int { return cmp.Compare(a.SubmittedNs, b.SubmittedNs) }
+	if !slices.IsSortedFunc(st.JobOrder, byJob) {
+		slices.SortStableFunc(st.JobOrder, byJob)
+	}
+	byGroup := func(a, b *GroupState) int { return cmp.Compare(a.CreatedNs, b.CreatedNs) }
+	if !slices.IsSortedFunc(st.GroupOrder, byGroup) {
+		slices.SortStableFunc(st.GroupOrder, byGroup)
+	}
 }
 
 // apply folds one entry into the state. Every operation is idempotent
@@ -119,17 +149,21 @@ func (st *State) apply(e Entry) {
 	switch e.Op {
 	case OpGroup:
 		if _, ok := st.Groups[e.ID]; !ok {
-			st.Groups[e.ID] = &GroupState{ID: e.ID, Tenant: e.Tenant, CreatedNs: e.At}
+			g := &GroupState{ID: e.ID, Tenant: e.Tenant, CreatedNs: e.At}
+			st.Groups[e.ID] = g
+			st.GroupOrder = append(st.GroupOrder, g)
 		}
 	case OpAccept:
 		if _, ok := st.Jobs[e.ID]; ok {
 			return
 		}
-		st.Jobs[e.ID] = &JobState{
+		j := &JobState{
 			ID: e.ID, Tenant: e.Tenant, Kind: e.Kind, Name: e.Name,
 			Arg: e.Arg, N: e.N, Group: e.Group,
 			Status: StatusQueued, SubmittedNs: e.At,
 		}
+		st.Jobs[e.ID] = j
+		st.JobOrder = append(st.JobOrder, j)
 	case OpDispatch:
 		if j, ok := st.Jobs[e.ID]; ok && !j.Settled() {
 			j.Status = StatusRunning
@@ -201,7 +235,8 @@ func WithCompactEvery(n int64) Option {
 
 // WithFsync toggles the per-append fsync (default on). Turning it off
 // trades the crash guarantee for throughput — only tests and
-// benchmarks should.
+// benchmarks should. It leaves every other fsync on: compaction's
+// snapshot fsync and directory fsync, and Open's directory fsync.
 func WithFsync(on bool) Option {
 	return func(c *config) error {
 		c.fsync = on
@@ -216,12 +251,13 @@ type Store struct {
 	dir string
 	cfg config
 
-	mu       sync.Mutex
-	f        *os.File // live wal
-	gen      uint64
-	walBytes int64
-	state    *State
-	closed   bool
+	mu        sync.Mutex
+	f         *os.File // live wal
+	gen       uint64
+	walBytes  int64 // bytes in the live wal
+	snapBytes int64 // bytes in the newest snapshot
+	state     *State
+	closed    bool
 
 	records     uint64
 	fsyncs      uint64
@@ -233,9 +269,9 @@ type Store struct {
 // Open recovers (or initializes) the state directory and returns a
 // ready store. Recovery loads the newest intact snapshot and replays
 // every retained wal of that generation and later to its longest intact
-// prefix. When that left nothing to fold (see recover) Open appends to
-// the newest wal; otherwise it compacts into a fresh generation so this
-// process never appends behind a torn tail.
+// prefix. When the newest wal is intact and small enough to leave
+// unfolded (see recover) Open appends to it; otherwise it compacts into
+// a fresh generation so this process never appends behind a torn tail.
 func Open(dir string, opts ...Option) (*Store, error) {
 	cfg := config{compactBytes: 4 << 20, fsync: true}
 	for _, opt := range opts {
@@ -268,7 +304,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// reopenWal opens the newest generation's empty wal for append. The
+// reopenWal opens the newest generation's intact wal for append. The
 // directory fsync makes the snapshot's rename and the wal's creation
 // durable even when the process that made them died before its own
 // directory fsync, so nothing this process appends hangs off an
@@ -328,8 +364,9 @@ func (s *Store) scanGenerations() ([]uint64, error) {
 // recover rebuilds s.state from disk. Called once, from Open. It
 // reports whether Open must compact: it need not only when the newest
 // generation's snapshot decoded intact, in the binary format, as the
-// base of recovery, with an existing, empty wal beside it — the state
-// a Close or a finished compaction leaves.
+// base of recovery, with an intact wal beside it that folds would
+// leave alone — what a Close or a finished compaction leaves. The store
+// then appends to that wal as is.
 func (s *Store) recover() (compact bool, err error) {
 	gens, err := s.scanGenerations()
 	if err != nil {
@@ -342,7 +379,7 @@ func (s *Store) recover() (compact bool, err error) {
 	// Newest intact snapshot wins; torn ones fall back a generation.
 	base := 0 // index into gens of the snapshot generation actually used; gens[0] if none
 	st := newState()
-	var snapAt int64
+	var snapAt, snapBytes int64
 	binarySnap := false // the base snapshot is in the current format
 	for i := len(gens) - 1; i >= 0; i-- {
 		data, rerr := os.ReadFile(s.genFile("snap", gens[i]))
@@ -358,14 +395,14 @@ func (s *Store) recover() (compact bool, err error) {
 			s.replayStats.TornSnapshots++
 			continue
 		}
-		st, snapAt, base = dec, at, i
+		st, snapAt, snapBytes, base = dec, at, int64(len(data)), i
 		binarySnap = !isV1(data[frameHeaderLen:])
 		break
 	}
 	// Replay the wals of the base generation and everything after it,
 	// in order, each to its longest intact prefix.
 	replayedGens := 0
-	emptyWal := false // the newest generation's wal exists and is empty
+	walBytes := int64(-1) // the newest generation's wal size; -1 when missing or torn
 	for i := base; i < len(gens); i++ {
 		data, rerr := os.ReadFile(s.genFile("wal", gens[i]))
 		if rerr != nil {
@@ -375,7 +412,6 @@ func (s *Store) recover() (compact bool, err error) {
 			return true, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 				"durable: read wal gen %d: %w", gens[i], rerr)
 		}
-		emptyWal = i == len(gens)-1 && len(data) == 0
 		rep := replayJournal(data)
 		for _, e := range rep.entries {
 			st.apply(e)
@@ -384,15 +420,18 @@ func (s *Store) recover() (compact bool, err error) {
 			s.replayStats.DroppedTailBytes += rep.lostBytes
 			_ = oerrors.New(oerrors.Internal, oerrors.CodeJournalCorrupt,
 				"durable: torn journal tail dropped")
+		} else if i == len(gens)-1 {
+			walBytes = rep.goodBytes
 		}
 		s.replayStats.RecoveredJournals++
 		replayedGens++
 	}
+	st.inAcceptOrder()
 	s.replayStats.RecoveredGenerations = replayedGens
 	s.state = st
 	s.gen = gens[len(gens)-1]
 	s.lastSnapNs = snapAt
-	for _, j := range st.Jobs {
+	for _, j := range st.JobOrder {
 		s.replayStats.ReplayedJobs++
 		switch {
 		case j.Settled():
@@ -405,9 +444,22 @@ func (s *Store) recover() (compact bool, err error) {
 	}
 	// A torn snapshot always sits above the base, so a base in the
 	// newest generation also means none was seen.
-	clean := binarySnap && base == len(gens)-1 && emptyWal
-	return !clean, nil
+	if !binarySnap || base != len(gens)-1 || walBytes < 0 || folds(walBytes, snapBytes) {
+		return true, nil
+	}
+	s.walBytes, s.snapBytes = walBytes, snapBytes
+	return false, nil
 }
+
+// foldDivisor sets when Close, and Open, fold the live wal into a new
+// snapshot: once it holds at least 1/foldDivisor of the newest
+// snapshot's bytes. Below that, rewriting the whole state would cost
+// more than the next Open spends replaying the wal.
+const foldDivisor = 4
+
+// folds reports whether a wal of walBytes, beside a snapshot of
+// snapBytes, has grown enough to fold.
+func folds(walBytes, snapBytes int64) bool { return walBytes*foldDivisor >= snapBytes }
 
 // Recovered returns the store's folded state itself, not a copy: as
 // reconstructed at Open until the first Append, which folds into the
@@ -516,7 +568,7 @@ func (s *Store) compactLocked() error {
 	s.f = wal
 	oldGen := s.gen
 	s.gen = newGen
-	s.walBytes = 0
+	s.walBytes, s.snapBytes = 0, int64(len(img))
 	s.snapshots++
 	s.lastSnapNs = now
 	// Retain exactly one previous generation as the torn-snapshot
@@ -585,16 +637,20 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close compacts one last time (folding the final wal into a snapshot,
-// so the next Open has nothing to fold) and releases the wal handle.
-// Idempotent.
+// Close releases the wal handle. It compacts first only when the live
+// wal holds at least 1/foldDivisor of the newest snapshot's bytes;
+// otherwise the next Open replays that intact wal and appends to it, so
+// a restart after little traffic rewrites nothing. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	err := s.compactLocked()
+	var err error
+	if folds(s.walBytes, s.snapBytes) {
+		err = s.compactLocked()
+	}
 	s.closed = true
 	if s.f != nil {
 		cerr := s.f.Close()

@@ -2,8 +2,10 @@ package jobservice
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -277,5 +279,77 @@ func TestGroupStreamProgress(t *testing.T) {
 	}
 	if progress == 0 || jobsSeen != 1 || drained != 1 {
 		t.Fatalf("stream shape: progress=%d jobs=%d drained=%d", progress, jobsSeen, drained)
+	}
+}
+
+// flushRecorder is a ResponseWriter that records the body and counts
+// writes and flushes.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	writes, flushes int
+}
+
+func (f *flushRecorder) Write(b []byte) (int, error) {
+	f.writes++
+	return f.ResponseRecorder.Write(b)
+}
+
+func (f *flushRecorder) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestGroupStreamOneWritePerWake streams a group whose members all
+// settled before the stream opened: the whole backlog leaves in one
+// write and one flush, as progress lines, then job lines, then
+// "drained", each line exactly what encoding/json makes of its event.
+func TestGroupStreamOneWritePerWake(t *testing.T) {
+	env := newProgressEnv(t)
+	code, genv := env.do(t, http.MethodPost, "/v1/groups", "key-alice", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("group create: %d", code)
+	}
+	var gv GroupView
+	meta(t, genv, &gv)
+	const members = 3
+	for i := 0; i < members; i++ {
+		v := env.submit(t, "key-alice", submitRequest{
+			Job: KernelVecSum, Kind: KindParallelFor, N: 4000, Group: gv.ID,
+		})
+		env.wait(t, "key-alice", v.ID)
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/v1/groups/"+gv.ID+"/stream", nil)
+	req.SetPathValue("id", gv.ID)
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	env.srv.apiGroupStream(rec, req, env.srv.byName["alice"])
+	if rec.writes != 1 || rec.flushes != 1 {
+		t.Fatalf("backlog took %d writes and %d flushes, want 1 and 1", rec.writes, rec.flushes)
+	}
+
+	rank := map[string]int{"progress": 0, "job": 1, "drained": 2}
+	last, counts := 0, map[string]int{}
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var ev streamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		r, ok := rank[ev.Type]
+		if !ok || r < last {
+			t.Fatalf("line %q out of order after a %d-ranked line", sc.Text(), last)
+		}
+		last = r
+		counts[ev.Type]++
+		again, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, sc.Bytes()) {
+			t.Fatalf("line is not its event's encoding:\n got %s\nwant %s", sc.Bytes(), again)
+		}
+	}
+	if counts["progress"] == 0 || counts["job"] != members || counts["drained"] != 1 {
+		t.Fatalf("stream shape: %v, want progress lines, %d jobs, one drained", counts, members)
 	}
 }

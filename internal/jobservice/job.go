@@ -194,6 +194,11 @@ type GroupView struct {
 func (g *groupRec) view() GroupView {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	return g.viewLocked()
+}
+
+// viewLocked is view for a caller holding g.mu.
+func (g *groupRec) viewLocked() GroupView {
 	return GroupView{
 		ID:       g.id,
 		Tenant:   g.tenant.Name,

@@ -29,6 +29,7 @@
 package jobservice
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -669,7 +670,10 @@ type streamEvent struct {
 // apiGroupStream streams the group as NDJSON: member progress lines
 // (chunk/task completions) as they happen, each settled member exactly
 // once across all streamers, and a final "drained" event once no
-// member is outstanding or undelivered.
+// member is outstanding or undelivered. Each wake takes everything
+// queued under one lock hold and sends it as one write and one flush:
+// progress lines, then job lines, then "drained", all carrying the
+// group's view as of that hold.
 func (s *Server) apiGroupStream(w http.ResponseWriter, r *http.Request, t *tenantState) {
 	g := s.groupOf(r, t)
 	if g == nil {
@@ -679,51 +683,36 @@ func (s *Server) apiGroupStream(w http.ResponseWriter, r *http.Request, t *tenan
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for {
 		g.mu.Lock()
-		if len(g.progress) > 0 {
-			p := g.progress[0]
-			g.progress = g.progress[1:]
-			if len(g.progress) > 0 || len(g.ready) > 0 {
-				select {
-				case g.notify <- struct{}{}:
-				default:
-				}
-			}
-			g.mu.Unlock()
-			e := p.event
-			if enc.Encode(streamEvent{Type: "progress", JobID: p.jobID, Event: &e, Group: g.view()}) != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			continue
-		}
-		if len(g.ready) > 0 {
-			j := g.ready[0]
-			g.ready = g.ready[1:]
-			if len(g.ready) > 0 {
-				select {
-				case g.notify <- struct{}{}:
-				default:
-				}
-			}
-			g.mu.Unlock()
-			v := j.view()
-			if enc.Encode(streamEvent{Type: "job", Job: &v, Group: g.view()}) != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			continue
-		}
+		progress, ready := g.progress, g.ready
+		g.progress, g.ready = nil, nil
 		drained := g.pending == 0
+		gv := g.viewLocked()
 		g.mu.Unlock()
+
+		buf.Reset()
+		for i := range progress {
+			_ = enc.Encode(streamEvent{Type: "progress", JobID: progress[i].jobID, Event: &progress[i].event, Group: gv})
+		}
+		for _, j := range ready {
+			v := j.view()
+			_ = enc.Encode(streamEvent{Type: "job", Job: &v, Group: gv})
+		}
 		if drained {
-			_ = enc.Encode(streamEvent{Type: "drained", Group: g.view()})
+			_ = enc.Encode(streamEvent{Type: "drained", Group: gv})
+		}
+		if buf.Len() > 0 {
+			if _, err := w.Write(buf.Bytes()); err != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		if drained {
 			return
 		}
 		select {

@@ -1,10 +1,8 @@
 package jobservice
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -92,29 +90,6 @@ func seqOf(id, prefix string) uint64 {
 	return n
 }
 
-// seqID is an id with its parsed numeric suffix.
-type seqID struct {
-	seq uint64
-	id  string
-}
-
-// sortedBySeq returns m's keys in submission order, each suffix parsed
-// once: by numeric suffix, ties (and other shapes, seq 0, first) by
-// string order.
-func sortedBySeq[V any](m map[string]V, prefix string) []seqID {
-	ids := make([]seqID, 0, len(m))
-	for id := range m {
-		ids = append(ids, seqID{seqOf(id, prefix), id})
-	}
-	slices.SortFunc(ids, func(a, b seqID) int {
-		if c := cmp.Compare(a.seq, b.seq); c != 0 {
-			return c
-		}
-		return strings.Compare(a.id, b.id)
-	})
-	return ids
-}
-
 // settledDone is the done channel every replayed settled job shares:
 // closed here, once, and never again, because settle and cancelQueued
 // leave a terminal job's channel alone.
@@ -124,8 +99,9 @@ var settledDone = func() chan struct{} {
 	return c
 }()
 
-// replayedJob is one allocation for what a replayed job needs: its
-// record, its event log and room for the log's first two events.
+// replayedJob is what a replayed job needs: its record, its event log
+// and room for the log's first two events. A replay allocates them for
+// every job at once, in one slab.
 type replayedJob struct {
 	rec jobRec
 	log eventLog
@@ -145,15 +121,16 @@ func (s *Server) recoverFromStore() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	// The store hands jobs and groups over in accept order, so tenant
+	// FIFOs and job lists come back in the order they were filled.
 	var maxG uint64
-	for _, sg := range sortedBySeq(rec.Groups, "g-") {
-		gid, gs := sg.id, rec.Groups[sg.id]
-		maxG = max(maxG, sg.seq)
+	for _, gs := range rec.GroupOrder {
+		maxG = max(maxG, seqOf(gs.ID, "g-"))
 		t := s.byName[gs.Tenant]
 		if t == nil {
 			continue // members settle tenant_gone below
 		}
-		s.groups[gid] = &groupRec{id: gid, tenant: t, notify: make(chan struct{}, 1)}
+		s.groups[gs.ID] = &groupRec{id: gs.ID, tenant: t, notify: make(chan struct{}, 1)}
 	}
 
 	// A replayed job's events are stamped from the journal; only a
@@ -167,10 +144,11 @@ func (s *Server) recoverFromStore() {
 	}
 	var gone []durable.Entry
 	var maxJ uint64
-	s.jobs = make(map[string]*jobRec, len(rec.Jobs)) // New left it empty
-	for _, sj := range sortedBySeq(rec.Jobs, "j-") {
-		id, js := sj.id, rec.Jobs[sj.id]
-		maxJ = max(maxJ, sj.seq)
+	s.jobs = make(map[string]*jobRec, len(rec.JobOrder)) // New left it empty
+	slab := make([]replayedJob, len(rec.JobOrder))
+	for i, js := range rec.JobOrder {
+		id := js.ID
+		maxJ = max(maxJ, seqOf(id, "j-"))
 		t := s.byName[js.Tenant]
 		if t == nil {
 			// The job's tenant is no longer configured: settle it in the
@@ -184,15 +162,9 @@ func (s *Server) recoverFromStore() {
 			})
 			continue
 		}
-		r := &replayedJob{rec: jobRec{
-			id:     id,
-			tenant: t,
-			kind:   js.Kind,
-			name:   js.Name,
-			arg:    js.Arg,
-			n:      js.N,
-		}}
+		r := &slab[i]
 		j := &r.rec
+		j.id, j.tenant, j.kind, j.name, j.arg, j.n = id, t, js.Kind, js.Name, js.Arg, js.N
 		j.events = &r.log
 		if js.SubmittedNs != 0 {
 			j.submitted = time.Unix(0, js.SubmittedNs)
