@@ -28,20 +28,23 @@ test-benchmark:
 # fabric, on a job service's own fabric, and in ompmca-taskgraph's run),
 # the job event-log tests (a job's task_sent once raced its submit), and
 # the MCAPI receive-request tests (a cancel racing an arrival), and the
-# boot count pins (a board's metadata tree rendered as before, its
-# allocations bounded, hotplug per board; the MCA restart's pin is in
-# ./internal/core), and the durable restart pins (which layouts Open
-# appends to and Close folds, the fsyncs of each, journal order across
-# restarts, the allocations of Open and of the service's rebuild), 20
-# times each, on one and two procs. CI runs this on every push.
+# boot count pins (a board's metadata tree rendered as before, built
+# only when a ResourcesGet asks and from the board's current spec, its
+# allocations bounded, hotplug per board, boots from many goroutines; a
+# job service's New; the MCA restart's pin is in ./internal/core), and the
+# durable restart pins (which layouts Open appends to and Close folds,
+# the fsyncs of each, journal order across restarts, generation names
+# past six digits, the allocations of Open and of the service's
+# rebuild), 20 times each, on one and two procs. CI runs this on every
+# push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
 SOAK_MCAPI = -run 'TestRecvRequestNeverLosesPacket|TestParkedRecv|TestMsgRecvI|TestPktRecvI|TestWaitAny' \
 	./internal/mcapi
-SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestHotplugIsPerBoard' \
-	./internal/platform
-SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestRecoverFromStoreAllocs' \
+SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestHotplugIsPerBoard|TestMutatedBoardGetsFreshTree|TestConcurrentBoots|TestNewAllocs' \
+	./internal/platform ./internal/jobservice
+SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestOpenCloseAllocs|TestGenerationPastSixDigits|TestGenFileNames|TestRecoverFromStoreAllocs' \
 	./internal/durable ./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi

@@ -21,7 +21,10 @@ type ThreadLayer interface {
 	// online; the runtime sizes default teams with it.
 	NumProcs() int
 	// StartWorker launches persistent pool worker wid running loop; the
-	// worker survives until the loop returns.
+	// worker survives until the loop returns. The loop may act as wid
+	// (take a RuntimeMutex with it) only on work handed to it after
+	// StartWorker returns, as the pool's dispatch does: until then the
+	// MCA layer attributes wid's locks to the master's node.
 	StartWorker(wid int, loop func()) (Worker, error)
 	// NewMutex creates a mutual-exclusion primitive for critical sections
 	// and runtime locks. Lock/Unlock take the worker id of the caller (0

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,10 +57,7 @@ type MCALayer struct {
 	sys    *mrapi.System
 	master *mrapi.Node
 
-	// nodes maps worker id -> node (0 = master, <0 = leased caller). It
-	// is an immutable snapshot, replaced whole under mu, so the lock path
-	// resolves a node without touching mu.
-	nodes atomic.Pointer[map[int]*mrapi.Node]
+	nodes atomic.Pointer[nodeTable] // worker id -> node, read without mu
 
 	mu        sync.Mutex
 	callers   []*mrapi.Node // lazily registered caller nodes, finalized at Close
@@ -104,23 +100,57 @@ func NewMCALayer(sys *mrapi.System, opts ...MCAOption) (*MCALayer, error) {
 		nextMutex: mcaMutexBase,
 		shmems:    make(map[*byte]*mcaAlloc),
 	}
-	l.nodes.Store(&map[int]*mrapi.Node{0: master})
+	l.nodes.Store(&nodeTable{workers: []*mrapi.Node{master}})
 	for _, o := range opts {
 		o(l)
 	}
 	return l, nil
 }
 
-// setNodeLocked publishes a copy of the node snapshot with wid bound to n,
-// or removed when n is nil. Callers hold l.mu.
+// nodeTable maps worker ids to nodes: workers[wid] for the master (0) and
+// pool workers, callers[-wid] for leased callers. It is an immutable
+// snapshot, replaced whole under the layer's mu, so the lock path
+// resolves a node with one atomic load and never touches mu.
+type nodeTable struct {
+	workers, callers []*mrapi.Node
+}
+
+// noNodes is the table of a closed layer: every lookup misses, so every
+// id resolves to the master fallback.
+var noNodes nodeTable
+
+// get returns wid's node, or nil if it has none.
+func (t *nodeTable) get(wid int) *mrapi.Node {
+	if wid >= 0 {
+		if wid < len(t.workers) {
+			return t.workers[wid]
+		}
+	} else if -wid < len(t.callers) {
+		return t.callers[-wid]
+	}
+	return nil
+}
+
+// setNodeLocked publishes a copy of the node table with wid bound to n,
+// or unbound when n is nil. Only the slice wid lives in is copied.
+// Callers hold l.mu.
 func (l *MCALayer) setNodeLocked(wid int, n *mrapi.Node) {
-	next := maps.Clone(*l.nodes.Load())
-	if n != nil {
-		next[wid] = n
+	next := *l.nodes.Load()
+	if wid >= 0 {
+		next.workers = withNode(next.workers, wid, n)
 	} else {
-		delete(next, wid)
+		next.callers = withNode(next.callers, -wid, n)
 	}
 	l.nodes.Store(&next)
+}
+
+// withNode returns a copy of nodes, long enough to hold index i, with
+// nodes[i] set to n.
+func withNode(nodes []*mrapi.Node, i int, n *mrapi.Node) []*mrapi.Node {
+	c := make([]*mrapi.Node, max(len(nodes), i+1))
+	copy(c, nodes)
+	c[i] = n
+	return c
 }
 
 // Name implements ThreadLayer.
@@ -136,7 +166,8 @@ func (l *MCALayer) NumProcs() int { return l.master.ProcessorsOnline() }
 // StartWorker implements ThreadLayer: it initializes an MRAPI node for the
 // worker and creates its thread through the node-management extension. The
 // node is registered in the domain's global database for the worker's
-// lifetime, exactly as the paper's runtime registers each forked thread.
+// lifetime, exactly as the paper's runtime registers each forked thread,
+// and published for lock attribution once its thread has started.
 func (l *MCALayer) StartWorker(wid int, loop func()) (Worker, error) {
 	name := "omp-worker-" + strconv.Itoa(wid)
 	node, err := l.sys.Initialize(MCADomain, mcaWorkerBase+mrapi.NodeID(wid), &mrapi.NodeAttributes{
@@ -146,10 +177,6 @@ func (l *MCALayer) StartWorker(wid int, loop func()) (Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: initializing MRAPI node for worker %d: %w", wid, err)
 	}
-	l.mu.Lock()
-	l.setNodeLocked(wid, node)
-	l.mu.Unlock()
-
 	th, err := node.SpawnThread(mrapi.ThreadParams{
 		Name:  name,
 		Start: loop,
@@ -158,6 +185,9 @@ func (l *MCALayer) StartWorker(wid int, loop func()) (Worker, error) {
 		_ = node.Finalize()
 		return nil, fmt.Errorf("core: spawning MRAPI thread for worker %d: %w", wid, err)
 	}
+	l.mu.Lock()
+	l.setNodeLocked(wid, node)
+	l.mu.Unlock()
 	return &mcaWorker{layer: l, wid: wid, node: node, thread: th}, nil
 }
 
@@ -190,7 +220,7 @@ func (w *mcaWorker) Join() {
 // nodes are registered in the domain database lazily on first lock use
 // and finalized at Close.
 func (l *MCALayer) node(wid int) *mrapi.Node {
-	if n, ok := (*l.nodes.Load())[wid]; ok {
+	if n := l.nodes.Load().get(wid); n != nil {
 		return n
 	}
 	l.mu.Lock()
@@ -212,7 +242,7 @@ func (l *MCALayer) node(wid int) *mrapi.Node {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if raced, ok := (*l.nodes.Load())[wid]; ok {
+	if raced := l.nodes.Load().get(wid); raced != nil {
 		// Another goroutine registered this id first; ours is redundant.
 		_ = n.Finalize()
 		return raced
@@ -377,8 +407,9 @@ func (l *MCALayer) Close() error {
 		return nil
 	}
 	l.closed = true
-	// An empty snapshot sends every later lookup to the master fallback.
-	l.nodes.Store(&map[int]*mrapi.Node{})
+	// One store retires every node at once: each later lookup falls back
+	// to the master.
+	l.nodes.Store(&noNodes)
 	shmems := l.shmems
 	mutexes := l.mutexes
 	callers := l.callers

@@ -397,7 +397,76 @@ func TestMCARestartAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(20, restart); n > 250 {
-		t.Errorf("an MCA restart allocates %.0f objects, want <= 250", n)
+	if n := testing.AllocsPerRun(20, restart); n > 115 {
+		t.Errorf("an MCA restart allocates %.0f objects, want <= 115", n)
+	}
+}
+
+// TestStartWorkerFailurePublishesNoNode: a worker whose thread never
+// started leaves no node behind, neither in the domain nor in the
+// layer's lookup, so its id still resolves to the master.
+func TestStartWorkerFailurePublishesNoNode(t *testing.T) {
+	l := newMCA(t)
+	defer l.Close()
+	if _, err := l.StartWorker(3, nil); err == nil {
+		t.Fatal("StartWorker with no loop succeeded")
+	}
+	if got := l.node(3); got != l.master {
+		t.Errorf("failed worker 3 resolves to %v, want the master %v", got, l.master)
+	}
+	dom, err := l.System().Domain(MCADomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dom.NumNodes(); got != 1 {
+		t.Errorf("nodes after a failed StartWorker = %d, want 1", got)
+	}
+}
+
+// TestMCANodesPastTheBoard: teams larger than the board's processor count
+// and concurrent forking callers each lock under their own node, and
+// Close retires every one of them.
+func TestMCANodesPastTheBoard(t *testing.T) {
+	l := newMCA(t)
+	rt, err := New(WithLayer(l), WithNumThreads(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits atomic.Int64
+	done := make(chan error, 6)
+	for g := 0; g < cap(done); g++ {
+		go func() {
+			done <- rt.Parallel(func(c *Context) {
+				for i := 0; i < 20; i++ {
+					c.Critical(func() { hits.Add(1) })
+				}
+			})
+		}()
+	}
+	for g := 0; g < cap(done); g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hits.Load(); got != 6*40*20 {
+		t.Errorf("critical entries = %d, want %d", got, 6*40*20)
+	}
+	for wid := 1; wid < 40; wid++ {
+		if got := l.node(wid); got == l.master {
+			t.Errorf("worker %d resolves to the master", wid)
+		}
+	}
+	dom, err := l.System().Domain(MCADomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dom.NumNodes(); got != 0 {
+		t.Errorf("nodes after close = %d, want 0", got)
+	}
+	if got := l.node(1); got != l.master {
+		t.Errorf("worker 1 after close resolves to %v, want the master", got)
 	}
 }

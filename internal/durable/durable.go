@@ -46,11 +46,10 @@ package durable
 
 import (
 	"cmp"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -283,7 +282,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 			"durable: state dir %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, cfg: cfg, state: newState()}
+	s := &Store{dir: dir, cfg: cfg}
 	compact, err := s.recover()
 	if err != nil {
 		return nil, err
@@ -310,7 +309,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // directory fsync, so nothing this process appends hangs off an
 // unsynced directory entry.
 func (s *Store) reopenWal() error {
-	wal, err := os.OpenFile(s.genFile("wal", s.gen), os.O_WRONLY|os.O_APPEND, 0o600)
+	wal, err := os.OpenFile(s.genFile(walFile, s.gen), os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 			"durable: reopen wal gen %d: %w", s.gen, err)
@@ -323,42 +322,83 @@ func (s *Store) reopenWal() error {
 	return nil
 }
 
+// genKind is one kind of generation file: a snapshot or a wal.
+type genKind struct{ prefix, suffix string }
+
+var (
+	snapFile = genKind{"snap-", ".db"}
+	walFile  = genKind{"wal-", ".log"}
+)
+
+// appendName appends the kind's file name for generation gen: the prefix,
+// gen in decimal zero-padded to six digits (more when it needs them), and
+// the suffix.
+func (k genKind) appendName(b []byte, gen uint64) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], gen, 10)
+	b = append(b, k.prefix...)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, d...)
+	return append(b, k.suffix...)
+}
+
+// parse returns the generation a file name of this kind carries. It
+// accepts only a name appendName renders, so a name with stray text,
+// a sign or a padding appendName would not write is not a generation.
+func (k genKind) parse(name string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(name, k.prefix)
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, k.suffix); !ok {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	var buf [48]byte
+	return gen, string(k.appendName(buf[:0], gen)) == name
+}
+
 // genFile renders a generation's snapshot or wal path.
-func (s *Store) genFile(prefix string, gen uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%06d%s", prefix, gen,
-		map[string]string{"snap": ".db", "wal": ".log"}[prefix]))
+func (s *Store) genFile(k genKind, gen uint64) string {
+	var buf [48]byte
+	return filepath.Join(s.dir, string(k.appendName(buf[:0], gen)))
 }
 
 // scanGenerations lists the generation numbers present in the state
 // dir, from snapshot and wal files alike, ascending.
 func (s *Store) scanGenerations() ([]uint64, error) {
-	ents, err := os.ReadDir(s.dir)
+	names, err := readDirNames(s.dir)
 	if err != nil {
 		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 			"durable: scan %s: %w", s.dir, err)
 	}
-	seen := make(map[uint64]bool)
-	for _, de := range ents {
-		name := de.Name()
-		var gen uint64
-		switch {
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".db"):
-			fmt.Sscanf(name, "snap-%06d.db", &gen)
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			fmt.Sscanf(name, "wal-%06d.log", &gen)
-		default:
-			continue
+	var gens []uint64
+	for _, name := range names {
+		gen, ok := snapFile.parse(name)
+		if !ok {
+			gen, ok = walFile.parse(name)
 		}
-		if gen > 0 {
-			seen[gen] = true
+		if ok && gen > 0 {
+			gens = append(gens, gen)
 		}
 	}
-	gens := make([]uint64, 0, len(seen))
-	for g := range seen {
-		gens = append(gens, g)
+	slices.Sort(gens)
+	return slices.Compact(gens), nil
+}
+
+// readDirNames lists the names in dir, unsorted.
+func readDirNames(dir string) ([]string, error) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(gens, func(a, b int) bool { return gens[a] < gens[b] })
-	return gens, nil
+	defer d.Close()
+	return d.Readdirnames(-1)
 }
 
 // recover rebuilds s.state from disk. Called once, from Open. It
@@ -374,15 +414,16 @@ func (s *Store) recover() (compact bool, err error) {
 	}
 	if len(gens) == 0 {
 		s.gen = 0 // compactLocked bumps to 1
+		s.state = newState()
 		return true, nil
 	}
 	// Newest intact snapshot wins; torn ones fall back a generation.
-	base := 0 // index into gens of the snapshot generation actually used; gens[0] if none
-	st := newState()
+	base := 0     // index into gens of the snapshot generation actually used; gens[0] if none
+	var st *State // the base snapshot's state; nil until one decodes
 	var snapAt, snapBytes int64
 	binarySnap := false // the base snapshot is in the current format
 	for i := len(gens) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(s.genFile("snap", gens[i]))
+		data, rerr := os.ReadFile(s.genFile(snapFile, gens[i]))
 		if rerr != nil {
 			if os.IsNotExist(rerr) {
 				continue // wal-only generation
@@ -399,12 +440,15 @@ func (s *Store) recover() (compact bool, err error) {
 		binarySnap = !isV1(data[frameHeaderLen:])
 		break
 	}
+	if st == nil {
+		st = newState()
+	}
 	// Replay the wals of the base generation and everything after it,
 	// in order, each to its longest intact prefix.
 	replayedGens := 0
 	walBytes := int64(-1) // the newest generation's wal size; -1 when missing or torn
 	for i := base; i < len(gens); i++ {
-		data, rerr := os.ReadFile(s.genFile("wal", gens[i]))
+		data, rerr := os.ReadFile(s.genFile(walFile, gens[i]))
 		if rerr != nil {
 			if os.IsNotExist(rerr) {
 				continue
@@ -543,7 +587,7 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	snapPath := s.genFile("snap", newGen)
+	snapPath := s.genFile(snapFile, newGen)
 	tmp := snapPath + ".tmp"
 	if err := writeFileSync(tmp, img); err != nil {
 		return err
@@ -553,7 +597,7 @@ func (s *Store) compactLocked() error {
 			"durable: publish snapshot gen %d: %w", newGen, err)
 	}
 	s.fsyncs++ // writeFileSync's
-	wal, err := os.OpenFile(s.genFile("wal", newGen), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
+	wal, err := os.OpenFile(s.genFile(walFile, newGen), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
 		return oerrors.Errorf(oerrors.Internal, oerrors.CodeStoreIO,
 			"durable: open wal gen %d: %w", newGen, err)
@@ -576,8 +620,8 @@ func (s *Store) compactLocked() error {
 	if gens, gerr := s.scanGenerations(); gerr == nil {
 		for _, g := range gens {
 			if g < oldGen {
-				_ = os.Remove(s.genFile("snap", g))
-				_ = os.Remove(s.genFile("wal", g))
+				_ = os.Remove(s.genFile(snapFile, g))
+				_ = os.Remove(s.genFile(walFile, g))
 			}
 		}
 	}

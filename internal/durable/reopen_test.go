@@ -457,3 +457,118 @@ func TestOpenAllocs(t *testing.T) {
 		t.Fatalf("a clean Open allocates %.3f objects per replayed job, want <= 1.1", perJob)
 	}
 }
+
+// TestGenerationPastSixDigits: generation numbers are zero-padded to six
+// digits, not capped there. A store compacted from generation 999 999 to
+// 1 000 001 reopens at its newest generation and finds every job.
+func TestGenerationPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.gen = 999_998
+	err = s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Append(acceptEntry(i, "t")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(settleEntry(i, StatusSucceeded, []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := s.Stats().Generation; got != 1_000_001 {
+		t.Fatalf("generation %d after three compactions from 999 998, want 1000001", got)
+	}
+	want := s.Stats().Generation
+	abandon(s)
+	if _, err := os.Stat(filepath.Join(dir, "snap-1000001.db")); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir, WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Stats().Generation; got < want {
+		t.Errorf("reopened at generation %d, want >= %d", got, want)
+	}
+	if got := jobIDs(s.Recovered()); !slices.Equal(got, []string{"j-0", "j-1", "j-2"}) {
+		t.Errorf("reopened with jobs %v, want [j-0 j-1 j-2]", got)
+	}
+}
+
+// TestGenFileNames: a generation file's name is parsed only as genFile
+// renders it.
+func TestGenFileNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  uint64
+		ok   bool
+	}{
+		{"snap-000001.db", 1, true},
+		{"wal-000042.log", 42, true},
+		{"snap-999999.db", 999_999, true},
+		{"snap-1234567.db", 1_234_567, true},
+		{"wal-18446744073709551615.log", 1<<64 - 1, true},
+		{"snap-1.db", 0, false},
+		{"snap-0000001.db", 0, false},
+		{"snap-+00001.db", 0, false},
+		{"snap-000001.db.tmp", 0, false},
+		{"snap-000001.log", 0, false},
+		{"snap-00000x.db", 0, false},
+		{"wal-18446744073709551616.log", 0, false},
+	} {
+		gen, ok := snapFile.parse(tc.name)
+		if !ok {
+			gen, ok = walFile.parse(tc.name)
+		}
+		if ok != tc.ok || (ok && gen != tc.gen) {
+			t.Errorf("parse(%q) = %d, %v; want %d, %v", tc.name, gen, ok, tc.gen, tc.ok)
+		}
+	}
+	s := &Store{dir: "d"}
+	if got := s.genFile(snapFile, 1_234_567); got != filepath.Join("d", "snap-1234567.db") {
+		t.Errorf("genFile(snap, 1234567) = %q", got)
+	}
+	if got := s.genFile(walFile, 3); got != filepath.Join("d", "wal-000003.log") {
+		t.Errorf("genFile(wal, 3) = %q", got)
+	}
+}
+
+// TestOpenCloseAllocs pins what a clean Open and Close cost whatever the
+// state holds: the directory scan, the generation's file names, the
+// snapshot and wal reads and the wal reopen, here on an empty state.
+func TestOpenCloseAllocs(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		s, err := Open(dir, WithFsync(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 39 {
+		t.Errorf("a clean Open and Close of an empty state dir allocate %.0f objects, want <= 39", allocs)
+	}
+}

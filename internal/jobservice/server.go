@@ -147,7 +147,6 @@ type Server struct {
 	cfg     config
 	regions *taskfabric.Fabric // runs kind=parallel_for jobs over kernels
 	kernels *offload.Registry  // nil: no kernels bound, parallel_for refused
-	mux     *http.ServeMux
 
 	byKey  map[string]*tenantState
 	byName map[string]*tenantState
@@ -221,7 +220,6 @@ func New(fab *taskfabric.Fabric, jobs *taskfabric.Registry, opts ...Option) (*Se
 	if cfg.store != nil {
 		s.recoverFromStore()
 	}
-	s.routes()
 	s.wg.Add(1)
 	go s.dispatcher()
 	s.kickDispatcher() // recovered queues may already hold work
@@ -262,7 +260,7 @@ func (s *Server) Close() error {
 // responses are rewrapped into the JSON error envelope so every byte the
 // service emits is envelope-shaped.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(&envelopeWriter{rw: w}, r)
+	routes().ServeHTTP(&envelopeWriter{rw: w, s: s}, r)
 }
 
 // Handler returns the service's HTTP handler.
@@ -274,7 +272,8 @@ func (s *Server) Handler() http.Handler { return s }
 // untouched.
 type envelopeWriter struct {
 	rw       http.ResponseWriter
-	suppress bool // original body dropped; envelope already written
+	s        *Server // the server the request is for
+	suppress bool    // original body dropped; envelope already written
 }
 
 func (w *envelopeWriter) Header() http.Header { return w.rw.Header() }
@@ -335,27 +334,43 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // ---------------------------------------------------------------------------
 // Routing and auth.
 
-func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /v1", s.apiIndex)
-	s.mux.HandleFunc("GET /v1/{$}", s.apiIndex)
-	s.mux.HandleFunc("GET /v1/ready", s.apiReady)
-	s.mux.HandleFunc("GET /v1/health", s.apiHealth)
-	s.mux.HandleFunc("POST /v1/jobs", s.auth(s.apiJobSubmit))
-	s.mux.HandleFunc("GET /v1/jobs", s.auth(s.apiJobList))
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.auth(s.apiJobGet))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.auth(s.apiJobEvents))
-	s.mux.HandleFunc("POST /v1/groups", s.auth(s.apiGroupCreate))
-	s.mux.HandleFunc("GET /v1/groups/{id}", s.auth(s.apiGroupGet))
-	s.mux.HandleFunc("GET /v1/groups/{id}/stream", s.auth(s.apiGroupStream))
-	s.mux.HandleFunc("POST /v1/groups/{id}/cancel", s.auth(s.apiGroupCancel))
-	s.mux.HandleFunc("GET /v1/domains", s.auth(s.apiDomains))
-	s.mux.HandleFunc("POST /v1/domains/{id}/drain", s.auth(s.admin(s.apiDomainDrain)))
-	s.mux.HandleFunc("POST /v1/domains/{id}/readmit", s.auth(s.admin(s.apiDomainReadmit)))
-	s.mux.HandleFunc("GET /v1/stats", s.auth(s.apiStats))
-}
+// routes is the service's route table, built once per process. A
+// handler finds its Server on the envelopeWriter ServeHTTP wraps every
+// response in, so the table holds no Server and no request allocates for
+// it.
+var routes = sync.OnceValue(func() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1", public((*Server).apiIndex))
+	mux.HandleFunc("GET /v1/{$}", public((*Server).apiIndex))
+	mux.HandleFunc("GET /v1/ready", public((*Server).apiReady))
+	mux.HandleFunc("GET /v1/health", public((*Server).apiHealth))
+	mux.HandleFunc("POST /v1/jobs", auth((*Server).apiJobSubmit))
+	mux.HandleFunc("GET /v1/jobs", auth((*Server).apiJobList))
+	mux.HandleFunc("GET /v1/jobs/{id}", auth((*Server).apiJobGet))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", auth((*Server).apiJobEvents))
+	mux.HandleFunc("POST /v1/groups", auth((*Server).apiGroupCreate))
+	mux.HandleFunc("GET /v1/groups/{id}", auth((*Server).apiGroupGet))
+	mux.HandleFunc("GET /v1/groups/{id}/stream", auth((*Server).apiGroupStream))
+	mux.HandleFunc("POST /v1/groups/{id}/cancel", auth((*Server).apiGroupCancel))
+	mux.HandleFunc("GET /v1/domains", auth((*Server).apiDomains))
+	mux.HandleFunc("POST /v1/domains/{id}/drain", auth(admin((*Server).apiDomainDrain)))
+	mux.HandleFunc("POST /v1/domains/{id}/readmit", auth(admin((*Server).apiDomainReadmit)))
+	mux.HandleFunc("GET /v1/stats", auth((*Server).apiStats))
+	return mux
+})
 
-type authedHandler func(w http.ResponseWriter, r *http.Request, t *tenantState)
+type authedHandler func(s *Server, w http.ResponseWriter, r *http.Request, t *tenantState)
+
+// serverOf returns the Server a request is served by: the one whose
+// ServeHTTP wrapped w. Served any other way, the route table has no
+// Server; serverOf then answers with a 500 envelope and returns nil.
+func serverOf(w http.ResponseWriter) *Server {
+	if ew, ok := w.(*envelopeWriter); ok {
+		return ew.s
+	}
+	writeError(w, http.StatusInternalServerError, "route table served outside a Server")
+	return nil
+}
 
 // tenantOf resolves the caller's tenant from X-API-Key or a bearer
 // token.
@@ -372,8 +387,21 @@ func (s *Server) tenantOf(r *http.Request) *tenantState {
 	return s.byKey[key]
 }
 
-func (s *Server) auth(h authedHandler) http.HandlerFunc {
+// public routes to a handler that needs no tenant.
+func public(h func(s *Server, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if s := serverOf(w); s != nil {
+			h(s, w, r)
+		}
+	}
+}
+
+func auth(h authedHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s := serverOf(w)
+		if s == nil {
+			return
+		}
 		t := s.tenantOf(r)
 		if t == nil {
 			writeError(w, http.StatusUnauthorized, "missing or unknown API key")
@@ -383,17 +411,17 @@ func (s *Server) auth(h authedHandler) http.HandlerFunc {
 			writeError(w, http.StatusServiceUnavailable, "service shutting down")
 			return
 		}
-		h(w, r, t)
+		h(s, w, r, t)
 	}
 }
 
-func (s *Server) admin(h authedHandler) authedHandler {
-	return func(w http.ResponseWriter, r *http.Request, t *tenantState) {
+func admin(h authedHandler) authedHandler {
+	return func(s *Server, w http.ResponseWriter, r *http.Request, t *tenantState) {
 		if !t.Admin {
 			writeError(w, http.StatusForbidden, "tenant %q is not an admin", t.Name)
 			return
 		}
-		h(w, r, t)
+		h(s, w, r, t)
 	}
 }
 

@@ -982,3 +982,47 @@ func TestCloseSettlesQueued(t *testing.T) {
 		t.Errorf("canceled %d + done %d != %d", canceled, done, len(ids))
 	}
 }
+
+// TestNewAllocs pins what booting and closing a service costs beyond its
+// fabric: the route table is built once per process, so a New registers
+// no patterns.
+func TestNewAllocs(t *testing.T) {
+	jobs := builtinRegistry(t)
+	fab, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	allocs := testing.AllocsPerRun(20, func() {
+		s, err := New(fab, jobs, WithTenants(testTenants...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("New and Close allocate %.0f objects, want <= 20", allocs)
+	}
+}
+
+// TestRoutesOutsideServer: the shared route table finds its Server on the
+// response writer a Server wraps; served bare, every route answers with a
+// 500 envelope instead of panicking.
+func TestRoutesOutsideServer(t *testing.T) {
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/v1/health", nil),
+		httptest.NewRequest(http.MethodGet, "/v1/jobs", nil),
+	} {
+		rec := httptest.NewRecorder()
+		routes().ServeHTTP(rec, req)
+		var env apiResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s: body %q: %v", req.URL.Path, rec.Body, err)
+		}
+		if rec.Code != http.StatusInternalServerError || env.Type != "error" || env.ErrorCode != http.StatusInternalServerError {
+			t.Errorf("%s: status %d, envelope %+v; want a 500 error envelope", req.URL.Path, rec.Code, env)
+		}
+	}
+}

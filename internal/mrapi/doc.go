@@ -22,7 +22,8 @@
 //   - Shared memory, remote memory, mutexes, semaphores and reader/writer
 //     locks are created against integer keys and are visible domain-wide.
 //   - Metadata is exposed as a resource tree (see metadata.go) produced by
-//     the platform model.
+//     the platform model; a System made by NewSystemFrom builds its tree
+//     only when a node first asks for it.
 //
 // Blocking operations accept a Timeout; TimeoutInfinite blocks forever,
 // matching MRAPI_TIMEOUT_INFINITE.

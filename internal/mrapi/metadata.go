@@ -234,34 +234,42 @@ func carve[T any](s []T, n int) (part, rest []T) {
 }
 
 // ResourcesGet returns the system resource tree root (mrapi_resources_get).
-// The paper's runtime uses this to discover how many processors are online
-// (§5B4). It fails with ErrResourceInvalid when the system carries no
-// metadata.
+// A system made by NewSystemFrom materializes its tree here, on the first
+// call, and returns that same tree from then on. It fails with
+// ErrResourceInvalid when the system carries no metadata.
 func (n *Node) ResourcesGet() (*Resource, error) {
 	if err := n.checkLive(); err != nil {
 		return nil, err
 	}
-	sys := n.domain.sys
-	sys.mu.RLock()
-	defer sys.mu.RUnlock()
-	if sys.resources == nil {
+	root := n.domain.sys.tree()
+	if root == nil {
 		return nil, ErrResourceInvalid
 	}
-	return sys.resources, nil
+	return root, nil
 }
 
 // ProcessorsOnline reports the number of online hardware threads from the
-// metadata tree, the quantity the MCA-backed OpenMP runtime sizes its
-// default thread pool with. Falls back to 1 when no metadata is installed.
+// metadata, the quantity the MCA-backed OpenMP runtime sizes its default
+// thread pool with (§5B4). It walks the system's tree once one is
+// installed or materialized, and otherwise asks the system's Metadata,
+// which counts without building one. Falls back to 1 when no metadata is
+// installed.
 func (n *Node) ProcessorsOnline() int {
-	root, err := n.ResourcesGet()
-	if err != nil {
+	if n.checkLive() != nil {
 		return 1
 	}
-	if online := root.onlineHWThreads(); online > 0 {
-		return online
+	sys := n.domain.sys
+	sys.mu.RLock()
+	root, meta := sys.resources, sys.meta
+	sys.mu.RUnlock()
+	online := 0
+	switch {
+	case root != nil:
+		online = root.onlineHWThreads()
+	case meta != nil:
+		online = meta.ProcessorsOnline()
 	}
-	return 1
+	return max(online, 1)
 }
 
 // onlineHWThreads counts the tree's hardware threads, less those whose

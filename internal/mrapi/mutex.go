@@ -63,7 +63,7 @@ func (n *Node) MutexCreate(key Key, attrs *MutexAttributes) (*Mutex, error) {
 		return nil, ErrMutexExists
 	}
 	m := &Mutex{domain: d, key: key, attrs: a}
-	d.mutexes[key] = m
+	insert(&d.mutexes, key, m)
 	return m, nil
 }
 

@@ -67,10 +67,9 @@ func (s *System) Initialize(domainID DomainID, nodeID NodeID, attrs *NodeAttribu
 	}
 
 	n := &Node{
-		domain:  d,
-		id:      nodeID,
-		attrs:   a,
-		threads: make(map[uint64]*NodeThread),
+		domain: d,
+		id:     nodeID,
+		attrs:  a,
 	}
 	n.live.Store(true)
 
@@ -79,7 +78,7 @@ func (s *System) Initialize(domainID DomainID, nodeID NodeID, attrs *NodeAttribu
 	if _, dup := d.nodes[nodeID]; dup {
 		return nil, ErrNodeInitFailed
 	}
-	d.nodes[nodeID] = n
+	insert(&d.nodes, nodeID, n)
 	return n, nil
 }
 
@@ -194,7 +193,7 @@ func (n *Node) SpawnThread(params ThreadParams) (*NodeThread, error) {
 		name: params.Name,
 		done: make(chan struct{}),
 	}
-	n.threads[t.id] = t
+	insert(&n.threads, t.id, t)
 	n.mu.Unlock()
 
 	go func() {

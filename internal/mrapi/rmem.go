@@ -84,7 +84,7 @@ func (n *Node) RmemCreate(key Key, size int, attrs *RmemAttributes) (*Rmem, erro
 		buf:      make([]byte, size),
 		attached: make(map[NodeID]struct{}),
 	}
-	d.rmems[key] = r
+	insert(&d.rmems, key, r)
 	return r, nil
 }
 

@@ -47,7 +47,7 @@ func (n *Node) RWLockCreate(key Key) (*RWLock, error) {
 		return nil, ErrRwlExists
 	}
 	l := &RWLock{domain: d, key: key}
-	d.rwlocks[key] = l
+	insert(&d.rwlocks, key, l)
 	return l, nil
 }
 

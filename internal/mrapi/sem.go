@@ -46,7 +46,7 @@ func (n *Node) SemCreate(key Key, initial int, attrs *SemAttributes) (*Semaphore
 		return nil, ErrSemExists
 	}
 	s := &Semaphore{domain: d, key: key, max: max, count: initial}
-	d.sems[key] = s
+	insert(&d.sems, key, s)
 	return s, nil
 }
 

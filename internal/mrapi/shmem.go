@@ -89,7 +89,7 @@ func (n *Node) ShmemCreate(key Key, size int, attrs *ShmemAttributes) (*Shmem, e
 		buf:      make([]byte, alloc),
 		attached: make(map[NodeID]struct{}),
 	}
-	d.shmems[key] = s
+	insert(&d.shmems, key, s)
 	return s, nil
 }
 

@@ -25,17 +25,34 @@ type Key uint32
 // global database.
 type System struct {
 	mu        sync.RWMutex
-	domains   map[DomainID]*Domain
-	resources *Resource // metadata root; may be nil
+	domains   map[DomainID]*Domain // made by the first domain
+	resources *Resource            // metadata root; nil until materialized, or none
+	meta      Metadata             // source of resources; nil when installed whole
+}
+
+// Metadata is a system's platform description when the system builds its
+// resource tree only if asked for it.
+type Metadata interface {
+	// ResourceTree returns a fresh tree for one system; the system
+	// materializes it on the first ResourcesGet and keeps it.
+	ResourceTree() *Resource
+	// ProcessorsOnline counts the hardware threads the tree would carry,
+	// less those whose "online" attribute would read false.
+	ProcessorsOnline() int
 }
 
 // NewSystem creates an empty MRAPI universe exposing the given resource
 // tree as its metadata (may be nil for a metadata-less system).
 func NewSystem(resources *Resource) *System {
-	return &System{
-		domains:   make(map[DomainID]*Domain),
-		resources: resources,
-	}
+	return &System{resources: resources}
+}
+
+// NewSystemFrom creates an empty MRAPI universe whose metadata comes from
+// meta: its tree is materialized on the first ResourcesGet, and until
+// then ProcessorsOnline asks meta. A universe that is only booted and
+// counted never builds a tree.
+func NewSystemFrom(meta Metadata) *System {
+	return &System{meta: meta}
 }
 
 // defaultSystem mirrors the single per-process database of the C
@@ -55,7 +72,24 @@ func DefaultSystem() *System {
 func (s *System) SetResources(root *Resource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resources = root
+	s.resources, s.meta = root, nil
+}
+
+// tree returns the metadata tree, materializing it from the system's
+// Metadata on first use; nil when the system has none.
+func (s *System) tree() *Resource {
+	s.mu.RLock()
+	root, meta := s.resources, s.meta
+	s.mu.RUnlock()
+	if root != nil || meta == nil {
+		return root
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.resources == nil && s.meta != nil {
+		s.resources = s.meta.ResourceTree()
+	}
+	return s.resources
 }
 
 // domain returns the domain with the given ID, creating it on first use —
@@ -65,8 +99,8 @@ func (s *System) domain(id DomainID) *Domain {
 	defer s.mu.Unlock()
 	d, ok := s.domains[id]
 	if !ok {
-		d = newDomain(s, id)
-		s.domains[id] = d
+		d = &Domain{sys: s, id: id}
+		insert(&s.domains, id, d)
 	}
 	return d
 }
@@ -95,7 +129,8 @@ func (s *System) Domains() []DomainID {
 
 // Domain is one MRAPI domain: its node registry plus the domain-wide global
 // database of synchronization and memory primitives that every node in the
-// domain can look up by key.
+// domain can look up by key. Each table is made on its first insert, so a
+// domain pays only for the kinds of primitive its nodes create.
 type Domain struct {
 	sys *System
 	id  DomainID
@@ -109,17 +144,12 @@ type Domain struct {
 	rmems   map[Key]*Rmem
 }
 
-func newDomain(sys *System, id DomainID) *Domain {
-	return &Domain{
-		sys:     sys,
-		id:      id,
-		nodes:   make(map[NodeID]*Node),
-		mutexes: make(map[Key]*Mutex),
-		sems:    make(map[Key]*Semaphore),
-		rwlocks: make(map[Key]*RWLock),
-		shmems:  make(map[Key]*Shmem),
-		rmems:   make(map[Key]*Rmem),
+// insert stores v under k in *m, making the map on first use.
+func insert[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
 	}
+	(*m)[k] = v
 }
 
 // ID returns the domain's identifier.

@@ -124,12 +124,21 @@ func (b *Board) Online(hwThread int) bool {
 	return !b.offline[hwThread]
 }
 
-// OnlineCount reports the number of online hardware threads.
+// OnlineCount reports the number of online hardware threads as the
+// board's metadata tree carries them (§5B4): the tree's hardware threads,
+// less those whose "online" attribute reads false.
 func (b *Board) OnlineCount() int {
 	b.hotplugMu.Lock()
 	defer b.hotplugMu.Unlock()
-	return b.HWThreads() - len(b.offline)
+	// SetOnline takes only threads on the board offline, and each of them
+	// is in the tree.
+	return b.treeCores()*b.ThreadsPerCore - len(b.offline)
 }
+
+// ProcessorsOnline is OnlineCount, counted without building the tree. With
+// ResourceTree it makes a Board the mrapi.Metadata of the systems
+// NewSystem creates.
+func (b *Board) ProcessorsOnline() int { return b.OnlineCount() }
 
 // T4240RDB returns the paper's evaluation platform: twelve dual-threaded
 // PowerPC e6500 cores at 1.8 GHz in three clusters of four, each cluster
@@ -283,10 +292,9 @@ func (b *Board) Validate() error {
 // buffer, with each distinct attribute value boxed once: a runtime boot
 // pays for its nodes and threads, not for describing the board.
 func (b *Board) ResourceTree() *mrapi.Resource {
-	clusters, cores := 0, b.Cores
+	clusters, cores := 0, b.treeCores()
 	if b.CoresPerCluster > 1 {
 		clusters = b.Clusters()
-		cores = clusters * b.CoresPerCluster
 	}
 	hwThreads := cores * b.ThreadsPerCore
 	simd := 0
@@ -445,10 +453,21 @@ func nameBytes(count, prefixLen, maxN int) int {
 	return count * (prefixLen + digits)
 }
 
-// NewSystem builds a fresh MRAPI universe whose metadata is this board's
-// resource tree — the standard way the MCA thread layer binds to a board.
+// treeCores is the number of cores the metadata tree carries: with
+// clusters, every cluster is full, so a partial last one is padded out.
+func (b *Board) treeCores() int {
+	if b.CoresPerCluster > 1 {
+		return b.Clusters() * b.CoresPerCluster
+	}
+	return b.Cores
+}
+
+// NewSystem creates a fresh MRAPI universe whose metadata is this board —
+// the standard way the MCA thread layer binds to a board. The universe
+// builds the board's tree on its first ResourcesGet and not before: a
+// boot that only counts processors never builds one.
 func (b *Board) NewSystem() *mrapi.System {
-	return mrapi.NewSystem(b.ResourceTree())
+	return mrapi.NewSystemFrom(b)
 }
 
 // BlockDiagram renders an ASCII rendition of the paper's Figure 1: the
