@@ -30,21 +30,23 @@ test-benchmark:
 # the MCAPI receive-request tests (a cancel racing an arrival), and the
 # boot count pins (a board's metadata tree rendered as before, built
 # only when a ResourcesGet asks and from the board's current spec, its
-# allocations bounded, hotplug per board, boots from many goroutines; a
-# job service's New; the MCA restart's pin is in ./internal/core), and the
-# durable restart pins (which layouts Open appends to and Close folds,
-# the fsyncs of each, journal order across restarts, generation names
-# past six digits, the allocations of Open and of the service's
-# rebuild), 20 times each, on one and two procs. CI runs this on every
-# push.
+# allocations bounded, hotplug per board, a partition's online count
+# without a tree, boots from many goroutines; a job service's New; the
+# MCA restart's pin is in ./internal/core), and the durable restart pins
+# (which layouts Open appends to and Close folds, the fsyncs of each,
+# journal order across restarts, generation names past six digits, the
+# allocations of Open, of a snapshot decode and of the service's
+# rebuild, a settled job's immutability, a cold replayed job built once,
+# a restart serving what the life before it served), 20 times each, on
+# one and two procs. CI runs this on every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
 SOAK_MCAPI = -run 'TestRecvRequestNeverLosesPacket|TestParkedRecv|TestMsgRecvI|TestPktRecvI|TestWaitAny' \
 	./internal/mcapi
-SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestHotplugIsPerBoard|TestMutatedBoardGetsFreshTree|TestConcurrentBoots|TestNewAllocs' \
+SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestPartitionOnlineCount|TestHotplugIsPerBoard|TestMutatedBoardGetsFreshTree|TestConcurrentBoots|TestNewAllocs' \
 	./internal/platform ./internal/jobservice
-SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestOpenCloseAllocs|TestGenerationPastSixDigits|TestGenFileNames|TestRecoverFromStoreAllocs' \
+SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestOpenCloseAllocs|TestGenerationPastSixDigits|TestGenFileNames|TestSnapshotDecodeAllocs|TestSettledJobStateImmutable|TestRecoverFromStoreAllocs|TestColdJobBuiltOnce|TestRestartServesWhatWasServed' \
 	./internal/durable ./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi

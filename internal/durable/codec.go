@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"openmpmca/internal/oerrors"
 )
@@ -99,7 +100,13 @@ func (r *reader) tag() byte {
 
 // uvarint accepts only the minimal encoding: binary.Uvarint also takes
 // padded forms (a final 0x00 group), which would re-encode differently.
+// A one-byte value, which every short field's length is, is read inline.
 func (r *reader) uvarint() uint64 {
+	if len(r.b) > 0 && r.b[0] < 0x80 {
+		v := uint64(r.b[0])
+		r.b = r.b[1:]
+		return v
+	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
 		r.fail()
@@ -142,18 +149,58 @@ func (r *reader) bytes() []byte {
 
 func (r *reader) string() string { return string(r.bytes()) }
 
-// interner hands out one string per distinct value of the fields that
-// repeat from job to job (tenant, kind, name, status), so a decoded
-// snapshot allocates each value once, not once per job.
-type interner map[string]string
+// jobStrings makes the strings of a snapshot's jobs, so that decoding N
+// jobs allocates a count independent of N. Every job ID is carved out
+// of one buffer, sized before decoding starts (a strings.Builder never
+// rewrites the bytes it has handed out). The fields whose values repeat
+// from job to job (tenant, kind, name, status, group) get one string
+// per distinct value.
+type jobStrings struct {
+	ids  strings.Builder
+	seen map[string]string
+}
 
-func (in interner) of(b []byte) string {
-	if s, ok := in[string(b)]; ok {
-		return s
+// id returns b as a string carved out of the ID buffer.
+func (s *jobStrings) id(b []byte) string {
+	start := s.ids.Len()
+	s.ids.Write(b)
+	return s.ids.String()[start:]
+}
+
+// repeated returns b as the one string every job with that value
+// shares.
+func (s *jobStrings) repeated(b []byte) string {
+	if v, ok := s.seen[string(b)]; ok {
+		return v
 	}
-	s := string(b)
-	in[s] = s
-	return s
+	if s.seen == nil {
+		s.seen = make(map[string]string)
+	}
+	v := string(b)
+	s.seen[v] = v
+	return v
+}
+
+// idBytes sums the ID lengths of the n job frames from off on, reading
+// only each frame's length and its record's first field: what the IDs
+// take in one buffer. It checks no checksum, and stops at a length no
+// frame may have (as readFrame does); a damaged frame only mis-sizes
+// the buffer before decoding rejects it.
+func idBytes(data []byte, off int, n uint64) int {
+	total := 0
+	for ; n > 0 && off+frameHeaderLen < len(data); n-- {
+		size := binary.BigEndian.Uint32(data[off:])
+		if size > maxRecordLen {
+			break
+		}
+		end := min(len(data), off+frameHeaderLen+int(size))
+		if rec := data[off+frameHeaderLen : end]; len(rec) > 1 {
+			l, _ := binary.Uvarint(rec[1:])
+			total += int(min(l, uint64(len(rec))))
+		}
+		off = end
+	}
+	return total
 }
 
 // ---------------------------------------------------------------------------
@@ -236,14 +283,16 @@ func appendJobState(b []byte, j *JobState) []byte {
 	return appendFlag(b, j.Recovered)
 }
 
-func decodeJobState(p []byte, j *JobState, in interner) bool {
+func decodeJobState(p []byte, j *JobState, s *jobStrings) bool {
 	r := reader{b: p}
 	if r.tag() != tagJobState {
 		return false
 	}
 	*j = JobState{
-		ID: r.string(), Tenant: in.of(r.bytes()), Kind: in.of(r.bytes()), Name: in.of(r.bytes()),
-		Arg: r.bytes(), Group: r.string(), Status: in.of(r.bytes()), Result: r.bytes(),
+		ID: s.id(r.bytes()), Tenant: s.repeated(r.bytes()),
+		Kind: s.repeated(r.bytes()), Name: s.repeated(r.bytes()),
+		Arg: r.bytes(), Group: s.repeated(r.bytes()),
+		Status: s.repeated(r.bytes()), Result: r.bytes(),
 		Error: r.string(), N: int(r.varint()), SubmittedNs: r.varint(),
 		StartedNs: r.varint(), FinishedNs: r.varint(), Recovered: r.flag(),
 	}
@@ -347,10 +396,11 @@ func decodeSnapshot(data []byte) (*State, uint64, int64, error) {
 		GroupOrder: make([]*GroupState, nGroups),
 	}
 	jobs := make([]JobState, nJobs) // one allocation for every job
-	in := make(interner)
+	var strs jobStrings
+	strs.ids.Grow(idBytes(data, off, nJobs))
 	for i := range jobs {
 		var payload []byte
-		if payload, off, ok = readFrame(data, off); !ok || !decodeJobState(payload, &jobs[i], in) {
+		if payload, off, ok = readFrame(data, off); !ok || !decodeJobState(payload, &jobs[i], &strs) {
 			return nil, 0, 0, tornSnapshot(len(data), "bad job frame")
 		}
 		st.Jobs[jobs[i].ID] = &jobs[i]

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -237,6 +238,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add(img)
 	f.Add(img[:len(img)-3])
+	// A first job frame whose length no frame may have (negative as an
+	// int on a 32-bit build): torn, not a panic while sizing the IDs.
+	huge := append([]byte(nil), img...)
+	binary.BigEndian.PutUint32(huge[frameHeaderLen+binary.BigEndian.Uint32(huge):], 0xffffffff)
+	f.Add(huge)
 	f.Add(append(append([]byte(nil), img...), 0))
 	// Journal order is not ID order: j-10 was accepted after j-2, and
 	// g-1 after g-2.

@@ -73,6 +73,12 @@ const (
 
 // JobState is the folded state of one job after replay. The JSON tags
 // name the fields of version-1 snapshots, which are still read.
+//
+// A settled JobState is immutable: apply ignores every accept, dispatch
+// and settle record for a settled job, and compaction only reads it. A
+// caller may keep a pointer to a settled job of the recovered state for
+// the store's lifetime and after it, and read it without the store's
+// lock while others append.
 type JobState struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant"`
@@ -508,7 +514,8 @@ func folds(walBytes, snapBytes int64) bool { return walBytes*foldDivisor >= snap
 // Recovered returns the store's folded state itself, not a copy: as
 // reconstructed at Open until the first Append, which folds into the
 // same maps. The caller must treat it as read-only and finish reading
-// before it appends.
+// the maps and slices before it appends; the settled jobs they point to
+// never change (see JobState) and may be kept.
 func (s *Store) Recovered() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -244,5 +245,73 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestSettledJobStateImmutable pins what a caller that keeps a settled
+// job of the recovered state relies on: no later append, replayed
+// record or compaction writes to it, and it can be read while others
+// append (run under -race).
+func TestSettledJobStateImmutable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Entry{acceptEntry(1, "a"), settleEntry(1, StatusSucceeded, []byte{7})} {
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, WithFsync(false)); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	kept := s.Recovered().Jobs["j-1"]
+	if kept == nil || !kept.Settled() {
+		t.Fatalf("recovered j-1 = %+v, want settled", kept)
+	}
+	want := *kept
+
+	stop := make(chan struct{})
+	read := make(chan JobState)
+	go func() {
+		for {
+			last := *kept
+			select {
+			case <-stop:
+				read <- last
+				return
+			default:
+			}
+		}
+	}()
+	late := []Entry{
+		acceptEntry(1, "b"),
+		{Op: OpDispatch, ID: "j-1", At: 5},
+		settleEntry(1, StatusFailed, []byte{8}),
+		acceptEntry(2, "a"),
+		settleEntry(2, StatusSucceeded, nil),
+	}
+	for _, e := range late {
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if got := <-read; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a reader saw j-1 as %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(*kept, want) {
+		t.Fatalf("kept j-1 became %+v, want %+v", *kept, want)
+	}
+	if s.Recovered().Jobs["j-1"] != kept {
+		t.Fatal("the store replaced its settled j-1")
 	}
 }

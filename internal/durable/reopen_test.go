@@ -419,10 +419,11 @@ func TestSnapshotOrder(t *testing.T) {
 	})
 }
 
-// TestOpenAllocs pins a clean reopen's cost: one allocation per replayed
-// job (its ID) and a fixed number beside. Every other string a job
+// TestOpenAllocs pins a clean reopen's cost: nothing per replayed job.
+// The IDs are carved out of one buffer, every other string a job
 // carries is shared, its bytes alias the snapshot image, and the jobs,
-// the order and the map are each allocated once.
+// the order and the map are each allocated once; only the map's tables
+// grow with the job count.
 func TestOpenAllocs(t *testing.T) {
 	const jobs = 1000
 	dir := t.TempDir()
@@ -453,8 +454,8 @@ func TestOpenAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perJob := allocs / jobs; perJob > 1.1 {
-		t.Fatalf("a clean Open allocates %.3f objects per replayed job, want <= 1.1", perJob)
+	if perJob := allocs / jobs; perJob > 0.1 {
+		t.Fatalf("a clean Open allocates %.3f objects per replayed job, want <= 0.1", perJob)
 	}
 }
 
@@ -570,5 +571,42 @@ func TestOpenCloseAllocs(t *testing.T) {
 	})
 	if allocs > 39 {
 		t.Errorf("a clean Open and Close of an empty state dir allocate %.0f objects, want <= 39", allocs)
+	}
+}
+
+// indexSink keeps the map TestSnapshotDecodeAllocs measures on the heap.
+var indexSink map[string]*JobState
+
+// TestSnapshotDecodeAllocs pins what decoding a snapshot of N svc-shaped
+// jobs allocates beside its ID index: a count independent of N. The IDs
+// are carved out of one buffer and the repeated fields are shared, so
+// only the index map, whose tables grow with N, is left; the test
+// subtracts what making that map with the same hint allocates.
+func TestSnapshotDecodeAllocs(t *testing.T) {
+	var fixed [2]float64
+	for k, jobs := range []int{1000, 10000} {
+		st := newState()
+		for i := 0; i < jobs; i++ {
+			for _, e := range svcEntries(i) {
+				e.Tenant = []string{"client0", "client1"}[i%2]
+				st.apply(e)
+			}
+		}
+		img, err := encodeSnapshot(st, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := testing.AllocsPerRun(5, func() {
+			dec, _, _, err := decodeSnapshot(img)
+			if err != nil || len(dec.JobOrder) != jobs {
+				t.Fatalf("decoded %d jobs (%v), want %d", len(dec.JobOrder), err, jobs)
+			}
+		})
+		index := testing.AllocsPerRun(5, func() { indexSink = make(map[string]*JobState, jobs) })
+		fixed[k] = decode - index
+	}
+	if fixed[0] != fixed[1] {
+		t.Fatalf("decoding a snapshot allocates %.0f objects beside its index at 1 000 jobs, %.0f at 10 000: want the same",
+			fixed[0], fixed[1])
 	}
 }

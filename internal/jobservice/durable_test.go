@@ -3,12 +3,15 @@ package jobservice
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,16 +142,15 @@ func TestDurableRestartEventsFromJournal(t *testing.T) {
 	}
 }
 
-// TestRecoverFromStoreAllocs pins what rebuilding a replayed settled
-// job costs: nothing of its own. Every record and event log comes from
-// one slab, and the job table is sized once.
-func TestRecoverFromStoreAllocs(t *testing.T) {
-	const jobs = 1000
+// settledStore opens a store in a fresh dir holding jobs settled,
+// ungrouped echo jobs j-1..j-jobs of tenant alice.
+func settledStore(t *testing.T, jobs int) *durable.Store {
+	t.Helper()
 	st, err := durable.Open(t.TempDir(), durable.WithFsync(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	t.Cleanup(func() { st.Close() })
 	for i := 1; i <= jobs; i++ {
 		id := "j-" + strconv.Itoa(i)
 		for _, e := range []durable.Entry{
@@ -161,21 +163,318 @@ func TestRecoverFromStoreAllocs(t *testing.T) {
 			}
 		}
 	}
+	return st
+}
+
+// TestRecoverFromStoreAllocs pins what replaying a settled, ungrouped
+// job costs the service: its ID on its tenant's list and a slot in the
+// cold table, no record and nothing of its own. A record is built on
+// the job's first lookup, for that job alone.
+func TestRecoverFromStoreAllocs(t *testing.T) {
+	const jobs = 1000
+	st := settledStore(t, jobs)
 	alice := &tenantState{Tenant: testTenants[0]}
 	s := &Server{
 		cfg:    config{store: st},
 		byName: map[string]*tenantState{"alice": alice},
+		jobs:   make(map[string]*jobRec),
 		groups: make(map[string]*groupRec),
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		alice.jobs = alice.jobs[:0]
 		s.recoverFromStore()
 	})
-	if len(s.jobs) != jobs {
-		t.Fatalf("rebuilt %d jobs, want %d", len(s.jobs), jobs)
+	if len(s.jobs) != 0 {
+		t.Fatalf("replay built %d records for settled, ungrouped jobs, want 0", len(s.jobs))
+	}
+	cold := 0
+	for _, js := range s.cold.bySeq {
+		if js != nil {
+			cold++
+		}
+	}
+	if cold != jobs || len(alice.jobs) != jobs {
+		t.Fatalf("replay left %d cold jobs and %d listed, want %d of each", cold, len(alice.jobs), jobs)
 	}
 	if perJob := allocs / jobs; perJob > 0.01 {
 		t.Fatalf("recoverFromStore allocates %.3f objects per settled job, want <= 0.01", perJob)
+	}
+
+	s.mu.Lock()
+	j := s.lookupLocked("j-7", alice)
+	again := s.lookupLocked("j-7", alice)
+	s.mu.Unlock()
+	if j == nil || again != j || len(s.jobs) != 1 {
+		t.Fatalf("two lookups of j-7 = %p, %p with %d records, want one record", j, again, len(s.jobs))
+	}
+	if v := j.view(); v.ID != "j-7" || v.Status != StatusSucceeded || string(v.Result) != "x" ||
+		v.SubmittedAt.UnixNano() != 21 || v.FinishedAt.UnixNano() != 23 {
+		t.Fatalf("j-7 built as %+v", v)
+	}
+	for _, id := range []string{"j-07", "j-0", "j-1001", "j-", "7"} {
+		s.mu.Lock()
+		got := s.lookupLocked(id, alice)
+		s.mu.Unlock()
+		if got != nil {
+			t.Errorf("lookup of %q found %s", id, got.id)
+		}
+	}
+}
+
+// httpGet issues one GET under key and returns the status and body; safe
+// off the test goroutine.
+func httpGet(env *testEnv, key, path string) (int, []byte, error) {
+	req, err := http.NewRequest(http.MethodGet, env.ts.URL+path, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("X-API-Key", key)
+	resp, err := env.ts.Client().Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// TestColdJobBuiltOnce races GETs, lists and event streams of one cold
+// replayed job against direct lookups: every caller sees the one record
+// its first lookup built, every answer is the same, and the other
+// tenant's jobs stay cold. Run it under -race.
+func TestColdJobBuiltOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, err := durable.Open(dir, durable.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tenant := range []string{"bob", "alice", "alice"} {
+		id := "j-" + strconv.Itoa(i+1)
+		for _, e := range []durable.Entry{
+			{Op: durable.OpAccept, ID: id, Tenant: tenant, Kind: KindTask, Name: JobEcho, Arg: []byte(id)},
+			{Op: durable.OpSettle, ID: id, Status: durable.StatusSucceeded, Result: []byte(id)},
+		} {
+			if err := st.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env, _ := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+	if code, _, err := httpGet(env, "key-alice", "/v1/jobs/j-1"); err != nil || code != http.StatusNotFound {
+		t.Fatalf("alice's GET of bob's j-1 = %d (%v), want 404", code, err)
+	}
+	if env.srv.cold.bySeq[1] == nil {
+		t.Fatal("another tenant's GET built bob's j-1")
+	}
+
+	paths := []string{"/v1/jobs/j-1", "/v1/jobs/j-1?wait=1s", "/v1/jobs", "/v1/jobs/j-1/events"}
+	const rounds = 8
+	bodies := make([][]byte, len(paths)*rounds)
+	errs := make([]error, len(paths)*rounds)
+	recs := make([]*jobRec, rounds)
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for p, path := range paths {
+			wg.Add(1)
+			go func(k int, path string) {
+				defer wg.Done()
+				code, body, err := httpGet(env, "key-bob", path)
+				if err == nil && code != http.StatusOK {
+					err = fmt.Errorf("GET %s: HTTP %d: %s", path, code, body)
+				}
+				bodies[k], errs[k] = body, err
+			}(r*len(paths)+p, path)
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			env.srv.mu.Lock()
+			recs[r] = env.srv.lookupLocked("j-1", env.srv.byName["bob"])
+			env.srv.mu.Unlock()
+		}(r)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := bodies[k%len(paths)]; !bytes.Equal(bodies[k], first) {
+			t.Fatalf("GET %s answered\n%s\nand\n%s", paths[k%len(paths)], bodies[k], first)
+		}
+	}
+	for _, j := range recs {
+		if j == nil || j != recs[0] {
+			t.Fatalf("lookups of j-1 saw records %p and %p, want one", j, recs[0])
+		}
+	}
+	env.srv.mu.Lock()
+	defer env.srv.mu.Unlock()
+	if env.srv.jobs["j-1"] != recs[0] || env.srv.cold.bySeq[1] != nil {
+		t.Fatal("j-1's record is not the one its lookups saw, or j-1 is still cold")
+	}
+	if env.srv.cold.bySeq[2] == nil || env.srv.cold.bySeq[3] == nil || len(env.srv.jobs) != 1 {
+		t.Fatalf("bob's reads built %d records, want only j-1's", len(env.srv.jobs))
+	}
+}
+
+// viewOf decodes the job view a GET /v1/jobs/{id} answered.
+func viewOf(t *testing.T, body string) JobView {
+	t.Helper()
+	var env apiResponse
+	var v JobView
+	if err := json.Unmarshal([]byte(body), &env); err != nil {
+		t.Fatal(err)
+	}
+	meta(t, env, &v)
+	return v
+}
+
+// lifeReads is what one service life serves about its jobs: each job's
+// view and event log, and each tenant's list, as the bytes sent.
+type lifeReads struct {
+	views, events map[string]string
+	lists         map[string]string
+}
+
+// readLife reads every job of ids (owner key per id) and every tenant's
+// list. order picks which path touches the jobs first: "events", "get"
+// or "list".
+func readLife(t *testing.T, env *testEnv, ids []string, owner map[string]string, order string) lifeReads {
+	t.Helper()
+	got := lifeReads{views: map[string]string{}, events: map[string]string{}, lists: map[string]string{}}
+	get := func(key, path string) string {
+		t.Helper()
+		code, body, err := httpGet(env, key, path)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d (%v): %s", path, code, err, body)
+		}
+		return string(body)
+	}
+	lists := func() {
+		for _, key := range []string{"key-alice", "key-bob"} {
+			got.lists[key] = get(key, "/v1/jobs")
+		}
+	}
+	if order == "list" {
+		lists()
+	}
+	for k, id := range ids {
+		if order == "events" || (order == "get" && k%2 == 1) {
+			got.events[id] = get(owner[id], "/v1/jobs/"+id+"/events")
+			got.views[id] = get(owner[id], "/v1/jobs/"+id)
+		} else {
+			got.views[id] = get(owner[id], "/v1/jobs/"+id)
+			got.events[id] = get(owner[id], "/v1/jobs/"+id+"/events")
+		}
+	}
+	if order != "list" {
+		lists()
+	}
+	return got
+}
+
+// TestRestartServesWhatWasServed restarts a service over settled jobs
+// of every shape (succeeded, failed, canceled, recovered, a region,
+// grouped members, an ID the service would not issue) three times, touching
+// the jobs first through a different path each life. Every view and
+// list entry equals what the first life served; every event log is the
+// journaled accepted and settled pair and equals what the life before
+// served.
+func TestRestartServesWhatWasServed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := durable.Open(dir, durable.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []durable.Entry{
+		{Op: durable.OpAccept, ID: "j-1", At: 10, Tenant: "alice", Kind: KindTask, Name: JobEcho, Arg: []byte("f")},
+		{Op: durable.OpDispatch, ID: "j-1", At: 11},
+		{Op: durable.OpSettle, ID: "j-1", At: 12, Status: durable.StatusFailed, Error: "boom"},
+		{Op: durable.OpAccept, ID: "j-2", At: 20, Tenant: "bob", Kind: KindTask, Name: JobEcho, Arg: []byte("c")},
+		{Op: durable.OpSettle, ID: "j-2", At: 22, Status: durable.StatusCanceled},
+		{Op: durable.OpAccept, ID: "j-3", At: 30, Tenant: "alice", Kind: KindTask, Name: JobEcho, Arg: []byte("r")},
+		{Op: durable.OpSettle, ID: "j-3", At: 32, Status: durable.StatusSucceeded, Result: []byte("r"), Recovered: true},
+		{Op: durable.OpAccept, ID: "legacy-1", At: 40, Tenant: "bob", Kind: KindTask, Name: JobEcho, Arg: []byte("l")},
+		{Op: durable.OpSettle, ID: "legacy-1", At: 42, Status: durable.StatusSucceeded, Result: []byte("l")},
+	} {
+		if err := st.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	env1, shutdown1 := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+	ids := []string{"j-1", "j-2", "j-3", "legacy-1"}
+	owner := map[string]string{"j-1": "key-alice", "j-2": "key-bob", "j-3": "key-alice", "legacy-1": "key-bob"}
+	code, genv := env1.do(t, http.MethodPost, "/v1/groups", "key-alice", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("group create: %d", code)
+	}
+	var gv GroupView
+	meta(t, genv, &gv)
+	for _, sub := range []struct {
+		key string
+		req submitRequest
+	}{
+		{"key-alice", submitRequest{Job: JobSum, Arg: I64Pair(0, 1000)}},
+		{"key-bob", submitRequest{Job: JobFib, Arg: U64(40)}},
+		{"key-alice", submitRequest{Job: KernelVecSum, Kind: KindParallelFor, N: 300}},
+		{"key-alice", submitRequest{Job: JobEcho, Arg: []byte("m1"), Group: gv.ID}},
+		{"key-alice", submitRequest{Job: JobEcho, Arg: []byte("m2"), Group: gv.ID}},
+		{"key-bob", submitRequest{Job: JobEcho, Arg: []byte("b")}},
+	} {
+		id := env1.submit(t, sub.key, sub.req).ID
+		env1.wait(t, sub.key, id)
+		ids = append(ids, id)
+		owner[id] = sub.key
+	}
+	first := readLife(t, env1, ids, owner, "get")
+	shutdown1()
+	// The seeded jobs were replayed in the first life already: hold
+	// their views to the journal.
+	for id, want := range map[string]JobView{
+		"j-1":      {Status: StatusFailed, Error: "boom"},
+		"j-2":      {Status: StatusCanceled},
+		"j-3":      {Status: StatusSucceeded, Result: []byte("r"), Recovered: true},
+		"legacy-1": {Status: StatusSucceeded, Result: []byte("l")},
+	} {
+		v := viewOf(t, first.views[id])
+		if v.Status != want.Status || v.Error != want.Error || !bytes.Equal(v.Result, want.Result) || v.Recovered != want.Recovered {
+			t.Fatalf("replayed %s = %+v, want %+v", id, v, want)
+		}
+	}
+
+	var before lifeReads
+	for life, order := range []string{"events", "get", "list"} {
+		env, shutdown := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+		got := readLife(t, env, ids, owner, order)
+		shutdown()
+		for key, list := range first.lists {
+			if got.lists[key] != list {
+				t.Fatalf("life %d (%s first): %s's list\n%s\nwant\n%s", life+2, order, key, got.lists[key], list)
+			}
+		}
+		for _, id := range ids {
+			if got.views[id] != first.views[id] {
+				t.Fatalf("life %d (%s first): job %s\n%s\nwant\n%s", life+2, order, id, got.views[id], first.views[id])
+			}
+			v := viewOf(t, got.views[id])
+			want := fmt.Sprintf("{\"seq\":0,\"at_ns\":%d,\"type\":\"accepted\",\"chunk\":-1}\n"+
+				"{\"seq\":1,\"at_ns\":%d,\"type\":\"settled\",\"chunk\":-1,\"status\":%q}\n",
+				v.SubmittedAt.UnixNano(), v.FinishedAt.UnixNano(), v.Status)
+			if got.events[id] != want {
+				t.Fatalf("life %d (%s first): job %s events\n%s\nwant\n%s", life+2, order, id, got.events[id], want)
+			}
+			if before.events != nil && got.events[id] != before.events[id] {
+				t.Fatalf("life %d: job %s events changed across the restart", life+2, id)
+			}
+		}
+		before = got
 	}
 }
 

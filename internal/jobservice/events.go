@@ -182,12 +182,9 @@ func (g *groupRec) deliverProgress(jobID string, e JobEvent) {
 // the last line), the client disconnects, or the server stops. For an
 // already-settled job the retained log is dumped and the stream ends.
 func (s *Server) apiJobEvents(w http.ResponseWriter, r *http.Request, t *tenantState) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil || j.tenant != t {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+	j := s.jobOf(r, t)
+	if j == nil {
+		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -152,8 +152,9 @@ type Server struct {
 	byName map[string]*tenantState
 	order  []*tenantState // registration order; WRR iterates it
 
-	mu     sync.Mutex // guards queues, jobs, groups, WRR state
+	mu     sync.Mutex // guards queues, jobs, cold, groups, WRR state
 	jobs   map[string]*jobRec
+	cold   coldJobs // replayed jobs without a record until looked up
 	groups map[string]*groupRec
 
 	jobSeq   atomic.Uint64
@@ -608,10 +609,9 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 
 func (s *Server) apiJobList(w http.ResponseWriter, _ *http.Request, t *tenantState) {
 	s.mu.Lock()
-	ids := append([]string(nil), t.jobs...)
-	views := make([]JobView, 0, len(ids))
-	for _, id := range ids {
-		if j := s.jobs[id]; j != nil {
+	views := make([]JobView, 0, len(t.jobs))
+	for _, id := range t.jobs {
+		if j := s.lookupLocked(id, t); j != nil {
 			views = append(views, j.view())
 		}
 	}
@@ -620,12 +620,9 @@ func (s *Server) apiJobList(w http.ResponseWriter, _ *http.Request, t *tenantSta
 }
 
 func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantState) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil || j.tenant != t {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+	j := s.jobOf(r, t)
+	if j == nil {
+		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
@@ -646,6 +643,14 @@ func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantStat
 		}
 	}
 	writeSync(w, http.StatusOK, j.view())
+}
+
+// jobOf returns the caller's job named by the request path, nil when
+// there is none.
+func (s *Server) jobOf(r *http.Request, t *tenantState) *jobRec {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lookupLocked(r.PathValue("id"), t)
 }
 
 func (s *Server) apiGroupCreate(w http.ResponseWriter, _ *http.Request, t *tenantState) {

@@ -448,6 +448,32 @@ func TestSubmitWaitExact(t *testing.T) {
 	}
 }
 
+// TestWaitOnSettledJob: a long-poll of a job that has settled answers
+// at once, however long the wait it asks for, and a malformed wait is
+// still refused with 400.
+func TestWaitOnSettledJob(t *testing.T) {
+	e := newTestEnv(t)
+	v := e.submit(t, "key-bob", submitRequest{Job: JobEcho, Arg: []byte("w")})
+	want := e.wait(t, "key-bob", v.ID)
+
+	t0 := time.Now()
+	code, env := e.do(t, http.MethodGet, "/v1/jobs/"+v.ID+"?wait=1h", "key-bob", nil)
+	if code != http.StatusOK {
+		t.Fatalf("wait=1h on a settled job = %d (%s)", code, env.Error)
+	}
+	if d := time.Since(t0); d > 10*time.Second {
+		t.Fatalf("wait=1h on a settled job took %v", d)
+	}
+	var got JobView
+	meta(t, env, &got)
+	if got.Status != want.Status || !bytes.Equal(got.Result, want.Result) {
+		t.Fatalf("wait on a settled job = %+v, want %+v", got, want)
+	}
+	if code, _ := e.do(t, http.MethodGet, "/v1/jobs/"+v.ID+"?wait=soon", "key-bob", nil); code != http.StatusBadRequest {
+		t.Fatalf("malformed wait on a settled job = %d, want 400", code)
+	}
+}
+
 // TestQuota429 pins admission control: over-quota submits are refused
 // with 429 + Retry-After and succeed again once capacity frees.
 func TestQuota429(t *testing.T) {

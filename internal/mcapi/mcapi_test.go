@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -428,6 +429,26 @@ func TestWaitAnyTimeout(t *testing.T) {
 	}
 	if _, err := WaitAny(nil, TimeoutImmediate); !errors.Is(err, ErrRequestInvalid) {
 		t.Errorf("empty WaitAny = %v, want ErrRequestInvalid", err)
+	}
+}
+
+// TestWaitAnyTimeoutLeavesNoGoroutine polls a request that never
+// completes: a WaitAny that times out must leave the goroutine count
+// where it was, however often it is called.
+func TestWaitAnyTimeoutLeavesNoGoroutine(t *testing.T) {
+	_, _, e2 := twoEndpoints(t)
+	pending := MsgRecvI(e2)
+	defer pending.Cancel()
+	other := MsgRecvI(e2)
+	defer other.Cancel()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := WaitAny([]*Request{pending, other}, Timeout(time.Millisecond)); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("WaitAny = %v, want ErrTimeout", err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("50 timed-out waits on two requests left %d goroutines, %d before", n, base)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mcapi
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -96,6 +97,8 @@ func (r *Request) Payload() ([]byte, int, error) {
 
 // WaitAny blocks until one of the requests completes and returns its
 // index (mcapi_wait_any). With an empty set it returns ErrRequestInvalid.
+// It selects over the requests' done channels itself, so a call that
+// times out leaves nothing behind.
 func WaitAny(reqs []*Request, timeout Timeout) (int, error) {
 	if len(reqs) == 0 {
 		return -1, ErrRequestInvalid
@@ -106,25 +109,19 @@ func WaitAny(reqs []*Request, timeout Timeout) (int, error) {
 			return i, nil
 		}
 	}
-	winner := make(chan int, len(reqs))
+	cases := make([]reflect.SelectCase, len(reqs), len(reqs)+1)
 	for i, r := range reqs {
-		i, r := i, r
-		go func() {
-			<-r.doneCh
-			winner <- i
-		}()
+		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(r.doneCh)}
 	}
-	if timeout == TimeoutInfinite {
-		return <-winner, nil
+	if timeout != TimeoutInfinite {
+		t := time.NewTimer(time.Duration(timeout))
+		defer t.Stop()
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(t.C)})
 	}
-	t := time.NewTimer(time.Duration(timeout))
-	defer t.Stop()
-	select {
-	case i := <-winner:
+	if i, _, _ := reflect.Select(cases); i < len(reqs) {
 		return i, nil
-	case <-t.C:
-		return -1, ErrTimeout
 	}
+	return -1, ErrTimeout
 }
 
 // MsgSendI is the non-blocking message send (mcapi_msg_send_i): it

@@ -158,9 +158,11 @@ func (n *Node) worker() {
 				return
 			}
 			for p := 0; p <= MaxPriority; p++ {
-				if len(n.ready[p]) > 0 {
-					t = n.ready[p][0]
-					n.ready[p] = n.ready[p][1:]
+				if q := n.ready[p]; len(q) > 0 {
+					// Clear the slot: the backing array outlives the pop, and
+					// must not keep a finished task's args and result alive.
+					t, q[0] = q[0], nil
+					n.ready[p] = q[1:]
 					break
 				}
 			}

@@ -2,6 +2,7 @@ package mtapi
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -419,5 +420,45 @@ func TestZeroTimeoutPollsOnce(t *testing.T) {
 	}
 	if got, err := g.WaitAny(0); err != nil || got != task {
 		t.Errorf("WaitAny(0) with a ready completion = %v, %v", got, err)
+	}
+}
+
+// TestFinishedTaskNotRetained: once a finished task is dropped by its
+// caller, the node keeps nothing of it, so its argument and result are
+// collectable. Each argument's finalizer reports its collection.
+func TestFinishedTaskNotRetained(t *testing.T) {
+	n := newTestNode(t, 1)
+	if _, err := n.CreateAction(1, "len", func(args any) (any, error) {
+		return len(*args.(*[64 << 10]byte)), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 3
+	freed := make(chan struct{}, tasks)
+	func() {
+		var started [tasks]*Task
+		for i := range started {
+			arg := new([64 << 10]byte)
+			runtime.SetFinalizer(arg, func(*[64 << 10]byte) { freed <- struct{}{} })
+			var err error
+			if started[i], err = n.Start(1, arg, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, task := range started {
+			if res, err := task.Wait(TimeoutInfinite); err != nil || res.(int) != 64<<10 {
+				t.Fatalf("task = %v, %v", res, err)
+			}
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < tasks; i++ {
+		select {
+		case <-freed:
+		case <-timeout:
+			t.Fatalf("%d of %d finished tasks' arguments still reachable after two GCs", tasks-i, tasks)
+		}
 	}
 }

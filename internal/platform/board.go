@@ -135,6 +135,19 @@ func (b *Board) OnlineCount() int {
 	return b.treeCores()*b.ThreadsPerCore - len(b.offline)
 }
 
+// onlineOf counts the online hardware threads among cpus.
+func (b *Board) onlineOf(cpus []int) int {
+	b.hotplugMu.Lock()
+	defer b.hotplugMu.Unlock()
+	n := 0
+	for _, hw := range cpus {
+		if !b.offline[hw] {
+			n++
+		}
+	}
+	return n
+}
+
 // ProcessorsOnline is OnlineCount, counted without building the tree. With
 // ResourceTree it makes a Board the mrapi.Metadata of the systems
 // NewSystem creates.

@@ -34,8 +34,8 @@ func figure2(t *testing.T) *Hypervisor {
 
 // TestResourceTreeGolden pins every tree's Render to testdata/*.golden:
 // how a tree is built may change what it costs, never what it describes.
-// A board's tree is pinned both as ResourceTree returns it and as its
-// System materializes it on the first ResourcesGet.
+// A board's or partition's tree is pinned both as it is built directly
+// and as its System materializes it on the first ResourcesGet.
 func TestResourceTreeGolden(t *testing.T) {
 	type tree struct {
 		golden string
@@ -51,7 +51,11 @@ func TestResourceTreeGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees = append(trees, tree{name, root})
+		sys, err := h.PartitionSystem(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tree{name, root}, tree{name, resourcesGet(t, sys)})
 	}
 	for _, tr := range trees {
 		want, err := os.ReadFile(filepath.Join("testdata", tr.golden+".golden"))
@@ -92,15 +96,78 @@ func TestNewSystemAllocs(t *testing.T) {
 }
 
 // TestPartitionSystemAllocs is TestNewSystemAllocs for one Figure 2
-// partition.
+// partition: the System alone, as the partition is its metadata.
 func TestPartitionSystemAllocs(t *testing.T) {
 	h := figure2(t)
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := h.PartitionSystem("control-plane"); err != nil {
+		var err error
+		if systemSink, err = h.PartitionSystem("control-plane"); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 40 {
-		t.Errorf("PartitionSystem(control-plane) allocates %.0f objects, want <= 40", n)
+	}); n > 1 {
+		t.Errorf("PartitionSystem(control-plane) allocates %.0f objects, want <= 1", n)
+	}
+}
+
+// onlineThreads counts the hardware threads of root whose "online"
+// attribute reads true.
+func onlineThreads(root *mrapi.Resource) int {
+	n := 0
+	for _, r := range root.Filter(mrapi.ResHWThread) {
+		if v, _ := r.Attr("online"); v == true {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPartitionOnlineCount: a partition's System counts its online
+// hardware threads without building a tree, and the count equals what
+// the tree it materializes reads, before and after a hotplug.
+func TestPartitionOnlineCount(t *testing.T) {
+	h := figure2(t)
+	b := h.Board()
+	for _, hw := range []int{3, 9} { // one in control-plane, one in data-plane
+		if err := b.SetOnline(hw, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		online  int
+		hotplug int // a thread of the partition to take offline next
+	}{{"control-plane", 7, 6}, {"data-plane", 7, 15}, {"realtime", 4, 17}} {
+		sys, err := h.PartitionSystem(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := sys.Initialize(1, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := node.ProcessorsOnline(); got != tc.online {
+			t.Errorf("%s: ProcessorsOnline = %d before any tree, want %d", tc.name, got, tc.online)
+		}
+		tree, err := node.ResourcesGet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := onlineThreads(tree); got != tc.online {
+			t.Errorf("%s: materialized tree reads %d online, want %d", tc.name, got, tc.online)
+		}
+		if err := b.SetOnline(tc.hotplug, false); err != nil {
+			t.Fatal(err)
+		}
+		p, err := h.Partition(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counted, read := p.ProcessorsOnline(), onlineThreads(p.ResourceTree()); counted != tc.online-1 || read != counted {
+			t.Errorf("%s after hotplug: counted %d, a fresh tree reads %d, want %d", tc.name, counted, read, tc.online-1)
+		}
+		if got := onlineThreads(tree); got != tc.online-1 {
+			t.Errorf("%s after hotplug: materialized tree reads %d online, want %d", tc.name, got, tc.online-1)
+		}
 	}
 }
 

@@ -58,6 +58,7 @@ type Partition struct {
 	MemMB  int
 	state  PartitionState
 	IOmask []string // pass-through I/O devices
+	board  *Board   // the board the partition's CPUs are on
 }
 
 // State reports the partition's lifecycle phase.
@@ -146,6 +147,7 @@ func (h *Hypervisor) CreatePartition(name string, guest GuestOS, cpus []int, mem
 		CPUs:   append([]int(nil), cpus...),
 		MemMB:  memMB,
 		IOmask: append([]string(nil), ioDevices...),
+		board:  h.board,
 	}
 	sort.Ints(p.CPUs)
 	for _, c := range p.CPUs {

@@ -18,7 +18,14 @@ func (h *Hypervisor) PartitionResourceTree(name string) (*mrapi.Resource, error)
 	if err != nil {
 		return nil, err
 	}
-	b := h.board
+	return p.ResourceTree(), nil
+}
+
+// ResourceTree builds the partition's metadata tree (see
+// PartitionResourceTree). With ProcessorsOnline it makes a Partition
+// the mrapi.Metadata of the systems PartitionSystem creates.
+func (p *Partition) ResourceTree() *mrapi.Resource {
+	b := p.board
 
 	// Sorted, a core's threads are adjacent and cores and clusters ascend,
 	// so each cluster and each core is a run of the list.
@@ -83,7 +90,13 @@ func (h *Hypervisor) PartitionResourceTree(name string) (*mrapi.Resource, error)
 		}
 		rest = rest[len(group):]
 	}
-	return root, nil
+	return root
+}
+
+// ProcessorsOnline counts the partition's online hardware threads, as
+// its tree's "online" attributes would read, without building the tree.
+func (p *Partition) ProcessorsOnline() int {
+	return p.board.onlineOf(p.CPUs)
 }
 
 // leadingRun returns the longest prefix of s whose elements share
@@ -106,11 +119,12 @@ func runs(s []int, key func(int) int) int {
 }
 
 // PartitionSystem builds an MRAPI universe scoped to the partition —
-// the universe a guest OS's MCA-backed OpenMP runtime binds to.
+// the universe a guest OS's MCA-backed OpenMP runtime binds to. Like
+// Board.NewSystem, it builds no tree until a ResourcesGet asks for one.
 func (h *Hypervisor) PartitionSystem(name string) (*mrapi.System, error) {
-	tree, err := h.PartitionResourceTree(name)
+	p, err := h.Partition(name)
 	if err != nil {
 		return nil, err
 	}
-	return mrapi.NewSystem(tree), nil
+	return mrapi.NewSystemFrom(p), nil
 }
