@@ -37,8 +37,11 @@ test-benchmark:
 # journal order across restarts, generation names past six digits, the
 # allocations of Open, of a snapshot decode and of the service's
 # rebuild, a settled job's immutability, a cold replayed job built once,
-# a restart serving what the life before it served), 20 times each, on
-# one and two procs. CI runs this on every push.
+# a restart serving what the life before it served), and the dispatch
+# tests (a free window slot only beside empty queues, no launch after
+# Close, a 202 ahead of its dispatch record, the weighted interleave,
+# quota and Close contracts, the allocations of one echo job), 20 times
+# each, on one and two procs. CI runs this on every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
@@ -48,6 +51,8 @@ SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystem
 	./internal/platform ./internal/jobservice
 SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestOpenCloseAllocs|TestGenerationPastSixDigits|TestGenFileNames|TestSnapshotDecodeAllocs|TestSettledJobStateImmutable|TestRecoverFromStoreAllocs|TestColdJobBuiltOnce|TestRestartServesWhatWasServed' \
 	./internal/durable ./internal/jobservice
+SOAK_DISPATCH = -run 'TestCloseSettlesQueued|TestConcurrentTenants|TestQuota429|TestWeightedFairInterleave|TestDispatchInvariant|TestAcceptRacingClose|TestReceiptBeforeDispatchRecord|TestEchoJobAllocs|TestListLeavesColdJobsCold' \
+	./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_REGIONS)
@@ -55,12 +60,14 @@ tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_MCAPI)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_BOOT)
 	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_DURABLE)
+	GOMAXPROCS=1 $(GO) test -count=20 $(SOAK_DISPATCH)
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_REGIONS)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_EVENTS)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_MCAPI)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_BOOT)
 	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_DURABLE)
+	GOMAXPROCS=2 $(GO) test -count=20 $(SOAK_DISPATCH)
 
 race:
 	$(GO) test -race ./...

@@ -1,0 +1,285 @@
+package jobservice
+
+import (
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"openmpmca/internal/durable"
+	"openmpmca/internal/taskfabric"
+)
+
+// TestDispatchInvariant races submits, group cancels, completions and
+// Close on a window of two slots: whenever s.mu is free, a free slot
+// means every queue is empty, and once Close has returned no job is
+// launched and every accepted job settles. Run it under -race.
+func TestDispatchInvariant(t *testing.T) {
+	const window = 2
+	jobs := builtinRegistry(t)
+	fab, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	srv, err := New(fab, jobs, WithTenants(testTenants...), WithDispatchWindow(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	serve := func(method, path, key, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("X-API-Key", key)
+		srv.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	groups := map[string]string{}
+	for _, tn := range testTenants {
+		code, body := serve(http.MethodPost, "/v1/groups", tn.Key, "")
+		if code != http.StatusCreated {
+			t.Fatalf("group create: %d %s", code, body)
+		}
+		var env struct{ Metadata GroupView }
+		if err := json.Unmarshal([]byte(body), &env); err != nil {
+			t.Fatal(err)
+		}
+		groups[tn.Key] = env.Metadata.ID
+	}
+
+	var violation atomic.Value
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // the invariant, sampled at every chance to take s.mu
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			srv.mu.Lock()
+			queued := 0
+			for _, tn := range srv.order {
+				queued += len(tn.queue)
+			}
+			if srv.free < 0 || srv.free > window || (srv.free > 0 && queued > 0) {
+				violation.Store(fmt.Sprintf("free %d with %d queued", srv.free, queued))
+			}
+			srv.mu.Unlock()
+		}
+	}()
+	for _, tn := range testTenants {
+		key := tn.Key
+		bg.Add(1)
+		go func() { // group cancels of whatever is queued
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(2 * time.Millisecond):
+				}
+				serve(http.MethodPost, "/v1/groups/"+groups[key]+"/cancel", key, "")
+			}
+		}()
+		for k := 0; k < 3; k++ {
+			bg.Add(1)
+			go func() { // submits until the server closes
+				defer bg.Done()
+				for i := 0; ; i++ {
+					body := `{"job":"echo","arg":"eA=="}`
+					switch {
+					case i%3 == 1:
+						body = `{"job":"spin","arg":"` + base64.StdEncoding.EncodeToString(U64(uint64(200*time.Microsecond))) + `"}`
+					case i%3 == 2:
+						body = `{"job":"echo","arg":"eA==","group":"` + groups[key] + `"}`
+					}
+					switch code, _ := serve(http.MethodPost, "/v1/jobs", key, body); code {
+					case http.StatusAccepted:
+					case http.StatusTooManyRequests:
+						time.Sleep(100 * time.Microsecond)
+					case http.StatusServiceUnavailable:
+						return
+					default:
+						t.Errorf("submit answered %d", code)
+						return
+					}
+				}
+			}()
+		}
+	}
+
+	time.Sleep(150 * time.Millisecond)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	launched := srv.st.dispatched.Load()
+	close(stop)
+	bg.Wait()
+	if v := violation.Load(); v != nil {
+		t.Fatalf("dispatch invariant broken: %s", v)
+	}
+	if got := srv.st.dispatched.Load(); got != launched {
+		t.Fatalf("%d jobs launched after Close returned", got-launched)
+	}
+
+	srv.mu.Lock()
+	all := make([]*jobRec, 0, len(srv.jobs))
+	for _, j := range srv.jobs {
+		all = append(all, j)
+	}
+	free := srv.free
+	srv.mu.Unlock()
+	if free != window {
+		t.Fatalf("%d of %d slots free after Close", free, window)
+	}
+	var ran, canceled uint64
+	for _, j := range all {
+		select {
+		case <-j.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s never settled", j.id)
+		}
+		switch j.wire().status {
+		case StatusSucceeded:
+			ran++
+		case StatusCanceled:
+			canceled++
+		default:
+			t.Fatalf("job %s settled %s", j.id, j.wire().status)
+		}
+	}
+	if ran != launched || canceled == 0 || ran == 0 {
+		t.Fatalf("%d jobs ran and %d were canceled; %d were launched", ran, canceled, launched)
+	}
+}
+
+// TestReceiptBeforeDispatchRecord: with fsync on, a POST's 202 reaches
+// the client while its job's dispatch record is still being appended.
+func TestReceiptBeforeDispatchRecord(t *testing.T) {
+	jobs := builtinRegistry(t)
+	fab, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	srv, err := New(fab, jobs, WithTenants(testTenants...), WithStateDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	storeAppend := srv.appendEntry
+	srv.appendEntry = func(e durable.Entry) error {
+		if e.Op == durable.OpDispatch {
+			close(held)
+			<-release
+		}
+		return storeAppend(e)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	env := &testEnv{fab: fab, srv: srv, ts: ts}
+
+	receipt := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(`{"job":"echo","arg":"eA=="}`))
+		req.Header.Set("X-API-Key", "key-bob")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			receipt <- 0
+			return
+		}
+		resp.Body.Close()
+		receipt <- resp.StatusCode
+	}()
+	select {
+	case code := <-receipt:
+		if code != http.StatusAccepted {
+			t.Fatalf("submit answered %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the 202 waited for the dispatch record")
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job's dispatch record was never appended")
+	}
+	close(release)
+	if v := env.wait(t, "key-bob", "j-1"); v.Status != StatusSucceeded || string(v.Result) != "x" {
+		t.Fatalf("job settled as %+v", v)
+	}
+	if st := srv.DurableStats(); st.Fsyncs < 3 {
+		t.Fatalf("%d fsyncs for an accept, a dispatch and a settle", st.Fsyncs)
+	}
+}
+
+// heldWriter is a response recorder whose Flush blocks until release is
+// closed: it holds an accept between its 202 and its dispatch.
+type heldWriter struct {
+	*httptest.ResponseRecorder
+	flushed, release chan struct{}
+}
+
+func (w *heldWriter) Flush() {
+	close(w.flushed)
+	<-w.release
+}
+
+// TestAcceptRacingClose: an accept whose 202 has left when Close drains
+// the queues settles its job canceled instead of queueing it, and
+// launches nothing after Close.
+func TestAcceptRacingClose(t *testing.T) {
+	jobs := builtinRegistry(t)
+	fab, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	srv, err := New(fab, jobs, WithTenants(testTenants...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &heldWriter{ResponseRecorder: httptest.NewRecorder(), flushed: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"job":"echo","arg":"eA=="}`))
+	req.Header.Set("X-API-Key", "key-bob")
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeHTTP(w, req)
+	}()
+	<-w.flushed
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(w.release)
+	<-served
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit answered %d: %s", w.Code, w.Body)
+	}
+	srv.mu.Lock()
+	j := srv.jobs["j-1"]
+	srv.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job accepted across Close never settled")
+	}
+	if st := j.wire().status; st != StatusCanceled || srv.st.dispatched.Load() != 0 {
+		t.Fatalf("the job accepted across Close settled %s with %d jobs launched", st, srv.st.dispatched.Load())
+	}
+	if ss := srv.ServiceStats(); ss.Canceled != 1 || ss.Tenants[1].InFlight != 0 {
+		t.Fatalf("stats after the canceled accept: %+v", ss)
+	}
+}

@@ -221,6 +221,50 @@ func TestRecoverFromStoreAllocs(t *testing.T) {
 	}
 }
 
+// TestListLeavesColdJobsCold: one job list after a restart renders each
+// cold job from its JobState and builds no record, and each entry is
+// the view a GET of that job answers.
+func TestListLeavesColdJobsCold(t *testing.T) {
+	const jobs = 500
+	st := settledStore(t, jobs)
+	dir := st.Dir()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env, _ := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+	code, body, err := httpGet(env, "key-alice", "/v1/jobs")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("list: HTTP %d (%v): %s", code, err, body)
+	}
+	env.srv.mu.Lock()
+	built := len(env.srv.jobs)
+	env.srv.mu.Unlock()
+	if built != 0 {
+		t.Fatalf("one list after a restart built %d records, want 0", built)
+	}
+	var list struct{ Metadata []json.RawMessage }
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Metadata) != jobs {
+		t.Fatalf("list holds %d jobs, want %d", len(list.Metadata), jobs)
+	}
+	for _, k := range []int{0, jobs / 2, jobs - 1} {
+		id := "j-" + strconv.Itoa(k+1)
+		_, one, err := httpGet(env, "key-alice", "/v1/jobs/"+id)
+		var view struct{ Metadata json.RawMessage }
+		if err == nil {
+			err = json.Unmarshal(one, &view)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(list.Metadata[k], view.Metadata) {
+			t.Fatalf("list entry %d\n%s\nGET %s\n%s", k, list.Metadata[k], id, view.Metadata)
+		}
+	}
+}
+
 // httpGet issues one GET under key and returns the status and body; safe
 // off the test goroutine.
 func httpGet(env *testEnv, key, path string) (int, []byte, error) {
@@ -435,6 +479,17 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 	}
 	first := readLife(t, env1, ids, owner, "get")
 	shutdown1()
+	// The lists are appended, not reflected: they must be the bytes
+	// writeSync sends for the same views.
+	for key, list := range first.lists {
+		var env struct{ Metadata []JobView }
+		if err := json.Unmarshal([]byte(list), &env); err != nil {
+			t.Fatal(err)
+		}
+		if want := syncBytes(http.StatusOK, env.Metadata); list != string(want) {
+			t.Fatalf("%s's list\n%s\nwant what writeSync sends\n%s", key, list, want)
+		}
+	}
 	// The seeded jobs were replayed in the first life already: hold
 	// their views to the journal.
 	for id, want := range map[string]JobView{

@@ -20,7 +20,7 @@ import (
 
 // Job event types, in rough lifecycle order.
 const (
-	EventAccepted   = "accepted"    // admitted (and journaled, when durable)
+	EventAccepted   = "accepted"    // admitted, journaled when durable, and its 202 sent
 	EventDispatched = "dispatched"  // handed to the fabric
 	EventTaskSent   = "task_sent"   // fabric task dispatched to a domain
 	EventTaskDone   = "task_done"   // fabric task result accepted

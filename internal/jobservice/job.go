@@ -1,6 +1,7 @@
 package jobservice
 
 import (
+	"strconv"
 	"sync"
 	"time"
 )
@@ -36,8 +37,8 @@ type jobRec struct {
 
 	// replayed marks a job re-enqueued by durable-store recovery after a
 	// restart: it was accepted (or mid-flight) in a previous process
-	// life and is being re-executed deterministically. Set before the
-	// dispatcher starts, read-only after.
+	// life and is being re-executed deterministically. Set before any
+	// job is launched, read-only after.
 	replayed bool
 
 	// accepted is the accepted event's instant (unix ns), kept because
@@ -55,8 +56,35 @@ type jobRec struct {
 	finished  time.Time
 }
 
-// claim transitions queued -> running; the dispatcher calls it when
-// popping the job so a concurrently canceled job is skipped instead of
+// lifecycleEvents is the length of a task job's event log: accepted,
+// dispatched, task_sent, task_done and settled.
+const lifecycleEvents = 5
+
+// liveJob is a submitted job's record, its event log and room for the
+// log's lifecycle events, in one allocation.
+type liveJob struct {
+	rec jobRec
+	log eventLog
+	evs [lifecycleEvents]JobEvent
+}
+
+// newJob builds the queued record of tenant t's job number seq, as req
+// asks for it, in group g (nil for none).
+func newJob(seq uint64, t *tenantState, req submitRequest, g *groupRec) *jobRec {
+	l := new(liveJob)
+	l.log.events = l.evs[:0]
+	j := &l.rec
+	j.id = string(strconv.AppendUint(append(make([]byte, 0, 24), "j-"...), seq, 10))
+	j.tenant, j.kind, j.name, j.arg, j.n, j.group = t, req.Kind, req.Job, req.Arg, req.N, g
+	j.events = &l.log
+	j.done = make(chan struct{})
+	j.status = StatusQueued
+	j.submitted = time.Now()
+	return j
+}
+
+// claim transitions queued -> running; dispatch calls it when it takes
+// the job so a concurrently canceled job is skipped instead of
 // dispatched.
 func (j *jobRec) claim() bool {
 	j.mu.Lock()
@@ -121,31 +149,8 @@ type JobView struct {
 }
 
 func (j *jobRec) view() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := JobView{
-		ID:          j.id,
-		Tenant:      j.tenant.Name,
-		Kind:        j.kind,
-		Name:        j.name,
-		Status:      j.status,
-		Result:      j.result,
-		Error:       j.errMsg,
-		Recovered:   j.recovered,
-		SubmittedAt: j.submitted,
-	}
-	if j.group != nil {
-		v.Group = j.group.id
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.FinishedAt = &t
-	}
-	return v
+	w := j.wire()
+	return w.view()
 }
 
 // groupRec collects related jobs of one tenant for collective streaming:

@@ -12,10 +12,11 @@
 // Submissions over quota are refused with HTTP 429 and a Retry-After
 // header, mirroring how the runtime itself surfaces saturation
 // (WithMaxConcurrentRegions / ErrSaturated) one layer down. Admitted
-// jobs enter per-tenant FIFOs; a single dispatcher drains them through a
-// bounded dispatch window using smooth weighted round-robin across
-// tenants, so a burst-heavy tenant cannot starve the others no matter
-// how deep its queue grows.
+// jobs enter per-tenant FIFOs, drained through a bounded dispatch window
+// by smooth weighted round-robin across tenants, so a burst-heavy tenant
+// cannot starve the others no matter how deep its queue grows. There is
+// no dispatcher goroutine: an accept fills a free slot once its 202 has
+// left, and a completion refills the slot it frees.
 //
 //	POST /v1/jobs                  submit a named job
 //	GET  /v1/jobs/{id}?wait=2s     poll or long-poll a result
@@ -152,19 +153,22 @@ type Server struct {
 	byName map[string]*tenantState
 	order  []*tenantState // registration order; WRR iterates it
 
-	mu     sync.Mutex // guards queues, jobs, cold, groups, WRR state
+	mu     sync.Mutex // guards queues, jobs, cold, groups, WRR state, free
 	jobs   map[string]*jobRec
 	cold   coldJobs // replayed jobs without a record until looked up
 	groups map[string]*groupRec
+	free   int // dispatch-window slots no launched job holds; > 0 only while every queue is empty
 
 	jobSeq   atomic.Uint64
 	groupSeq atomic.Uint64
 
-	slots  chan struct{} // dispatch-window tokens
-	kick   chan struct{} // cap 1: "queues may have work"
 	stopCh chan struct{}
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // launched jobs, each until it has settled
 	closed atomic.Bool
+
+	// appendEntry journals one entry: the store's Append when a store
+	// is attached, nil without one.
+	appendEntry func(durable.Entry) error
 
 	st  serviceCounters
 	lat latencyHists
@@ -196,8 +200,7 @@ func New(fab *taskfabric.Fabric, jobs *taskfabric.Registry, opts ...Option) (*Se
 		groups:  make(map[string]*groupRec),
 		regions: fab,
 		kernels: jobs.Kernels(),
-		slots:   make(chan struct{}, cfg.dispatch),
-		kick:    make(chan struct{}, 1),
+		free:    cfg.dispatch,
 		stopCh:  make(chan struct{}),
 	}
 	if cfg.off != nil {
@@ -215,21 +218,21 @@ func New(fab *taskfabric.Fabric, jobs *taskfabric.Registry, opts ...Option) (*Se
 		s.byKey[t.Key] = ts
 		s.order = append(s.order, ts)
 	}
-	for i := 0; i < cfg.dispatch; i++ {
-		s.slots <- struct{}{}
-	}
 	if cfg.store != nil {
+		s.appendEntry = cfg.store.Append
 		s.recoverFromStore()
+		// Recovered queues may hold work: fill the window from them.
+		for s.dispatchOne() {
+		}
 	}
-	s.wg.Add(1)
-	go s.dispatcher()
-	s.kickDispatcher() // recovered queues may already hold work
 	return s, nil
 }
 
-// Close stops the dispatcher, settles every queued job with ErrClosed
-// and waits for in-flight jobs to drain. It does not close the fabrics —
-// the caller owns those. Idempotent.
+// Close settles every queued job canceled and waits for launched jobs
+// to settle. It does not close the fabrics — the caller owns those.
+// Idempotent. Once Close has drained the queues no job is launched: a
+// freed slot finds them empty, and an accept still in flight settles
+// its job canceled instead of queueing it.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -376,7 +379,7 @@ func serverOf(w http.ResponseWriter) *Server {
 // tenantOf resolves the caller's tenant from X-API-Key or a bearer
 // token.
 func (s *Server) tenantOf(r *http.Request) *tenantState {
-	key := r.Header.Get("X-API-Key")
+	key := r.Header.Get("X-Api-Key") // X-API-Key in canonical form, which Get looks up without allocating
 	if key == "" {
 		if h := r.Header.Get("Authorization"); strings.HasPrefix(h, "Bearer ") {
 			key = strings.TrimPrefix(h, "Bearer ")
@@ -547,19 +550,7 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 		writeError(w, http.StatusTooManyRequests, "tenant %q over quota (%d jobs in flight)", t.Name, t.Quota)
 		return
 	}
-	j := &jobRec{
-		id:        fmt.Sprintf("j-%d", s.jobSeq.Add(1)),
-		tenant:    t,
-		kind:      req.Kind,
-		name:      req.Job,
-		arg:       req.Arg,
-		n:         req.N,
-		group:     g,
-		events:    new(eventLog),
-		done:      make(chan struct{}),
-		status:    StatusQueued,
-		submitted: time.Now(),
-	}
+	j := newJob(s.jobSeq.Add(1), t, req, g)
 	t.inflight++
 	t.jobs = append(t.jobs, j.id)
 	s.jobs[j.id] = j
@@ -594,29 +585,48 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 		writeError(w, http.StatusInternalServerError, "state store: %v", err)
 		return
 	}
-	// Log the accept before queueing: a dispatcher already awake may
-	// launch the job as soon as it is in the queue.
-	j.accepted = time.Now().UnixNano()
-	j.progress(JobEvent{AtNs: j.accepted, Type: EventAccepted, Chunk: -1})
-	s.mu.Lock()
-	t.queue = append(t.queue, j)
-	s.mu.Unlock()
 	t.accepted.Add(1)
 	s.st.accepted.Add(1)
-	s.kickDispatcher()
-	writeSync(w, http.StatusAccepted, j.view())
+	// The receipt leaves before the job is queued: its dispatch (and,
+	// when durable, the dispatch record's append) never sits between
+	// an accept and its 202.
+	writeJob(w, http.StatusAccepted, j)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	s.run(s.enqueue(j))
 }
 
 func (s *Server) apiJobList(w http.ResponseWriter, _ *http.Request, t *tenantState) {
+	// The jobs are found under s.mu and rendered outside it. A cold job
+	// is rendered from its JobState and stays cold.
+	type entry struct {
+		j  *jobRec
+		js *durable.JobState
+	}
 	s.mu.Lock()
-	views := make([]JobView, 0, len(t.jobs))
+	entries := make([]entry, 0, len(t.jobs))
 	for _, id := range t.jobs {
-		if j := s.lookupLocked(id, t); j != nil {
-			views = append(views, j.view())
+		if j, js := s.findLocked(id, t); j != nil || js != nil {
+			entries = append(entries, entry{j, js})
 		}
 	}
 	s.mu.Unlock()
-	writeSync(w, http.StatusOK, views)
+	bp := renderBufs.Get().(*[]byte)
+	b := append(appendSyncOpen((*bp)[:0], http.StatusOK), '[')
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var jw jobWire
+		if e.j != nil {
+			jw = e.j.wire()
+		} else {
+			jw = coldWire(e.js, t.Name)
+		}
+		b = appendJob(b, &jw)
+	}
+	writeRendered(w, http.StatusOK, bp, appendSyncClose(append(b, ']')))
 }
 
 func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantState) {
@@ -633,16 +643,41 @@ func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantStat
 		}
 		// Long-poll: return early when the job settles; on timeout the
 		// current (possibly still running) view is returned.
-		timer := time.NewTimer(d)
-		defer timer.Stop()
+		timer := waitTimer(d)
 		select {
 		case <-j.done:
 		case <-timer.C:
 		case <-r.Context().Done():
 		case <-s.stopCh:
 		}
+		releaseTimer(timer)
 	}
-	writeSync(w, http.StatusOK, j.view())
+	writeJob(w, http.StatusOK, j)
+}
+
+// waitTimers are the long-polls' timers, reused instead of allocated
+// per poll.
+var waitTimers sync.Pool
+
+// waitTimer returns a timer that fires once d has passed.
+func waitTimer(d time.Duration) *time.Timer {
+	if t, ok := waitTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// releaseTimer stops t and drains a tick nobody received, so its next
+// user starts clean, and returns it to waitTimers.
+func releaseTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	waitTimers.Put(t)
 }
 
 // jobOf returns the caller's job named by the request path, nil when
@@ -908,51 +943,87 @@ func (s *Server) ServiceStats() ServiceStats {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher.
+// Dispatch.
+//
+// No goroutine dispatches. The window's free slots are a count under
+// s.mu, and every change that could let a queued job run takes the job
+// in the same lock hold: an accept claims a free slot for its job once
+// the 202 has left, and a completion hands the slot it frees to the
+// WRR-next queued job. So a free slot implies empty queues, and a job
+// never waits on a wake-up.
 
-func (s *Server) kickDispatcher() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
+// enqueue queues an acknowledged job and returns it when it took a free
+// window slot instead, for the caller to launch; on a closed server it
+// settles the job canceled. The accepted event is stamped here, once the
+// 202 has left and before the job can run.
+func (s *Server) enqueue(j *jobRec) *jobRec {
+	j.accepted = time.Now().UnixNano()
+	j.progress(JobEvent{AtNs: j.accepted, Type: EventAccepted, Chunk: -1})
+	s.mu.Lock()
+	if s.closed.Load() {
+		// Close has drained the queues, or will once it holds s.mu; a job
+		// queued now would never settle.
+		canceled := j.cancelQueued()
+		if canceled {
+			j.tenant.inflight--
+			s.st.canceled.Add(1)
+			s.journalBestEffort(settleEntry(j))
+		}
+		s.mu.Unlock()
+		if canceled && j.group != nil {
+			j.group.deliver(j)
+		}
+		return nil
 	}
+	if s.free == 0 {
+		j.tenant.queue = append(j.tenant.queue, j)
+		s.mu.Unlock()
+		return nil
+	}
+	// A free slot implies empty queues, so j is the WRR-next job (and
+	// smooth WRR over one backlogged tenant leaves its credit as it
+	// was): it takes the slot without passing through the queue, unless
+	// a group cancel has settled it since its 202.
+	if !j.claim() {
+		s.mu.Unlock()
+		return nil
+	}
+	s.free--
+	s.wg.Add(1)
+	s.mu.Unlock()
+	return j
 }
 
-// dispatcher is the single goroutine draining tenant queues into the
-// fabric: it acquires a dispatch-window slot, picks the next
-// tenant by smooth weighted round-robin, pops that tenant's oldest
-// uncanceled job and launches it. Slots are returned by the per-job
-// completion goroutines, which kick the dispatcher awake again.
-func (s *Server) dispatcher() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-s.kick:
-		}
-		for {
-			select {
-			case <-s.slots:
-			default:
-				// Window full; a completion will kick us.
-				goto wait
-			}
-			j := s.nextJob()
-			if j == nil {
-				s.slots <- struct{}{}
-				goto wait
-			}
-			s.launch(j)
-		}
-	wait:
+// dispatchOneLocked takes a free window slot for the WRR-next claimable
+// job and returns that job, for the caller to launch outside the lock;
+// nil when no slot is free or every queue is empty. The job holds s.wg
+// until it has settled. Caller holds s.mu.
+func (s *Server) dispatchOneLocked() *jobRec {
+	if s.free == 0 {
+		return nil
 	}
+	j := s.nextJob()
+	if j == nil {
+		return nil
+	}
+	s.free--
+	s.wg.Add(1)
+	return j
+}
+
+// dispatchOne launches the WRR-next job into a free window slot and
+// reports whether there was one to launch.
+func (s *Server) dispatchOne() bool {
+	s.mu.Lock()
+	j := s.dispatchOneLocked()
+	s.mu.Unlock()
+	s.run(j)
+	return j != nil
 }
 
 // nextJob pops the next dispatchable job under the fairness policy, or
-// nil when every queue is empty.
+// nil when every queue is empty. Caller holds s.mu.
 func (s *Server) nextJob() *jobRec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		t := s.nextTenant()
 		if t == nil {
@@ -969,61 +1040,70 @@ func (s *Server) nextJob() *jobRec {
 	}
 }
 
+// run launches j (nil for none), which holds a window slot, and then
+// each job that takes over a slot freed by a launch the fabric refused.
+func (s *Server) run(j *jobRec) {
+	for j != nil {
+		j = s.launch(j)
+	}
+}
+
 // launch hands one claimed job to its executor and spawns the completion
-// waiter that settles it and returns the dispatch slot.
-func (s *Server) launch(j *jobRec) {
+// waiter that settles it and launches the job its slot goes to. A job
+// the fabric refuses settles here, and launch returns the job its slot
+// went to.
+func (s *Server) launch(j *jobRec) *jobRec {
 	s.st.dispatched.Add(1)
 	// A lost dispatch record only costs a redundant deterministic
 	// re-execution after a crash, so it does not gate the launch.
-	// claim stamped j.started on this goroutine and nothing writes it
-	// again, so the record carries the time a restart restores.
+	// claim stamped j.started under s.mu and nothing writes it again,
+	// so the record carries the time a restart restores.
 	s.journalBestEffort(durable.Entry{Op: durable.OpDispatch, ID: j.id, At: j.started.UnixNano()})
 	j.progress(JobEvent{AtNs: j.started.UnixNano(), Type: EventDispatched, Chunk: -1})
-	finish := func(res []byte, err error) {
-		s.complete(j, res, err)
-		s.slots <- struct{}{}
-		s.kickDispatcher()
-	}
 	if j.kind == KindParallelFor {
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			res, err := s.regions.ParallelForObserved(j.name, j.n, j.arg, func(chunk, total, domain int) {
 				j.progress(JobEvent{Type: EventChunk, Chunk: chunk, Total: total, Domain: domainOf(domain)})
 			})
-			finish(res, err)
+			s.run(s.complete(j, res, err))
 		}()
-		return
+		return nil
 	}
 	h, err := s.fab.SubmitJobObserved(j.name, j.arg, j.observe)
 	if err != nil {
-		finish(nil, err)
-		return
+		defer s.wg.Done()
+		return s.complete(j, nil, err)
 	}
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		res, err := h.Wait(taskfabric.TimeoutInfinite)
-		finish(res, err)
+		s.run(s.complete(j, res, err))
 	}()
+	return nil
 }
 
-// complete settles a dispatched job. A result recovered from a lost
-// domain (ErrDomainLost) is complete and correct — it settles as a
-// success with the recovered flag set; so is a job re-executed after a
+// complete settles a launched job, gives its window slot to the WRR-next
+// queued job and returns that job, nil for none. The tenant's quota and
+// the slot are released before the job shows as settled, so a client
+// that saw it settle may submit again at once. A result recovered from
+// a lost domain (ErrDomainLost) is complete and correct — it settles as
+// a success with the recovered flag set; so is a job re-executed after a
 // restart (replayed flag).
-func (s *Server) complete(j *jobRec, res []byte, err error) {
+func (s *Server) complete(j *jobRec, res []byte, err error) *jobRec {
 	recovered := errors.Is(err, offload.ErrDomainLost) || j.replayed
 	errMsg := ""
 	if err != nil && !errors.Is(err, offload.ErrDomainLost) {
 		errMsg = err.Error()
 	}
+	s.mu.Lock()
+	j.tenant.inflight--
+	s.free++
+	next := s.dispatchOneLocked()
+	s.mu.Unlock()
 	j.settle(res, errMsg, recovered)
 	s.lat.fold(j)
 	s.journalBestEffort(settleEntry(j))
-	s.mu.Lock()
-	j.tenant.inflight--
-	s.mu.Unlock()
 	if errMsg == "" {
 		j.tenant.completed.Add(1)
 		s.st.completed.Add(1)
@@ -1036,4 +1116,5 @@ func (s *Server) complete(j *jobRec, res []byte, err error) {
 	if j.group != nil {
 		j.group.deliver(j)
 	}
+	return next
 }

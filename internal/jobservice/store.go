@@ -15,7 +15,7 @@ import (
 // Durable job store wiring. With a store attached, every job-state
 // transition is journaled — group creation, acceptance (with the full
 // payload), dispatch, settlement (with result bytes) — and New replays
-// the store's recovered state before the dispatcher starts: settled
+// the store's recovered state before any job is launched: settled
 // jobs come back queryable with their exact results, queued jobs
 // re-enter their tenants' FIFOs, and jobs that were mid-flight when the
 // process died are re-enqueued for deterministic re-execution with the
@@ -49,10 +49,10 @@ func WithStateDir(dir string, opts ...durable.Option) Option {
 // error matters only on the accept path, where durability gates the
 // 202.
 func (s *Server) journal(e durable.Entry) error {
-	if s.cfg.store == nil {
+	if s.appendEntry == nil {
 		return nil
 	}
-	return s.cfg.store.Append(e)
+	return s.appendEntry(e)
 }
 
 // journalBestEffort appends a dispatch/settle record, tolerating
@@ -167,33 +167,45 @@ func (s *Server) replayedRec(r *replayedJob, js *durable.JobState, t *tenantStat
 	return j
 }
 
+// findLocked finds tenant t's job by ID without building a record: its
+// record, or a cold job's JobState; neither when t has no job by that
+// ID. Caller holds s.mu.
+func (s *Server) findLocked(id string, t *tenantState) (*jobRec, *durable.JobState) {
+	if j := s.jobs[id]; j != nil {
+		if j.tenant != t {
+			return nil, nil
+		}
+		return j, nil
+	}
+	n, canonical := seqOf(id, "j-")
+	if !canonical || n >= uint64(len(s.cold.bySeq)) {
+		return nil, nil
+	}
+	js := s.cold.bySeq[n]
+	if js == nil || js.Tenant != t.Name {
+		return nil, nil
+	}
+	return nil, js
+}
+
 // lookupLocked finds tenant t's job by ID, nil when t has none by that
 // ID. A cold job gets its record here, on its owner's first lookup, and
 // keeps it. Caller holds s.mu.
 func (s *Server) lookupLocked(id string, t *tenantState) *jobRec {
-	if j := s.jobs[id]; j != nil {
-		if j.tenant != t {
-			return nil
-		}
+	j, js := s.findLocked(id, t)
+	if js == nil {
 		return j
 	}
-	n, canonical := seqOf(id, "j-")
-	if !canonical || n >= uint64(len(s.cold.bySeq)) {
-		return nil
-	}
-	js := s.cold.bySeq[n]
-	if js == nil || js.Tenant != t.Name {
-		return nil
-	}
+	n, _ := seqOf(id, "j-")
 	s.cold.bySeq[n] = nil
-	j := s.replayedRec(new(replayedJob), js, t)
+	j = s.replayedRec(new(replayedJob), js, t)
 	s.jobs[js.ID] = j
 	return j
 }
 
 // recoverFromStore rebuilds the server's job and group tables from the
-// store's recovered state. Runs inside New, before the dispatcher
-// starts, so no locking is contended; Server.mu is still held for the
+// store's recovered state. Runs inside New, before any job is
+// launched, so no locking is contended; Server.mu is still held for the
 // invariant's sake. A settled, ungrouped job with a canonical ID stays
 // cold: its ID goes on its tenant's list, its JobState into the cold
 // table, and nothing else is built. Every other job gets its record

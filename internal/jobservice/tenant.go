@@ -11,7 +11,7 @@ import (
 )
 
 // Priority is a tenant's service class. It maps to a weight in the
-// weighted-fair dispatcher: under contention a high tenant is dequeued
+// weighted-fair dispatch: under contention a high tenant is dequeued
 // four times for every one dequeue of a low tenant.
 type Priority string
 
@@ -139,8 +139,8 @@ func DemoTenants() []Tenant {
 
 // tenantState is the server's live record of one tenant: its static
 // config, the FIFO of admitted-but-undispatched jobs, the in-flight
-// count the quota is enforced against, and the smooth-WRR credit the
-// fair dispatcher cycles.
+// count the quota is enforced against, and the smooth-WRR credit fair
+// dispatch cycles.
 type tenantState struct {
 	Tenant
 	weight int

@@ -18,7 +18,7 @@ func wrrServer(depth [3]int) *Server {
 	return s
 }
 
-// pick dequeues n times the way the dispatcher does — one job from the
+// pick dequeues n times the way dispatch does — one job from the
 // tenant nextTenant names — and returns the pick sequence as initials.
 func pick(t *testing.T, s *Server, n int) string {
 	t.Helper()
@@ -35,7 +35,7 @@ func pick(t *testing.T, s *Server, n int) string {
 }
 
 // TestWeightedFairInterleave pins the smooth weighted round-robin
-// contract of the dispatcher: under contention high, normal and low
+// contract of dispatch: under contention high, normal and low
 // tenants (weights 4, 2, 1) interleave in one fixed cycle of 7, shares
 // are exactly weight/Σweights, and a tenant whose queue empties drops
 // out without starving the rest.

@@ -389,7 +389,7 @@ type Fabric struct {
 	workers []*worker
 	links   []*hostLink
 
-	submitCh    chan []*task
+	submitCh    chan submission
 	arrCh       chan arrival
 	localQ      chan *task
 	localDoneCh chan localDone
@@ -441,7 +441,7 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 		cfg:         cfg,
 		reg:         reg,
 		net:         net,
-		submitCh:    make(chan []*task),
+		submitCh:    make(chan submission),
 		arrCh:       make(chan arrival, 64),
 		localQ:      make(chan *task, 4),
 		localDoneCh: make(chan localDone),
@@ -626,11 +626,14 @@ func (f *Fabric) SubmitJobObserved(job string, arg []byte, obs func(trace.Fabric
 }
 
 func (f *Fabric) submit(job string, arg []byte, g *Group, obs func(trace.FabricEvent)) (*TaskHandle, error) {
-	hs, err := f.submitAll(job, [][]byte{arg}, g, obs)
-	if err != nil {
+	if err := f.admit(job); err != nil {
 		return nil, err
 	}
-	return hs[0], nil
+	t := newTask(job, arg, g, obs)
+	if err := f.handOff(submission{one: t}); err != nil {
+		return nil, err
+	}
+	return t.h, nil
 }
 
 // submitAll submits one task of the named job per argument in a single
@@ -638,35 +641,72 @@ func (f *Fabric) submit(job string, arg []byte, g *Group, obs func(trace.FabricE
 // one (batched) packet per domain instead of one per task. A region's
 // chunks arrive this way. obs, when set, observes every task of the batch.
 func (f *Fabric) submitAll(job string, args [][]byte, g *Group, obs func(trace.FabricEvent)) ([]*TaskHandle, error) {
-	if f.closed.Load() {
-		return nil, ErrClosed
-	}
-	if _, ok := f.reg.Lookup(job); !ok {
-		return nil, oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: unknown job %q", job)
+	if err := f.admit(job); err != nil {
+		return nil, err
 	}
 	ts := make([]*task, len(args))
 	hs := make([]*TaskHandle, len(args))
 	for i, arg := range args {
-		id := taskSeq.Add(1)
-		h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
-		t := &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g, obs: obs}
-		if g != nil {
-			g.addMember(h)
-		}
-		ts[i], hs[i] = t, h
+		ts[i] = newTask(job, arg, g, obs)
+		hs[i] = ts[i].h
+	}
+	if err := f.handOff(submission{batch: ts}); err != nil {
+		return nil, err
+	}
+	return hs, nil
+}
+
+// submission is one hand-off to the scheduler: a lone task, or a batch
+// it places in one pump.
+type submission struct {
+	one   *task
+	batch []*task
+}
+
+// admit refuses a submission to a closed fabric or of an unknown job.
+func (f *Fabric) admit(job string) error {
+	if f.closed.Load() {
+		return ErrClosed
+	}
+	if _, ok := f.reg.Lookup(job); !ok {
+		return oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: unknown job %q", job)
+	}
+	return nil
+}
+
+// newTask mints one task of job over a private copy of arg, joining g
+// when it is set.
+func newTask(job string, arg []byte, g *Group, obs func(trace.FabricEvent)) *task {
+	id := taskSeq.Add(1)
+	h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
+	if g != nil {
+		g.addMember(h)
+	}
+	return &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g, obs: obs}
+}
+
+// handOff gives sub to the scheduler. On a closed fabric its tasks leave
+// their group again and it returns ErrClosed.
+func (f *Fabric) handOff(sub submission) error {
+	n := len(sub.batch)
+	if sub.one != nil {
+		n++
 	}
 	select {
-	case f.submitCh <- ts:
+	case f.submitCh <- sub:
+		f.st.submitted.Add(uint64(n))
+		return nil
 	case <-f.stopCh:
-		if g != nil {
-			for _, h := range hs {
-				g.dropMember(h)
+		if sub.one != nil && sub.one.g != nil {
+			sub.one.g.dropMember(sub.one.h)
+		}
+		for _, t := range sub.batch {
+			if t.g != nil {
+				t.g.dropMember(t.h)
 			}
 		}
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	f.st.submitted.Add(uint64(len(ts)))
-	return hs, nil
 }
 
 // receiver drains one link's result channel into the scheduler.
@@ -805,16 +845,24 @@ func (f *Fabric) scheduler() {
 	// pump places the pending queue: pinned-local tasks (and every task
 	// when no domain is live) go to the host executor, the rest to the
 	// live domain with the fewest tasks in flight. What cannot be placed
-	// stays queued for the next pump.
+	// stays queued for the next pump. Its scratch (extra, plans, batch)
+	// lives across pumps, and what stays queued is compacted into
+	// pending's own array, so a pump allocates nothing once they have
+	// grown.
+	var (
+		extra = make([]int, len(f.links))
+		plans = make([][]*task, len(f.links))
+		batch offload.Batcher
+	)
 	pump := func() {
-		var rest []*task
 		// Plan the whole queue first — min-occupancy placement using
 		// this round's tentative assignments (extra) on top of what is
 		// already in flight — then flush each domain's plan as one
 		// batch packet. A failed flush commits nothing for that domain;
-		// its tasks go back in the queue for the tick to retry.
-		extra := make([]int, len(f.links))
-		plans := make([][]*task, len(f.links))
+		// its tasks go back in the queue for the tick to retry. rest
+		// never overtakes the range over pending it is written behind.
+		rest := pending[:0]
+		clear(extra)
 		for _, t := range pending {
 			if _, alive := tasks[t.id]; !alive {
 				continue // finished or canceled while queued
@@ -849,26 +897,28 @@ func (f *Fabric) scheduler() {
 			if len(plan) == 0 {
 				continue
 			}
-			var b offload.Batcher
 			for _, t := range plan {
 				var gid uint64
 				if t.g != nil {
 					gid = t.g.id
 				}
-				b.Add(offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{
+				batch.Add(offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{
 					Task: t.id, Attempt: t.attempt, Group: gid, Job: t.job, Arg: t.arg,
 				}))
 			}
-			if b.Flush(func(pkt []byte) error {
+			if batch.Flush(func(pkt []byte) error {
 				return f.links[li].cmd.Send(pkt, mcapi.TimeoutImmediate)
 			}) != nil {
 				rest = append(rest, plan...)
-				continue
+			} else {
+				for _, t := range plan {
+					commitRemote(t, li)
+				}
 			}
-			for _, t := range plan {
-				commitRemote(t, li)
-			}
+			clear(plan)
+			plans[li] = plan[:0]
 		}
+		clear(pending[len(rest):])
 		pending = rest
 	}
 
@@ -910,11 +960,15 @@ func (f *Fabric) scheduler() {
 			}
 			return
 
-		case ts := <-f.submitCh:
-			for _, t := range ts {
+		case sub := <-f.submitCh:
+			if t := sub.one; t != nil {
+				tasks[t.id] = t
+				pending = append(pending, t)
+			}
+			for _, t := range sub.batch {
 				tasks[t.id] = t
 			}
-			pending = append(pending, ts...)
+			pending = append(pending, sub.batch...)
 			pump()
 
 		case a := <-f.arrCh:
