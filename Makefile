@@ -36,11 +36,12 @@ test-benchmark:
 # (which layouts Open appends to and Close folds, the fsyncs of each,
 # journal order across restarts, generation names past six digits, the
 # allocations of Open, of a snapshot decode and of the service's
-# rebuild, a settled job's immutability, a cold replayed job built once,
-# a restart serving what the life before it served), and the dispatch
-# tests (a free window slot only beside empty queues, no launch after
-# Close, a 202 ahead of its dispatch record, the weighted interleave,
-# quota and Close contracts, the allocations of one echo job), 20 times
+# rebuild, a settled job's immutability, a replayed job found and never
+# built, a restart serving what the life before it served), and the
+# dispatch tests (a free window slot only beside empty queues, no launch
+# after Close, a 202 ahead of its dispatch record, the weighted
+# interleave, quota and Close contracts, the allocations of one echo
+# job, reads racing a settle, Server.jobs holding only live jobs), 20 times
 # each, on one and two procs. CI runs this on every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
@@ -51,7 +52,7 @@ SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystem
 	./internal/platform ./internal/jobservice
 SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestOpenCloseAllocs|TestGenerationPastSixDigits|TestGenFileNames|TestSnapshotDecodeAllocs|TestSettledJobStateImmutable|TestRecoverFromStoreAllocs|TestColdJobBuiltOnce|TestRestartServesWhatWasServed' \
 	./internal/durable ./internal/jobservice
-SOAK_DISPATCH = -run 'TestCloseSettlesQueued|TestConcurrentTenants|TestQuota429|TestWeightedFairInterleave|TestDispatchInvariant|TestAcceptRacingClose|TestReceiptBeforeDispatchRecord|TestEchoJobAllocs|TestListLeavesColdJobsCold' \
+SOAK_DISPATCH = -run 'TestCloseSettlesQueued|TestConcurrentTenants|TestQuota429|TestWeightedFairInterleave|TestDispatchInvariant|TestAcceptRacingClose|TestReceiptBeforeDispatchRecord|TestEchoJobAllocs|TestListLeavesColdJobsCold|TestSettleRacesReads|TestJobsHoldsOnlyLive' \
 	./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi

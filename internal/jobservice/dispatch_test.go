@@ -133,29 +133,33 @@ func TestDispatchInvariant(t *testing.T) {
 	}
 
 	srv.mu.Lock()
-	all := make([]*jobRec, 0, len(srv.jobs))
-	for _, j := range srv.jobs {
-		all = append(all, j)
+	live := len(srv.jobs)
+	var all []settledJob
+	for _, tn := range srv.order {
+		for _, id := range tn.jobs {
+			all = append(all, srv.settled.get(id))
+		}
 	}
 	free := srv.free
 	srv.mu.Unlock()
 	if free != window {
 		t.Fatalf("%d of %d slots free after Close", free, window)
 	}
+	if live != 0 {
+		t.Fatalf("Close left %d jobs in Server.jobs, want every job settled out of it", live)
+	}
 	var ran, canceled uint64
-	for _, j := range all {
-		select {
-		case <-j.done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("job %s never settled", j.id)
+	for _, sj := range all {
+		if sj.JobState == nil {
+			t.Fatal("a listed job is neither live nor settled")
 		}
-		switch j.wire().status {
+		switch sj.Status {
 		case StatusSucceeded:
 			ran++
 		case StatusCanceled:
 			canceled++
 		default:
-			t.Fatalf("job %s settled %s", j.id, j.wire().status)
+			t.Fatalf("job %s settled %s", sj.ID, sj.Status)
 		}
 	}
 	if ran != launched || canceled == 0 || ran == 0 {
@@ -268,18 +272,22 @@ func TestAcceptRacingClose(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit answered %d: %s", w.Code, w.Body)
 	}
-	srv.mu.Lock()
-	j := srv.jobs["j-1"]
-	srv.mu.Unlock()
-	select {
-	case <-j.done:
-	case <-time.After(10 * time.Second):
+	sj := settledOf(srv, "j-1")
+	if sj.JobState == nil {
 		t.Fatal("the job accepted across Close never settled")
 	}
-	if st := j.wire().status; st != StatusCanceled || srv.st.dispatched.Load() != 0 {
+	if st := sj.Status; st != StatusCanceled || srv.st.dispatched.Load() != 0 {
 		t.Fatalf("the job accepted across Close settled %s with %d jobs launched", st, srv.st.dispatched.Load())
 	}
 	if ss := srv.ServiceStats(); ss.Canceled != 1 || ss.Tenants[1].InFlight != 0 {
 		t.Fatalf("stats after the canceled accept: %+v", ss)
 	}
+}
+
+// settledOf returns job id's settled form, zero while it is queued or
+// running.
+func settledOf(srv *Server, id string) settledJob {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.settled.get(id)
 }

@@ -167,9 +167,9 @@ func settledStore(t *testing.T, jobs int) *durable.Store {
 }
 
 // TestRecoverFromStoreAllocs pins what replaying a settled, ungrouped
-// job costs the service: its ID on its tenant's list and a slot in the
-// cold table, no record and nothing of its own. A record is built on
-// the job's first lookup, for that job alone.
+// job costs the service: its ID on its tenant's list and its store's
+// JobState in the settled table, nothing of its own. A lookup builds
+// nothing either: every lookup finds the store's JobState.
 func TestRecoverFromStoreAllocs(t *testing.T) {
 	const jobs = 1000
 	st := settledStore(t, jobs)
@@ -187,36 +187,38 @@ func TestRecoverFromStoreAllocs(t *testing.T) {
 	if len(s.jobs) != 0 {
 		t.Fatalf("replay built %d records for settled, ungrouped jobs, want 0", len(s.jobs))
 	}
-	cold := 0
-	for _, js := range s.cold.bySeq {
-		if js != nil {
-			cold++
+	settled := len(s.settled.byID)
+	for _, sj := range s.settled.bySeq {
+		if sj.JobState != nil {
+			settled++
 		}
 	}
-	if cold != jobs || len(alice.jobs) != jobs {
-		t.Fatalf("replay left %d cold jobs and %d listed, want %d of each", cold, len(alice.jobs), jobs)
+	if settled != jobs || len(alice.jobs) != jobs {
+		t.Fatalf("replay left %d settled jobs and %d listed, want %d of each", settled, len(alice.jobs), jobs)
 	}
 	if perJob := allocs / jobs; perJob > 0.01 {
 		t.Fatalf("recoverFromStore allocates %.3f objects per settled job, want <= 0.01", perJob)
 	}
 
-	s.mu.Lock()
-	j := s.lookupLocked("j-7", alice)
-	again := s.lookupLocked("j-7", alice)
-	s.mu.Unlock()
-	if j == nil || again != j || len(s.jobs) != 1 {
-		t.Fatalf("two lookups of j-7 = %p, %p with %d records, want one record", j, again, len(s.jobs))
+	var sj settledJob
+	lookups := testing.AllocsPerRun(100, func() {
+		s.mu.Lock()
+		_, sj = s.findLocked("j-7", alice)
+		s.mu.Unlock()
+	})
+	if lookups != 0 || len(s.jobs) != 0 || sj.JobState != st.Recovered().Jobs["j-7"] {
+		t.Fatalf("a lookup of j-7 allocates %.0f objects and leaves %d records, want 0 and the store's JobState", lookups, len(s.jobs))
 	}
-	if v := j.view(); v.ID != "j-7" || v.Status != StatusSucceeded || string(v.Result) != "x" ||
+	if v := jobViewOf(sj.JobState); v.ID != "j-7" || v.Status != StatusSucceeded || string(v.Result) != "x" ||
 		v.SubmittedAt.UnixNano() != 21 || v.FinishedAt.UnixNano() != 23 {
-		t.Fatalf("j-7 built as %+v", v)
+		t.Fatalf("j-7 found as %+v", v)
 	}
 	for _, id := range []string{"j-07", "j-0", "j-1001", "j-", "7"} {
 		s.mu.Lock()
-		got := s.lookupLocked(id, alice)
+		j, got := s.findLocked(id, alice)
 		s.mu.Unlock()
-		if got != nil {
-			t.Errorf("lookup of %q found %s", id, got.id)
+		if j != nil || got.JobState != nil {
+			t.Errorf("lookup of %q found a job", id)
 		}
 	}
 }
@@ -282,10 +284,10 @@ func httpGet(env *testEnv, key, path string) (int, []byte, error) {
 	return resp.StatusCode, body, err
 }
 
-// TestColdJobBuiltOnce races GETs, lists and event streams of one cold
-// replayed job against direct lookups: every caller sees the one record
-// its first lookup built, every answer is the same, and the other
-// tenant's jobs stay cold. Run it under -race.
+// TestColdJobBuiltOnce races GETs, lists and event streams of one
+// replayed, settled job against direct lookups: every lookup finds the
+// store's JobState, every answer is the same, and no record is built
+// for it or for any other job. Run it under -race.
 func TestColdJobBuiltOnce(t *testing.T) {
 	dir := t.TempDir()
 	st, err := durable.Open(dir, durable.WithFsync(false))
@@ -310,15 +312,12 @@ func TestColdJobBuiltOnce(t *testing.T) {
 	if code, _, err := httpGet(env, "key-alice", "/v1/jobs/j-1"); err != nil || code != http.StatusNotFound {
 		t.Fatalf("alice's GET of bob's j-1 = %d (%v), want 404", code, err)
 	}
-	if env.srv.cold.bySeq[1] == nil {
-		t.Fatal("another tenant's GET built bob's j-1")
-	}
 
 	paths := []string{"/v1/jobs/j-1", "/v1/jobs/j-1?wait=1s", "/v1/jobs", "/v1/jobs/j-1/events"}
 	const rounds = 8
 	bodies := make([][]byte, len(paths)*rounds)
 	errs := make([]error, len(paths)*rounds)
-	recs := make([]*jobRec, rounds)
+	found := make([]*durable.JobState, rounds)
 	var wg sync.WaitGroup
 	for r := 0; r < rounds; r++ {
 		for p, path := range paths {
@@ -336,8 +335,9 @@ func TestColdJobBuiltOnce(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			env.srv.mu.Lock()
-			recs[r] = env.srv.lookupLocked("j-1", env.srv.byName["bob"])
+			_, sj := env.srv.findLocked("j-1", env.srv.byName["bob"])
 			env.srv.mu.Unlock()
+			found[r] = sj.JobState
 		}(r)
 	}
 	wg.Wait()
@@ -349,18 +349,16 @@ func TestColdJobBuiltOnce(t *testing.T) {
 			t.Fatalf("GET %s answered\n%s\nand\n%s", paths[k%len(paths)], bodies[k], first)
 		}
 	}
-	for _, j := range recs {
-		if j == nil || j != recs[0] {
-			t.Fatalf("lookups of j-1 saw records %p and %p, want one", j, recs[0])
+	stored := env.srv.cfg.store.Recovered().Jobs["j-1"]
+	for _, js := range found {
+		if js == nil || js != stored {
+			t.Fatalf("a lookup of j-1 found %p, want the store's JobState %p", js, stored)
 		}
 	}
 	env.srv.mu.Lock()
 	defer env.srv.mu.Unlock()
-	if env.srv.jobs["j-1"] != recs[0] || env.srv.cold.bySeq[1] != nil {
-		t.Fatal("j-1's record is not the one its lookups saw, or j-1 is still cold")
-	}
-	if env.srv.cold.bySeq[2] == nil || env.srv.cold.bySeq[3] == nil || len(env.srv.jobs) != 1 {
-		t.Fatalf("bob's reads built %d records, want only j-1's", len(env.srv.jobs))
+	if len(env.srv.jobs) != 0 {
+		t.Fatalf("bob's reads built %d records, want 0", len(env.srv.jobs))
 	}
 }
 
@@ -423,10 +421,11 @@ func readLife(t *testing.T, env *testEnv, ids []string, owner map[string]string,
 // TestRestartServesWhatWasServed restarts a service over settled jobs
 // of every shape (succeeded, failed, canceled, recovered, a region,
 // grouped members, an ID the service would not issue) three times, touching
-// the jobs first through a different path each life. Every view and
-// list entry equals what the first life served; every event log is the
-// journaled accepted and settled pair and equals what the life before
-// served.
+// the jobs first through a different path each life, and settles one
+// more job live in each life. Every view and list entry equals what the
+// life before served, live-settled jobs included; every event log is
+// the journaled accepted and settled pair and equals what the life
+// before served when it was replayed there too.
 func TestRestartServesWhatWasServed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := durable.Open(dir, durable.WithFsync(false))
@@ -504,19 +503,20 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 		}
 	}
 
-	var before lifeReads
+	// Each later life replays every job so far, then settles one more
+	// live; the life after it must serve that job as it was served live.
+	prev, replayed := first, len(ids)
 	for life, order := range []string{"events", "get", "list"} {
 		env, shutdown := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
 		got := readLife(t, env, ids, owner, order)
-		shutdown()
-		for key, list := range first.lists {
+		for key, list := range prev.lists {
 			if got.lists[key] != list {
 				t.Fatalf("life %d (%s first): %s's list\n%s\nwant\n%s", life+2, order, key, got.lists[key], list)
 			}
 		}
-		for _, id := range ids {
-			if got.views[id] != first.views[id] {
-				t.Fatalf("life %d (%s first): job %s\n%s\nwant\n%s", life+2, order, id, got.views[id], first.views[id])
+		for k, id := range ids {
+			if got.views[id] != prev.views[id] {
+				t.Fatalf("life %d (%s first): job %s\n%s\nwant\n%s", life+2, order, id, got.views[id], prev.views[id])
 			}
 			v := viewOf(t, got.views[id])
 			want := fmt.Sprintf("{\"seq\":0,\"at_ns\":%d,\"type\":\"accepted\",\"chunk\":-1}\n"+
@@ -525,11 +525,20 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 			if got.events[id] != want {
 				t.Fatalf("life %d (%s first): job %s events\n%s\nwant\n%s", life+2, order, id, got.events[id], want)
 			}
-			if before.events != nil && got.events[id] != before.events[id] {
+			if life > 0 && k < replayed && got.events[id] != prev.events[id] {
 				t.Fatalf("life %d: job %s events changed across the restart", life+2, id)
 			}
 		}
-		before = got
+		replayed = len(ids)
+		id := env.submit(t, "key-alice", submitRequest{Job: JobEcho, Arg: []byte("life " + strconv.Itoa(life+2))}).ID
+		env.wait(t, "key-alice", id)
+		ids = append(ids, id)
+		owner[id] = "key-alice"
+		prev = readLife(t, env, ids, owner, order)
+		shutdown()
+		if lv := viewOf(t, prev.views[id]); lv.Status != StatusSucceeded || string(lv.Result) != "life "+strconv.Itoa(life+2) {
+			t.Fatalf("life %d: live job %s = %+v", life+2, id, lv)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package jobservice
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -45,61 +44,75 @@ type JobEvent struct {
 	Status string `json:"status,omitempty"` // terminal status, on settled events
 }
 
+// event is one JobEvent as a log holds it: its domain unboxed
+// (noDomain for none), its seq and coordinates 32-bit. appendEvent
+// renders it as encoding/json renders the JobEvent it stands for.
+type event struct {
+	at           int64
+	seq          int32
+	chunk, total int32
+	domain       int16
+	typ, status  string
+}
+
+// noDomain is the domain of an event that names none.
+const noDomain = -1 << 15
+
 // eventLogCap bounds one job's retained events: a drop-oldest window,
 // like the trace ring. Seq numbers stay global, so a follower
 // can detect the gap.
 const eventLogCap = 256
 
 // eventLog is one job's append-only progress log with follower support.
-// pulse exists only while a follower waits: since makes it, and the
-// next append closes and clears it, waking every waiter. A job nobody
-// follows never allocates one.
+// pulse exists only while a follower waits: appendSince makes it, and
+// the next append closes and clears it, waking every waiter. A job
+// nobody follows never allocates one.
 type eventLog struct {
 	mu     sync.Mutex
-	events []JobEvent
-	seq    int
+	events []event
+	seq    int32
 	done   bool
 	pulse  chan struct{}
 }
 
 // add stamps and appends one event, returning the stamped copy.
-func (l *eventLog) add(e JobEvent) JobEvent {
+func (l *eventLog) add(e event) event {
 	l.mu.Lock()
-	e.Seq = l.seq
+	defer l.mu.Unlock()
+	e.seq = l.seq
 	l.seq++
-	if e.AtNs == 0 {
-		e.AtNs = time.Now().UnixNano()
+	if e.at == 0 {
+		e.at = time.Now().UnixNano()
 	}
 	l.events = append(l.events, e)
 	if len(l.events) > eventLogCap {
 		l.events = l.events[len(l.events)-eventLogCap:]
 	}
-	if e.Type == EventSettled {
+	if e.typ == EventSettled {
 		l.done = true
 	}
 	if l.pulse != nil {
 		close(l.pulse)
 		l.pulse = nil
 	}
-	l.mu.Unlock()
 	return e
 }
 
-// since returns the retained events with Seq >= seq, whether the log is
-// terminal, and — unless it is — a channel that pulses on the next
-// append.
-func (l *eventLog) since(seq int) (evs []JobEvent, done bool, pulse <-chan struct{}) {
+// appendSince appends the retained events with seq >= seq to b as
+// NDJSON lines and returns the seq to follow from, whether the log is
+// sealed, and, unless it is, a channel that pulses on the next append.
+func (l *eventLog) appendSince(b []byte, seq int32) (_ []byte, next int32, done bool, pulse <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, e := range l.events {
-		if e.Seq >= seq {
-			evs = append(evs, e)
+	for i := range l.events {
+		if l.events[i].seq >= seq {
+			b = append(appendEvent(b, &l.events[i]), '\n')
 		}
 	}
 	if !l.done && l.pulse == nil {
 		l.pulse = make(chan struct{})
 	}
-	return evs, l.done, l.pulse
+	return b, l.seq, l.done, l.pulse
 }
 
 // taskInstants returns the instants of the log's first task_sent and
@@ -109,25 +122,22 @@ func (l *eventLog) taskInstants() (sent, done int64) {
 	defer l.mu.Unlock()
 	for _, e := range l.events {
 		switch {
-		case e.Type == EventTaskSent && sent == 0: // a resend does not restart the clock
-			sent = e.AtNs
-		case e.Type == EventTaskDone:
-			done = e.AtNs
+		case e.typ == EventTaskSent && sent == 0: // a resend does not restart the clock
+			sent = e.at
+		case e.typ == EventTaskDone:
+			done = e.at
 		}
 	}
 	return sent, done
 }
 
-// domainOf boxes a domain id for the JSON shape.
-func domainOf(d int) *int { return &d }
-
 // progress appends one event to the job's log and, when the job belongs
 // to a group, mirrors it onto the group's progress queue. Never called
 // with Server.mu held: group delivery takes the group lock.
-func (j *jobRec) progress(e JobEvent) {
+func (j *jobRec) progress(e event) {
 	stamped := j.events.add(e)
-	if j.group != nil && e.Type != EventSettled {
-		j.group.deliverProgress(j.id, stamped)
+	if j.group != nil && e.typ != EventSettled {
+		j.group.deliverProgress(j.st.ID, stamped)
 	}
 }
 
@@ -146,14 +156,14 @@ func (j *jobRec) observe(ev trace.FabricEvent) {
 	default:
 		return
 	}
-	j.progress(JobEvent{Type: typ, Chunk: -1, Domain: domainOf(ev.Domain)})
+	j.progress(event{typ: typ, chunk: -1, domain: int16(ev.Domain)})
 }
 
 // groupProgress is one member progress line queued for the group
 // stream.
 type groupProgress struct {
 	jobID string
-	event JobEvent
+	event event
 }
 
 // groupProgressCap bounds a group's undrained progress queue; a slow or
@@ -161,7 +171,7 @@ type groupProgress struct {
 const groupProgressCap = 1024
 
 // deliverProgress queues one member progress event for the stream.
-func (g *groupRec) deliverProgress(jobID string, e JobEvent) {
+func (g *groupRec) deliverProgress(jobID string, e event) {
 	g.mu.Lock()
 	g.progress = append(g.progress, groupProgress{jobID: jobID, event: e})
 	if len(g.progress) > groupProgressCap {
@@ -180,28 +190,34 @@ func (g *groupRec) deliverProgress(jobID string, e JobEvent) {
 // apiJobEvents streams one job's progress log as NDJSON from the
 // beginning, following live until the job settles (the settled event is
 // the last line), the client disconnects, or the server stops. For an
-// already-settled job the retained log is dumped and the stream ends.
+// already-settled job the log is written in one piece and the stream
+// ends.
 func (s *Server) apiJobEvents(w http.ResponseWriter, r *http.Request, t *tenantState) {
-	j := s.jobOf(r, t)
-	if j == nil {
+	j, sj := s.jobOf(r, t)
+	if j == nil && sj.JobState == nil {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
+	}
+	l := &eventLog{events: s.settledEvents(sj), done: true}
+	if j != nil {
+		l = j.events
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	next := 0
+	bp := renderBufs.Get().(*[]byte)
+	defer putRender(bp)
+	var next int32
 	for {
-		evs, done, pulse := j.events.since(next)
-		for _, e := range evs {
-			if enc.Encode(e) != nil {
+		b, seq, done, pulse := l.appendSince((*bp)[:0], next)
+		*bp, next = b, seq
+		if len(b) > 0 {
+			if _, err := w.Write(b); err != nil {
 				return
 			}
-			next = e.Seq + 1
-		}
-		if len(evs) > 0 && flusher != nil {
-			flusher.Flush()
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 		if done {
 			return
@@ -214,4 +230,25 @@ func (s *Server) apiJobEvents(w http.ResponseWriter, r *http.Request, t *tenantS
 			return
 		}
 	}
+}
+
+// settledEvents is a settled job's log: its sealed events, or a
+// replayed job's journaled accepted and settled events.
+func (s *Server) settledEvents(sj settledJob) []event {
+	if sj.events != nil || sj.JobState == nil {
+		return sj.events
+	}
+	return []event{
+		{at: s.stamp(sj.SubmittedNs), typ: EventAccepted, chunk: -1, domain: noDomain},
+		{at: s.stamp(sj.FinishedNs), seq: 1, typ: EventSettled, chunk: -1, domain: noDomain, status: sj.Status},
+	}
+}
+
+// stamp is a replayed event's instant: the journaled one, or the
+// recovery instant for a journal without it.
+func (s *Server) stamp(ns int64) int64 {
+	if ns != 0 {
+		return ns
+	}
+	return s.replayedAt
 }

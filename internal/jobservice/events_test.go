@@ -167,17 +167,21 @@ func TestJobEventsFollowerMidJob(t *testing.T) {
 	const total = 200
 	l := new(eventLog)
 	for i := 0; i < total/4; i++ {
-		l.add(JobEvent{Type: EventChunk, Chunk: i})
+		l.add(event{typ: EventChunk, chunk: int32(i), domain: noDomain})
 	}
 	got := make(chan []int)
 	go func() {
 		var seqs []int
-		next := 0
+		var next int32
 		for {
-			evs, done, pulse := l.since(next)
-			for _, e := range evs {
+			lines, n, done, pulse := l.appendSince(nil, next)
+			next = n
+			for dec := json.NewDecoder(bytes.NewReader(lines)); ; {
+				var e JobEvent
+				if dec.Decode(&e) != nil {
+					break
+				}
 				seqs = append(seqs, e.Seq)
-				next = e.Seq + 1
 			}
 			if done {
 				got <- seqs
@@ -186,8 +190,8 @@ func TestJobEventsFollowerMidJob(t *testing.T) {
 			<-pulse
 		}
 	}()
-	// Between bursts, wait until the follower is about to park: since
-	// made a pulse for it.
+	// Between bursts, wait until the follower is about to park:
+	// appendSince made a pulse for it.
 	parked := func() bool {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -199,9 +203,9 @@ func TestJobEventsFollowerMidJob(t *testing.T) {
 				runtime.Gosched()
 			}
 		}
-		l.add(JobEvent{Type: EventChunk, Chunk: i})
+		l.add(event{typ: EventChunk, chunk: int32(i), domain: noDomain})
 	}
-	l.add(JobEvent{Type: EventSettled, Chunk: -1, Status: StatusSucceeded})
+	l.add(event{typ: EventSettled, chunk: -1, domain: noDomain, status: StatusSucceeded})
 	seqs := <-got
 	if len(seqs) != total {
 		t.Fatalf("follower saw %d events, want %d", len(seqs), total)
@@ -216,9 +220,9 @@ func TestJobEventsFollowerMidJob(t *testing.T) {
 // TestJobEventsAddAllocs pins the cost of an event on a job nobody
 // follows: a warm add allocates nothing.
 func TestJobEventsAddAllocs(t *testing.T) {
-	l := &eventLog{events: make([]JobEvent, 0, eventLogCap)}
+	l := &eventLog{events: make([]event, 0, eventLogCap)}
 	allocs := testing.AllocsPerRun(100, func() {
-		l.add(JobEvent{Type: EventChunk, Chunk: 1})
+		l.add(event{typ: EventChunk, chunk: 1, domain: noDomain})
 	})
 	if allocs != 0 {
 		t.Fatalf("eventLog.add allocates %.0f objects with no follower, want 0", allocs)

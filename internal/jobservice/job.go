@@ -1,9 +1,10 @@
 package jobservice
 
 import (
-	"strconv"
 	"sync"
 	"time"
+
+	"openmpmca/internal/durable"
 )
 
 // Job kinds: a fabric task (irregular job via the MTAPI task fabric) or
@@ -22,14 +23,14 @@ const (
 	StatusCanceled  = "canceled"  // canceled before dispatch
 )
 
-// jobRec is the server's record of one submitted job.
+// jobRec is the server's record of one queued or running job. It
+// leaves Server.jobs when the job settles, for its settledJob.
 type jobRec struct {
-	id     string
+	// st holds the job's view: its ID, kind, name, arg, n and group are
+	// set before the job is queued and read-only after; its status,
+	// result, error, recovered flag and instants change under mu.
+	st     durable.JobState
 	tenant *tenantState
-	kind   string
-	name   string
-	arg    []byte
-	n      int // parallel_for iteration count
 	group  *groupRec
 
 	events *eventLog     // per-job progress log (see events.go)
@@ -46,41 +47,40 @@ type jobRec struct {
 	// queued, read-only after.
 	accepted int64
 
-	mu        sync.Mutex
-	status    string
-	result    []byte
-	errMsg    string
-	recovered bool
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	mu sync.Mutex
 }
 
 // lifecycleEvents is the length of a task job's event log: accepted,
 // dispatched, task_sent, task_done and settled.
 const lifecycleEvents = 5
 
-// liveJob is a submitted job's record, its event log and room for the
-// log's lifecycle events, in one allocation.
+// liveJob is a job's record, its event log and room for the log's
+// lifecycle events, in one allocation.
 type liveJob struct {
 	rec jobRec
 	log eventLog
-	evs [lifecycleEvents]JobEvent
+	evs [lifecycleEvents]event
 }
 
-// newJob builds the queued record of tenant t's job number seq, as req
-// asks for it, in group g (nil for none).
-func newJob(seq uint64, t *tenantState, req submitRequest, g *groupRec) *jobRec {
+// newJob builds the queued record of the job st describes, for tenant
+// t in group g (nil for none). Accepts and replay both build records
+// here.
+func newJob(st durable.JobState, t *tenantState, g *groupRec) *jobRec {
 	l := new(liveJob)
 	l.log.events = l.evs[:0]
 	j := &l.rec
-	j.id = string(strconv.AppendUint(append(make([]byte, 0, 24), "j-"...), seq, 10))
-	j.tenant, j.kind, j.name, j.arg, j.n, j.group = t, req.Kind, req.Job, req.Arg, req.N, g
+	j.st, j.tenant, j.group = st, t, g
+	j.st.Status = StatusQueued
 	j.events = &l.log
 	j.done = make(chan struct{})
-	j.status = StatusQueued
-	j.submitted = time.Now()
 	return j
+}
+
+// state reads the job's view.
+func (j *jobRec) state() durable.JobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.st
 }
 
 // claim transitions queued -> running; dispatch calls it when it takes
@@ -89,11 +89,11 @@ func newJob(seq uint64, t *tenantState, req submitRequest, g *groupRec) *jobRec 
 func (j *jobRec) claim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.st.Status != StatusQueued {
 		return false
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
+	j.st.Status = StatusRunning
+	j.st.StartedNs = time.Now().UnixNano()
 	return true
 }
 
@@ -101,13 +101,13 @@ func (j *jobRec) claim() bool {
 func (j *jobRec) cancelQueued() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.st.Status != StatusQueued {
 		return false
 	}
-	j.status = StatusCanceled
-	j.finished = time.Now()
+	j.st.Status = StatusCanceled
+	j.st.FinishedNs = time.Now().UnixNano()
 	close(j.done)
-	j.events.add(JobEvent{Type: EventSettled, Chunk: -1, Status: StatusCanceled})
+	j.events.add(event{typ: EventSettled, chunk: -1, domain: noDomain, status: StatusCanceled})
 	return true
 }
 
@@ -115,20 +115,26 @@ func (j *jobRec) cancelQueued() bool {
 func (j *jobRec) settle(result []byte, errMsg string, recovered bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status == StatusSucceeded || j.status == StatusFailed || j.status == StatusCanceled {
+	if j.st.Settled() {
 		return
 	}
-	if errMsg == "" {
-		j.status = StatusSucceeded
-	} else {
-		j.status = StatusFailed
+	j.st.Status, j.st.Result, j.st.Error, j.st.Recovered = StatusSucceeded, result, errMsg, recovered
+	if errMsg != "" {
+		j.st.Status = StatusFailed
 	}
-	j.result = result
-	j.errMsg = errMsg
-	j.recovered = recovered
-	j.finished = time.Now()
+	j.st.FinishedNs = time.Now().UnixNano()
 	close(j.done)
-	j.events.add(JobEvent{AtNs: j.finished.UnixNano(), Type: EventSettled, Chunk: -1, Status: j.status})
+	j.events.add(event{at: j.st.FinishedNs, typ: EventSettled, chunk: -1, domain: noDomain, status: j.st.Status})
+}
+
+// settledJob is a settled job's one form: the view's fields and result
+// bytes as a JobState, and its event log. A replayed job keeps the
+// store's own JobState, and its log is the journaled accepted and
+// settled pair, built when read. GET, the list, /events and group
+// streams all render from it.
+type settledJob struct {
+	*durable.JobState
+	events []event // nil for a replayed job
 }
 
 // JobView is the wire representation of a job; result bytes travel
@@ -148,11 +154,6 @@ type JobView struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 }
 
-func (j *jobRec) view() JobView {
-	w := j.wire()
-	return w.view()
-}
-
 // groupRec collects related jobs of one tenant for collective streaming:
 // every settled member is delivered on the stream exactly once.
 type groupRec struct {
@@ -162,7 +163,7 @@ type groupRec struct {
 	mu       sync.Mutex
 	members  int
 	pending  int
-	ready    []*jobRec       // settled, not yet streamed
+	ready    []settledJob    // settled, not yet streamed
 	progress []groupProgress // member progress lines, not yet streamed (bounded)
 	notify   chan struct{}   // cap 1: completion signal
 	canceled bool
@@ -176,10 +177,10 @@ func (g *groupRec) addMember() {
 }
 
 // deliver hands a settled member to the stream queue.
-func (g *groupRec) deliver(j *jobRec) {
+func (g *groupRec) deliver(sj settledJob) {
 	g.mu.Lock()
 	g.pending--
-	g.ready = append(g.ready, j)
+	g.ready = append(g.ready, sj)
 	g.mu.Unlock()
 	select {
 	case g.notify <- struct{}{}:

@@ -19,7 +19,8 @@ import (
 //	jobservice.complete  last task_done → settled event   (task jobs)
 //	offload.region       dispatched → settled             (parallel_for jobs)
 //
-// The dispatched and settled events carry j.started and j.finished as
+// The dispatched and settled events carry the job's started and finished
+// instants as
 // their instants, so a region's fold reads neither from its event log,
 // whose drop-oldest window can lose a long region's early events.
 
@@ -74,21 +75,22 @@ type latencyHists struct {
 }
 
 // fold adds one settled job's intervals. It runs on the job's completion
-// goroutine after settle, which stamped j.finished there; claim stamped
-// j.started before launch. A task job whose submit failed logged no task
+// goroutine after settle, which stamped the finished instant there;
+// claim stamped the started instant before launch. A task job whose submit failed logged no task
 // events and adds to accept and queue only.
 func (l *latencyHists) fold(j *jobRec) {
-	dispatched, settled := j.started.UnixNano(), j.finished.UnixNano()
+	st := j.state()
+	dispatched, settled := st.StartedNs, st.FinishedNs
 	var sent, done int64
-	if j.kind != KindParallelFor {
+	if st.Kind != KindParallelFor {
 		sent, done = j.events.taskInstants()
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.h[latAccept].observe(j.accepted - j.submitted.UnixNano())
+	l.h[latAccept].observe(j.accepted - st.SubmittedNs)
 	l.h[latQueue].observe(dispatched - j.accepted)
 	switch {
-	case j.kind == KindParallelFor:
+	case st.Kind == KindParallelFor:
 		l.h[latRegion].observe(settled - dispatched)
 	case sent != 0 && done != 0:
 		l.h[latDispatch].observe(sent - dispatched)

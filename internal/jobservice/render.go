@@ -11,115 +11,116 @@ import (
 	"openmpmca/internal/durable"
 )
 
-// Job responses. POST /v1/jobs, GET /v1/jobs/{id} and GET /v1/jobs
-// answer with the sync envelope around job views, appended into one
-// pooled buffer instead of reflected by encoding/json, and sent with a
-// Content-Length. writeSync of the same views defines the bytes:
-// FuzzJobViewEnvelope holds the two equal. Every other route writes
-// through writeSync.
+// Job responses and streams. POST /v1/jobs, GET /v1/jobs/{id} and GET
+// /v1/jobs answer with the sync envelope around job views, and
+// /v1/jobs/{id}/events and group streams send NDJSON lines, all
+// appended into one pooled buffer instead of reflected by encoding/json,
+// and the envelopes sent with a Content-Length. encoding/json of the
+// same values defines the bytes: FuzzJobViewEnvelope and
+// FuzzStreamLines hold the two equal. Every other route writes through
+// writeSync.
 
-// jobWire is what a job's view shows: a record's fields read under its
-// lock, or a cold job's JobState. A zero started or finished time is
-// left out, as JobView leaves out a nil one.
-type jobWire struct {
-	id, tenant, kind, name, status, group, errMsg string
-	result                                        []byte
-	recovered                                     bool
-	submitted, started, finished                  time.Time
-}
-
-// wire reads the job's view fields.
-func (j *jobRec) wire() jobWire {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	w := jobWire{
-		id: j.id, tenant: j.tenant.Name, kind: j.kind, name: j.name, status: j.status,
-		errMsg: j.errMsg, result: j.result, recovered: j.recovered,
-		submitted: j.submitted, started: j.started, finished: j.finished,
-	}
-	if j.group != nil {
-		w.group = j.group.id
-	}
-	return w
-}
-
-// coldWire reads the view of a cold job, whose record would be built
-// from js by replayedRec: settled, ungrouped, times from the journal.
-func coldWire(js *durable.JobState, tenant string) jobWire {
-	w := jobWire{
-		id: js.ID, tenant: tenant, kind: js.Kind, name: js.Name, status: js.Status,
-		errMsg: js.Error, result: js.Result, recovered: js.Recovered,
-	}
-	if js.SubmittedNs != 0 {
-		w.submitted = time.Unix(0, js.SubmittedNs)
-	}
-	if js.StartedNs != 0 {
-		w.started = time.Unix(0, js.StartedNs)
-	}
-	if js.FinishedNs != 0 {
-		w.finished = time.Unix(0, js.FinishedNs)
-	}
-	return w
-}
-
-// view is the JobView of w, for the routes that encode with
-// encoding/json.
-func (w *jobWire) view() JobView {
-	v := JobView{
-		ID: w.id, Tenant: w.tenant, Kind: w.kind, Name: w.name, Status: w.status,
-		Group: w.group, Result: w.result, Error: w.errMsg, Recovered: w.recovered,
-		SubmittedAt: w.submitted,
-	}
-	if !w.started.IsZero() {
-		t := w.started
-		v.StartedAt = &t
-	}
-	if !w.finished.IsZero() {
-		t := w.finished
-		v.FinishedAt = &t
-	}
-	return v
-}
-
-// appendJob appends w as encoding/json encodes its JobView.
-func appendJob(b []byte, w *jobWire) []byte {
+// appendJob appends the view of the job st describes as encoding/json
+// encodes its JobView: a zero started or finished instant is left out,
+// as JobView leaves out a nil time.
+func appendJob(b []byte, st *durable.JobState) []byte {
 	b = append(b, `{"id":`...)
-	b = appendString(b, w.id)
+	b = appendString(b, st.ID)
 	b = append(b, `,"tenant":`...)
-	b = appendString(b, w.tenant)
+	b = appendString(b, st.Tenant)
 	b = append(b, `,"kind":`...)
-	b = appendString(b, w.kind)
+	b = appendString(b, st.Kind)
 	b = append(b, `,"name":`...)
-	b = appendString(b, w.name)
+	b = appendString(b, st.Name)
 	b = append(b, `,"status":`...)
-	b = appendString(b, w.status)
-	if w.group != "" {
+	b = appendString(b, st.Status)
+	if st.Group != "" {
 		b = append(b, `,"group":`...)
-		b = appendString(b, w.group)
+		b = appendString(b, st.Group)
 	}
-	if len(w.result) > 0 {
+	if len(st.Result) > 0 {
 		b = append(b, `,"result":"`...)
-		b = base64.StdEncoding.AppendEncode(b, w.result)
+		b = base64.StdEncoding.AppendEncode(b, st.Result)
 		b = append(b, '"')
 	}
-	if w.errMsg != "" {
+	if st.Error != "" {
 		b = append(b, `,"error":`...)
-		b = appendString(b, w.errMsg)
+		b = appendString(b, st.Error)
 	}
-	if w.recovered {
+	if st.Recovered {
 		b = append(b, `,"recovered":true`...)
 	}
 	b = append(b, `,"submitted_at":`...)
-	b = appendTime(b, w.submitted)
-	if !w.started.IsZero() {
+	b = appendTime(b, st.SubmittedNs)
+	if st.StartedNs != 0 {
 		b = append(b, `,"started_at":`...)
-		b = appendTime(b, w.started)
+		b = appendTime(b, st.StartedNs)
 	}
-	if !w.finished.IsZero() {
+	if st.FinishedNs != 0 {
 		b = append(b, `,"finished_at":`...)
-		b = appendTime(b, w.finished)
+		b = appendTime(b, st.FinishedNs)
 	}
 	return append(b, '}')
+}
+
+// appendEvent appends e as encoding/json encodes its JobEvent.
+func appendEvent(b []byte, e *event) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(e.seq), 10)
+	b = append(b, `,"at_ns":`...)
+	b = strconv.AppendInt(b, e.at, 10)
+	b = append(b, `,"type":`...)
+	b = appendString(b, e.typ)
+	if e.chunk != 0 {
+		b = append(b, `,"chunk":`...)
+		b = strconv.AppendInt(b, int64(e.chunk), 10)
+	}
+	if e.total != 0 {
+		b = append(b, `,"total":`...)
+		b = strconv.AppendInt(b, int64(e.total), 10)
+	}
+	if e.domain != noDomain {
+		b = append(b, `,"domain":`...)
+		b = strconv.AppendInt(b, int64(e.domain), 10)
+	}
+	if e.status != "" {
+		b = append(b, `,"status":`...)
+		b = appendString(b, e.status)
+	}
+	return append(b, '}')
+}
+
+// appendStreamLine appends one group-stream line as json.Encoder writes
+// its streamEvent: its type, then its member's settled view (st) or
+// progress line (p) when it has one, then the group's view, and a
+// newline.
+func appendStreamLine(b []byte, typ string, st *durable.JobState, p *groupProgress, gv *GroupView) []byte {
+	b = append(b, `{"type":`...)
+	b = appendString(b, typ)
+	if st != nil {
+		b = append(b, `,"job":`...)
+		b = appendJob(b, st)
+	}
+	if p != nil {
+		if p.jobID != "" {
+			b = append(b, `,"job_id":`...)
+			b = appendString(b, p.jobID)
+		}
+		b = append(b, `,"event":`...)
+		b = appendEvent(b, &p.event)
+	}
+	b = append(b, `,"group":{"id":`...)
+	b = appendString(b, gv.ID)
+	b = append(b, `,"tenant":`...)
+	b = appendString(b, gv.Tenant)
+	b = append(b, `,"members":`...)
+	b = strconv.AppendInt(b, int64(gv.Members), 10)
+	b = append(b, `,"pending":`...)
+	b = strconv.AppendInt(b, int64(gv.Pending), 10)
+	if gv.Canceled {
+		b = append(b, `,"canceled":true`...)
+	}
+	return append(b, "}}\n"...)
 }
 
 // appendSyncOpen appends the sync envelope up to its metadata value;
@@ -134,9 +135,14 @@ func appendSyncOpen(b []byte, code int) []byte {
 
 func appendSyncClose(b []byte) []byte { return append(b, "}\n"...) }
 
-// appendTime appends t as time.Time's MarshalJSON does, for any time
-// whose year has four digits.
-func appendTime(b []byte, t time.Time) []byte {
+// appendTime appends the instant ns (unix ns, 0 for the zero time) as
+// time.Time's MarshalJSON does, for any time whose year has four
+// digits.
+func appendTime(b []byte, ns int64) []byte {
+	t := time.Time{}
+	if ns != 0 {
+		t = time.Unix(0, ns)
+	}
 	b = append(b, '"')
 	b = t.AppendFormat(b, time.RFC3339Nano)
 	return append(b, '"')
@@ -212,13 +218,12 @@ const maxPooledRender = 64 << 10
 // into them.
 var jsonContentType = []string{"application/json"}
 
-// writeJob answers with the sync envelope around j's view.
-func writeJob(w http.ResponseWriter, code int, j *jobRec) {
-	jw := j.wire()
+// writeJob answers with the sync envelope around the view of the job st
+// describes.
+func writeJob(w http.ResponseWriter, code int, st *durable.JobState) {
 	bp := renderBufs.Get().(*[]byte)
 	b := appendSyncOpen((*bp)[:0], code)
-	b = appendJob(b, &jw)
-	writeRendered(w, code, bp, appendSyncClose(b))
+	writeRendered(w, code, bp, appendSyncClose(appendJob(b, st)))
 }
 
 // writeRendered sends body, appended into the pooled buffer *bp, with
@@ -229,8 +234,14 @@ func writeRendered(w http.ResponseWriter, code int, bp *[]byte, body []byte) {
 	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
-	if cap(body) <= maxPooledRender {
-		*bp = body
+	*bp = body
+	putRender(bp)
+}
+
+// putRender returns a render buffer to the pool unless it has grown past
+// maxPooledRender.
+func putRender(bp *[]byte) {
+	if cap(*bp) <= maxPooledRender {
 		renderBufs.Put(bp)
 	}
 }

@@ -30,11 +30,11 @@
 package jobservice
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -153,11 +153,13 @@ type Server struct {
 	byName map[string]*tenantState
 	order  []*tenantState // registration order; WRR iterates it
 
-	mu     sync.Mutex // guards queues, jobs, cold, groups, WRR state, free
-	jobs   map[string]*jobRec
-	cold   coldJobs // replayed jobs without a record until looked up
-	groups map[string]*groupRec
-	free   int // dispatch-window slots no launched job holds; > 0 only while every queue is empty
+	mu      sync.Mutex         // guards queues, jobs, settled, groups, WRR state, free
+	jobs    map[string]*jobRec // queued and running jobs
+	settled settledJobs
+	groups  map[string]*groupRec
+	free    int // dispatch-window slots no launched job holds; > 0 only while every queue is empty
+
+	replayedAt int64 // the recovery instant, set in New: a replayed event's stamp when the journal holds none
 
 	jobSeq   atomic.Uint64
 	groupSeq atomic.Uint64
@@ -239,20 +241,21 @@ func (s *Server) Close() error {
 	}
 	close(s.stopCh)
 	s.mu.Lock()
+	var canceled []*jobRec
 	for _, t := range s.order {
 		for _, j := range t.queue {
 			if j.cancelQueued() {
 				t.inflight--
 				s.st.canceled.Add(1)
-				s.journalBestEffort(settleEntry(j))
-				if j.group != nil {
-					defer j.group.deliver(j)
-				}
+				canceled = append(canceled, j)
 			}
 		}
 		t.queue = nil
 	}
 	s.mu.Unlock()
+	for _, j := range canceled {
+		s.retire(j)
+	}
 	s.wg.Wait()
 	if s.cfg.store != nil {
 		return s.cfg.store.Close()
@@ -264,8 +267,16 @@ func (s *Server) Close() error {
 // responses are rewrapped into the JSON error envelope so every byte the
 // service emits is envelope-shaped.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	routes().ServeHTTP(&envelopeWriter{rw: w, s: s}, r)
+	ew := envelopeWriters.Get().(*envelopeWriter)
+	*ew = envelopeWriter{rw: w, s: s}
+	routes().ServeHTTP(ew, r)
+	*ew = envelopeWriter{}
+	envelopeWriters.Put(ew)
 }
+
+// envelopeWriters are the wrappers ServeHTTP hands its handlers, reused
+// once the handler has returned: net/http drops a handler's writer then.
+var envelopeWriters = sync.Pool{New: func() any { return new(envelopeWriter) }}
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s }
@@ -550,10 +561,14 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 		writeError(w, http.StatusTooManyRequests, "tenant %q over quota (%d jobs in flight)", t.Name, t.Quota)
 		return
 	}
-	j := newJob(s.jobSeq.Add(1), t, req, g)
+	id := string(strconv.AppendUint(append(make([]byte, 0, 24), "j-"...), s.jobSeq.Add(1), 10))
+	j := newJob(durable.JobState{
+		ID: id, Tenant: t.Name, Kind: req.Kind, Name: req.Job, Arg: req.Arg, N: req.N,
+		Group: req.Group, SubmittedNs: time.Now().UnixNano(),
+	}, t, g)
 	t.inflight++
-	t.jobs = append(t.jobs, j.id)
-	s.jobs[j.id] = j
+	t.jobs = append(t.jobs, id)
+	s.jobs[id] = j
 	if g != nil {
 		g.addMember()
 	}
@@ -563,14 +578,14 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 	// crash. The job is not queued for dispatch until the record is
 	// durable.
 	if err := s.journal(durable.Entry{
-		Op: durable.OpAccept, ID: j.id, At: j.submitted.UnixNano(),
-		Tenant: t.Name, Kind: j.kind, Name: j.name, Arg: j.arg, N: j.n, Group: req.Group,
+		Op: durable.OpAccept, ID: id, At: j.st.SubmittedNs,
+		Tenant: t.Name, Kind: j.st.Kind, Name: j.st.Name, Arg: j.st.Arg, N: j.st.N, Group: req.Group,
 	}); err != nil {
 		s.mu.Lock()
 		t.inflight--
-		delete(s.jobs, j.id)
+		delete(s.jobs, id)
 		for i := len(t.jobs) - 1; i >= 0; i-- {
-			if t.jobs[i] == j.id {
+			if t.jobs[i] == id {
 				t.jobs = append(t.jobs[:i], t.jobs[i+1:]...)
 				break
 			}
@@ -590,7 +605,8 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 	// The receipt leaves before the job is queued: its dispatch (and,
 	// when durable, the dispatch record's append) never sits between
 	// an accept and its 202.
-	writeJob(w, http.StatusAccepted, j)
+	st := j.state()
+	writeJob(w, http.StatusAccepted, &st)
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -598,17 +614,16 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 }
 
 func (s *Server) apiJobList(w http.ResponseWriter, _ *http.Request, t *tenantState) {
-	// The jobs are found under s.mu and rendered outside it. A cold job
-	// is rendered from its JobState and stays cold.
+	// The jobs are found under s.mu and rendered outside it.
 	type entry struct {
 		j  *jobRec
-		js *durable.JobState
+		sj settledJob
 	}
 	s.mu.Lock()
 	entries := make([]entry, 0, len(t.jobs))
 	for _, id := range t.jobs {
-		if j, js := s.findLocked(id, t); j != nil || js != nil {
-			entries = append(entries, entry{j, js})
+		if j, sj := s.findLocked(id, t); j != nil || sj.JobState != nil {
+			entries = append(entries, entry{j, sj})
 		}
 	}
 	s.mu.Unlock()
@@ -618,41 +633,72 @@ func (s *Server) apiJobList(w http.ResponseWriter, _ *http.Request, t *tenantSta
 		if i > 0 {
 			b = append(b, ',')
 		}
-		var jw jobWire
 		if e.j != nil {
-			jw = e.j.wire()
+			st := e.j.state()
+			b = appendJob(b, &st)
 		} else {
-			jw = coldWire(e.js, t.Name)
+			b = appendJob(b, e.sj.JobState)
 		}
-		b = appendJob(b, &jw)
 	}
 	writeRendered(w, http.StatusOK, bp, appendSyncClose(append(b, ']')))
 }
 
 func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantState) {
-	j := s.jobOf(r, t)
-	if j == nil {
+	j, sj := s.jobOf(r, t)
+	if j == nil && sj.JobState == nil {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+	if waitStr := queryValue(r.URL.RawQuery, "wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad wait %q: %v", waitStr, err)
 			return
 		}
-		// Long-poll: return early when the job settles; on timeout the
-		// current (possibly still running) view is returned.
-		timer := waitTimer(d)
-		select {
-		case <-j.done:
-		case <-timer.C:
-		case <-r.Context().Done():
-		case <-s.stopCh:
+		// Long-poll a live job: return early when it settles; on timeout
+		// the current (possibly still running) view is returned. A job
+		// found settled arms no timer.
+		if j != nil {
+			timer := waitTimer(d)
+			select {
+			case <-j.done:
+			case <-timer.C:
+			case <-r.Context().Done():
+			case <-s.stopCh:
+			}
+			releaseTimer(timer)
 		}
-		releaseTimer(timer)
 	}
-	writeJob(w, http.StatusOK, j)
+	if j == nil {
+		writeJob(w, http.StatusOK, sj.JobState)
+		return
+	}
+	st := j.state()
+	writeJob(w, http.StatusOK, &st)
+}
+
+// queryValue returns the first value of key in the raw query q, as
+// url.ParseQuery(q).Get(key) would, without building the map: pairs
+// split at '&', a pair without '=' has the empty value, a pair holding a
+// ';' or a malformed escape is skipped, and keys and values are
+// query-unescaped.
+func queryValue(q, key string) string {
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || k != key {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // waitTimers are the long-polls' timers, reused instead of allocated
@@ -680,12 +726,12 @@ func releaseTimer(t *time.Timer) {
 	waitTimers.Put(t)
 }
 
-// jobOf returns the caller's job named by the request path, nil when
-// there is none.
-func (s *Server) jobOf(r *http.Request, t *tenantState) *jobRec {
+// jobOf finds the caller's job named by the request path: its record or
+// its settledJob, neither when there is none.
+func (s *Server) jobOf(r *http.Request, t *tenantState) (*jobRec, settledJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lookupLocked(r.PathValue("id"), t)
+	return s.findLocked(r.PathValue("id"), t)
 }
 
 func (s *Server) apiGroupCreate(w http.ResponseWriter, _ *http.Request, t *tenantState) {
@@ -725,16 +771,6 @@ func (s *Server) apiGroupGet(w http.ResponseWriter, r *http.Request, t *tenantSt
 	writeSync(w, http.StatusOK, g.view())
 }
 
-// streamEvent is one NDJSON line of a group stream.
-type streamEvent struct {
-	Type string   `json:"type"` // "job" | "progress" | "drained"
-	Job  *JobView `json:"job,omitempty"`
-	// Progress events: the member's id and its progress line.
-	JobID string    `json:"job_id,omitempty"`
-	Event *JobEvent `json:"event,omitempty"`
-	Group GroupView `json:"group"`
-}
-
 // apiGroupStream streams the group as NDJSON: member progress lines
 // (chunk/task completions) as they happen, each settled member exactly
 // once across all streamers, and a final "drained" event once no
@@ -751,8 +787,8 @@ func (s *Server) apiGroupStream(w http.ResponseWriter, r *http.Request, t *tenan
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	bp := renderBufs.Get().(*[]byte)
+	defer putRender(bp)
 	for {
 		g.mu.Lock()
 		progress, ready := g.progress, g.ready
@@ -761,19 +797,19 @@ func (s *Server) apiGroupStream(w http.ResponseWriter, r *http.Request, t *tenan
 		gv := g.viewLocked()
 		g.mu.Unlock()
 
-		buf.Reset()
+		b := (*bp)[:0]
 		for i := range progress {
-			_ = enc.Encode(streamEvent{Type: "progress", JobID: progress[i].jobID, Event: &progress[i].event, Group: gv})
+			b = appendStreamLine(b, "progress", nil, &progress[i], &gv)
 		}
-		for _, j := range ready {
-			v := j.view()
-			_ = enc.Encode(streamEvent{Type: "job", Job: &v, Group: gv})
+		for _, sj := range ready {
+			b = appendStreamLine(b, "job", sj.JobState, nil, &gv)
 		}
 		if drained {
-			_ = enc.Encode(streamEvent{Type: "drained", Group: gv})
+			b = appendStreamLine(b, "drained", nil, nil, &gv)
 		}
-		if buf.Len() > 0 {
-			if _, err := w.Write(buf.Bytes()); err != nil {
+		*bp = b
+		if len(b) > 0 {
+			if _, err := w.Write(b); err != nil {
 				return
 			}
 			if flusher != nil {
@@ -807,10 +843,7 @@ func (s *Server) apiGroupCancel(w http.ResponseWriter, r *http.Request, t *tenan
 	var canceled []*jobRec
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		if j.group != g {
-			continue
-		}
-		if j.cancelQueued() {
+		if j.group == g && j.cancelQueued() {
 			j.tenant.inflight--
 			s.st.canceled.Add(1)
 			canceled = append(canceled, j)
@@ -818,8 +851,7 @@ func (s *Server) apiGroupCancel(w http.ResponseWriter, r *http.Request, t *tenan
 	}
 	s.mu.Unlock()
 	for _, j := range canceled {
-		s.journalBestEffort(settleEntry(j))
-		g.deliver(j)
+		s.retire(j)
 	}
 	writeSync(w, http.StatusOK, g.view())
 }
@@ -958,7 +990,7 @@ func (s *Server) ServiceStats() ServiceStats {
 // 202 has left and before the job can run.
 func (s *Server) enqueue(j *jobRec) *jobRec {
 	j.accepted = time.Now().UnixNano()
-	j.progress(JobEvent{AtNs: j.accepted, Type: EventAccepted, Chunk: -1})
+	j.progress(event{at: j.accepted, typ: EventAccepted, chunk: -1, domain: noDomain})
 	s.mu.Lock()
 	if s.closed.Load() {
 		// Close has drained the queues, or will once it holds s.mu; a job
@@ -967,11 +999,10 @@ func (s *Server) enqueue(j *jobRec) *jobRec {
 		if canceled {
 			j.tenant.inflight--
 			s.st.canceled.Add(1)
-			s.journalBestEffort(settleEntry(j))
 		}
 		s.mu.Unlock()
-		if canceled && j.group != nil {
-			j.group.deliver(j)
+		if canceled {
+			s.retire(j)
 		}
 		return nil
 	}
@@ -1058,19 +1089,19 @@ func (s *Server) launch(j *jobRec) *jobRec {
 	// re-execution after a crash, so it does not gate the launch.
 	// claim stamped j.started under s.mu and nothing writes it again,
 	// so the record carries the time a restart restores.
-	s.journalBestEffort(durable.Entry{Op: durable.OpDispatch, ID: j.id, At: j.started.UnixNano()})
-	j.progress(JobEvent{AtNs: j.started.UnixNano(), Type: EventDispatched, Chunk: -1})
-	if j.kind == KindParallelFor {
+	s.journalBestEffort(durable.Entry{Op: durable.OpDispatch, ID: j.st.ID, At: j.st.StartedNs})
+	j.progress(event{at: j.st.StartedNs, typ: EventDispatched, chunk: -1, domain: noDomain})
+	if j.st.Kind == KindParallelFor {
 		go func() {
 			defer s.wg.Done()
-			res, err := s.regions.ParallelForObserved(j.name, j.n, j.arg, func(chunk, total, domain int) {
-				j.progress(JobEvent{Type: EventChunk, Chunk: chunk, Total: total, Domain: domainOf(domain)})
+			res, err := s.regions.ParallelForObserved(j.st.Name, j.st.N, j.st.Arg, func(chunk, total, domain int) {
+				j.progress(event{typ: EventChunk, chunk: int32(chunk), total: int32(total), domain: int16(domain)})
 			})
 			s.run(s.complete(j, res, err))
 		}()
 		return nil
 	}
-	h, err := s.fab.SubmitJobObserved(j.name, j.arg, j.observe)
+	h, err := s.fab.SubmitJobObserved(j.st.Name, j.st.Arg, j.observe)
 	if err != nil {
 		defer s.wg.Done()
 		return s.complete(j, nil, err)
@@ -1085,8 +1116,9 @@ func (s *Server) launch(j *jobRec) *jobRec {
 
 // complete settles a launched job, gives its window slot to the WRR-next
 // queued job and returns that job, nil for none. The tenant's quota and
-// the slot are released before the job shows as settled, so a client
-// that saw it settle may submit again at once. A result recovered from
+// the slot are released, and the job counted, before it shows as
+// settled, so a client that saw it settle may submit again at once and
+// finds it in the stats. A result recovered from
 // a lost domain (ErrDomainLost) is complete and correct — it settles as
 // a success with the recovered flag set; so is a job re-executed after a
 // restart (replayed flag).
@@ -1101,9 +1133,6 @@ func (s *Server) complete(j *jobRec, res []byte, err error) *jobRec {
 	s.free++
 	next := s.dispatchOneLocked()
 	s.mu.Unlock()
-	j.settle(res, errMsg, recovered)
-	s.lat.fold(j)
-	s.journalBestEffort(settleEntry(j))
 	if errMsg == "" {
 		j.tenant.completed.Add(1)
 		s.st.completed.Add(1)
@@ -1113,8 +1142,8 @@ func (s *Server) complete(j *jobRec, res []byte, err error) *jobRec {
 	} else {
 		s.st.failed.Add(1)
 	}
-	if j.group != nil {
-		j.group.deliver(j)
-	}
+	j.settle(res, errMsg, recovered)
+	s.lat.fold(j)
+	s.retire(j)
 	return next
 }

@@ -713,20 +713,18 @@ func TestKillMidJob(t *testing.T) {
 	// domain 0 holding work.
 	for _, id := range ids {
 		e.srv.mu.Lock()
-		l := e.srv.jobs[id].events
+		j := e.srv.jobs[id] // nil once settled, its task long sent
 		e.srv.mu.Unlock()
-		for seq, sent := 0, false; !sent; {
-			evs, done, pulse := l.since(seq)
-			for _, ev := range evs {
-				sent = sent || ev.Type == EventTaskSent
-				seq = ev.Seq + 1
+		for seq := int32(0); j != nil; {
+			lines, next, done, pulse := j.events.appendSince(nil, seq)
+			if bytes.Contains(lines, []byte(`"type":"task_sent"`)) {
+				break
 			}
-			if done && !sent {
+			if done {
 				t.Fatalf("job %s settled before its task was sent", id)
 			}
-			if !sent {
-				<-pulse
-			}
+			seq = next
+			<-pulse
 		}
 	}
 	if code, env := e.do(t, http.MethodPost, "/v1/domains/0/drain", "key-alice", nil); code != http.StatusOK {
@@ -986,20 +984,16 @@ func TestCloseSettlesQueued(t *testing.T) {
 	}
 	var canceled, done int
 	for _, id := range ids {
-		srv.mu.Lock()
-		j := srv.jobs[id]
-		srv.mu.Unlock()
-		<-j.done
-		j.mu.Lock()
-		switch j.status {
-		case StatusCanceled:
+		switch st := settledOf(srv, id).JobState; {
+		case st == nil:
+			t.Errorf("job %s not settled after Close", id)
+		case st.Status == StatusCanceled:
 			canceled++
-		case StatusSucceeded:
+		case st.Status == StatusSucceeded:
 			done++
 		default:
-			t.Errorf("job %s status %s after Close", id, j.status)
+			t.Errorf("job %s status %s after Close", id, st.Status)
 		}
-		j.mu.Unlock()
 	}
 	if canceled == 0 {
 		t.Error("Close canceled no queued jobs")

@@ -65,154 +65,91 @@ func (s *Server) journalBestEffort(e durable.Entry) {
 	}
 }
 
-// settleEntry builds the OpSettle record for a settled job.
-func settleEntry(j *jobRec) durable.Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return durable.Entry{
-		Op:        durable.OpSettle,
-		ID:        j.id,
-		At:        j.finished.UnixNano(),
-		Status:    j.status,
-		Result:    j.result,
-		Error:     j.errMsg,
-		Recovered: j.recovered,
-	}
-}
-
 // seqOf extracts the numeric suffix of a "j-N"/"g-N" id, 0 when the id
-// has another shape. canonical reports whether id is exactly prefix
-// followed by N >= 1 in decimal without leading zeros, the form the
-// server issues.
-func seqOf(id, prefix string) (n uint64, canonical bool) {
-	digits, ok := strings.CutPrefix(id, prefix)
-	n, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, ok && digits[0] != '0'
+// has another shape.
+func seqOf(id, prefix string) uint64 {
+	n, _ := strconv.ParseUint(strings.TrimPrefix(id, prefix), 10, 64)
+	return n
 }
 
-// settledDone is the done channel every replayed settled job shares:
-// closed here, once, and never again, because settle and cancelQueued
-// leave a terminal job's channel alone.
-var settledDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// replayedJob is what a replayed job needs: its record, its event log
-// and room for the log's first two events, in one allocation.
-type replayedJob struct {
-	rec jobRec
-	log eventLog
-	evs [2]JobEvent
+// settledJobs is the one table of settled jobs, live-settled and
+// replayed: the job "j-N" at index N of bySeq while N stays within about
+// twice its length, any other job in byID. Guarded by Server.mu.
+type settledJobs struct {
+	bySeq []settledJob
+	byID  map[string]settledJob
 }
 
-// coldJobs are the replayed jobs that have no record yet: settled,
-// ungrouped jobs with a canonical "j-N" ID, each kept as the store's
-// own JobState (immutable once settled) at index N until its first
-// lookup builds its record. After a restart clients read few of the old
-// jobs, so most never get one. Guarded by Server.mu.
-type coldJobs struct {
-	bySeq []*durable.JobState
-	at    int64 // the recovery instant: the stamp of an event the journal holds no time for
+// get returns the settled job id, zero when there is none.
+func (t *settledJobs) get(id string) settledJob {
+	if n := seqOf(id, "j-"); n < uint64(len(t.bySeq)) && t.bySeq[n].JobState != nil && t.bySeq[n].ID == id {
+		return t.bySeq[n]
+	}
+	return t.byID[id]
 }
 
-// stamp is a replayed event's instant: the journaled one, or the
-// recovery instant for a journal without it.
-func (c *coldJobs) stamp(ns int64) int64 {
-	if ns != 0 {
-		return ns
-	}
-	return c.at
-}
-
-// replayedRec builds, in r, the record of a job replayed from the store
-// for tenant t: a settled job with its result and an accepted and a
-// settled event stamped from the journal, any other queued with its
-// accepted event. Its group, if any, is the caller's to link. Replay
-// and a cold job's first lookup both build records here.
-func (s *Server) replayedRec(r *replayedJob, js *durable.JobState, t *tenantState) *jobRec {
-	j := &r.rec
-	j.id, j.tenant, j.kind, j.name, j.arg, j.n = js.ID, t, js.Kind, js.Name, js.Arg, js.N
-	j.events = &r.log
-	if js.SubmittedNs != 0 {
-		j.submitted = time.Unix(0, js.SubmittedNs)
-	}
-	j.accepted = s.cold.stamp(js.SubmittedNs)
-	r.evs[0] = JobEvent{AtNs: j.accepted, Type: EventAccepted, Chunk: -1}
-	if !js.Settled() {
-		// A queued or mid-flight job goes back to its tenant's FIFO; a
-		// mid-flight one is marked recovered: its (builtin,
-		// deterministic) work is re-executed from the journaled payload.
-		j.status = StatusQueued
-		j.replayed = true
-		j.recovered = js.Status == durable.StatusRunning
-		j.done = make(chan struct{})
-		r.log.events, r.log.seq = r.evs[:1], 1
-		return j
-	}
-	j.status, j.result, j.errMsg, j.recovered = js.Status, js.Result, js.Error, js.Recovered
-	if js.StartedNs != 0 {
-		j.started = time.Unix(0, js.StartedNs)
-	}
-	if js.FinishedNs != 0 {
-		j.finished = time.Unix(0, js.FinishedNs)
-	}
-	j.done = settledDone
-	r.evs[1] = JobEvent{Seq: 1, AtNs: s.cold.stamp(js.FinishedNs), Type: EventSettled, Chunk: -1, Status: j.status}
-	r.log.events, r.log.seq, r.log.done = r.evs[:2], 2, true
-	return j
-}
-
-// findLocked finds tenant t's job by ID without building a record: its
-// record, or a cold job's JobState; neither when t has no job by that
-// ID. Caller holds s.mu.
-func (s *Server) findLocked(id string, t *tenantState) (*jobRec, *durable.JobState) {
-	if j := s.jobs[id]; j != nil {
-		if j.tenant != t {
-			return nil, nil
+// put files sj, whose ID has the number n (seqOf), at n when that slot
+// is in reach and free (an ID such as "j-07" may share "j-7"'s), else by
+// its ID.
+func (t *settledJobs) put(n uint64, sj settledJob) {
+	if n == 0 || n > 2*uint64(len(t.bySeq))+64 || (n < uint64(len(t.bySeq)) && t.bySeq[n].JobState != nil) {
+		if t.byID == nil {
+			t.byID = make(map[string]settledJob)
 		}
-		return j, nil
+		t.byID[sj.ID] = sj
+		return
 	}
-	n, canonical := seqOf(id, "j-")
-	if !canonical || n >= uint64(len(s.cold.bySeq)) {
-		return nil, nil
+	for uint64(len(t.bySeq)) <= n {
+		t.bySeq = append(t.bySeq, settledJob{})
 	}
-	js := s.cold.bySeq[n]
-	if js == nil || js.Tenant != t.Name {
-		return nil, nil
-	}
-	return nil, js
+	t.bySeq[n] = sj
 }
 
-// lookupLocked finds tenant t's job by ID, nil when t has none by that
-// ID. A cold job gets its record here, on its owner's first lookup, and
-// keeps it. Caller holds s.mu.
-func (s *Server) lookupLocked(id string, t *tenantState) *jobRec {
-	j, js := s.findLocked(id, t)
-	if js == nil {
-		return j
+// retire journals a settled job's settle, collapses the job into its
+// settledJob (its view without the arg, which no view shows, and its
+// sealed log), moves it from Server.jobs to the settled table in one
+// lock hold, and delivers it to its group.
+func (s *Server) retire(j *jobRec) {
+	st := j.state()
+	s.journalBestEffort(durable.Entry{Op: durable.OpSettle, ID: st.ID, At: st.FinishedNs,
+		Status: st.Status, Result: st.Result, Error: st.Error, Recovered: st.Recovered})
+	st.Arg = nil
+	j.events.mu.Lock()
+	sj := settledJob{JobState: &st, events: append([]event(nil), j.events.events...)}
+	j.events.mu.Unlock()
+	s.mu.Lock()
+	delete(s.jobs, st.ID)
+	s.settled.put(seqOf(st.ID, "j-"), sj)
+	s.mu.Unlock()
+	if j.group != nil {
+		j.group.deliver(sj)
 	}
-	n, _ := seqOf(id, "j-")
-	s.cold.bySeq[n] = nil
-	j = s.replayedRec(new(replayedJob), js, t)
-	s.jobs[js.ID] = j
-	return j
+}
+
+// findLocked finds tenant t's job by ID: its record while it is queued
+// or running, its settledJob once it has settled; neither when t has no
+// job by that ID. It builds nothing. Caller holds s.mu.
+func (s *Server) findLocked(id string, t *tenantState) (j *jobRec, sj settledJob) {
+	if j = s.jobs[id]; j == nil {
+		sj = s.settled.get(id)
+	}
+	if (j != nil && j.tenant != t) || (sj.JobState != nil && sj.Tenant != t.Name) {
+		return nil, settledJob{}
+	}
+	return j, sj
 }
 
 // recoverFromStore rebuilds the server's job and group tables from the
 // store's recovered state. Runs inside New, before any job is
 // launched, so no locking is contended; Server.mu is still held for the
-// invariant's sake. A settled, ungrouped job with a canonical ID stays
-// cold: its ID goes on its tenant's list, its JobState into the cold
-// table, and nothing else is built. Every other job gets its record
-// now. Settled members of recovered groups are re-queued for streaming
-// (delivery is exactly-once per server lifetime, at-least-once across
-// restarts: stream positions are not journaled). The recovered state is
-// the store's own, so nothing is journaled until it has been read.
+// invariant's sake. A settled job is filed in the settled table as the
+// store's own JobState, with its ID on its tenant's list, and nothing
+// else is built; a queued or mid-flight job gets its record from the
+// live builder and goes back to its tenant's FIFO. Settled members of
+// recovered groups are re-queued for streaming (delivery is
+// exactly-once per server lifetime, at-least-once across restarts:
+// stream positions are not journaled). The recovered state is the
+// store's own, so nothing is journaled until it has been read.
 func (s *Server) recoverFromStore() {
 	rec := s.cfg.store.Recovered()
 	s.mu.Lock()
@@ -222,8 +159,7 @@ func (s *Server) recoverFromStore() {
 	// FIFOs and job lists come back in the order they were filled.
 	var maxG uint64
 	for _, gs := range rec.GroupOrder {
-		n, _ := seqOf(gs.ID, "g-")
-		maxG = max(maxG, n)
+		maxG = max(maxG, seqOf(gs.ID, "g-"))
 		t := s.byName[gs.Tenant]
 		if t == nil {
 			continue // members settle tenant_gone below
@@ -231,13 +167,12 @@ func (s *Server) recoverFromStore() {
 		s.groups[gs.ID] = &groupRec{id: gs.ID, tenant: t, notify: make(chan struct{}, 1)}
 	}
 
-	s.cold = coldJobs{at: time.Now().UnixNano()}
+	s.settled.bySeq = make([]settledJob, len(rec.JobOrder)+1)
+	s.replayedAt = time.Now().UnixNano()
 	var gone []durable.Entry
-	var eager []*durable.JobState
 	var maxJ uint64
 	for _, js := range rec.JobOrder {
-		id := js.ID
-		n, canonical := seqOf(id, "j-")
+		id, n := js.ID, seqOf(js.ID, "j-")
 		maxJ = max(maxJ, n)
 		t := s.byName[js.Tenant]
 		if t == nil {
@@ -253,56 +188,45 @@ func (s *Server) recoverFromStore() {
 			continue
 		}
 		t.jobs = append(t.jobs, id)
-		if !canonical || !s.putCold(js, n, len(rec.JobOrder)) {
-			eager = append(eager, js)
+		var g *groupRec
+		if js.Group != "" {
+			g = s.groups[js.Group]
 		}
-	}
-	if len(eager) > 0 {
-		s.jobs = make(map[string]*jobRec, len(eager)) // New left it empty
-	}
-	slab := make([]replayedJob, len(eager))
-	for i, js := range eager {
-		j := s.replayedRec(&slab[i], js, s.byName[js.Tenant])
-		if g := s.groups[js.Group]; g != nil {
-			j.group = g
+		if g != nil {
 			g.members++
 			g.pending++
 		}
 		if js.Settled() {
-			if j.group != nil {
-				j.group.pending--
-				j.group.ready = append(j.group.ready, j)
+			sj := settledJob{JobState: js}
+			s.settled.put(n, sj)
+			if g != nil {
+				g.pending--
+				g.ready = append(g.ready, sj)
 			}
-		} else {
-			j.tenant.queue = append(j.tenant.queue, j)
-			j.tenant.inflight++
-			s.st.replayed.Add(1)
+			continue
 		}
-		s.jobs[j.id] = j
+		// A queued or mid-flight job goes back to its tenant's FIFO; a
+		// mid-flight one is marked recovered: its (builtin,
+		// deterministic) work is re-executed from the journaled payload.
+		j := newJob(durable.JobState{
+			ID: id, Tenant: js.Tenant, Kind: js.Kind, Name: js.Name, Arg: js.Arg, N: js.N, Group: js.Group,
+			Recovered: js.Status == durable.StatusRunning, SubmittedNs: js.SubmittedNs,
+		}, t, g)
+		if g == nil {
+			j.st.Group = ""
+		}
+		j.replayed, j.accepted = true, s.stamp(js.SubmittedNs)
+		j.events.add(event{at: j.accepted, typ: EventAccepted, chunk: -1, domain: noDomain})
+		t.queue = append(t.queue, j)
+		t.inflight++
+		s.st.replayed.Add(1)
+		s.jobs[id] = j
 	}
 	for _, e := range gone {
 		s.journalBestEffort(e)
 	}
-	if maxJ > 0 {
-		s.jobSeq.Store(maxJ)
-	}
-	if maxG > 0 {
-		s.groupSeq.Store(maxG)
-	}
-}
-
-// putCold files a settled, ungrouped job with the canonical ID "j-n" in
-// the cold table, which has room for IDs up to the number of replayed
-// jobs, and reports whether it did. Any other job needs a record now.
-func (s *Server) putCold(js *durable.JobState, n uint64, jobs int) bool {
-	if !js.Settled() || js.Group != "" || n > uint64(jobs) {
-		return false
-	}
-	if s.cold.bySeq == nil {
-		s.cold.bySeq = make([]*durable.JobState, jobs+1)
-	}
-	s.cold.bySeq[n] = js
-	return true
+	s.jobSeq.Store(maxJ)
+	s.groupSeq.Store(maxG)
 }
 
 // DurableStats returns the attached store's counters, nil without a

@@ -80,3 +80,20 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("Names() = %v", n)
 	}
 }
+
+// TestEncodeRecycleAllocs pins a pooled frame's round trip: encoding a
+// chunk descriptor into a recycled buffer and recycling it again
+// allocates nothing.
+func TestEncodeRecycleAllocs(t *testing.T) {
+	d := ChunkDesc{Kernel: "vecsum", Lo: 0, Hi: 64, Arg: []byte("arg")}
+	RecycleFrame(EncodeChunkDesc(d)) // warm the pools
+	allocs := testing.AllocsPerRun(1000, func() {
+		RecycleFrame(EncodeChunkDesc(d))
+	})
+	if raceEnabled {
+		return
+	}
+	if allocs != 0 {
+		t.Fatalf("EncodeChunkDesc + RecycleFrame allocate %.2f objects, want 0", allocs)
+	}
+}

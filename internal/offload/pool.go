@@ -21,6 +21,11 @@ var framePool = sync.Pool{
 	},
 }
 
+// frameHolders are framePool's emptied slice holders: frameBuf parks the
+// holder of the buffer it hands out here, and RecycleFrame takes one back
+// to pool a frame in, so recycling allocates nothing.
+var frameHolders = sync.Pool{New: func() any { return new([]byte) }}
+
 // frameBuf returns a zero-length buffer with at least the given
 // capacity, pooled unless it exceeds maxPooledFrame.
 func frameBuf(capacity int) []byte {
@@ -28,8 +33,11 @@ func frameBuf(capacity int) []byte {
 		return make([]byte, 0, capacity)
 	}
 	bp := framePool.Get().(*[]byte)
-	if cap(*bp) >= capacity {
-		return (*bp)[:0]
+	b := *bp
+	*bp = nil
+	frameHolders.Put(bp)
+	if cap(b) >= capacity {
+		return b[:0]
 	}
 	// Too small: retire this buffer's slot with a bigger array.
 	return make([]byte, 0, capacity)
@@ -43,6 +51,7 @@ func RecycleFrame(pkt []byte) {
 	if pkt == nil || cap(pkt) > maxPooledFrame {
 		return
 	}
-	pkt = pkt[:0]
-	framePool.Put(&pkt)
+	bp := frameHolders.Get().(*[]byte)
+	*bp = pkt[:0]
+	framePool.Put(bp)
 }
