@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"os"
@@ -188,8 +189,8 @@ func TestRecoverFromStoreAllocs(t *testing.T) {
 		t.Fatalf("replay built %d records for settled, ungrouped jobs, want 0", len(s.jobs))
 	}
 	settled := len(s.settled.byID)
-	for _, sj := range s.settled.bySeq {
-		if sj.JobState != nil {
+	for _, js := range s.settled.bySeq {
+		if js != nil {
 			settled++
 		}
 	}
@@ -203,7 +204,7 @@ func TestRecoverFromStoreAllocs(t *testing.T) {
 	var sj settledJob
 	lookups := testing.AllocsPerRun(100, func() {
 		s.mu.Lock()
-		_, sj = s.findLocked("j-7", alice)
+		sj = s.findLocked("j-7", alice).sj
 		s.mu.Unlock()
 	})
 	if lookups != 0 || len(s.jobs) != 0 || sj.JobState != st.Recovered().Jobs["j-7"] {
@@ -215,9 +216,9 @@ func TestRecoverFromStoreAllocs(t *testing.T) {
 	}
 	for _, id := range []string{"j-07", "j-0", "j-1001", "j-", "7"} {
 		s.mu.Lock()
-		j, got := s.findLocked(id, alice)
+		got := s.findLocked(id, alice)
 		s.mu.Unlock()
-		if j != nil || got.JobState != nil {
+		if got.found() {
 			t.Errorf("lookup of %q found a job", id)
 		}
 	}
@@ -335,9 +336,8 @@ func TestColdJobBuiltOnce(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			env.srv.mu.Lock()
-			_, sj := env.srv.findLocked("j-1", env.srv.byName["bob"])
+			found[r] = env.srv.findLocked("j-1", env.srv.byName["bob"]).sj.JobState
 			env.srv.mu.Unlock()
-			found[r] = sj.JobState
 		}(r)
 	}
 	wg.Wait()
@@ -420,12 +420,15 @@ func readLife(t *testing.T, env *testEnv, ids []string, owner map[string]string,
 
 // TestRestartServesWhatWasServed restarts a service over settled jobs
 // of every shape (succeeded, failed, canceled, recovered, a region,
-// grouped members, an ID the service would not issue) three times, touching
-// the jobs first through a different path each life, and settles one
-// more job live in each life. Every view and list entry equals what the
-// life before served, live-settled jobs included; every event log is
-// the journaled accepted and settled pair and equals what the life
-// before served when it was replayed there too.
+// grouped members, members of a group the journal has no record of,
+// an ID the service would not issue) three times, touching the jobs
+// first through a different path each life, and settles one more job
+// live in each life. A job serves, in every later read, the view it was
+// first served once settled: the first life's for the seeded jobs and
+// the jobs settled there, the settling life's for a job settled live
+// later. Each list is the bytes writeSync sends for its read's views,
+// and every replayed job's event log is its journaled accepted and
+// settled pair.
 func TestRestartServesWhatWasServed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := durable.Open(dir, durable.WithFsync(false))
@@ -442,6 +445,11 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 		{Op: durable.OpSettle, ID: "j-3", At: 32, Status: durable.StatusSucceeded, Result: []byte("r"), Recovered: true},
 		{Op: durable.OpAccept, ID: "legacy-1", At: 40, Tenant: "bob", Kind: KindTask, Name: JobEcho, Arg: []byte("l")},
 		{Op: durable.OpSettle, ID: "legacy-1", At: 42, Status: durable.StatusSucceeded, Result: []byte("l")},
+		// Members of a group with no record: one settled, one still
+		// queued, which the first life re-executes.
+		{Op: durable.OpAccept, ID: "j-4", At: 50, Tenant: "alice", Kind: KindTask, Name: JobEcho, Arg: []byte("g"), Group: "g-9"},
+		{Op: durable.OpSettle, ID: "j-4", At: 52, Status: durable.StatusSucceeded, Result: []byte("g")},
+		{Op: durable.OpAccept, ID: "j-5", At: 60, Tenant: "alice", Kind: KindTask, Name: JobEcho, Arg: []byte("q"), Group: "g-9"},
 	} {
 		if err := st.Append(e); err != nil {
 			t.Fatal(err)
@@ -452,8 +460,10 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 	}
 
 	env1, shutdown1 := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
-	ids := []string{"j-1", "j-2", "j-3", "legacy-1"}
-	owner := map[string]string{"j-1": "key-alice", "j-2": "key-bob", "j-3": "key-alice", "legacy-1": "key-bob"}
+	ids := []string{"j-1", "j-2", "j-3", "legacy-1", "j-4", "j-5"}
+	owner := map[string]string{"j-1": "key-alice", "j-2": "key-bob", "j-3": "key-alice", "legacy-1": "key-bob",
+		"j-4": "key-alice", "j-5": "key-alice"}
+	env1.wait(t, "key-alice", "j-5")
 	code, genv := env1.do(t, http.MethodPost, "/v1/groups", "key-alice", nil)
 	if code != http.StatusCreated {
 		t.Fatalf("group create: %d", code)
@@ -478,17 +488,7 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 	}
 	first := readLife(t, env1, ids, owner, "get")
 	shutdown1()
-	// The lists are appended, not reflected: they must be the bytes
-	// writeSync sends for the same views.
-	for key, list := range first.lists {
-		var env struct{ Metadata []JobView }
-		if err := json.Unmarshal([]byte(list), &env); err != nil {
-			t.Fatal(err)
-		}
-		if want := syncBytes(http.StatusOK, env.Metadata); list != string(want) {
-			t.Fatalf("%s's list\n%s\nwant what writeSync sends\n%s", key, list, want)
-		}
-	}
+	checkLists(t, "life 1", first, ids, owner)
 	// The seeded jobs were replayed in the first life already: hold
 	// their views to the journal.
 	for id, want := range map[string]JobView{
@@ -496,48 +496,68 @@ func TestRestartServesWhatWasServed(t *testing.T) {
 		"j-2":      {Status: StatusCanceled},
 		"j-3":      {Status: StatusSucceeded, Result: []byte("r"), Recovered: true},
 		"legacy-1": {Status: StatusSucceeded, Result: []byte("l")},
+		"j-4":      {Status: StatusSucceeded, Result: []byte("g")},
+		"j-5":      {Status: StatusSucceeded, Result: []byte("q"), Recovered: true},
 	} {
 		v := viewOf(t, first.views[id])
-		if v.Status != want.Status || v.Error != want.Error || !bytes.Equal(v.Result, want.Result) || v.Recovered != want.Recovered {
+		if v.Status != want.Status || v.Error != want.Error || !bytes.Equal(v.Result, want.Result) ||
+			v.Recovered != want.Recovered || v.Group != "" {
 			t.Fatalf("replayed %s = %+v, want %+v", id, v, want)
 		}
 	}
 
-	// Each later life replays every job so far, then settles one more
-	// live; the life after it must serve that job as it was served live.
-	prev, replayed := first, len(ids)
-	for life, order := range []string{"events", "get", "list"} {
-		env, shutdown := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
-		got := readLife(t, env, ids, owner, order)
-		for key, list := range prev.lists {
-			if got.lists[key] != list {
-				t.Fatalf("life %d (%s first): %s's list\n%s\nwant\n%s", life+2, order, key, got.lists[key], list)
+	// served is the view each job must serve from now on.
+	served := maps.Clone(first.views)
+	check := func(what string, r lifeReads, live string) {
+		t.Helper()
+		checkLists(t, what, r, ids, owner)
+		for _, id := range ids {
+			if r.views[id] != served[id] {
+				t.Fatalf("%s: job %s\n%s\nwant what it served before\n%s", what, id, r.views[id], served[id])
 			}
-		}
-		for k, id := range ids {
-			if got.views[id] != prev.views[id] {
-				t.Fatalf("life %d (%s first): job %s\n%s\nwant\n%s", life+2, order, id, got.views[id], prev.views[id])
+			if id == live {
+				continue // its log is the one it logged live
 			}
-			v := viewOf(t, got.views[id])
+			v := viewOf(t, r.views[id])
 			want := fmt.Sprintf("{\"seq\":0,\"at_ns\":%d,\"type\":\"accepted\",\"chunk\":-1}\n"+
 				"{\"seq\":1,\"at_ns\":%d,\"type\":\"settled\",\"chunk\":-1,\"status\":%q}\n",
 				v.SubmittedAt.UnixNano(), v.FinishedAt.UnixNano(), v.Status)
-			if got.events[id] != want {
-				t.Fatalf("life %d (%s first): job %s events\n%s\nwant\n%s", life+2, order, id, got.events[id], want)
-			}
-			if life > 0 && k < replayed && got.events[id] != prev.events[id] {
-				t.Fatalf("life %d: job %s events changed across the restart", life+2, id)
+			if r.events[id] != want {
+				t.Fatalf("%s: job %s events\n%s\nwant\n%s", what, id, r.events[id], want)
 			}
 		}
-		replayed = len(ids)
+	}
+	for life, order := range []string{"events", "get", "list"} {
+		what := fmt.Sprintf("life %d (%s first)", life+2, order)
+		env, shutdown := newDurableEnv(t, WithStateDir(dir, durable.WithFsync(false)))
+		check(what, readLife(t, env, ids, owner, order), "")
 		id := env.submit(t, "key-alice", submitRequest{Job: JobEcho, Arg: []byte("life " + strconv.Itoa(life+2))}).ID
 		env.wait(t, "key-alice", id)
 		ids = append(ids, id)
 		owner[id] = "key-alice"
-		prev = readLife(t, env, ids, owner, order)
+		after := readLife(t, env, ids, owner, order)
 		shutdown()
-		if lv := viewOf(t, prev.views[id]); lv.Status != StatusSucceeded || string(lv.Result) != "life "+strconv.Itoa(life+2) {
-			t.Fatalf("life %d: live job %s = %+v", life+2, id, lv)
+		if lv := viewOf(t, after.views[id]); lv.Status != StatusSucceeded || string(lv.Result) != "life "+strconv.Itoa(life+2) {
+			t.Fatalf("%s: live job %s = %+v", what, id, lv)
+		}
+		served[id] = after.views[id]
+		check(what+" after a live settle", after, id)
+	}
+}
+
+// checkLists holds each tenant's list in r to the bytes writeSync sends
+// for the views r read of that tenant's jobs, in accept order.
+func checkLists(t *testing.T, what string, r lifeReads, ids []string, owner map[string]string) {
+	t.Helper()
+	for key, list := range r.lists {
+		views := []JobView{}
+		for _, id := range ids {
+			if owner[id] == key {
+				views = append(views, viewOf(t, r.views[id]))
+			}
+		}
+		if want := syncBytes(http.StatusOK, views); list != string(want) {
+			t.Fatalf("%s: %s's list\n%s\nwant what writeSync sends for its views\n%s", what, key, list, want)
 		}
 	}
 }

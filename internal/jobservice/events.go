@@ -193,15 +193,12 @@ func (g *groupRec) deliverProgress(jobID string, e event) {
 // already-settled job the log is written in one piece and the stream
 // ends.
 func (s *Server) apiJobEvents(w http.ResponseWriter, r *http.Request, t *tenantState) {
-	j, sj := s.jobOf(r, t)
-	if j == nil && sj.JobState == nil {
+	f := s.jobOf(r, t)
+	if !f.found() {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	l := &eventLog{events: s.settledEvents(sj), done: true}
-	if j != nil {
-		l = j.events
-	}
+	l := s.logOf(f)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -232,16 +229,20 @@ func (s *Server) apiJobEvents(w http.ResponseWriter, r *http.Request, t *tenantS
 	}
 }
 
-// settledEvents is a settled job's log: its sealed events, or a
-// replayed job's journaled accepted and settled events.
-func (s *Server) settledEvents(sj settledJob) []event {
-	if sj.events != nil || sj.JobState == nil {
-		return sj.events
+// logOf is the event log of the job f: a queued or running job's own,
+// or a sealed one holding a settled job's events: those it logged live,
+// or a replayed job's journaled accepted and settled events.
+func (s *Server) logOf(f jobRef) *eventLog {
+	if f.j != nil {
+		return f.j.events
 	}
-	return []event{
-		{at: s.stamp(sj.SubmittedNs), typ: EventAccepted, chunk: -1, domain: noDomain},
-		{at: s.stamp(sj.FinishedNs), seq: 1, typ: EventSettled, chunk: -1, domain: noDomain, status: sj.Status},
+	if f.sj.sealed != nil {
+		return &eventLog{events: f.sj.sealed.events, done: true}
 	}
+	return &eventLog{done: true, events: []event{
+		{at: s.stamp(f.sj.SubmittedNs), typ: EventAccepted, chunk: -1, domain: noDomain},
+		{at: s.stamp(f.sj.FinishedNs), seq: 1, typ: EventSettled, chunk: -1, domain: noDomain, status: f.sj.Status},
+	}}
 }
 
 // stamp is a replayed event's instant: the journaled one, or the

@@ -128,13 +128,39 @@ func (j *jobRec) settle(result []byte, errMsg string, recovered bool) {
 }
 
 // settledJob is a settled job's one form: the view's fields and result
-// bytes as a JobState, and its event log. A replayed job keeps the
-// store's own JobState, and its log is the journaled accepted and
-// settled pair, built when read. GET, the list, /events and group
+// bytes as a JobState and, for a job settled live, the sealedJob that
+// holds that JobState and the job's event log. A replayed job's
+// JobState is the store's own, and its log is the journaled accepted
+// and settled pair, built when read. GET, the list, /events and group
 // streams all render from it.
 type settledJob struct {
 	*durable.JobState
-	events []event // nil for a replayed job
+	sealed *sealedJob // nil for a replayed job
+}
+
+// sealedJob is a job settled live: its view and its event log, with
+// room for a task job's lifecycle events, in one allocation.
+type sealedJob struct {
+	st     durable.JobState
+	events []event
+	evs    [lifecycleEvents]event
+}
+
+// jobRef is a job as a lookup finds it: a queued or running job's
+// record, or a settled job's one form; zero when there is none.
+type jobRef struct {
+	j  *jobRec
+	sj settledJob
+}
+
+func (f jobRef) found() bool { return f.j != nil || f.sj.JobState != nil }
+
+// state is the job's view to render.
+func (f jobRef) state() durable.JobState {
+	if f.j != nil {
+		return f.j.state()
+	}
+	return *f.sj.JobState
 }
 
 // JobView is the wire representation of a job; result bytes travel

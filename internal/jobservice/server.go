@@ -615,37 +615,29 @@ func (s *Server) apiJobSubmit(w http.ResponseWriter, r *http.Request, t *tenantS
 
 func (s *Server) apiJobList(w http.ResponseWriter, _ *http.Request, t *tenantState) {
 	// The jobs are found under s.mu and rendered outside it.
-	type entry struct {
-		j  *jobRec
-		sj settledJob
-	}
 	s.mu.Lock()
-	entries := make([]entry, 0, len(t.jobs))
+	found := make([]jobRef, 0, len(t.jobs))
 	for _, id := range t.jobs {
-		if j, sj := s.findLocked(id, t); j != nil || sj.JobState != nil {
-			entries = append(entries, entry{j, sj})
+		if f := s.findLocked(id, t); f.found() {
+			found = append(found, f)
 		}
 	}
 	s.mu.Unlock()
 	bp := renderBufs.Get().(*[]byte)
 	b := append(appendSyncOpen((*bp)[:0], http.StatusOK), '[')
-	for i, e := range entries {
+	for i, f := range found {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if e.j != nil {
-			st := e.j.state()
-			b = appendJob(b, &st)
-		} else {
-			b = appendJob(b, e.sj.JobState)
-		}
+		st := f.state()
+		b = appendJob(b, &st)
 	}
 	writeRendered(w, http.StatusOK, bp, appendSyncClose(append(b, ']')))
 }
 
 func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantState) {
-	j, sj := s.jobOf(r, t)
-	if j == nil && sj.JobState == nil {
+	f := s.jobOf(r, t)
+	if !f.found() {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
@@ -658,10 +650,10 @@ func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantStat
 		// Long-poll a live job: return early when it settles; on timeout
 		// the current (possibly still running) view is returned. A job
 		// found settled arms no timer.
-		if j != nil {
+		if f.j != nil {
 			timer := waitTimer(d)
 			select {
-			case <-j.done:
+			case <-f.j.done:
 			case <-timer.C:
 			case <-r.Context().Done():
 			case <-s.stopCh:
@@ -669,11 +661,7 @@ func (s *Server) apiJobGet(w http.ResponseWriter, r *http.Request, t *tenantStat
 			releaseTimer(timer)
 		}
 	}
-	if j == nil {
-		writeJob(w, http.StatusOK, sj.JobState)
-		return
-	}
-	st := j.state()
+	st := f.state()
 	writeJob(w, http.StatusOK, &st)
 }
 
@@ -726,9 +714,8 @@ func releaseTimer(t *time.Timer) {
 	waitTimers.Put(t)
 }
 
-// jobOf finds the caller's job named by the request path: its record or
-// its settledJob, neither when there is none.
-func (s *Server) jobOf(r *http.Request, t *tenantState) (*jobRec, settledJob) {
+// jobOf finds the caller's job named by the request path.
+func (s *Server) jobOf(r *http.Request, t *tenantState) jobRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.findLocked(r.PathValue("id"), t)

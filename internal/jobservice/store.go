@@ -73,17 +73,23 @@ func seqOf(id, prefix string) uint64 {
 }
 
 // settledJobs is the one table of settled jobs, live-settled and
-// replayed: the job "j-N" at index N of bySeq while N stays within about
-// twice its length, any other job in byID. Guarded by Server.mu.
+// replayed: the job "j-N" at index N of bySeq (and its sealedJob, when
+// it settled live, at N of sealed) while N stays within about twice its
+// length, any other job in byID. Guarded by Server.mu.
 type settledJobs struct {
-	bySeq []settledJob
-	byID  map[string]settledJob
+	bySeq  []*durable.JobState
+	sealed []*sealedJob // replay leaves it empty
+	byID   map[string]settledJob
 }
 
 // get returns the settled job id, zero when there is none.
 func (t *settledJobs) get(id string) settledJob {
-	if n := seqOf(id, "j-"); n < uint64(len(t.bySeq)) && t.bySeq[n].JobState != nil && t.bySeq[n].ID == id {
-		return t.bySeq[n]
+	if n := seqOf(id, "j-"); n < uint64(len(t.bySeq)) && t.bySeq[n] != nil && t.bySeq[n].ID == id {
+		sj := settledJob{JobState: t.bySeq[n]}
+		if n < uint64(len(t.sealed)) {
+			sj.sealed = t.sealed[n]
+		}
+		return sj
 	}
 	return t.byID[id]
 }
@@ -92,7 +98,7 @@ func (t *settledJobs) get(id string) settledJob {
 // is in reach and free (an ID such as "j-07" may share "j-7"'s), else by
 // its ID.
 func (t *settledJobs) put(n uint64, sj settledJob) {
-	if n == 0 || n > 2*uint64(len(t.bySeq))+64 || (n < uint64(len(t.bySeq)) && t.bySeq[n].JobState != nil) {
+	if n == 0 || n > 2*uint64(len(t.bySeq))+64 || (n < uint64(len(t.bySeq)) && t.bySeq[n] != nil) {
 		if t.byID == nil {
 			t.byID = make(map[string]settledJob)
 		}
@@ -100,23 +106,31 @@ func (t *settledJobs) put(n uint64, sj settledJob) {
 		return
 	}
 	for uint64(len(t.bySeq)) <= n {
-		t.bySeq = append(t.bySeq, settledJob{})
+		t.bySeq = append(t.bySeq, nil)
 	}
-	t.bySeq[n] = sj
+	t.bySeq[n] = sj.JobState
+	if sj.sealed != nil {
+		for uint64(len(t.sealed)) <= n {
+			t.sealed = append(t.sealed, nil)
+		}
+		t.sealed[n] = sj.sealed
+	}
 }
 
 // retire journals a settled job's settle, collapses the job into its
-// settledJob (its view without the arg, which no view shows, and its
-// sealed log), moves it from Server.jobs to the settled table in one
-// lock hold, and delivers it to its group.
+// sealedJob (its view without the arg, which no view shows, and its
+// log), moves it from Server.jobs to the settled table in one lock
+// hold, and delivers it to its group.
 func (s *Server) retire(j *jobRec) {
-	st := j.state()
+	sealed := &sealedJob{st: j.state()}
+	st := &sealed.st
 	s.journalBestEffort(durable.Entry{Op: durable.OpSettle, ID: st.ID, At: st.FinishedNs,
 		Status: st.Status, Result: st.Result, Error: st.Error, Recovered: st.Recovered})
 	st.Arg = nil
 	j.events.mu.Lock()
-	sj := settledJob{JobState: &st, events: append([]event(nil), j.events.events...)}
+	sealed.events = append(sealed.evs[:0], j.events.events...)
 	j.events.mu.Unlock()
+	sj := settledJob{JobState: st, sealed: sealed}
 	s.mu.Lock()
 	delete(s.jobs, st.ID)
 	s.settled.put(seqOf(st.ID, "j-"), sj)
@@ -129,14 +143,15 @@ func (s *Server) retire(j *jobRec) {
 // findLocked finds tenant t's job by ID: its record while it is queued
 // or running, its settledJob once it has settled; neither when t has no
 // job by that ID. It builds nothing. Caller holds s.mu.
-func (s *Server) findLocked(id string, t *tenantState) (j *jobRec, sj settledJob) {
-	if j = s.jobs[id]; j == nil {
-		sj = s.settled.get(id)
+func (s *Server) findLocked(id string, t *tenantState) jobRef {
+	f := jobRef{j: s.jobs[id]}
+	if f.j == nil {
+		f.sj = s.settled.get(id)
 	}
-	if (j != nil && j.tenant != t) || (sj.JobState != nil && sj.Tenant != t.Name) {
-		return nil, settledJob{}
+	if (f.j != nil && f.j.tenant != t) || (f.sj.JobState != nil && f.sj.Tenant != t.Name) {
+		return jobRef{}
 	}
-	return j, sj
+	return f
 }
 
 // recoverFromStore rebuilds the server's job and group tables from the
@@ -167,7 +182,7 @@ func (s *Server) recoverFromStore() {
 		s.groups[gs.ID] = &groupRec{id: gs.ID, tenant: t, notify: make(chan struct{}, 1)}
 	}
 
-	s.settled.bySeq = make([]settledJob, len(rec.JobOrder)+1)
+	s.settled.bySeq = make([]*durable.JobState, len(rec.JobOrder)+1)
 	s.replayedAt = time.Now().UnixNano()
 	var gone []durable.Entry
 	var maxJ uint64
@@ -195,6 +210,12 @@ func (s *Server) recoverFromStore() {
 		if g != nil {
 			g.members++
 			g.pending++
+		} else if js.Group != "" {
+			// A view names only a group the service knows: this job's
+			// view goes without its group, settled or not.
+			c := *js
+			c.Group = ""
+			js = &c
 		}
 		if js.Settled() {
 			sj := settledJob{JobState: js}
@@ -212,9 +233,6 @@ func (s *Server) recoverFromStore() {
 			ID: id, Tenant: js.Tenant, Kind: js.Kind, Name: js.Name, Arg: js.Arg, N: js.N, Group: js.Group,
 			Recovered: js.Status == durable.StatusRunning, SubmittedNs: js.SubmittedNs,
 		}, t, g)
-		if g == nil {
-			j.st.Group = ""
-		}
 		j.replayed, j.accepted = true, s.stamp(js.SubmittedNs)
 		j.events.add(event{at: j.accepted, typ: EventAccepted, chunk: -1, domain: noDomain})
 		t.queue = append(t.queue, j)
