@@ -41,18 +41,19 @@ test-benchmark:
 # dispatch tests (a free window slot only beside empty queues, no launch
 # after Close, a 202 ahead of its dispatch record, the weighted
 # interleave, quota and Close contracts, the allocations of one echo
-# job, reads racing a settle, Server.jobs holding only live jobs), 20 times
+# job, reads racing a settle, Server.jobs holding only live jobs, no
+# goroutine per task job in flight), 20 times
 # each, on one and two procs. CI runs this on every push.
 SOAK_REGIONS = -run 'TestParallelFor|TestConcurrentRegions|TestDomainLossMidRegion|TestRunSmoke' \
 	./internal/offload ./internal/jobservice ./cmd/ompmca-taskgraph
 SOAK_EVENTS = -run 'TestJobEvents' ./internal/jobservice
 SOAK_MCAPI = -run 'TestRecvRequestNeverLosesPacket|TestParkedRecv|TestMsgRecvI|TestPktRecvI|TestWaitAny' \
 	./internal/mcapi
-SOAK_BOOT = -run 'TestResourceTreeGolden|TestNewSystemAllocs|TestPartitionSystemAllocs|TestPartitionOnlineCount|TestHotplugIsPerBoard|TestMutatedBoardGetsFreshTree|TestConcurrentBoots|TestNewAllocs' \
+SOAK_BOOT = -run 'TestResourceTreeGolden|TestResourceTreeAllocs|TestNewSystemAllocs|TestPartitionSystemAllocs|TestPartitionOnlineCount|TestHotplugIsPerBoard|TestMutatedBoardGetsFreshTree|TestConcurrentBoots|TestNewAllocs' \
 	./internal/platform ./internal/jobservice
 SOAK_DURABLE = -run 'TestReopenCompactsOnlyToFold|TestCompactFsyncs|TestSnapshotOrder|TestOpenAllocs|TestOpenCloseAllocs|TestGenerationPastSixDigits|TestGenFileNames|TestSnapshotDecodeAllocs|TestSettledJobStateImmutable|TestRecoverFromStoreAllocs|TestColdJobBuiltOnce|TestRestartServesWhatWasServed' \
 	./internal/durable ./internal/jobservice
-SOAK_DISPATCH = -run 'TestCloseSettlesQueued|TestConcurrentTenants|TestQuota429|TestWeightedFairInterleave|TestDispatchInvariant|TestAcceptRacingClose|TestReceiptBeforeDispatchRecord|TestEchoJobAllocs|TestListLeavesColdJobsCold|TestSettleRacesReads|TestJobsHoldsOnlyLive' \
+SOAK_DISPATCH = -run 'TestCloseSettlesQueued|TestConcurrentTenants|TestQuota429|TestWeightedFairInterleave|TestDispatchInvariant|TestAcceptRacingClose|TestReceiptBeforeDispatchRecord|TestEchoJobAllocs|TestListLeavesColdJobsCold|TestSettleRacesReads|TestJobsHoldsOnlyLive|TestNoGoroutinePerTaskJob' \
 	./internal/jobservice
 tier1-soak:
 	GOMAXPROCS=1 $(GO) test -count=20 ./internal/core ./internal/validation ./internal/mrapi

@@ -97,9 +97,9 @@ func (r *echoRig) job() string {
 
 // echoJobAllocsMax is the service's allocation budget per in-process
 // echo job (POST and GET ?wait=), everything from the mux to the fabric
-// and back included, the job's settled form too: 30 measured, the
+// and back included, the job's settled form too: 28 measured, the
 // fabric's ticker and heartbeats amortized below one per job.
-const echoJobAllocsMax = 30
+const echoJobAllocsMax = 28
 
 // TestEchoJobAllocs pins what one small job costs the service in heap
 // objects: POST /v1/jobs, dispatch, the fabric round trip, settle and a

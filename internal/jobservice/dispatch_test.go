@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"openmpmca/internal/core"
 	"openmpmca/internal/durable"
 	"openmpmca/internal/taskfabric"
 )
@@ -290,4 +292,66 @@ func settledOf(srv *Server, id string) settledJob {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	return srv.settled.get(id)
+}
+
+// TestNoGoroutinePerTaskJob holds 64 task jobs in flight and requires
+// the process to run no more goroutines than with none: a task job
+// settles in its task's completion, not on a waiter goroutine of its
+// own.
+func TestNoGoroutinePerTaskJob(t *testing.T) {
+	const held = 64
+	jobs := builtinRegistry(t)
+	release := make(chan struct{})
+	hold := taskfabric.FuncJob{JobName: "hold", Fn: func(_ *core.Runtime, arg []byte) ([]byte, error) {
+		<-release
+		return arg, nil
+	}}
+	if err := jobs.Register(hold); err != nil {
+		t.Fatal(err)
+	}
+	fab, err := taskfabric.NewFabric(jobs, taskfabric.WithDomains(2), taskfabric.WithHeartbeat(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	srv, err := New(fab, jobs, WithTenants(testTenants...), WithDispatchWindow(held))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < held; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"job":"hold","arg":"eA=="}`))
+		req.Header.Set("X-API-Key", "key-alice")
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if n := srv.st.dispatched.Load(); n != held {
+		t.Fatalf("%d jobs dispatched, want all %d in flight", n, held)
+	}
+	if during := runtime.NumGoroutine(); during > before {
+		t.Errorf("%d goroutines with %d task jobs in flight, %d with none", during, held, before)
+	}
+
+	close(release)
+	released = true
+	for i := 1; i <= held; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/jobs/j-%d?wait=10s", i), nil)
+		req.Header.Set("X-API-Key", "key-alice")
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"result":"eA=="`) {
+			t.Fatalf("job j-%d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
 }

@@ -1066,10 +1066,11 @@ func (s *Server) run(j *jobRec) {
 	}
 }
 
-// launch hands one claimed job to its executor and spawns the completion
-// waiter that settles it and launches the job its slot goes to. A job
-// the fabric refuses settles here, and launch returns the job its slot
-// went to.
+// launch hands one claimed job to its executor. A task job settles in
+// its task's completion, which the fabric runs on the goroutine that
+// settled the task, and which launches the job its slot goes to; a
+// region runs on a goroutine of its own. A job the fabric refuses
+// settles here, and launch returns the job its slot went to.
 func (s *Server) launch(j *jobRec) *jobRec {
 	s.st.dispatched.Add(1)
 	// A lost dispatch record only costs a redundant deterministic
@@ -1088,16 +1089,14 @@ func (s *Server) launch(j *jobRec) *jobRec {
 		}()
 		return nil
 	}
-	h, err := s.fab.SubmitJobObserved(j.st.Name, j.st.Arg, j.observe)
+	_, err := s.fab.SubmitJobObserved(j.st.Name, j.st.Arg, j.observe, func(res []byte, err error) {
+		defer s.wg.Done()
+		s.run(s.complete(j, res, err))
+	})
 	if err != nil {
 		defer s.wg.Done()
 		return s.complete(j, nil, err)
 	}
-	go func() {
-		defer s.wg.Done()
-		res, err := h.Wait(taskfabric.TimeoutInfinite)
-		s.run(s.complete(j, res, err))
-	}()
 	return nil
 }
 

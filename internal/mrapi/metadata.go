@@ -64,12 +64,12 @@ type Resource struct {
 	attrs []attr // sorted by name, one slot per name
 }
 
-// attr is one attribute slot: a static value, or a getter read on each
-// access when get is set.
+// attr is one attribute slot: a static value, or, when get is set, a
+// getter read as get(value) on each access.
 type attr struct {
 	name  string
 	value any
-	get   func() any
+	get   func(any) any
 }
 
 // NewResource creates a resource tree node.
@@ -88,10 +88,12 @@ func (r *Resource) SetAttr(name string, value any) {
 	r.set(attr{name: name, value: value})
 }
 
-// SetDynamicAttr installs a live attribute whose value is fetched on each
-// read (mrapi_dynamic_attributes), replacing any attribute of that name.
-func (r *Resource) SetDynamicAttr(name string, get func() any) {
-	r.set(attr{name: name, get: get})
+// SetDynamicAttr installs a live attribute whose value is fetched as
+// get(arg) on each read (mrapi_dynamic_attributes), replacing any
+// attribute of that name. arg lets one getter serve many resources, such
+// as every hardware thread of a tree.
+func (r *Resource) SetDynamicAttr(name string, get func(arg any) any, arg any) {
+	r.set(attr{name: name, value: arg, get: get})
 }
 
 // set stores a in its sorted slot: in place over an attribute of the same
@@ -123,8 +125,8 @@ func (r *Resource) Attr(name string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	if get := r.attrs[i].get; get != nil {
-		return get(), true
+	if a := &r.attrs[i]; a.get != nil {
+		return a.get(a.value), true
 	}
 	return r.attrs[i].value, true
 }

@@ -72,7 +72,7 @@ func TestProcessorsOnline(t *testing.T) {
 func TestDynamicAttr(t *testing.T) {
 	r := NewResource("sensor", ResCPU)
 	temp := 40
-	r.SetDynamicAttr("celsius", func() any { return temp })
+	r.SetDynamicAttr("celsius", func(any) any { return temp }, nil)
 	if v, ok := r.Attr("celsius"); !ok || v.(int) != 40 {
 		t.Errorf("dynamic attr = %v, %v", v, ok)
 	}
@@ -103,7 +103,7 @@ func TestAttrNamesSorted(t *testing.T) {
 	r := NewResource("x", ResCPU)
 	r.SetAttr("zeta", 1)
 	r.SetAttr("alpha", 2)
-	r.SetDynamicAttr("mid", func() any { return 3 })
+	r.SetDynamicAttr("mid", func(arg any) any { return arg }, 3)
 	names := r.AttrNames()
 	want := []string{"alpha", "mid", "zeta"}
 	if len(names) != 3 {
@@ -129,7 +129,7 @@ func TestResourceTypeString(t *testing.T) {
 func TestSetAttrReplaces(t *testing.T) {
 	r := NewResource("x", ResHWThread)
 	r.SetAttr("online", true)
-	r.SetDynamicAttr("online", func() any { return false })
+	r.SetDynamicAttr("online", func(any) any { return false }, nil)
 	if names := r.AttrNames(); len(names) != 1 || names[0] != "online" {
 		t.Errorf("names = %v, want one slot", names)
 	}

@@ -384,6 +384,7 @@ func (b *Board) ResourceTree() *mrapi.Resource {
 	}
 
 	simdName := any(b.SIMD)
+	online := b.onlineAttr
 	addCore := func(parent *mrapi.Resource, coreIdx int) {
 		cpu := arena.NewResource(names.make(b.CoreModel, "-", coreIdx), mrapi.ResCPU,
 			2+simd, coreCaches+b.ThreadsPerCore)
@@ -400,7 +401,7 @@ func (b *Board) ResourceTree() *mrapi.Resource {
 			}
 		}
 		for s := 0; s < b.ThreadsPerCore; s++ {
-			addHWThread(&arena, &names, cpu, b, coreIdx*b.ThreadsPerCore+s)
+			addHWThread(&arena, &names, cpu, online, coreIdx*b.ThreadsPerCore+s)
 		}
 		parent.AddChild(cpu)
 	}
@@ -432,13 +433,19 @@ func (b *Board) ResourceTree() *mrapi.Resource {
 }
 
 // addHWThread adds hardware thread hwIdx under cpu, with its static index
-// and its "online" attribute read live from the board.
-func addHWThread(arena *mrapi.TreeArena, names *treeNames, cpu *mrapi.Resource, b *Board, hwIdx int) {
+// and its "online" attribute read live as online(index): one getter, a
+// tree's only closure, serves all its threads.
+func addHWThread(arena *mrapi.TreeArena, names *treeNames, cpu *mrapi.Resource, online func(any) any, hwIdx int) {
 	hw := arena.NewResource(names.make("cpu", "", hwIdx), mrapi.ResHWThread, 2, 0)
-	hw.SetAttr("index", hwIdx)
-	hw.SetDynamicAttr("online", func() any { return b.Online(hwIdx) })
+	index := any(hwIdx)
+	hw.SetAttr("index", index)
+	hw.SetDynamicAttr("online", online, index)
 	cpu.AddChild(hw)
 }
+
+// onlineAttr is Online as a dynamic attribute's getter, whose argument
+// is the hardware thread's index.
+func (b *Board) onlineAttr(hwThread any) any { return b.Online(hwThread.(int)) }
 
 // treeNames builds one tree's generated resource names ("cpu12",
 // "cluster-2") into one buffer, so they cost one allocation rather than

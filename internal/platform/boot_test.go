@@ -109,6 +109,29 @@ func TestPartitionSystemAllocs(t *testing.T) {
 	}
 }
 
+// treeSink keeps what a tree pin builds on the heap.
+var treeSink *mrapi.Resource
+
+// TestResourceTreeAllocs pins what a materialized tree costs: the
+// arena's three slices, the names buffer, the boxed attribute values
+// and one "online" getter serving every hardware thread, not a closure
+// per thread.
+func TestResourceTreeAllocs(t *testing.T) {
+	b := T4240RDB()
+	if n := testing.AllocsPerRun(20, func() { treeSink = b.ResourceTree() }); n > 14 {
+		t.Errorf("T4240RDB ResourceTree allocates %.0f objects, want <= 14", n)
+	}
+	h := figure2(t)
+	if n := testing.AllocsPerRun(20, func() {
+		var err error
+		if treeSink, err = h.PartitionResourceTree("data-plane"); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 9 {
+		t.Errorf("PartitionResourceTree(data-plane) allocates %.0f objects, want <= 9", n)
+	}
+}
+
 // onlineThreads counts the hardware threads of root whose "online"
 // attribute reads true.
 func onlineThreads(root *mrapi.Resource) int {

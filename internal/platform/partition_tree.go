@@ -51,6 +51,7 @@ func (p *Partition) ResourceTree() *mrapi.Resource {
 		nameBytes(cores, len(b.CoreModel)+1, coreOf(last)) +
 		nameBytes(len(cpus), len("cpu"), last))
 	mhz, memMB := any(b.FreqMHz), any(p.MemMB)
+	online := b.onlineAttr
 
 	root := arena.NewResource(b.Name+"/"+p.Name, mrapi.ResSystem, 3, 1)
 	root.SetAttr("guest", string(p.Guest))
@@ -83,7 +84,7 @@ func (p *Partition) ResourceTree() *mrapi.Resource {
 			cpu.SetAttr("index", coreIdx)
 			cpu.SetAttr("mhz", mhz)
 			for _, hw := range core {
-				addHWThread(&arena, &names, cpu, b, hw)
+				addHWThread(&arena, &names, cpu, online, hw)
 			}
 			parent.AddChild(cpu)
 			threads = threads[len(core):]

@@ -244,10 +244,10 @@ type TaskHandle struct {
 	id  uint64
 	job string
 
-	done chan struct{}
 	mu   sync.Mutex
 	fin  bool
-	dom  int // executor that delivered the result; -1 = host
+	done chan struct{} // made by the first Wait that must block; closed when the task settles
+	dom  int           // executor that delivered the result; -1 = host
 	res  []byte
 	err  error
 }
@@ -269,15 +269,12 @@ func (h *TaskHandle) Domain() int {
 
 func (h *TaskHandle) finish(dom int, res []byte, err error) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.fin {
-		return
+	h.fin, h.dom, h.res, h.err = true, dom, res, err
+	done := h.done
+	h.mu.Unlock()
+	if done != nil {
+		close(done)
 	}
-	h.fin = true
-	h.dom = dom
-	h.res = res
-	h.err = err
-	close(h.done)
 }
 
 func (h *TaskHandle) errOf() error {
@@ -290,37 +287,42 @@ func (h *TaskHandle) errOf() error {
 // timeout contract. A task recovered from a lost domain returns its
 // (valid) result together with an ErrDomainLost-wrapped error.
 func (h *TaskHandle) Wait(timeout time.Duration) ([]byte, error) {
-	switch {
-	case timeout < 0:
-		<-h.done
-	case timeout == 0:
-		select {
-		case <-h.done:
-		default:
-			return nil, ErrTimeout
-		}
-	default:
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case <-h.done:
-		case <-t.C:
-			return nil, ErrTimeout
-		}
-	}
 	h.mu.Lock()
+	if !h.fin {
+		if timeout == 0 {
+			h.mu.Unlock()
+			return nil, ErrTimeout
+		}
+		if h.done == nil {
+			h.done = make(chan struct{})
+		}
+		done := h.done
+		h.mu.Unlock()
+		if timeout < 0 {
+			<-done
+		} else {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			select {
+			case <-done:
+			case <-t.C:
+				return nil, ErrTimeout
+			}
+		}
+		h.mu.Lock()
+	}
 	defer h.mu.Unlock()
 	return h.res, h.err
 }
 
-// task is the scheduler's record of one submitted task.
+// task is the fabric's record of one submitted task, its handle
+// included.
 type task struct {
-	id          uint64
-	job         string
+	TaskHandle
 	arg         []byte
-	h           *TaskHandle
 	g           *Group
 	obs         func(trace.FabricEvent) // this task's observer; nil for none
+	complete    func([]byte, error)     // this task's completion; nil for none
 	attempt     uint32
 	forcedLocal bool // exhausted retries or recovered: host executes it
 	recovered   bool // reclaimed from a lost domain
@@ -341,29 +343,33 @@ type flight struct {
 	expiry time.Time
 }
 
-// arrival is one raw packet handed from a link receiver to the scheduler.
-type arrival struct {
+// settlement is one task's outcome, decided under Fabric.mu and
+// delivered once the deciding goroutine has released it.
+type settlement struct {
+	t   *task // nil: nothing settled
 	dom int
-	pkt []byte
+	res []byte
+	err error
 }
 
-// readmission is one ReadmitDomain call waiting on the scheduler.
-type readmission struct {
-	dom   int
-	reply chan error
+// deliver settles the handle, runs the task's completion, then tells
+// its group, so a member WaitAny returns is already settled.
+func (s settlement) deliver() {
+	t := s.t
+	if t == nil {
+		return
+	}
+	t.finish(s.dom, s.res, s.err)
+	if t.complete != nil {
+		t.complete(s.res, s.err)
+	}
+	if t.g != nil {
+		t.g.taskDone(&t.TaskHandle)
+	}
 }
 
-// localDone is one task completed by the host's local executor.
-type localDone struct {
-	t       *task
-	payload []byte
-	err     error
-}
-
-// hostLink is the host's view of one worker domain. occ mirrors the
-// scheduler's outstanding-task count for this domain (the scheduler
-// goroutine is the only writer; introspection surfaces such as
-// DomainInfos read it atomically), and ewma folds in observed
+// hostLink is the host's view of one worker domain. occ counts the
+// tasks outstanding on it, under Fabric.mu, and ewma folds in observed
 // dispatch-to-result service times per completed remote task.
 type hostLink struct {
 	w      *worker
@@ -374,7 +380,7 @@ type hostLink struct {
 	hbTo   *mcapi.Endpoint
 	hbFrom *mcapi.Endpoint
 	health *offload.HealthState
-	occ    atomic.Int64
+	occ    int
 	ewma   *perfmodel.ServiceEWMA
 }
 
@@ -389,15 +395,25 @@ type Fabric struct {
 	workers []*worker
 	links   []*hostLink
 
-	submitCh    chan submission
-	arrCh       chan arrival
-	localQ      chan *task
-	localDoneCh chan localDone
-	lostCh      chan int
-	readmitCh   chan readmission
-	cancelCh    chan *Group
-	stopCh      chan struct{}
-	wg          sync.WaitGroup
+	localQ chan *task
+	stopCh chan struct{}
+	wg     sync.WaitGroup
+
+	// mu guards the dispatch state. No goroutine owns it: a submit
+	// places and sends on the submitting goroutine, a link's receiver
+	// settles the results it reads, and the local executor, the health
+	// monitor, ReadmitDomain, Group.Cancel, the tick and Close each
+	// take mu for their change. Sends under mu never block, and what a
+	// holder settles is delivered only after it releases mu.
+	mu      sync.Mutex
+	pending []*task           // submitted or reclaimed, not yet placed
+	tasks   map[uint64]*task  // every unsettled task
+	infl    map[uint64]flight // every placed task, by executor
+	noticed []bool            // noticed[li]: li's loss notice is taken and li not yet readmitted
+	parked  []chan error      // parked[li]: a readmission of li waiting for that notice
+	extra   []int             // pump scratch: this pump's placements per domain
+	plans   [][]*task         // pump scratch: each domain's batch
+	batch   offload.Batcher
 
 	groupSeq atomic.Uint64
 	closed   atomic.Bool
@@ -412,7 +428,7 @@ var taskSeq atomic.Uint64
 
 // NewFabric partitions the configured board, boots the host and worker
 // runtimes, wires the MCAPI fabric, starts each domain's MTAPI node and
-// the host's scheduler, receivers and health monitor.
+// the host's receivers, local executor, tick and health monitor.
 func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("%w: taskfabric: nil registry", core.ErrInvalidOption)
@@ -438,17 +454,17 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 	}
 
 	f := &Fabric{
-		cfg:         cfg,
-		reg:         reg,
-		net:         net,
-		submitCh:    make(chan submission),
-		arrCh:       make(chan arrival, 64),
-		localQ:      make(chan *task, 4),
-		localDoneCh: make(chan localDone),
-		lostCh:      make(chan int, cfg.domains),
-		readmitCh:   make(chan readmission),
-		cancelCh:    make(chan *Group),
-		stopCh:      make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		net:     net,
+		localQ:  make(chan *task, 4),
+		stopCh:  make(chan struct{}),
+		tasks:   make(map[uint64]*task),
+		infl:    make(map[uint64]flight),
+		noticed: make([]bool, cfg.domains),
+		parked:  make([]chan error, cfg.domains),
+		extra:   make([]int, cfg.domains),
+		plans:   make([][]*task, cfg.domains),
 	}
 	now := time.Now().UnixNano()
 	for _, nl := range net.Links {
@@ -483,7 +499,7 @@ func NewFabric(reg *Registry, opts ...Option) (*Fabric, error) {
 		w.start()
 	}
 	f.wg.Add(3 + len(f.links))
-	go f.scheduler()
+	go f.ticker()
 	go f.localExec()
 	go f.healthLoop()
 	for i := range f.links {
@@ -552,6 +568,8 @@ type DomainInfo struct {
 // occupancy and adaptive service estimate.
 func (f *Fabric) DomainInfos() []DomainInfo {
 	out := make([]DomainInfo, len(f.links))
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for i, l := range f.links {
 		ns, _ := l.ewma.Value()
 		out[i] = DomainInfo{
@@ -559,7 +577,7 @@ func (f *Fabric) DomainInfos() []DomainInfo {
 			Name:        l.name,
 			CPUs:        l.cpus,
 			Live:        !l.health.Lost(),
-			Outstanding: int(l.occ.Load()),
+			Outstanding: l.occ,
 			EWMATaskNs:  ns,
 			EWMASamples: l.ewma.Samples(),
 		}
@@ -586,60 +604,87 @@ func (f *Fabric) KillDomain(i int) error {
 // restart the worker's service loops, then clear the health record so
 // the monitor resumes pinging it. Only a lost domain can be readmitted.
 //
-// The scheduler does the readmission, and only once it has taken the
-// domain's loss notice and reclaimed the flights sent there before the
-// loss. A notice taken after the readmission would reclaim flights sent
-// to the live, readmitted domain.
+// The readmission happens only once the fabric has taken the domain's
+// loss notice and reclaimed the flights sent there before the loss;
+// until then it parks. A notice taken after the readmission would
+// reclaim flights sent to the live, readmitted domain.
 func (f *Fabric) ReadmitDomain(i int) error {
-	if f.closed.Load() {
-		return ErrClosed
-	}
 	if i < 0 || i >= len(f.links) {
 		return oerrors.Errorf(oerrors.Admission, oerrors.CodeInvalidOption, "taskfabric: no domain %d", i)
 	}
-	req := readmission{dom: i, reply: make(chan error, 1)}
-	select {
-	case f.readmitCh <- req:
-	case <-f.stopCh:
+	l := f.links[i]
+	f.mu.Lock()
+	switch {
+	case f.closed.Load():
+		f.mu.Unlock()
 		return ErrClosed
+	case !l.health.Lost():
+		f.mu.Unlock()
+		return oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s is not lost", l.w.name)
+	case f.parked[i] != nil:
+		f.mu.Unlock()
+		return oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s readmitted concurrently", l.w.name)
+	case f.noticed[i]:
+		f.readmit(i)
+		f.pump()
+		f.mu.Unlock()
+		return nil
 	}
+	reply := make(chan error, 1)
+	f.parked[i] = reply
+	f.mu.Unlock()
 	select {
-	case err := <-req.reply:
+	case err := <-reply:
 		return err
 	case <-f.stopCh:
 		return ErrClosed
 	}
 }
 
+// readmit returns lost domain li to service. Caller holds f.mu.
+func (f *Fabric) readmit(li int) {
+	l := f.links[li]
+	l.w.restart()
+	l.health.Readmit(time.Now().UnixNano())
+	f.noticed[li] = false
+	f.st.readmissions.Add(1)
+}
+
 // SubmitJob submits one ungrouped task executing the named job with the
 // given argument, dispatched to whichever domain has capacity.
 func (f *Fabric) SubmitJob(job string, arg []byte) (*TaskHandle, error) {
-	return f.submit(job, arg, nil, nil)
+	return f.submit(job, arg, nil, nil, nil)
 }
 
-// SubmitJobObserved is SubmitJob with a per-task observer: obs receives
-// every event record of this task, after the global sink, on the
-// scheduler goroutine, so it must not block. It is attached before the
-// task reaches the scheduler, so no event can precede it.
-func (f *Fabric) SubmitJobObserved(job string, arg []byte, obs func(trace.FabricEvent)) (*TaskHandle, error) {
-	return f.submit(job, arg, nil, obs)
+// SubmitJobObserved is SubmitJob with a per-task observer and a
+// completion, each optional. obs receives every event record of this
+// task, after the global sink, under the fabric's lock, so it must not
+// block or call into the fabric; it is attached before the task is
+// placed, so no event can precede it. complete receives the task's
+// result once, after the handle has settled and outside the lock, on
+// the goroutine that settled it: a domain's receiver, the local
+// executor, Group.Cancel or Close. It may submit, but that domain's
+// next result waits for it to return.
+func (f *Fabric) SubmitJobObserved(job string, arg []byte, obs func(trace.FabricEvent), complete func([]byte, error)) (*TaskHandle, error) {
+	return f.submit(job, arg, nil, obs, complete)
 }
 
-func (f *Fabric) submit(job string, arg []byte, g *Group, obs func(trace.FabricEvent)) (*TaskHandle, error) {
+func (f *Fabric) submit(job string, arg []byte, g *Group, obs func(trace.FabricEvent), complete func([]byte, error)) (*TaskHandle, error) {
 	if err := f.admit(job); err != nil {
 		return nil, err
 	}
 	t := newTask(job, arg, g, obs)
-	if err := f.handOff(submission{one: t}); err != nil {
+	t.complete = complete
+	if err := f.place(t); err != nil {
 		return nil, err
 	}
-	return t.h, nil
+	return &t.TaskHandle, nil
 }
 
-// submitAll submits one task of the named job per argument in a single
-// hand-off to the scheduler, which places the whole batch in one pump —
-// one (batched) packet per domain instead of one per task. A region's
-// chunks arrive this way. obs, when set, observes every task of the batch.
+// submitAll submits one task of the named job per argument and places
+// the whole batch in one pump — one (batched) packet per domain instead
+// of one per task. A region's chunks arrive this way. obs, when set,
+// observes every task of the batch.
 func (f *Fabric) submitAll(job string, args [][]byte, g *Group, obs func(trace.FabricEvent)) ([]*TaskHandle, error) {
 	if err := f.admit(job); err != nil {
 		return nil, err
@@ -648,19 +693,12 @@ func (f *Fabric) submitAll(job string, args [][]byte, g *Group, obs func(trace.F
 	hs := make([]*TaskHandle, len(args))
 	for i, arg := range args {
 		ts[i] = newTask(job, arg, g, obs)
-		hs[i] = ts[i].h
+		hs[i] = &ts[i].TaskHandle
 	}
-	if err := f.handOff(submission{batch: ts}); err != nil {
+	if err := f.place(ts...); err != nil {
 		return nil, err
 	}
 	return hs, nil
-}
-
-// submission is one hand-off to the scheduler: a lone task, or a batch
-// it places in one pump.
-type submission struct {
-	one   *task
-	batch []*task
 }
 
 // admit refuses a submission to a closed fabric or of an unknown job.
@@ -674,42 +712,37 @@ func (f *Fabric) admit(job string) error {
 	return nil
 }
 
-// newTask mints one task of job over a private copy of arg, joining g
-// when it is set.
+// newTask mints one task of job over a private copy of arg, for group
+// g (nil for none).
 func newTask(job string, arg []byte, g *Group, obs func(trace.FabricEvent)) *task {
 	id := taskSeq.Add(1)
-	h := &TaskHandle{id: id, job: job, done: make(chan struct{})}
-	if g != nil {
-		g.addMember(h)
-	}
-	return &task{id: id, job: job, arg: append([]byte(nil), arg...), h: h, g: g, obs: obs}
+	return &task{TaskHandle: TaskHandle{id: id, job: job}, arg: append([]byte(nil), arg...), g: g, obs: obs}
 }
 
-// handOff gives sub to the scheduler. On a closed fabric its tasks leave
-// their group again and it returns ErrClosed.
-func (f *Fabric) handOff(sub submission) error {
-	n := len(sub.batch)
-	if sub.one != nil {
-		n++
-	}
-	select {
-	case f.submitCh <- sub:
-		f.st.submitted.Add(uint64(n))
-		return nil
-	case <-f.stopCh:
-		if sub.one != nil && sub.one.g != nil {
-			sub.one.g.dropMember(sub.one.h)
-		}
-		for _, t := range sub.batch {
-			if t.g != nil {
-				t.g.dropMember(t.h)
-			}
-		}
+// place queues ts, each joining its group, and pumps, on the submitting
+// goroutine; a closed fabric refuses them with ErrClosed.
+func (f *Fabric) place(ts ...*task) error {
+	f.mu.Lock()
+	if f.closed.Load() {
+		f.mu.Unlock()
 		return ErrClosed
 	}
+	for _, t := range ts {
+		if t.g != nil {
+			t.g.addMember(&t.TaskHandle)
+		}
+		f.tasks[t.id] = t
+	}
+	f.pending = append(f.pending, ts...)
+	f.st.submitted.Add(uint64(len(ts)))
+	f.pump()
+	f.mu.Unlock()
+	return nil
 }
 
-// receiver drains one link's result channel into the scheduler.
+// receiver reads one link's result channel and settles what it reads.
+// Decodes are zero-copy: the receiver owns each delivered packet
+// exclusively and never recycles it, so payloads may alias.
 func (f *Fabric) receiver(i int) {
 	defer f.wg.Done()
 	l := f.links[i]
@@ -718,12 +751,71 @@ func (f *Fabric) receiver(i int) {
 		if err != nil {
 			return
 		}
-		select {
-		case f.arrCh <- arrival{dom: i, pkt: pkt}:
-		case <-f.stopCh:
-			return
+		f.mu.Lock()
+		s, changed := f.handleFrame(i, pkt)
+		if changed {
+			f.pump()
 		}
+		f.mu.Unlock()
+		s.deliver()
 	}
+}
+
+// handleFrame processes the one frame of a packet from domain dom,
+// reporting what it settled and whether dispatch state changed. Caller
+// holds f.mu.
+func (f *Fabric) handleFrame(dom int, pkt []byte) (settlement, bool) {
+	kind, ok := offload.FrameKind(pkt)
+	if !ok {
+		return settlement{}, false
+	}
+	switch kind {
+	case offload.KindTaskResult:
+		m, err := offload.DecodeTaskResultShared(pkt)
+		if err != nil {
+			return settlement{}, false
+		}
+		t, known := f.tasks[m.Task]
+		if !known {
+			return settlement{}, false // duplicate or stale: already settled
+		}
+		var terr error
+		switch m.Status {
+		case offload.StatusUnknownJob:
+			terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: domain %d: unknown job %q", dom, string(m.Payload))
+		case offload.StatusJobError:
+			terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeJobFailed, "taskfabric: job %q: %s", t.job, string(m.Payload))
+		}
+		f.st.remoteTasks.Add(1)
+		f.emit(t, trace.EvTaskRecv, dom, -1)
+		return f.settle(t, dom, m.Payload, terr), true
+	case offload.KindStealMoved:
+		m, err := offload.DecodeStealMoved(pkt)
+		if err != nil {
+			return settlement{}, false
+		}
+		// Re-point the flight from victim to thief so deadlines,
+		// occupancy and loss recovery follow the task to its new
+		// executor. Stale moves (task settled, reclaimed, or already
+		// re-dispatched) are ignored: the eventual duplicate result is
+		// dropped by the settle check.
+		victimLi := int(m.Victim) - 1
+		if victimLi < 0 || victimLi >= len(f.links) {
+			return settlement{}, false
+		}
+		fl, ok := f.infl[m.Task]
+		if !ok || fl.dom != victimLi {
+			return settlement{}, false
+		}
+		now := time.Now()
+		f.infl[m.Task] = flight{dom: dom, sent: now, expiry: now.Add(f.cfg.deadline)}
+		f.links[victimLi].occ--
+		f.links[dom].occ++
+		f.st.steals.Add(1)
+		f.emit(f.tasks[m.Task], trace.EvPeerSteal, dom, victimLi)
+		return settlement{}, true
+	}
+	return settlement{}, false
 }
 
 // localExec is the host's executor for tasks pinned local — recovered
@@ -742,18 +834,22 @@ func (f *Fabric) localExec() {
 			} else {
 				payload, err = job.Execute(f.net.Host, t.arg)
 			}
-			select {
-			case f.localDoneCh <- localDone{t: t, payload: payload, err: err}:
-			case <-f.stopCh:
-				return
+			var s settlement
+			f.mu.Lock()
+			if _, known := f.tasks[t.id]; known {
+				f.st.localTasks.Add(1)
+				f.emit(t, trace.EvTaskRecv, -1, -1)
+				s = f.settle(t, -1, payload, err)
+				f.pump()
 			}
+			f.mu.Unlock()
+			s.deliver()
 		}
 	}
 }
 
 // healthLoop runs the shared heartbeat monitor (internal/offload) over
-// the links; a lost domain is killed and reported to the scheduler for
-// task reclamation.
+// the links; a lost domain is killed and its tasks reclaimed.
 func (f *Fabric) healthLoop() {
 	defer f.wg.Done()
 	peers := make([]offload.HealthPeer, len(f.links))
@@ -764,385 +860,260 @@ func (f *Fabric) healthLoop() {
 		func(i int) {
 			f.st.domainsLost.Add(1)
 			f.links[i].w.Kill()
-			// Never full: a domain has at most one notice pending, since
-			// it is readmitted only after the scheduler takes it.
-			select {
-			case f.lostCh <- i:
-			case <-f.stopCh:
-			}
+			f.domainLost(i)
 		},
 		func() { f.st.heartbeats.Add(1) },
 		func() { f.st.pingDrops.Add(1) })
 }
 
-// scheduler is the single goroutine owning all dispatch state: the
-// pending queue, the in-flight table and per-domain occupancy.
-// Everything else talks to it over channels.
-func (f *Fabric) scheduler() {
-	defer f.wg.Done()
-	var (
-		pending []*task
-		tasks   = make(map[uint64]*task)
-		infl    = make(map[uint64]flight)
-	)
-	// Per-domain outstanding counts live on the links as atomics so
-	// DomainInfos can snapshot them; the scheduler is the only writer.
-	occ := func(li int) int { return int(f.links[li].occ.Load()) }
-	live := func(li int) bool { return !f.links[li].health.Lost() }
-	anyLive := func() bool {
-		for li := range f.links {
-			if live(li) {
-				return true
-			}
-		}
-		return false
+// domainLost takes domain li's loss notice: every flight sent there is
+// reclaimed for the host, and a readmission waiting for the notice goes
+// ahead.
+func (f *Fabric) domainLost(li int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() {
+		return
 	}
-
-	// emit delivers one event record of t to the global sink, then to
-	// t's own observer.
-	emit := func(t *task, kind trace.EventKind, dom, victim int) {
-		ev := trace.FabricEvent{Kind: kind, Task: t.id, Domain: dom, Victim: victim}
-		if f.cfg.sink != nil {
-			f.cfg.sink.Event(ev)
+	l := f.links[li]
+	silence := l.health.Silence()
+	for id, fl := range f.infl {
+		if fl.dom != li {
+			continue
 		}
-		if t.obs != nil {
-			t.obs(ev)
-		}
+		f.unflight(id)
+		t := f.tasks[id]
+		t.recovered = true
+		t.lostDom = l.w.id
+		t.lostName = l.name
+		t.lostSilence = silence
+		f.reclaim(t, true)
 	}
-
-	// finish completes a task: release its flight slot, settle the handle
-	// (a recovered task's success carries ErrDomainLost), notify its group.
-	finish := func(t *task, dom int, payload []byte, err error) {
-		delete(tasks, t.id)
-		if fl, ok := infl[t.id]; ok {
-			delete(infl, t.id)
-			if fl.dom >= 0 {
-				f.links[fl.dom].occ.Add(-1)
-				if !fl.sent.IsZero() {
-					f.links[fl.dom].ewma.Observe(float64(time.Since(fl.sent)))
-				}
-			}
-		}
-		if err == nil && t.recovered {
-			err = oerrors.DomainLost(ErrDomainLost, "taskfabric",
-				t.lostDom, t.lostName, t.lostSilence,
-				fmt.Sprintf("task %d re-executed elsewhere", t.id))
-		}
-		t.h.finish(dom, payload, err)
-		if t.g != nil {
-			t.g.taskDone(t.h)
-		}
-	}
-
-	// commitRemote records a successful dispatch of t to domain li.
-	commitRemote := func(t *task, li int) {
-		now := time.Now()
-		infl[t.id] = flight{dom: li, sent: now, expiry: now.Add(f.cfg.deadline)}
-		f.links[li].occ.Add(1)
-		emit(t, trace.EvTaskSend, li, -1)
-	}
-
-	// pump places the pending queue: pinned-local tasks (and every task
-	// when no domain is live) go to the host executor, the rest to the
-	// live domain with the fewest tasks in flight. What cannot be placed
-	// stays queued for the next pump. Its scratch (extra, plans, batch)
-	// lives across pumps, and what stays queued is compacted into
-	// pending's own array, so a pump allocates nothing once they have
-	// grown.
-	var (
-		extra = make([]int, len(f.links))
-		plans = make([][]*task, len(f.links))
-		batch offload.Batcher
-	)
-	pump := func() {
-		// Plan the whole queue first — min-occupancy placement using
-		// this round's tentative assignments (extra) on top of what is
-		// already in flight — then flush each domain's plan as one
-		// batch packet. A failed flush commits nothing for that domain;
-		// its tasks go back in the queue for the tick to retry. rest
-		// never overtakes the range over pending it is written behind.
-		rest := pending[:0]
-		clear(extra)
-		for _, t := range pending {
-			if _, alive := tasks[t.id]; !alive {
-				continue // finished or canceled while queued
-			}
-			if t.forcedLocal || !anyLive() {
-				select {
-				case f.localQ <- t:
-					infl[t.id] = flight{dom: -1}
-					emit(t, trace.EvTaskSend, -1, -1)
-				default:
-					rest = append(rest, t) // local executor saturated
-				}
-				continue
-			}
-			best := -1
-			for li := range f.links {
-				if !live(li) || occ(li)+extra[li] >= f.cfg.inflight {
-					continue
-				}
-				if best < 0 || occ(li)+extra[li] < occ(best)+extra[best] {
-					best = li
-				}
-			}
-			if best < 0 {
-				rest = append(rest, t)
-				continue
-			}
-			extra[best]++
-			plans[best] = append(plans[best], t)
-		}
-		for li, plan := range plans {
-			if len(plan) == 0 {
-				continue
-			}
-			for _, t := range plan {
-				var gid uint64
-				if t.g != nil {
-					gid = t.g.id
-				}
-				batch.Add(offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{
-					Task: t.id, Attempt: t.attempt, Group: gid, Job: t.job, Arg: t.arg,
-				}))
-			}
-			if batch.Flush(func(pkt []byte) error {
-				return f.links[li].cmd.Send(pkt, mcapi.TimeoutImmediate)
-			}) != nil {
-				rest = append(rest, plan...)
-			} else {
-				for _, t := range plan {
-					commitRemote(t, li)
-				}
-			}
-			clear(plan)
-			plans[li] = plan[:0]
-		}
-		clear(pending[len(rest):])
-		pending = rest
-	}
-
-	// noticed[li]: li's loss notice is taken and li not yet readmitted.
-	// parked[li]: a readmission of li waiting for that notice.
-	noticed := make([]bool, len(f.links))
-	parked := make([]chan error, len(f.links))
-	readmit := func(li int, reply chan error) {
-		l := f.links[li]
-		l.w.restart()
-		l.health.Readmit(time.Now().UnixNano())
-		noticed[li] = false
-		f.st.readmissions.Add(1)
+	f.noticed[li] = true
+	if reply := f.parked[li]; reply != nil {
+		f.parked[li] = nil
+		f.readmit(li)
 		reply <- nil
 	}
+	f.pump()
+}
 
-	// reclaim pulls a task back from a failed dispatch for another try;
-	// past the retry budget (or after domain loss) it pins local.
-	reclaim := func(t *task, toLocal bool) {
-		t.attempt++
-		f.st.resends.Add(1)
-		if toLocal || t.attempt > maxRetries {
-			t.forcedLocal = true
-		}
-		pending = append(pending, t)
+// cancel settles every unsettled task of g with ErrCanceled and tells
+// the live domains to drop g's queued tasks.
+func (f *Fabric) cancel(g *Group) {
+	f.mu.Lock()
+	if f.closed.Load() {
+		f.mu.Unlock()
+		return
 	}
+	var canceled []*task
+	for id, t := range f.tasks {
+		if t.g != g {
+			continue
+		}
+		delete(f.tasks, id)
+		f.unflight(id)
+		canceled = append(canceled, t)
+	}
+	f.st.canceled.Add(uint64(len(canceled)))
+	done := offload.EncodeGroupDone(offload.GroupDoneFrame{Group: g.id})
+	for li, l := range f.links {
+		if f.live(li) {
+			_ = l.cmd.Send(done, mcapi.TimeoutImmediate)
+		}
+	}
+	offload.RecycleFrame(done)
+	f.pump()
+	f.mu.Unlock()
+	for _, t := range canceled {
+		settlement{t: t, dom: -1, err: ErrCanceled}.deliver()
+	}
+}
 
+// ticker re-dispatches expired flights, retries what the last pump
+// could not place and broadcasts the load map, every 10 ms.
+func (f *Fabric) ticker() {
+	defer f.wg.Done()
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
-
 	for {
 		select {
 		case <-f.stopCh:
-			for _, t := range tasks {
-				t.h.finish(-1, nil, ErrClosed)
-				if t.g != nil {
-					t.g.taskDone(t.h)
-				}
-			}
 			return
-
-		case sub := <-f.submitCh:
-			if t := sub.one; t != nil {
-				tasks[t.id] = t
-				pending = append(pending, t)
-			}
-			for _, t := range sub.batch {
-				tasks[t.id] = t
-			}
-			pending = append(pending, sub.batch...)
-			pump()
-
-		case a := <-f.arrCh:
-			// handleFrame processes the one frame of a packet from domain
-			// a.dom, reporting whether dispatch state changed. Decodes
-			// are zero-copy: the scheduler owns each delivered packet
-			// exclusively and never recycles it, so payloads may alias.
-			handleFrame := func(pkt []byte) bool {
-				kind, ok := offload.FrameKind(pkt)
-				if !ok {
-					return false
-				}
-				switch kind {
-				case offload.KindTaskResult:
-					m, err := offload.DecodeTaskResultShared(pkt)
-					if err != nil {
-						return false
-					}
-					t, known := tasks[m.Task]
-					if !known {
-						return false // duplicate or stale: already settled
-					}
-					var terr error
-					switch m.Status {
-					case offload.StatusUnknownJob:
-						terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeUnknownJob, "taskfabric: domain %d: unknown job %q", a.dom, string(m.Payload))
-					case offload.StatusJobError:
-						terr = oerrors.Errorf(oerrors.Internal, oerrors.CodeJobFailed, "taskfabric: job %q: %s", t.job, string(m.Payload))
-					}
-					f.st.remoteTasks.Add(1)
-					emit(t, trace.EvTaskRecv, a.dom, -1)
-					finish(t, a.dom, m.Payload, terr)
-					return true
-				case offload.KindStealMoved:
-					m, err := offload.DecodeStealMoved(pkt)
-					if err != nil {
-						return false
-					}
-					// Re-point the flight from victim to thief so deadlines,
-					// occupancy and loss recovery follow the task to its new
-					// executor. Stale moves (task settled, reclaimed, or
-					// already re-dispatched) are ignored: the eventual
-					// duplicate result is dropped by the settle check.
-					victimLi := int(m.Victim) - 1
-					thiefLi := a.dom
-					if victimLi < 0 || victimLi >= len(f.links) {
-						return false
-					}
-					fl, ok := infl[m.Task]
-					if !ok || fl.dom != victimLi {
-						return false
-					}
-					t, known := tasks[m.Task]
-					if !known {
-						return false
-					}
-					now := time.Now()
-					infl[m.Task] = flight{dom: thiefLi, sent: now, expiry: now.Add(f.cfg.deadline)}
-					f.links[victimLi].occ.Add(-1)
-					f.links[thiefLi].occ.Add(1)
-					f.st.steals.Add(1)
-					emit(t, trace.EvPeerSteal, thiefLi, victimLi)
-					return true
-				}
-				return false
-			}
-			if handleFrame(a.pkt) {
-				pump()
-			}
-
-		case d := <-f.localDoneCh:
-			if _, known := tasks[d.t.id]; !known {
-				continue
-			}
-			f.st.localTasks.Add(1)
-			emit(d.t, trace.EvTaskRecv, -1, -1)
-			finish(d.t, -1, d.payload, d.err)
-			pump()
-
-		case li := <-f.lostCh:
-			ll := f.links[li]
-			silence := ll.health.Silence()
-			for id, fl := range infl {
-				if fl.dom != li {
-					continue
-				}
-				delete(infl, id)
-				t, known := tasks[id]
-				if !known {
-					continue
-				}
-				t.recovered = true
-				t.lostDom = ll.w.id
-				t.lostName = ll.name
-				t.lostSilence = silence
-				reclaim(t, true)
-			}
-			f.links[li].occ.Store(0)
-			noticed[li] = true
-			if reply := parked[li]; reply != nil {
-				parked[li] = nil
-				readmit(li, reply)
-			}
-			pump()
-
-		case r := <-f.readmitCh:
-			l := f.links[r.dom]
-			switch {
-			case !l.health.Lost():
-				r.reply <- oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s is not lost", l.w.name)
-			case parked[r.dom] != nil:
-				r.reply <- oerrors.Errorf(oerrors.Domain, oerrors.CodeReadmit, "taskfabric: domain %s readmitted concurrently", l.w.name)
-			case noticed[r.dom]:
-				readmit(r.dom, r.reply)
-				pump()
-			default:
-				parked[r.dom] = r.reply
-			}
-
-		case g := <-f.cancelCh:
-			for id, t := range tasks {
-				if t.g != g {
-					continue
-				}
-				delete(tasks, id)
-				if fl, ok := infl[id]; ok {
-					delete(infl, id)
-					if fl.dom >= 0 {
-						f.links[fl.dom].occ.Add(-1)
-					}
-				}
-				f.st.canceled.Add(1)
-				t.h.finish(-1, nil, ErrCanceled)
-				g.taskDone(t.h)
-			}
-			done := offload.EncodeGroupDone(offload.GroupDoneFrame{Group: g.id})
-			for li := range f.links {
-				if live(li) {
-					_ = f.links[li].cmd.Send(done, mcapi.TimeoutImmediate)
-				}
-			}
-			offload.RecycleFrame(done)
-
 		case <-tick.C:
-			now := time.Now()
-			for id, fl := range infl {
-				if fl.dom < 0 || fl.expiry.After(now) {
-					continue
-				}
-				delete(infl, id)
-				f.links[fl.dom].occ.Add(-1)
-				t, known := tasks[id]
-				if !known {
-					continue
-				}
-				reclaim(t, false)
-			}
-			pump()
-			if len(f.links) >= 2 {
-				// Broadcast the occupancy snapshot the mesh steals from.
-				lm := offload.LoadMapFrame{Occ: make([]uint32, len(f.links))}
-				for li := range f.links {
-					lm.Occ[li] = uint32(occ(li))
-				}
-				pkt := offload.EncodeLoadMap(lm)
-				for li := range f.links {
-					if live(li) {
-						_ = f.links[li].cmd.Send(pkt, mcapi.TimeoutImmediate)
-					}
-				}
-				offload.RecycleFrame(pkt)
-			}
+			f.tick()
 		}
 	}
+}
+
+func (f *Fabric) tick() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() {
+		return
+	}
+	now := time.Now()
+	for id, fl := range f.infl {
+		if fl.dom < 0 || fl.expiry.After(now) {
+			continue
+		}
+		f.unflight(id)
+		f.reclaim(f.tasks[id], false)
+	}
+	f.pump()
+	if len(f.links) >= 2 {
+		// Broadcast the occupancy snapshot the mesh steals from.
+		lm := offload.LoadMapFrame{Occ: make([]uint32, len(f.links))}
+		for li, l := range f.links {
+			lm.Occ[li] = uint32(l.occ)
+		}
+		pkt := offload.EncodeLoadMap(lm)
+		for li, l := range f.links {
+			if f.live(li) {
+				_ = l.cmd.Send(pkt, mcapi.TimeoutImmediate)
+			}
+		}
+		offload.RecycleFrame(pkt)
+	}
+}
+
+// live reports whether domain li is in service.
+func (f *Fabric) live(li int) bool { return !f.links[li].health.Lost() }
+
+// emit delivers one event record of t to the global sink, then to t's
+// own observer. Caller holds f.mu.
+func (f *Fabric) emit(t *task, kind trace.EventKind, dom, victim int) {
+	ev := trace.FabricEvent{Kind: kind, Task: t.id, Domain: dom, Victim: victim}
+	if f.cfg.sink != nil {
+		f.cfg.sink.Event(ev)
+	}
+	if t.obs != nil {
+		t.obs(ev)
+	}
+}
+
+// unflight drops id's flight, if any, and releases its domain slot.
+// Caller holds f.mu.
+func (f *Fabric) unflight(id uint64) (flight, bool) {
+	fl, ok := f.infl[id]
+	if ok {
+		delete(f.infl, id)
+		if fl.dom >= 0 {
+			f.links[fl.dom].occ--
+		}
+	}
+	return fl, ok
+}
+
+// settle removes t from the tables and returns its outcome for the
+// caller to deliver once it has released f.mu; a recovered task's
+// success carries ErrDomainLost. Caller holds f.mu.
+func (f *Fabric) settle(t *task, dom int, res []byte, err error) settlement {
+	delete(f.tasks, t.id)
+	if fl, ok := f.unflight(t.id); ok && fl.dom >= 0 {
+		f.links[fl.dom].ewma.Observe(float64(time.Since(fl.sent)))
+	}
+	if err == nil && t.recovered {
+		err = oerrors.DomainLost(ErrDomainLost, "taskfabric",
+			t.lostDom, t.lostName, t.lostSilence,
+			fmt.Sprintf("task %d re-executed elsewhere", t.id))
+	}
+	return settlement{t: t, dom: dom, res: res, err: err}
+}
+
+// reclaim pulls a task back from a failed dispatch for another try;
+// past the retry budget (or after domain loss) it pins local. Caller
+// holds f.mu.
+func (f *Fabric) reclaim(t *task, toLocal bool) {
+	t.attempt++
+	f.st.resends.Add(1)
+	if toLocal || t.attempt > maxRetries {
+		t.forcedLocal = true
+	}
+	f.pending = append(f.pending, t)
+}
+
+// pump places the pending queue: pinned-local tasks (and every task
+// when no domain is live) go to the host executor, the rest to the live
+// domain with the fewest tasks in flight. What cannot be placed stays
+// queued for the next pump. Its scratch (extra, plans, batch) lives
+// across pumps, and what stays queued is compacted into pending's own
+// array, so a pump allocates nothing once they have grown. Caller holds
+// f.mu.
+func (f *Fabric) pump() {
+	// Plan the whole queue first — min-occupancy placement using this
+	// round's tentative assignments (extra) on top of what is already in
+	// flight — then flush each domain's plan as one batch packet. A
+	// failed flush commits nothing for that domain; its tasks go back in
+	// the queue for the tick to retry. rest never overtakes the range
+	// over pending it is written behind.
+	load := func(li int) int { return f.links[li].occ + f.extra[li] }
+	anyLive := false
+	for li := range f.links {
+		anyLive = anyLive || f.live(li)
+	}
+	rest := f.pending[:0]
+	clear(f.extra)
+	for _, t := range f.pending {
+		if _, alive := f.tasks[t.id]; !alive {
+			continue // settled or canceled while queued
+		}
+		if t.forcedLocal || !anyLive {
+			select {
+			case f.localQ <- t:
+				f.infl[t.id] = flight{dom: -1}
+				f.emit(t, trace.EvTaskSend, -1, -1)
+			default:
+				rest = append(rest, t) // local executor saturated
+			}
+			continue
+		}
+		best := -1
+		for li := range f.links {
+			if !f.live(li) || load(li) >= f.cfg.inflight {
+				continue
+			}
+			if best < 0 || load(li) < load(best) {
+				best = li
+			}
+		}
+		if best < 0 {
+			rest = append(rest, t)
+			continue
+		}
+		f.extra[best]++
+		f.plans[best] = append(f.plans[best], t)
+	}
+	for li, plan := range f.plans {
+		if len(plan) == 0 {
+			continue
+		}
+		for _, t := range plan {
+			var gid uint64
+			if t.g != nil {
+				gid = t.g.id
+			}
+			f.batch.Add(offload.EncodeTaskFrame(offload.KindTask, offload.TaskFrame{
+				Task: t.id, Attempt: t.attempt, Group: gid, Job: t.job, Arg: t.arg,
+			}))
+		}
+		if f.batch.Flush(func(pkt []byte) error {
+			return f.links[li].cmd.Send(pkt, mcapi.TimeoutImmediate)
+		}) != nil {
+			rest = append(rest, plan...)
+		} else {
+			now := time.Now()
+			for _, t := range plan {
+				f.infl[t.id] = flight{dom: li, sent: now, expiry: now.Add(f.cfg.deadline)}
+				f.links[li].occ++
+				f.emit(t, trace.EvTaskSend, li, -1)
+			}
+		}
+		clear(plan)
+		f.plans[li] = plan[:0]
+	}
+	clear(f.pending[len(rest):])
+	f.pending = rest
 }
 
 // Close shuts the fabric down: outstanding tasks settle with ErrClosed,
@@ -1153,7 +1124,19 @@ func (f *Fabric) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	f.mu.Lock()
+	closing := make([]*task, 0, len(f.tasks))
+	for _, t := range f.tasks {
+		closing = append(closing, t)
+	}
+	clear(f.tasks)
+	clear(f.infl)
+	f.pending = nil
+	f.mu.Unlock()
 	close(f.stopCh)
+	for _, t := range closing {
+		settlement{t: t, dom: -1, err: ErrClosed}.deliver()
+	}
 	shut := offload.EncodeFabricShutdown()
 	for _, l := range f.links {
 		if !l.health.Lost() {
@@ -1175,7 +1158,7 @@ func (f *Fabric) Close() error {
 
 // EstimateDomainNs exposes the perfmodel estimate for one task running n
 // units on domain li's partition — a planning aid for demos sizing
-// irregular graphs; the scheduler itself balances by occupancy.
+// irregular graphs; the pump itself balances by occupancy.
 func (f *Fabric) EstimateDomainNs(li int, prof perfmodel.KernelProfile, units float64) (float64, error) {
 	if li < 0 || li >= len(f.net.Links) {
 		return 0, oerrors.Errorf(oerrors.Admission, oerrors.CodeInvalidOption, "taskfabric: no domain %d", li)

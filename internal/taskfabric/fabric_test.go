@@ -229,9 +229,10 @@ func TestReadmitDomain(t *testing.T) {
 	}
 }
 
-// TestReadmitWaitsForLossNotice: a readmission waits until the scheduler
+// TestReadmitWaitsForLossNotice: a readmission waits until the fabric
 // has taken the domain's loss notice. The test stands in for a health
-// monitor stalled between marking domain 0 lost and queuing its notice.
+// monitor stalled between marking domain 0 lost and delivering its
+// notice.
 // Had ReadmitDomain returned first, the late notice would reclaim the
 // flights sent to the readmitted domain, and they would settle with
 // ErrDomainLost.
@@ -252,10 +253,10 @@ func TestReadmitWaitsForLossNotice(t *testing.T) {
 	go func() { done <- f.ReadmitDomain(0) }()
 	select {
 	case err := <-done:
-		t.Fatalf("ReadmitDomain returned %v before the scheduler took the loss notice", err)
+		t.Fatalf("ReadmitDomain returned %v before the fabric took the loss notice", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	f.lostCh <- 0
+	f.domainLost(0)
 	if err := <-done; err != nil {
 		t.Fatalf("ReadmitDomain: %v", err)
 	}

@@ -34,7 +34,7 @@ func (f *Fabric) NewGroup() *Group {
 
 // SubmitJob submits one task into the group.
 func (g *Group) SubmitJob(job string, arg []byte) (*TaskHandle, error) {
-	return g.f.submit(job, arg, g, nil)
+	return g.f.submit(job, arg, g, nil, nil)
 }
 
 // Pending reports members submitted but not yet completed.
@@ -44,6 +44,7 @@ func (g *Group) Pending() int {
 	return g.pending
 }
 
+// addMember counts h in; a task joins under Fabric.mu as it is placed.
 func (g *Group) addMember(h *TaskHandle) {
 	g.mu.Lock()
 	g.pending++
@@ -51,21 +52,7 @@ func (g *Group) addMember(h *TaskHandle) {
 	g.mu.Unlock()
 }
 
-// dropMember undoes addMember for a submit that never reached the
-// scheduler.
-func (g *Group) dropMember(h *TaskHandle) {
-	g.mu.Lock()
-	g.pending--
-	for i, m := range g.all {
-		if m == h {
-			g.all = append(g.all[:i], g.all[i+1:]...)
-			break
-		}
-	}
-	g.mu.Unlock()
-}
-
-// taskDone is called by the scheduler when a member settles.
+// taskDone is called once a member has settled.
 func (g *Group) taskDone(h *TaskHandle) {
 	g.mu.Lock()
 	g.pending--
@@ -183,8 +170,5 @@ func (g *Group) Cancel() {
 	}
 	g.canceled = true
 	g.mu.Unlock()
-	select {
-	case g.f.cancelCh <- g:
-	case <-g.f.stopCh:
-	}
+	g.f.cancel(g)
 }

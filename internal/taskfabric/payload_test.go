@@ -116,7 +116,7 @@ func TestLargePayloads(t *testing.T) {
 // kinds 17 and 18 the deleted remote-memory descriptor and ack frames. A
 // frame starting with any of these bytes must be dropped unread — bare
 // or inside a batch envelope — by the worker's command loop, the
-// peer-mesh receive loop and the host's scheduler, and the fabric must
+// peer-mesh receive loop and the host's link receiver, and the fabric must
 // carry on exactly as if it never arrived.
 func TestRetiredKindsIgnored(t *testing.T) {
 	f, err := NewFabric(testRegistry(t), WithDomains(2), WithDomainWorkers(1), WithTaskDeadline(10*time.Second))
@@ -162,7 +162,7 @@ func TestRetiredKindsIgnored(t *testing.T) {
 
 	// Each channel is FIFO and each receive loop sequential, so a task
 	// that round-trips after the injected frames proves the command loop
-	// and the scheduler consumed them and kept running; the mesh carries
+	// and the host's receiver consumed them and kept running; the mesh carries
 	// no traffic here, so its loop is seen draining the queue instead.
 	deadline := time.Now().Add(10 * time.Second)
 	for w.peerRecv[f.workers[1].id].Available() != 0 {

@@ -29,7 +29,7 @@ func stealFixture(t *testing.T, f *Fabric, observe func(i int) func(trace.Fabric
 			obs = observe(n)
 		}
 		n++
-		return f.submit("sleepsum", arg, g, obs)
+		return f.submit("sleepsum", arg, g, obs, nil)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := submit(sleepSumArg(250, 0)); err != nil {
@@ -200,7 +200,7 @@ func TestDeadMeshSettles(t *testing.T) {
 }
 
 // TestStealRequestExpires drives one worker by hand, with no service
-// loops or scheduler running: a steal request gone unanswered past
+// loops or host dispatch running: a steal request gone unanswered past
 // stealPending is forgotten, and the same maybeSteal pass sends a fresh
 // request to the loaded peer over the mesh. Nothing goes host-ward.
 func TestStealRequestExpires(t *testing.T) {
